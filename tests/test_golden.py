@@ -1,0 +1,64 @@
+"""Golden output digests: the CLI's files must stay byte-identical.
+
+The digests were taken from the reference implementation on the
+``--seed-fixtures`` corpus.  Any engine, accounting or writer change
+that alters a single byte of these outputs fails here; a deliberate
+change of output format has to update the digests in the same commit
+and say why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from pvems.cli import main
+
+WEEK_DIGESTS = {
+    "trace.csv": "d61346d7ff67567fd384dc5a6a52c4af0098da27712412746380ced5ce327b7e",
+    "kpi.json": "db315e5c0d93c84833bbe718ce60224a9c2529b4feb846b51c57581b29cc7084",
+    "compare.csv": "951ed128134f82f77d62cda0fa2faa8362ec4a104a182a7ba3afcecdb77346c3",
+}
+SMOOTH_DAY_DIGESTS = {
+    "trace.csv": "b157e12288986f68cab49f9029d3981286364033e01a85a715ee21b4586ebf9c",
+    "kpi.json": "7327694341245784255cdf0cf0f0acb91297cb28570190c117921d37853240bb",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def fixtures_dir(tmp_path_factory):
+    fx = tmp_path_factory.mktemp("golden") / "fixtures"
+    assert main(["--seed-fixtures", str(fx)]) == 0
+    return fx
+
+
+@pytest.fixture(scope="module")
+def smooth_day_config(fixtures_dir):
+    doc = json.loads((fixtures_dir / "config_week.json").read_text())
+    doc["pv_path"] = "pv_smooth_day.csv"
+    doc["load_path"] = "load_smooth_day.csv"
+    doc["forecast"]["fixture_path"] = "forecast_cloudy.json"
+    path = fixtures_dir / "config_smooth_day.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestGoldenDigests:
+    def test_week_simulate_and_compare(self, fixtures_dir, tmp_path):
+        config = str(fixtures_dir / "config_week.json")
+        assert main(["simulate", "--config", config,
+                     "--out-dir", str(tmp_path)]) == 0
+        assert main(["compare", "--config", config,
+                     "--out-dir", str(tmp_path)]) == 0
+        got = {name: sha256(tmp_path / name) for name in WEEK_DIGESTS}
+        assert got == WEEK_DIGESTS
+
+    def test_smooth_day_simulate(self, smooth_day_config, tmp_path):
+        assert main(["simulate", "--config", str(smooth_day_config),
+                     "--out-dir", str(tmp_path)]) == 0
+        got = {name: sha256(tmp_path / name) for name in SMOOTH_DAY_DIGESTS}
+        assert got == SMOOTH_DAY_DIGESTS
