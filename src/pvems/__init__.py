@@ -11,7 +11,8 @@ from .battery import (BatteryMode, BatteryParams, BatteryState,
                       available_charge_power, available_discharge_power)
 from .battery import step as battery_step
 from .ems import (DispatchMode, DispatchRecord, EmsConfig, StrategyKind,
-                  night_charge_tick, rr_dispatch, scm_dispatch, simulate)
+                  Trace, night_charge_tick, rr_dispatch, scm_dispatch,
+                  simulate)
 from .forecast import (DEFAULT_CHARGE_IDS, ChargeDecisionPolicy, ForecastDay,
                        ForecastError, FixtureForecastSource,
                        LiveForecastSource, fetch_daily_forecast,
@@ -28,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BatteryMode", "BatteryParams", "BatteryState",
     "available_charge_power", "available_discharge_power", "battery_step",
-    "DispatchMode", "DispatchRecord", "EmsConfig", "StrategyKind",
+    "DispatchMode", "DispatchRecord", "EmsConfig", "StrategyKind", "Trace",
     "night_charge_tick", "rr_dispatch", "scm_dispatch", "simulate",
     "DEFAULT_CHARGE_IDS", "ChargeDecisionPolicy", "ForecastDay",
     "ForecastError", "FixtureForecastSource", "LiveForecastSource",

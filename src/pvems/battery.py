@@ -15,6 +15,8 @@ __all__ = [
     "BatteryParams",
     "BatteryMode",
     "BatteryState",
+    "advance",
+    "available",
     "available_charge_power",
     "available_discharge_power",
     "step",
@@ -72,28 +74,62 @@ class BatteryState:
         return replace(self, soc=min(max(self.soc, params.soc_min), params.soc_max))
 
 
-def available_charge_power(params: BatteryParams, state: BatteryState) -> float:
-    """AC watts the battery can currently absorb (>= 0).
+def available(params: BatteryParams, headroom: float) -> float:
+    """AC watts available with ``headroom`` SOC left before a limit (>= 0).
 
-    Full nominal power away from the limits, tapering linearly to zero
-    over ``derate_band`` below ``soc_max``.
+    Full nominal power away from the limit, tapering linearly to zero
+    over the last ``derate_band`` of SOC.  Charging and discharging
+    share this taper; they differ only in which limit bounds the
+    headroom.
     """
-    headroom = params.soc_max - state.soc
     if headroom <= 0:
         return 0.0
     if params.derate_band > 0 and headroom < params.derate_band:
         return params.power_nominal_w * headroom / params.derate_band
     return params.power_nominal_w
+
+
+def available_charge_power(params: BatteryParams, state: BatteryState) -> float:
+    """AC watts the battery can currently absorb (>= 0), tapering below ``soc_max``."""
+    return available(params, params.soc_max - state.soc)
 
 
 def available_discharge_power(params: BatteryParams, state: BatteryState) -> float:
-    """AC watts the battery can currently deliver (>= 0); mirrors the charge taper."""
-    headroom = state.soc - params.soc_min
-    if headroom <= 0:
-        return 0.0
-    if params.derate_band > 0 and headroom < params.derate_band:
-        return params.power_nominal_w * headroom / params.derate_band
-    return params.power_nominal_w
+    """AC watts the battery can currently deliver (>= 0), tapering above ``soc_min``."""
+    return available(params, state.soc - params.soc_min)
+
+
+def advance(params: BatteryParams, soc: float, ac_command_w: float,
+            dt_s: float) -> tuple[float, float]:
+    """Float core of :func:`step`: returns (new SOC, executed AC power).
+
+    A command is clamped to the availability of its own direction only;
+    ``dt_s`` must be positive (:func:`step` checks it, hot loops that
+    fixed it once call this directly).
+    """
+    hours = dt_s / 3600.0
+    if ac_command_w > 0:
+        ac_actual = min(ac_command_w, available(params, params.soc_max - soc))
+        if ac_actual > 0:
+            stored_wh = ac_actual * params.eta_acdc * hours
+            room_wh = (params.soc_max - soc) * params.energy_capacity_wh
+            if stored_wh > room_wh:
+                stored_wh = room_wh
+                ac_actual = stored_wh / (params.eta_acdc * hours)
+            soc += stored_wh / params.energy_capacity_wh
+    elif ac_command_w < 0:
+        ac_actual = max(ac_command_w, -available(params, soc - params.soc_min))
+        if ac_actual < 0:
+            drawn_wh = (-ac_actual / params.eta_acdc) * hours
+            avail_wh = (soc - params.soc_min) * params.energy_capacity_wh
+            if drawn_wh > avail_wh:
+                drawn_wh = avail_wh
+                ac_actual = -drawn_wh * params.eta_acdc / hours
+            soc -= drawn_wh / params.energy_capacity_wh
+    else:
+        ac_actual = ac_command_w
+
+    return min(max(soc, params.soc_min), params.soc_max), ac_actual
 
 
 def step(params: BatteryParams, state: BatteryState, ac_command_w: float,
@@ -110,28 +146,7 @@ def step(params: BatteryParams, state: BatteryState, ac_command_w: float,
     """
     if dt_s <= 0:
         raise ValueError(f"dt must be positive, got {dt_s}")
-
-    ac_actual = min(max(ac_command_w, -available_discharge_power(params, state)),
-                    available_charge_power(params, state))
-
-    soc = state.soc
-    hours = dt_s / 3600.0
-    if ac_actual > 0:
-        stored_wh = ac_actual * params.eta_acdc * hours
-        room_wh = (params.soc_max - soc) * params.energy_capacity_wh
-        if stored_wh > room_wh:
-            stored_wh = room_wh
-            ac_actual = stored_wh / (params.eta_acdc * hours)
-        soc += stored_wh / params.energy_capacity_wh
-    elif ac_actual < 0:
-        drawn_wh = (-ac_actual / params.eta_acdc) * hours
-        avail_wh = (soc - params.soc_min) * params.energy_capacity_wh
-        if drawn_wh > avail_wh:
-            drawn_wh = avail_wh
-            ac_actual = -drawn_wh * params.eta_acdc / hours
-        soc -= drawn_wh / params.energy_capacity_wh
-
-    soc = min(max(soc, params.soc_min), params.soc_max)
+    soc, ac_actual = advance(params, state.soc, ac_command_w, dt_s)
     if ac_actual > 0:
         mode = BatteryMode.CHARGING
     elif ac_actual < 0:

@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from datetime import datetime, time, timedelta
 from pathlib import Path
@@ -25,14 +25,14 @@ from typing import Optional, Sequence
 
 from . import fixtures
 from .battery import BatteryParams
-from .ems import DispatchRecord, EmsConfig, StrategyKind, simulate
+from .ems import MODES, EmsConfig, StrategyKind, Trace, simulate
 from .forecast import (ChargeDecisionPolicy, FixtureForecastSource,
                        ForecastError, LiveForecastSource, should_night_charge)
 from .kpi import KPI_NAMES, KpiReport, accumulate, compute_kpis
 from .ramp import RampConfig, ramp_histogram, window_sweep
 from .timeseries import (PowerSeries, ProfileError, ResampleMethod,
-                         ResamplePolicy, align, format_utc, load_power_csv,
-                         resample)
+                         ResamplePolicy, align, format_utc_grid,
+                         load_power_csv, resample)
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +40,7 @@ ENDPOINT_ENV_VAR = "PVEMS_FORECAST_ENDPOINT"
 
 TRACE_COLUMNS = ["timestamp", "p_pv", "p_load", "p_batt_cmd", "p_batt_actual",
                  "p_grid", "soc", "mode", "rr", "rr_violated"]
+TRACE_BLOCK_ROWS = 16_384  # rows formatted at a time by write_trace_csv
 
 
 class CliError(RuntimeError):
@@ -102,16 +103,36 @@ def _parse_clock(text: str) -> time:
         raise CliError(f"bad clock time {text!r}, expected HH:MM") from None
 
 
-def load_config(path: Path, strategy_override: Optional[str] = None,
-                out_dir: Optional[Path] = None) -> RunConfig:
-    """Read a JSON run config; relative paths resolve against the file."""
-    path = Path(path)
+def _read_config_doc(path: Path) -> dict:
     if not path.exists():
         raise CliError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: a config must be a JSON object")
+    return doc
+
+
+def _ramp_section(doc: dict, path: Path) -> RampConfig:
+    try:
+        return RampConfig(**doc.get("ramp", {}))
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
+def load_ramp_config(path: Path) -> RampConfig:
+    """Only the ramp section of a JSON run config, validated as in ``load_config``."""
+    path = Path(path)
+    return _ramp_section(_read_config_doc(path), path)
+
+
+def load_config(path: Path, strategy_override: Optional[str] = None,
+                out_dir: Optional[Path] = None) -> RunConfig:
+    """Read a JSON run config; relative paths resolve against the file."""
+    path = Path(path)
+    doc = _read_config_doc(path)
     base = path.parent
 
     def respath(p) -> Path:
@@ -120,7 +141,7 @@ def load_config(path: Path, strategy_override: Optional[str] = None,
 
     try:
         battery = BatteryParams(**doc.get("battery", {}))
-        ramp = RampConfig(**doc.get("ramp", {}))
+        ramp = _ramp_section(doc, path)
         strategy = StrategyKind(strategy_override or doc.get("strategy", "SCM_RR_WF"))
         ems_doc = dict(doc.get("ems", {}))
         if "charge_start_time" in ems_doc:
@@ -207,19 +228,30 @@ def _resolve_forecast(config: RunConfig):
     return config.forecast.source(), config.forecast.policy()
 
 
-def write_trace_csv(trace: Sequence[DispatchRecord], path: Path) -> None:
+def write_trace_csv(trace: Trace, path: Path) -> None:
+    """One CSV row per tick; floats as ``repr``, timestamps as ``format_utc``.
+
+    Whole columns are formatted at a time, ``TRACE_BLOCK_ROWS`` rows per
+    block, so memory stays bounded on long traces.  No field can hold a
+    delimiter, quote or line break, so rows are joined directly, ending
+    in CRLF as the csv module's rows do.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    mode_names = [m.value for m in MODES]
+    n = len(trace)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for r in trace:
-            writer.writerow([
-                format_utc(r.timestamp),
-                repr(r.p_pv), repr(r.p_load),
-                repr(r.p_batt_cmd), repr(r.p_batt_actual), repr(r.p_grid),
-                repr(r.soc), r.mode.value, repr(r.rr_pct_per_min),
-                "true" if r.rr_violated else "false",
-            ])
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for lo in range(0, n, TRACE_BLOCK_ROWS):
+            hi = min(lo + TRACE_BLOCK_ROWS, n)
+            fields = [format_utc_grid(trace.start, trace.step, lo, hi)]
+            fields += [map(repr, col[lo:hi].tolist()) for col in (
+                trace.p_pv, trace.p_load, trace.p_batt_cmd,
+                trace.p_batt_actual, trace.p_grid, trace.soc)]
+            fields.append([mode_names[m] for m in trace.mode[lo:hi].tolist()])
+            fields.append(map(repr, trace.rr_pct_per_min[lo:hi].tolist()))
+            fields.append(["true" if v else "false"
+                           for v in trace.rr_violated[lo:hi].tolist()])
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def write_histogram_csv(series: PowerSeries, cfg: RampConfig, path: Path) -> None:
@@ -306,12 +338,7 @@ def compare_strategies(config: RunConfig, strategies: list[StrategyKind],
     pv, load = load_profiles(config)
     reports: dict[str, KpiReport] = {}
     for strat in strategies:
-        run_cfg = EmsConfig(strategy=strat, ramp=config.ems.ramp,
-                            night_charge_power_w=config.ems.night_charge_power_w,
-                            soc_target=config.ems.soc_target,
-                            charge_start_time=config.ems.charge_start_time,
-                            utc_offset_h=config.ems.utc_offset_h,
-                            pv_day_threshold=config.ems.pv_day_threshold)
+        run_cfg = replace(config.ems, strategy=strat)
         source, policy = (None, None)
         if strat.has_forecast_charging and config.forecast is not None:
             source, policy = config.forecast.source(), config.forecast.policy()
@@ -415,10 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                  out_dir=args.out_dir)
             run_simulation(config)
         elif args.command == "ramp-analyze":
-            if args.config:
-                cfg = RampConfig(**json.loads(args.config.read_text()).get("ramp", {}))
-            else:
-                cfg = RampConfig()
+            cfg = load_ramp_config(args.config) if args.config else RampConfig()
             windows = [float(w) for w in args.windows.split(",") if w.strip()]
             run_ramp_analysis(args.pv, cfg, windows, args.out_dir, pv_unit=args.unit)
         elif args.command == "compare":
@@ -433,7 +457,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = load_config(args.config)
             for_date = Date.fromisoformat(args.date) if args.date else None
             forecast_check(config, for_date)
-    except (CliError, ProfileError, ForecastError, ValueError) as exc:
+    except (CliError, ProfileError, ForecastError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

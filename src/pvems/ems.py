@@ -10,25 +10,37 @@ Three strategies share one deterministic tick loop:
   headroom.
 
 Priority per tick is night charge, then ramp control, then
-self-consumption.  Every tick emits one DispatchRecord obeying the AC
-power balance ``pv + grid = load + battery + standby``.
+self-consumption.  Every tick obeys the AC power balance
+``pv + grid = load + battery + standby``.
+
+``simulate`` runs in two phases.  A numpy pre-pass computes everything
+that does not depend on the battery's SOC: the window average, the
+ramp rate and its violations, the local day and clock, the "PV day
+started" flag and each day's forecast decision.  A tick loop on plain
+floats then keeps only the SOC recurrence and the choice of command.
+The result is a columnar ``Trace``; indexing or iterating it yields
+``DispatchRecord`` rows.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
+import operator
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import datetime, time, timedelta
 from enum import Enum
 from math import fsum
-from typing import Optional, Protocol
+from typing import Iterator, Optional, Protocol, Sequence
+
+import numpy as np
 
 from . import battery as bat
 from .battery import BatteryParams, BatteryState
-from .forecast import ChargeDecisionPolicy, ForecastDay, should_night_charge
-from .ramp import RampConfig, ma_command, ramp_rate, violates
+from .forecast import (ChargeDecisionPolicy, ForecastDay, ForecastError,
+                       should_night_charge)
+from .ramp import (RampConfig, fsum_window_mean, ma_command, ramp_rate,
+                   violates)
 from .timeseries import PowerSeries
 
 __all__ = [
@@ -36,6 +48,9 @@ __all__ = [
     "DispatchMode",
     "EmsConfig",
     "DispatchRecord",
+    "Trace",
+    "PrePass",
+    "prepass",
     "scm_dispatch",
     "rr_dispatch",
     "night_charge_tick",
@@ -64,6 +79,14 @@ class DispatchMode(str, Enum):
     RAMP_CONTROL = "ramp_control"
     NIGHT_CHARGE = "night_charge"
     IDLE = "idle"
+
+
+# A trace stores each tick's mode as its index in this tuple.
+MODES: tuple[DispatchMode, ...] = tuple(DispatchMode)
+_SCM, _RAMP, _NIGHT, _IDLE = (MODES.index(m) for m in DispatchMode)
+
+_US = timedelta(microseconds=1)
+_DAY_US = 86_400 * 1_000_000
 
 
 @dataclass(frozen=True)
@@ -133,15 +156,18 @@ def scm_dispatch(p_pv: float, p_load: float, params: BatteryParams,
     Returns the battery command (already limited to the available
     power) and the resulting grid power including the standby draw.
     """
-    surplus = p_pv - p_load
-    if surplus > 0:
-        cmd = min(surplus, bat.available_charge_power(params, state))
-    elif surplus < 0:
-        cmd = -min(-surplus, bat.available_discharge_power(params, state))
-    else:
-        cmd = 0.0
+    cmd = _scm_command(params, state.soc, p_pv - p_load)
     grid = p_load + cmd + params.standby_power_w - p_pv
     return cmd, grid
+
+
+def _scm_command(params: BatteryParams, soc: float, surplus: float) -> float:
+    """Battery command that stores ``surplus`` (or covers a deficit) within limits."""
+    if surplus > 0:
+        return min(surplus, bat.available(params, params.soc_max - soc))
+    if surplus < 0:
+        return -min(-surplus, bat.available(params, soc - params.soc_min))
+    return 0.0
 
 
 def rr_dispatch(pv_window, s_prev: Optional[float], p_pv: float, p_load: float,
@@ -181,7 +207,8 @@ def night_charge_tick(local_time: time, soc: float, decision: bool,
 
     Charging runs from ``charge_start_time`` until the SOC target is
     reached or the PV day begins, and only when the forecast decision
-    asked for it.
+    asked for it.  ``simulate`` applies the same rule to the flags of
+    its pre-pass.
     """
     if not decision or pv_day_started:
         return None
@@ -192,18 +219,170 @@ def night_charge_tick(local_time: time, soc: float, decision: bool,
     return cfg.night_charge_power_w
 
 
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Columnar dispatch trace: one numpy column per ``DispatchRecord`` field.
+
+    Row ``i`` is the tick at ``start + i * step_s``.  ``len``, indexing
+    and iteration yield ``DispatchRecord`` row views built on demand;
+    whole-trace consumers (accounting, the CSV writer) read the columns.
+    ``mode`` holds indices into ``MODES``.  Columns are read-only.
+    """
+
+    start: datetime
+    step_s: float
+    p_pv: np.ndarray
+    p_load: np.ndarray
+    p_batt_cmd: np.ndarray
+    p_batt_actual: np.ndarray
+    p_grid: np.ndarray
+    soc: np.ndarray
+    mode: np.ndarray
+    rr_pct_per_min: np.ndarray
+    rr_violated: np.ndarray
+
+    FLOAT_COLUMNS = ("p_pv", "p_load", "p_batt_cmd", "p_batt_actual",
+                     "p_grid", "soc", "rr_pct_per_min")
+    COLUMN_DTYPES = {**dict.fromkeys(FLOAT_COLUMNS, float),
+                     "mode": np.uint8, "rr_violated": bool}
+
+    def __post_init__(self) -> None:
+        n = len(self.p_pv)
+        for name, dtype in self.COLUMN_DTYPES.items():
+            col = np.asarray(getattr(self, name), dtype=dtype).view()
+            if col.shape != (n,):
+                raise ValueError(f"trace column {name} has shape {col.shape}, "
+                                 f"expected ({n},)")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def from_records(cls, records: Sequence[DispatchRecord],
+                     step_s: float) -> "Trace":
+        """Columns of a record sequence; ``start`` is the first record's timestamp."""
+        if not records:
+            raise ValueError("cannot build a trace from no records")
+        cols = {name: [getattr(r, name) for r in records]
+                for name in cls.FLOAT_COLUMNS + ("rr_violated",)}
+        return cls(start=records[0].timestamp, step_s=step_s,
+                   mode=[MODES.index(r.mode) for r in records], **cols)
+
+    @property
+    def step(self) -> timedelta:
+        return timedelta(seconds=self.step_s)
+
+    def __len__(self) -> int:
+        return len(self.p_pv)
+
+    def __getitem__(self, i) -> DispatchRecord:
+        n = len(self)
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace index out of range")
+        return self._record(self.start + i * self.step,
+                            *(getattr(self, name)[i].item()
+                              for name in self.FLOAT_COLUMNS),
+                            int(self.mode[i]), bool(self.rr_violated[i]))
+
+    def __iter__(self) -> Iterator[DispatchRecord]:
+        timestamp, step = self.start, self.step
+        for row in zip(*(getattr(self, name).tolist()
+                         for name in self.FLOAT_COLUMNS),
+                       self.mode.tolist(), self.rr_violated.tolist()):
+            yield self._record(timestamp, *row)
+            timestamp += step
+
+    @staticmethod
+    def _record(timestamp, p_pv, p_load, cmd, actual, grid, soc, rr, mode,
+                violated) -> DispatchRecord:
+        return DispatchRecord(timestamp=timestamp, p_pv=p_pv, p_load=p_load,
+                              p_batt_cmd=cmd, p_batt_actual=actual,
+                              p_grid=grid, soc=soc, mode=MODES[mode],
+                              rr_pct_per_min=rr, rr_violated=violated)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.start == other.start and self.step_s == other.step_s
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in self.COLUMN_DTYPES))
+
+    __hash__ = None
+
+
+@dataclass(frozen=True)
+class PrePass:
+    """Per-tick quantities of one PV series that do not depend on SOC.
+
+    ``window_mean`` is ``fsum(window) / n`` (NaN until the window is
+    full); ``rr`` the ramp of consecutive window means in %/min (0.0
+    where undefined) and ``violated`` its limit test.  ``day`` numbers
+    local days from ``first_date``; ``after_start`` marks local times at
+    or after ``charge_start_time``; ``day_started`` marks ticks at or
+    after the first one of their local day whose window mean exceeded
+    the PV-day threshold.
+    """
+
+    window_mean: np.ndarray
+    rr: np.ndarray
+    violated: np.ndarray
+    day: np.ndarray
+    after_start: np.ndarray
+    day_started: np.ndarray
+    first_date: Date
+
+
+def prepass(pv: PowerSeries, cfg: EmsConfig) -> PrePass:
+    """Vectorised SOC-independent phase of ``simulate``.
+
+    Every value equals what a per-tick loop computes with ``fsum``,
+    ``ramp_rate``, ``violates`` and ``datetime`` arithmetic: the local
+    clock is integer microseconds, as ``timedelta`` keeps it.
+    """
+    ramp = cfg.ramp
+    n = len(pv)
+    n_window = ramp.window_samples
+    mean = fsum_window_mean(pv.values, n_window)
+
+    rr = np.zeros(n)
+    rr[n_window:] = ((mean[n_window:] - mean[n_window - 1:-1])
+                     / ramp.nameplate_w / ramp.tick_minutes * 100.0)
+    violated = np.abs(rr) >= ramp.limit_pct_per_min  # rr 0.0 never violates
+
+    local0 = pv.start.replace(tzinfo=None) + timedelta(hours=cfg.utc_offset_h)
+    first_date = local0.date()
+    t_us = ((local0 - datetime.combine(first_date, time())) // _US
+            + np.arange(n, dtype=np.int64) * (timedelta(seconds=ramp.tick_s) // _US))
+    day, clock_us = np.divmod(t_us, _DAY_US)
+    start = cfg.charge_start_time
+    start_us = (((start.hour * 60 + start.minute) * 60 + start.second)
+                * 1_000_000 + start.microsecond)
+
+    ticks = np.arange(n)
+    above = mean > cfg.pv_day_threshold * ramp.nameplate_w
+    last_above = np.maximum.accumulate(np.where(above, ticks, -1))
+    day_first_tick = np.searchsorted(day, day, side="left")
+    return PrePass(window_mean=mean, rr=rr, violated=violated, day=day,
+                   after_start=clock_us >= start_us,
+                   day_started=last_above >= day_first_tick,
+                   first_date=first_date)
+
+
 def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
              params: BatteryParams,
              forecast_source: Optional[ForecastSource] = None,
              policy: Optional[ChargeDecisionPolicy] = None,
-             initial_soc: float = 0.35) -> list[DispatchRecord]:
+             initial_soc: float = 0.35) -> Trace:
     """Run one strategy over aligned PV and load profiles.
 
     Inputs must share start, step and length, with the step equal to
-    the control tick.  The loop is single-threaded and replay
+    the control tick.  The run is single-threaded and replay
     deterministic; forecast decisions are resolved once per simulated
-    day at the charge start time (a missing or failing source defaults
-    to no charge with a logged warning).
+    day, in date order, for each day that reaches the charge start time
+    (a missing or failing source defaults to no charge with a logged
+    warning).
     """
     if (pv.start != load.start or pv.step_s != load.step_s
             or len(pv) != len(load)):
@@ -220,104 +399,71 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
     if policy is None:
         policy = ChargeDecisionPolicy()
 
+    pre = prepass(pv, cfg)
+    n = len(pv)
+    pv_values, load_values = pv.values, load.values
+
+    # Per-tick candidates: 1 = ramp control, 2 = night charge (until the
+    # SOC target ends the day's segment), 3 = both.
+    kind = np.zeros(n, dtype=np.int64)
+    if cfg.strategy.has_ramp_control:
+        kind[pre.violated] = 1
+    if cfg.strategy.has_forecast_charging:
+        decisions = _resolve_decisions(forecast_source, policy, pre)
+        kind[pre.after_start & decisions[pre.day] & ~pre.day_started] += 2
+
+    cmd_col, actual_col, soc_col = [0.0] * n, [0.0] * n, [0.0] * n
+    mode_col = [0] * n
+    advance, scm_command = bat.advance, _scm_command
     tick_s = cfg.ramp.tick_s
-    tick = timedelta(seconds=tick_s)
-    local_offset = timedelta(hours=cfg.utc_offset_h)
-    n_window = cfg.ramp.window_samples
-    pv_day_level = cfg.pv_day_threshold * cfg.ramp.nameplate_w
+    night_w, soc_target = cfg.night_charge_power_w, cfg.soc_target
+    done_day = -1  # local day whose charge segment reached the target
+    soc = initial_soc
+    for k, (what, surplus, ramp_cmd, day) in enumerate(zip(
+            kind.tolist(), (pv_values - load_values).tolist(),
+            (pv_values - pre.window_mean).tolist(), pre.day.tolist())):
+        if what & 2 and day != done_day and soc >= soc_target:
+            done_day = day  # target reached: one charge segment per night
+        if what & 2 and day != done_day:
+            cmd, mode = night_w, _NIGHT
+        elif what & 1:
+            cmd, mode = ramp_cmd, _RAMP
+        else:
+            cmd = scm_command(params, soc, surplus)
+            mode = _IDLE if cmd == 0.0 else _SCM
+        soc, actual = advance(params, soc, cmd, tick_s)
+        cmd_col[k], actual_col[k], soc_col[k], mode_col[k] = cmd, actual, soc, mode
 
-    state = BatteryState(soc=initial_soc)
-    window: deque[float] = deque(maxlen=n_window)
-    s_prev: Optional[float] = None
-    decisions: dict[Date, bool] = {}
-    day_started: set[Date] = set()
-    night_done: set[Date] = set()  # target reached; one charge segment per night
-    warned_no_source = False
-
-    records: list[DispatchRecord] = []
-    timestamp = pv.start
-    pv_values = pv.values
-    load_values = load.values
-
-    for k in range(len(pv_values)):
-        p_pv = float(pv_values[k])
-        p_load = float(load_values[k])
-        local_dt = timestamp + local_offset
-        local_date = local_dt.date()
-
-        window.append(p_pv)
-        s_now = fsum(window) / n_window if len(window) == n_window else None
-
-        if s_now is not None and s_now > pv_day_level:
-            day_started.add(local_date)
-
-        rr = 0.0
-        violated = False
-        if s_now is not None and s_prev is not None:
-            rr = ramp_rate(s_now, s_prev, cfg.ramp, cfg.ramp.tick_minutes)
-            violated = violates(rr, cfg.ramp)
-
-        cmd: Optional[float] = None
-        mode = DispatchMode.SCM
-        if cfg.strategy.has_forecast_charging:
-            if local_dt.time() >= cfg.charge_start_time and local_date not in decisions:
-                decisions[local_date] = _resolve_decision(
-                    forecast_source, policy, local_date, warned_no_source)
-                warned_no_source = warned_no_source or forecast_source is None
-            decision = (decisions.get(local_date, False)
-                        and local_date not in night_done)
-            night_cmd = night_charge_tick(local_dt.time(), state.soc, decision,
-                                          cfg, params,
-                                          pv_day_started=local_date in day_started)
-            if (decision and local_dt.time() >= cfg.charge_start_time
-                    and state.soc >= cfg.soc_target):
-                night_done.add(local_date)  # one charge segment per night
-            elif night_cmd is not None:
-                cmd = night_cmd
-                mode = DispatchMode.NIGHT_CHARGE
-
-        if cmd is None and cfg.strategy.has_ramp_control and violated:
-            cmd = ma_command(window, p_pv, cfg.ramp)
-            mode = DispatchMode.RAMP_CONTROL
-
-        if cmd is None:
-            cmd, _ = scm_dispatch(p_pv, p_load, params, state)
-            mode = DispatchMode.IDLE if cmd == 0.0 else DispatchMode.SCM
-
-        state, actual = bat.step(params, state, cmd, tick_s)
-        grid = p_load + actual + params.standby_power_w - p_pv
-
-        records.append(DispatchRecord(
-            timestamp=timestamp,
-            p_pv=p_pv,
-            p_load=p_load,
-            p_batt_cmd=cmd,
-            p_batt_actual=actual,
-            p_grid=grid,
-            soc=state.soc,
-            mode=mode,
-            rr_pct_per_min=rr,
-            rr_violated=violated,
-        ))
-
-        s_prev = s_now
-        timestamp = timestamp + tick
-
-    return records
+    actual = np.array(actual_col)
+    return Trace(start=pv.start, step_s=tick_s, p_pv=pv_values,
+                 p_load=load_values, p_batt_cmd=cmd_col, p_batt_actual=actual,
+                 p_grid=load_values + actual + params.standby_power_w - pv_values,
+                 soc=soc_col, mode=mode_col, rr_pct_per_min=pre.rr,
+                 rr_violated=pre.violated)
 
 
-def _resolve_decision(source: Optional[ForecastSource],
-                      policy: ChargeDecisionPolicy, date: Date,
-                      already_warned: bool) -> bool:
+def _resolve_decisions(source: Optional[ForecastSource],
+                       policy: ChargeDecisionPolicy, pre: PrePass) -> np.ndarray:
+    """Night-charge decision per local day of the pre-pass.
+
+    Each day that reaches the charge start time is looked up once, in
+    date order.  No source, or a lookup that fails, means no charge,
+    with a logged warning.
+    """
+    decisions = np.zeros(int(pre.day[-1]) + 1, dtype=bool)
+    days = np.unique(pre.day[pre.after_start]).tolist()
     if source is None:
-        if not already_warned:
+        if days:
             log.warning("no forecast source configured; defaulting to no "
                         "night charge")
-        return False
-    try:
-        day = source.forecast_for(date)
-    except Exception as exc:
-        log.warning("forecast for %s unavailable (%s); defaulting to no "
-                    "night charge", date, exc)
-        return False
-    return should_night_charge(day, policy)
+        return decisions
+    for day in days:
+        date = pre.first_date + timedelta(days=day)
+        try:
+            forecast = source.forecast_for(date)
+        except (ForecastError, OSError) as exc:
+            log.warning("forecast for %s unavailable (%s); defaulting to no "
+                        "night charge", date, exc)
+            continue
+        decisions[day] = should_night_charge(forecast, policy)
+    return decisions

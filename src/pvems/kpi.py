@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .ems import DispatchMode, DispatchRecord
-from .ramp import RampConfig, ramp_rate, violates
+import numpy as np
+
+from .ems import MODES, DispatchMode, DispatchRecord, Trace
+from .ramp import RampConfig
 
 __all__ = [
     "EnergyTotals",
@@ -107,7 +109,7 @@ class KpiReport:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
 
-def accumulate(trace: Sequence[DispatchRecord], tick_s: float,
+def accumulate(trace: Union[Trace, Sequence[DispatchRecord]], tick_s: float,
                ramp_cfg: Optional[RampConfig] = None) -> EnergyTotals:
     """Integrate a dispatch trace into directional energy totals.
 
@@ -115,88 +117,70 @@ def accumulate(trace: Sequence[DispatchRecord], tick_s: float,
     the battery; battery charging beyond the instantaneous PV surplus
     (night charging) is grid energy, not consumed PV.  Ramp counts need
     ``ramp_cfg`` to judge leaked remainders; without it only fully
-    executed commands count as controlled.
+    executed commands count as controlled.  A plain record sequence is
+    converted with ``Trace.from_records`` first.
     """
-    if not trace:
+    if len(trace) == 0:
         raise ValueError("cannot accumulate an empty trace")
+    if not isinstance(trace, Trace):
+        trace = Trace.from_records(trace, tick_s)
     hours = tick_s / 3600.0
+    pv, load, grid = trace.p_pv, trace.p_load, trace.p_grid
+    batt = trace.p_batt_actual
 
-    pv_gen = pv_used = load = from_grid = to_grid = to_batt = from_batt = 0.0
-    for r in trace:
-        pv_gen += max(r.p_pv, 0.0)
-        load += max(r.p_load, 0.0)
-        if r.p_grid >= 0:
-            from_grid += r.p_grid
-        else:
-            to_grid += -r.p_grid
-        if r.p_batt_actual >= 0:
-            to_batt += r.p_batt_actual
-        else:
-            from_batt += -r.p_batt_actual
-        pv_direct = min(max(r.p_pv, 0.0), max(r.p_load, 0.0))
-        pv_surplus = max(r.p_pv - r.p_load, 0.0)
-        pv_to_batt = min(max(r.p_batt_actual, 0.0), pv_surplus)
-        pv_used += pv_direct + pv_to_batt
-
+    pv_direct = np.minimum(np.maximum(pv, 0.0), np.maximum(load, 0.0))
+    pv_to_batt = np.minimum(np.maximum(batt, 0.0), np.maximum(pv - load, 0.0))
     n_orig, n_ctl = _count_ramp_events(trace, tick_s, ramp_cfg)
     return EnergyTotals(
-        e_pv_generated=pv_gen * hours,
-        e_pv_consumed=pv_used * hours,
-        e_load=load * hours,
-        e_from_grid=from_grid * hours,
-        e_to_grid=to_grid * hours,
-        e_to_battery=to_batt * hours,
-        e_from_battery=from_batt * hours,
+        e_pv_generated=_sum(pv[pv > 0]) * hours,
+        e_pv_consumed=_sum(pv_direct + pv_to_batt) * hours,
+        e_load=_sum(load[load > 0]) * hours,
+        e_from_grid=_sum(grid[grid >= 0]) * hours,
+        e_to_grid=_sum(-grid[grid < 0]) * hours,
+        e_to_battery=_sum(batt[batt >= 0]) * hours,
+        e_from_battery=_sum(-batt[batt < 0]) * hours,
         n_ramps_original=n_orig,
         n_ramps_controlled=n_ctl,
     )
 
 
-def _count_ramp_events(trace: Sequence[DispatchRecord], tick_s: float,
+def _sum(x: np.ndarray) -> float:
+    """``0.0 + x[0] + x[1] + ...`` evaluated left to right, as a loop would.
+
+    ``np.add.accumulate`` adds sequentially (``np.sum`` adds pairwise
+    and rounds differently); the trailing ``+ 0.0`` turns an all-zero
+    sum of negative zeros into the loop's +0.0.
+    """
+    return float(np.add.accumulate(x)[-1]) + 0.0 if x.size else 0.0
+
+
+def _count_ramp_events(trace: Trace, tick_s: float,
                        ramp_cfg: Optional[RampConfig]) -> tuple[int, int]:
     """Group violating ticks into events and classify each as controlled.
 
-    A tick is neutralised when the ramp branch ran and either executed
-    its command in full, or the remainder that leaked to the grid kept
-    the compensated PV signal under the limit.
+    An event is a maximal run of violating ticks.  A tick is neutralised
+    when the ramp branch ran and either executed its command in full,
+    or the remainder that leaked to the grid kept the compensated PV
+    signal under the limit; an event is controlled when all its ticks
+    are.
     """
-    n_orig = 0
-    n_ctl = 0
-    in_event = False
-    event_ok = True
-    prev_comp: Optional[float] = None
-    tick_min = tick_s / 60.0
+    violated = trace.rr_violated
+    ramp = trace.mode == MODES.index(DispatchMode.RAMP_CONTROL)
+    cmd, actual = trace.p_batt_cmd, trace.p_batt_actual
 
-    for r in trace:
-        compensated = r.p_pv
-        if r.mode is DispatchMode.RAMP_CONTROL:
-            compensated -= r.p_batt_actual
+    tol = _FULL_EXECUTION_RTOL * np.maximum(1.0, np.abs(cmd))
+    ok = ramp & (np.abs(cmd - actual) <= tol)
+    if ramp_cfg is not None:
+        compensated = np.where(ramp, trace.p_pv - actual, trace.p_pv)
+        rr_post = ((compensated[1:] - compensated[:-1]) / ramp_cfg.nameplate_w
+                   / (tick_s / 60.0) * 100.0)
+        ok[1:] |= ramp[1:] & (np.abs(rr_post) < ramp_cfg.limit_pct_per_min)
 
-        if r.rr_violated:
-            if r.mode is DispatchMode.RAMP_CONTROL:
-                tol = _FULL_EXECUTION_RTOL * max(1.0, abs(r.p_batt_cmd))
-                ok = abs(r.p_batt_cmd - r.p_batt_actual) <= tol
-                if not ok and ramp_cfg is not None and prev_comp is not None:
-                    rr_post = ramp_rate(compensated, prev_comp, ramp_cfg, tick_min)
-                    ok = not violates(rr_post, ramp_cfg)
-            else:
-                ok = False
-            if in_event:
-                event_ok = event_ok and ok
-            else:
-                in_event = True
-                event_ok = ok
-                n_orig += 1
-        elif in_event:
-            if event_ok:
-                n_ctl += 1
-            in_event = False
-
-        prev_comp = compensated
-
-    if in_event and event_ok:
-        n_ctl += 1
-    return n_orig, n_ctl
+    starts = violated & ~np.concatenate(([False], violated[:-1]))
+    event = np.cumsum(starts)
+    n_orig = int(event[-1])
+    n_failed = np.unique(event[violated & ~ok]).size
+    return n_orig, n_orig - n_failed
 
 
 def compute_kpis(totals: EnergyTotals,

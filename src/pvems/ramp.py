@@ -26,6 +26,7 @@ __all__ = [
     "ramp_histogram",
     "window_sweep",
     "moving_average",
+    "fsum_window_mean",
     "count_violation_events",
 ]
 
@@ -148,6 +149,41 @@ def moving_average(values: np.ndarray, n: int) -> np.ndarray:
     if len(values) >= n:
         csum = np.cumsum(np.insert(values, 0, 0.0))
         out[n - 1:] = (csum[n:] - csum[:-n]) / n
+    return out
+
+
+def fsum_window_mean(values: np.ndarray, n: int) -> np.ndarray:
+    """Trailing mean over ``n`` samples, bit-identical to ``fsum(window) / n``.
+
+    The first ``n - 1`` outputs are NaN.  A left-to-right float sum of a
+    window equals its exact real sum, and so fsum's correctly rounded
+    result, when none of its additions rounds; TwoSum (Knuth) yields
+    each addition's rounding error exactly, and only the windows with a
+    nonzero error are summed again with ``fsum``.  An exact sum of zero
+    is +0.0, as fsum returns it, whatever the signs of the zeros added.
+    """
+    if n < 1:
+        raise ValueError("window must span at least one sample")
+    values = np.asarray(values, dtype=float)
+    out = np.full(len(values), np.nan)
+    m = len(values) - n + 1
+    if m < 1:
+        return out
+    total = values[:m].copy()
+    inexact = np.zeros(m, dtype=bool)
+    for j in range(1, n):
+        x = values[j:j + m]
+        s = total + x
+        back = s - total
+        inexact |= (total - (s - back)) + (x - back) != 0.0
+        total = s
+    total += 0.0
+    redo = np.flatnonzero(inexact).tolist()
+    if redo:
+        listed = values.tolist()
+        for i in redo:
+            total[i] = fsum(listed[i:i + n])
+    out[n - 1:] = total / n
     return out
 
 

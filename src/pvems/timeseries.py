@@ -27,6 +27,7 @@ __all__ = [
     "align",
     "trapezoid_energy_wh",
     "format_utc",
+    "format_utc_grid",
     "write_power_csv",
 ]
 
@@ -279,6 +280,23 @@ def format_utc(dt: datetime) -> str:
     dt = dt.astimezone(timezone.utc)
     text = dt.isoformat()
     return text.replace("+00:00", "Z")
+
+
+def format_utc_grid(start: datetime, step: timedelta, lo: int,
+                    hi: int) -> list[str]:
+    """``format_utc(start + k * step)`` for ``k`` in ``range(lo, hi)``, vectorised.
+
+    Rows whose microseconds are not zero keep their ``.ffffff`` part, as
+    ``isoformat`` does.  ``start`` is converted to UTC once, which equals
+    converting each row for any fixed-offset zone (series loaded from
+    CSV are UTC).
+    """
+    origin = np.datetime64(start.astimezone(timezone.utc).replace(tzinfo=None), "us")
+    step_us = step // timedelta(microseconds=1)
+    stamps = origin + (np.arange(lo, hi, dtype=np.int64) * step_us).astype("m8[us]")
+    text = np.datetime_as_string(stamps, unit="us").tolist()
+    whole = (stamps.astype(np.int64) % 1_000_000 == 0).tolist()
+    return [t[:19] + "Z" if w else t + "Z" for t, w in zip(text, whole)]
 
 
 def write_power_csv(series: PowerSeries, path: Union[str, Path],

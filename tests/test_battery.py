@@ -1,10 +1,12 @@
 """Tests for the battery energy/efficiency model."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvems.battery import (BatteryMode, BatteryParams, BatteryState,
+from pvems.battery import (BatteryMode, BatteryParams, BatteryState, advance,
                            available_charge_power, available_discharge_power,
                            step)
 
@@ -81,6 +83,22 @@ class TestStep:
         assert actual == 0.0
         assert state.soc == 0.40
         assert state.mode is BatteryMode.IDLE
+
+    @pytest.mark.parametrize("soc", [0.20, 0.40, 0.70])
+    def test_zero_commands_keep_their_sign(self, params, soc):
+        # the trace writes repr(actual), so -0.0 must stay -0.0, and a
+        # discharge request on an empty battery executes as -0.0
+        for cmd in (0.0, -0.0):
+            _, actual = step(params, BatteryState(soc=soc), cmd, 2.0)
+            assert math.copysign(1.0, actual) == math.copysign(1.0, cmd)
+        _, actual = step(params, BatteryState(soc=0.20), -100.0, 2.0)
+        assert math.copysign(1.0, actual) == -1.0 and actual == 0.0
+
+    def test_float_core_matches_step(self, params):
+        for soc, cmd in [(0.40, 3_000.0), (0.69, 5_000.0), (0.21, -4_000.0),
+                         (0.40, 0.0), (0.70, 100.0)]:
+            state, actual = step(params, BatteryState(soc=soc), cmd, 2.0)
+            assert advance(params, soc, cmd, 2.0) == (state.soc, actual)
 
     def test_discharge_draws_more_than_delivered(self, params):
         state, actual = step(params, BatteryState(soc=0.40), -2_200.0, 3_600.0)

@@ -131,6 +131,47 @@ class TestRampAnalyze:
         assert (out_dir / "window_sweep.csv").exists()
 
 
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+class TestErrorsWithoutTraceback:
+    def test_ramp_analyze_missing_config(self, corpus, tmp_path, capsys):
+        paths, _ = corpus
+        code = main(["ramp-analyze", "--pv", str(paths["pv_smooth_day"]),
+                     "--config", str(tmp_path / "absent.json"),
+                     "--out-dir", str(tmp_path / "ra")])
+        assert code == 1
+        assert_one_line_error(capsys, "absent.json", "not found")
+
+    def test_ramp_analyze_unknown_ramp_key(self, corpus, tmp_path, capsys):
+        paths, _ = corpus
+        bad = tmp_path / "ramp.json"
+        bad.write_text(json.dumps({"ramp": {"window_s": 20.0, "speed": 3}}))
+        code = main(["ramp-analyze", "--pv", str(paths["pv_smooth_day"]),
+                     "--config", str(bad), "--out-dir", str(tmp_path / "ra")])
+        assert code == 1
+        assert_one_line_error(capsys, "ramp.json", "speed")
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert main(["simulate", "--config", str(bad)]) == 1
+        assert_one_line_error(capsys, "list.json", "JSON object")
+
+    def test_simulate_out_dir_under_a_file(self, day_config, tmp_path, capsys):
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("not a directory")
+        code = main(["simulate", "--config", str(day_config),
+                     "--out-dir", str(blocker / "out")])
+        assert code == 1
+        assert_one_line_error(capsys, "plain_file")
+
+
 class TestCompare:
     def test_three_strategies_table(self, day_config, tmp_path, capsys):
         out_dir = tmp_path / "cmp"

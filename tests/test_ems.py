@@ -8,6 +8,7 @@ import pytest
 from pvems.battery import BatteryParams, BatteryState
 from pvems.ems import (DispatchMode, EmsConfig, StrategyKind,
                        night_charge_tick, rr_dispatch, scm_dispatch, simulate)
+from pvems.forecast import ForecastError
 from pvems.ramp import RampConfig
 from pvems.timeseries import PowerSeries
 
@@ -206,6 +207,32 @@ class TestSimulateNightCharge:
             trace = simulate(pv, load, cfg, PARAMS, initial_soc=0.30)
         assert all(r.mode is not DispatchMode.NIGHT_CHARGE for r in trace)
         assert any("no forecast source" in m for m in caplog.messages)
+
+    def test_failing_source_falls_back_with_warning(self, smooth_day_profiles,
+                                                    caplog):
+        class Unreachable:
+            def forecast_for(self, date):
+                raise ForecastError("service down")
+
+        pv, load = smooth_day_profiles
+        cfg = EmsConfig(strategy=StrategyKind.SCM_RR_WF, ramp=RCFG)
+        with caplog.at_level("WARNING"):
+            trace = simulate(pv, load, cfg, PARAMS, forecast_source=Unreachable(),
+                             initial_soc=0.30)
+        assert all(r.mode is not DispatchMode.NIGHT_CHARGE for r in trace)
+        assert any("unavailable" in m and "service down" in m
+                   for m in caplog.messages)
+
+    def test_programming_error_in_source_propagates(self, smooth_day_profiles):
+        class Broken:
+            def forecast_for(self, date):
+                raise TypeError("bad call")
+
+        pv, load = smooth_day_profiles
+        cfg = EmsConfig(strategy=StrategyKind.SCM_RR_WF, ramp=RCFG)
+        with pytest.raises(TypeError, match="bad call"):
+            simulate(pv, load, cfg, PARAMS, forecast_source=Broken(),
+                     initial_soc=0.30)
 
     def test_cloudy_night_holds_target_overshoot_bound(self, smooth_day_profiles,
                                                        cloudy_source):

@@ -1,5 +1,6 @@
 """Tests for energy accumulation and the indicator computations."""
 
+import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -48,6 +49,16 @@ class TestAccumulate:
             assert getattr(report, name) is None, name
             assert name in report.undefined_reasons
         assert report.crr == 1.0 and report.crr_no_violations
+
+    def test_negative_zero_powers_sum_to_positive_zero(self):
+        # a loop starting from 0.0 never yields -0.0; kpi.json would
+        # print "-0.0" if the column sums did
+        trace = [rec(i=i, p_pv=-0.0, p_load=-0.0, actual=-0.0, grid=-0.0)
+                 for i in range(3)]
+        t = accumulate(trace, 2.0)
+        for name in ("e_pv_generated", "e_pv_consumed", "e_load", "e_from_grid",
+                     "e_to_grid", "e_to_battery", "e_from_battery"):
+            assert math.copysign(1.0, getattr(t, name)) == 1.0, name
 
     def test_grid_direction_split(self):
         trace = [rec(i=0, grid=100.0), rec(i=1, grid=-50.0)]
@@ -127,6 +138,21 @@ class TestRampEventCounting:
         ]
         t = accumulate(trace, 2.0, RCFG)
         assert (t.n_ramps_original, t.n_ramps_controlled) == (1, 1)
+
+    @pytest.mark.parametrize("leak_step_w, controlled", [(1_000.0, 0), (999.0, 1)])
+    def test_leak_exactly_at_limit_counts_uncontrolled(self, leak_step_w,
+                                                       controlled):
+        # 1000 W per 1-min tick on 8000 W is exactly 12.5 %/min, and the
+        # limit is inclusive; one watt less stays under it
+        cfg = RampConfig(nameplate_w=8_000.0, limit_pct_per_min=12.5,
+                         window_s=60.0, tick_s=60.0)
+        trace = [
+            rec(i=0, p_pv=1_000.0),
+            rec(i=1, p_pv=1_500.0 + leak_step_w, cmd=600.0, actual=500.0,
+                mode=DispatchMode.RAMP_CONTROL, rr=20.0, violated=True),
+        ]
+        t = accumulate(trace, 60.0, cfg)
+        assert (t.n_ramps_original, t.n_ramps_controlled) == (1, controlled)
 
     def test_partial_without_cfg_counts_uncontrolled(self):
         trace = [
