@@ -309,8 +309,6 @@ class Trace:
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
                         for name in self.COLUMN_DTYPES))
 
-    __hash__ = None
-
 
 @dataclass(frozen=True)
 class PrePass:

@@ -204,7 +204,7 @@ def profiles(draw, ramp, max_size=300):
 
 
 @st.composite
-def ems_setups(draw, strategy=None):
+def ems_setups(draw):
     """Config and start; half the starts fall in the local hour before
     midnight, so horizons cross local days."""
     ramp = draw(ramp_setups())
@@ -216,7 +216,7 @@ def ems_setups(draw, strategy=None):
              - timedelta(hours=offset))
     clock = time(draw(st.integers(0, 23)), draw(st.integers(0, 59)),
                  draw(st.integers(0, 59)), draw(st.sampled_from([0, 1, 999_999])))
-    cfg = EmsConfig(strategy=strategy or draw(st.sampled_from(list(StrategyKind))),
+    cfg = EmsConfig(strategy=draw(st.sampled_from(list(StrategyKind))),
                     ramp=ramp, night_charge_power_w=2_700.0,
                     soc_target=draw(st.sampled_from([0.3, 0.45, 0.5, 0.69])),
                     charge_start_time=clock, utc_offset_h=offset,
