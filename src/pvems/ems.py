@@ -83,7 +83,10 @@ class DispatchMode(str, Enum):
 
 # A trace stores each tick's mode as its index in this tuple.
 MODES: tuple[DispatchMode, ...] = tuple(DispatchMode)
-_SCM, _RAMP, _NIGHT, _IDLE = (MODES.index(m) for m in DispatchMode)
+_SCM = MODES.index(DispatchMode.SCM)
+_RAMP = MODES.index(DispatchMode.RAMP_CONTROL)
+_NIGHT = MODES.index(DispatchMode.NIGHT_CHARGE)
+_IDLE = MODES.index(DispatchMode.IDLE)
 
 _US = timedelta(microseconds=1)
 _DAY_US = 86_400 * 1_000_000

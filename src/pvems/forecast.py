@@ -132,7 +132,7 @@ def parse_forecast_payload(payload: Union[str, bytes], region_id: int,
     """
     try:
         doc = json.loads(payload)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON, UTF-8 or nesting
         raise ForecastError(f"malformed forecast JSON: {exc}") from None
 
     days = doc.get("data") if isinstance(doc, dict) else doc
@@ -146,7 +146,7 @@ def parse_forecast_payload(payload: Union[str, bytes], region_id: int,
         if str(entry.get("forecastDate", ""))[:10] == wanted:
             try:
                 weather_id = int(entry["idWeatherType"])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise ForecastError(f"entry for {wanted} lacks a usable "
                                     f"idWeatherType field") from None
             return ForecastDay(date=date, weather_type_id=weather_id,

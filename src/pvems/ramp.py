@@ -153,37 +153,18 @@ def moving_average(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def fsum_window_mean(values: np.ndarray, n: int) -> np.ndarray:
-    """Trailing mean over ``n`` samples, bit-identical to ``fsum(window) / n``.
+    """Trailing mean over ``n`` samples, ``fsum(window) / n`` for each window.
 
-    The first ``n - 1`` outputs are NaN.  A left-to-right float sum of a
-    window equals its exact real sum, and so fsum's correctly rounded
-    result, when none of its additions rounds; TwoSum (Knuth) yields
-    each addition's rounding error exactly, and only the windows with a
-    nonzero error are summed again with ``fsum``.  An exact sum of zero
-    is +0.0, as fsum returns it, whatever the signs of the zeros added.
+    Exact by construction, unlike ``moving_average``'s cumsum difference.
+    The first ``n - 1`` outputs are NaN.
     """
     if n < 1:
         raise ValueError("window must span at least one sample")
-    values = np.asarray(values, dtype=float)
-    out = np.full(len(values), np.nan)
-    m = len(values) - n + 1
-    if m < 1:
-        return out
-    total = values[:m].copy()
-    inexact = np.zeros(m, dtype=bool)
-    for j in range(1, n):
-        x = values[j:j + m]
-        s = total + x
-        back = s - total
-        inexact |= (total - (s - back)) + (x - back) != 0.0
-        total = s
-    total += 0.0
-    redo = np.flatnonzero(inexact).tolist()
-    if redo:
-        listed = values.tolist()
-        for i in redo:
-            total[i] = fsum(listed[i:i + n])
-    out[n - 1:] = total / n
+    listed = np.asarray(values, dtype=float).tolist()
+    out = np.full(len(listed), np.nan)
+    m = len(listed) - n + 1
+    if m > 0:
+        out[n - 1:] = [fsum(listed[i:i + n]) / n for i in range(m)]
     return out
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import json
 
 import numpy as np
@@ -81,6 +82,27 @@ class TestSimulate:
         assert np.array_equal(pv_col.values, original.values[:len(pv_col)])
         grid_col = load_power_csv(out_dir / "trace.csv", column="p_grid")
         assert len(grid_col) == len(pv_col)
+
+    def test_integer_config_powers_print_as_floats(self, day_config, tmp_path):
+        # Every power column is float64, so a power given as a JSON integer
+        # prints as its float repr ("2700.0"), like every other row.
+        doc = json.loads(day_config.read_text())
+        doc["battery"]["power_nominal_w"] = 5000
+        doc["ems"]["night_charge_power_w"] = 2700
+        int_config = tmp_path / "config_int.json"
+        int_config.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(int_config),
+                     "--out-dir", str(out_dir)]) == 0
+        with (out_dir / "trace.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        night = [r for r in rows if r["mode"] == "night_charge"]
+        assert night
+        assert all(r["p_batt_cmd"] == "2700.0" for r in night)
+        for row in rows:
+            for col in ("p_pv", "p_load", "p_batt_cmd", "p_batt_actual",
+                        "p_grid", "soc", "rr"):
+                assert repr(float(row[col])) == row[col], (col, row)
 
     def test_kpi_json_is_valid(self, day_config, tmp_path):
         out_dir = tmp_path / "out"

@@ -8,7 +8,7 @@ import pytest
 from pvems.battery import BatteryParams, BatteryState
 from pvems.ems import (DispatchMode, EmsConfig, StrategyKind,
                        night_charge_tick, rr_dispatch, scm_dispatch, simulate)
-from pvems.forecast import ForecastError
+from pvems.forecast import FixtureForecastSource, ForecastError
 from pvems.ramp import RampConfig
 from pvems.timeseries import PowerSeries
 
@@ -222,6 +222,23 @@ class TestSimulateNightCharge:
         assert all(r.mode is not DispatchMode.NIGHT_CHARGE for r in trace)
         assert any("unavailable" in m and "service down" in m
                    for m in caplog.messages)
+
+    @pytest.mark.parametrize("template", [
+        b'{"data": [{"forecastDate": "%s", "idWeatherType": Infinity}]}',
+        b'{"data": [{"forecastDate": "%s", "idWeatherType": 4}, "\xff"]}',
+    ], ids=["infinite_weather_id", "not_utf8"])
+    def test_malformed_fixture_falls_back_with_warning(self, smooth_day_profiles,
+                                                       tmp_path, caplog, template):
+        pv, load = smooth_day_profiles
+        path = tmp_path / "forecast.json"
+        path.write_bytes(template % pv.start.date().isoformat().encode())
+        cfg = EmsConfig(strategy=StrategyKind.SCM_RR_WF, ramp=RCFG)
+        with caplog.at_level("WARNING"):
+            trace = simulate(pv, load, cfg, PARAMS,
+                             forecast_source=FixtureForecastSource(path),
+                             initial_soc=0.30)
+        assert all(r.mode is not DispatchMode.NIGHT_CHARGE for r in trace)
+        assert any("unavailable" in m for m in caplog.messages)
 
     def test_programming_error_in_source_propagates(self, smooth_day_profiles):
         class Broken:

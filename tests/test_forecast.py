@@ -90,6 +90,19 @@ class TestParsing:
         with pytest.raises(ForecastError, match="malformed"):
             parse_forecast_payload(b"{not json", REGION, TOMORROW)
 
+    def test_payload_not_utf8(self):
+        with pytest.raises(ForecastError, match="malformed"):
+            parse_forecast_payload(b'{"data": ["\xff"]}', REGION, TOMORROW)
+
+    def test_payload_nested_too_deep(self):
+        with pytest.raises(ForecastError, match="malformed"):
+            parse_forecast_payload(b"[" * 100_000, REGION, TOMORROW)
+
+    def test_infinite_weather_id(self):
+        payload = b'[{"forecastDate": "2018-01-02", "idWeatherType": Infinity}]'
+        with pytest.raises(ForecastError, match="idWeatherType"):
+            parse_forecast_payload(payload, REGION, TOMORROW)
+
     def test_missing_weather_field(self):
         doc = {"data": [{"forecastDate": "2018-01-02"}]}
         with pytest.raises(ForecastError, match="idWeatherType"):
