@@ -7,12 +7,10 @@ weather-forecast-driven night charge that keeps SOC headroom for the
 next day's ramps.  Evaluation is a ten-indicator energy KPI suite.
 """
 
-from .battery import (BatteryMode, BatteryParams, BatteryState,
-                      available_charge_power, available_discharge_power)
+from .battery import BatteryParams, BatteryState
 from .battery import step as battery_step
 from .ems import (DispatchMode, DispatchRecord, EmsConfig, StrategyKind,
-                  Trace, night_charge_tick, rr_dispatch, scm_dispatch,
-                  simulate)
+                  Trace, night_charge_tick, scm_dispatch, simulate)
 from .forecast import (DEFAULT_CHARGE_IDS, ChargeDecisionPolicy, ForecastDay,
                        ForecastError, FixtureForecastSource,
                        LiveForecastSource, fetch_daily_forecast,
@@ -27,10 +25,9 @@ from .timeseries import (PowerSeries, ProfileError, ResampleMethod,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatteryMode", "BatteryParams", "BatteryState",
-    "available_charge_power", "available_discharge_power", "battery_step",
+    "BatteryParams", "BatteryState", "battery_step",
     "DispatchMode", "DispatchRecord", "EmsConfig", "StrategyKind", "Trace",
-    "night_charge_tick", "rr_dispatch", "scm_dispatch", "simulate",
+    "night_charge_tick", "scm_dispatch", "simulate",
     "DEFAULT_CHARGE_IDS", "ChargeDecisionPolicy", "ForecastDay",
     "ForecastError", "FixtureForecastSource", "LiveForecastSource",
     "fetch_daily_forecast", "parse_forecast_payload", "should_night_charge",

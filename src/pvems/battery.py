@@ -8,25 +8,15 @@ dispatch logic only needs SOC and the power actually available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 __all__ = [
     "BatteryParams",
-    "BatteryMode",
     "BatteryState",
     "advance",
     "available",
-    "available_charge_power",
-    "available_discharge_power",
     "step",
 ]
-
-
-class BatteryMode(str, Enum):
-    IDLE = "idle"
-    CHARGING = "charging"
-    DISCHARGING = "discharging"
 
 
 @dataclass(frozen=True)
@@ -65,13 +55,9 @@ class BatteryParams:
 
 @dataclass(frozen=True)
 class BatteryState:
-    """State of charge (fraction of capacity) and current operating mode."""
+    """State of charge (fraction of capacity)."""
 
     soc: float
-    mode: BatteryMode = BatteryMode.IDLE
-
-    def clamped(self, params: BatteryParams) -> "BatteryState":
-        return replace(self, soc=min(max(self.soc, params.soc_min), params.soc_max))
 
 
 def available(params: BatteryParams, headroom: float) -> float:
@@ -87,16 +73,6 @@ def available(params: BatteryParams, headroom: float) -> float:
     if params.derate_band > 0 and headroom < params.derate_band:
         return params.power_nominal_w * headroom / params.derate_band
     return params.power_nominal_w
-
-
-def available_charge_power(params: BatteryParams, state: BatteryState) -> float:
-    """AC watts the battery can currently absorb (>= 0), tapering below ``soc_max``."""
-    return available(params, params.soc_max - state.soc)
-
-
-def available_discharge_power(params: BatteryParams, state: BatteryState) -> float:
-    """AC watts the battery can currently deliver (>= 0), tapering above ``soc_min``."""
-    return available(params, state.soc - params.soc_min)
 
 
 def advance(params: BatteryParams, soc: float, ac_command_w: float,
@@ -147,10 +123,4 @@ def step(params: BatteryParams, state: BatteryState, ac_command_w: float,
     if dt_s <= 0:
         raise ValueError(f"dt must be positive, got {dt_s}")
     soc, ac_actual = advance(params, state.soc, ac_command_w, dt_s)
-    if ac_actual > 0:
-        mode = BatteryMode.CHARGING
-    elif ac_actual < 0:
-        mode = BatteryMode.DISCHARGING
-    else:
-        mode = BatteryMode.IDLE
-    return BatteryState(soc=soc, mode=mode), ac_actual
+    return BatteryState(soc=soc), ac_actual

@@ -288,7 +288,14 @@ def print_kpi_summary(report: KpiReport, strategy: str) -> None:
 
 
 def run_simulation(config: RunConfig) -> KpiReport:
-    """Ingest, simulate, and write trace CSV, KPI JSON and ramp histogram."""
+    """Ingest, simulate, and write trace CSV, KPI JSON and ramp histogram.
+
+    The output directories are created first, so an unwritable one
+    fails before any ingest or simulation work.
+    """
+    names = ("trace_csv", "kpi_json", "histogram_csv")
+    for name in names:
+        config.outputs[name].parent.mkdir(parents=True, exist_ok=True)
     pv, load = load_profiles(config)
     source, policy = _resolve_forecast(config)
     trace = simulate(pv, load, config.ems, config.battery,
@@ -301,7 +308,7 @@ def run_simulation(config: RunConfig) -> KpiReport:
     write_kpi_json(report, config.outputs["kpi_json"])
     write_histogram_csv(pv, config.ramp, config.outputs["histogram_csv"])
     print_kpi_summary(report, config.strategy.value)
-    for name in ("trace_csv", "kpi_json", "histogram_csv"):
+    for name in names:
         print(f"  wrote {config.outputs[name]}")
     return report
 
@@ -335,6 +342,7 @@ def run_ramp_analysis(pv_path: Path, cfg: RampConfig, windows_s: list[float],
 def compare_strategies(config: RunConfig, strategies: list[StrategyKind],
                        out_dir: Path) -> None:
     """Run each strategy on identical inputs; emit a side-by-side table."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     pv, load = load_profiles(config)
     reports: dict[str, KpiReport] = {}
     for strat in strategies:
@@ -348,7 +356,6 @@ def compare_strategies(config: RunConfig, strategies: list[StrategyKind],
         totals = accumulate(trace, config.ramp.tick_s, config.ramp)
         reports[strat.value] = compute_kpis(totals)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "compare.csv"
     names = [s.value for s in strategies]
     with table_path.open("w", newline="", encoding="utf-8") as fh:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from datetime import date as Date
 from datetime import datetime, time, timedelta
 from enum import Enum
-from math import fsum
 from typing import Iterator, Optional, Protocol, Sequence
 
 import numpy as np
@@ -39,8 +38,7 @@ from . import battery as bat
 from .battery import BatteryParams, BatteryState
 from .forecast import (ChargeDecisionPolicy, ForecastDay, ForecastError,
                        should_night_charge)
-from .ramp import (RampConfig, fsum_window_mean, ma_command, ramp_rate,
-                   violates)
+from .ramp import RampConfig, fsum_window_mean, ramp_rate, violates
 from .timeseries import PowerSeries
 
 __all__ = [
@@ -52,7 +50,6 @@ __all__ = [
     "PrePass",
     "prepass",
     "scm_dispatch",
-    "rr_dispatch",
     "night_charge_tick",
     "simulate",
 ]
@@ -173,38 +170,8 @@ def _scm_command(params: BatteryParams, soc: float, surplus: float) -> float:
     return 0.0
 
 
-def rr_dispatch(pv_window, s_prev: Optional[float], p_pv: float, p_load: float,
-                params: BatteryParams, state: BatteryState,
-                cfg: RampConfig) -> tuple[float, float, DispatchMode, float]:
-    """Ramp-control step: smooth the PV output when its averaged signal
-    ramps past the limit, otherwise fall through to self-consumption.
-
-    ``pv_window`` holds the most recent raw PV samples (current one
-    last); ``s_prev`` is the previous tick's window average, ``None``
-    during warm-up.  The returned command on a violating tick is the
-    raw moving-average compensation; the battery clamps it on
-    execution.  Returns (command, grid, mode, ramp rate in %/min).
-    """
-    window = list(pv_window)
-    if len(window) < cfg.window_samples or s_prev is None:
-        cmd, grid = scm_dispatch(p_pv, p_load, params, state)
-        mode = DispatchMode.IDLE if cmd == 0.0 else DispatchMode.SCM
-        return cmd, grid, mode, 0.0
-
-    s_now = fsum(window) / len(window)
-    rr = ramp_rate(s_now, s_prev, cfg, cfg.tick_minutes)
-    if violates(rr, cfg):
-        cmd = ma_command(window, p_pv, cfg)
-        grid = p_load + cmd + params.standby_power_w - p_pv
-        return cmd, grid, DispatchMode.RAMP_CONTROL, rr
-
-    cmd, grid = scm_dispatch(p_pv, p_load, params, state)
-    mode = DispatchMode.IDLE if cmd == 0.0 else DispatchMode.SCM
-    return cmd, grid, mode, rr
-
-
 def night_charge_tick(local_time: time, soc: float, decision: bool,
-                      cfg: EmsConfig, params: BatteryParams,
+                      cfg: EmsConfig,
                       pv_day_started: bool = False) -> Optional[float]:
     """Grid-sourced charge command for the small hours, or ``None``.
 
@@ -348,9 +315,9 @@ def prepass(pv: PowerSeries, cfg: EmsConfig) -> PrePass:
     mean = fsum_window_mean(pv.values, n_window)
 
     rr = np.zeros(n)
-    rr[n_window:] = ((mean[n_window:] - mean[n_window - 1:-1])
-                     / ramp.nameplate_w / ramp.tick_minutes * 100.0)
-    violated = np.abs(rr) >= ramp.limit_pct_per_min  # rr 0.0 never violates
+    rr[n_window:] = ramp_rate(mean[n_window:], mean[n_window - 1:-1], ramp,
+                              ramp.tick_minutes)
+    violated = violates(rr, ramp)  # rr 0.0 never violates
 
     local0 = pv.start.replace(tzinfo=None) + timedelta(hours=cfg.utc_offset_h)
     first_date = local0.date()

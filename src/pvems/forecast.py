@@ -9,14 +9,16 @@ files use the exact same JSON, enabling deterministic replay.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field
 from datetime import date as Date
 from pathlib import Path
 from typing import Union
-
-import requests
 
 __all__ = [
     "WEATHER_TYPE_NAMES",
@@ -159,23 +161,34 @@ def fetch_daily_forecast(region_id: int, endpoint_base: str, date: Date,
     """GET ``<endpoint_base>/<region_id>.json`` and extract one day.
 
     A ``{region_id}`` placeholder in ``endpoint_base`` overrides the
-    default path layout.  Retries transient HTTP failures up to
-    ``retries`` extra attempts before raising.
+    default path layout.  Retries transient failures (HTTP errors,
+    unreachable hosts, timeouts, truncated bodies) up to ``retries``
+    extra attempts before raising; a body that arrives whole but does
+    not parse is not retried.  Only http(s) endpoints are accepted.
     """
     if "{region_id}" in endpoint_base:
         url = endpoint_base.format(region_id=region_id)
     else:
         url = f"{endpoint_base.rstrip('/')}/{region_id}.json"
+    try:
+        scheme = urllib.parse.urlsplit(url).scheme
+    except ValueError as exc:  # e.g. an unclosed IPv6 bracket
+        raise ForecastError(f"malformed forecast endpoint {url!r}: {exc}") from None
+    if scheme not in ("http", "https"):
+        raise ForecastError(f"forecast endpoint must be http(s): {url!r}")
     last_error: Exception | None = None
     for attempt in range(retries + 1):
         try:
-            response = requests.get(url, timeout=timeout_s)
-            response.raise_for_status()
-            return parse_forecast_payload(response.content, region_id, date)
-        except (requests.RequestException, OSError) as exc:
+            with urllib.request.urlopen(url, timeout=timeout_s) as response:
+                body = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # it holds the error response open
             last_error = exc
             log.warning("forecast fetch attempt %d/%d failed: %s",
                         attempt + 1, retries + 1, exc)
+            continue
+        return parse_forecast_payload(body, region_id, date)
     raise ForecastError(f"forecast unreachable after {retries + 1} attempts: "
                         f"{last_error}")
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .ems import MODES, DispatchMode, DispatchRecord, Trace
-from .ramp import RampConfig
+from .ramp import RampConfig, ramp_rate, violates
 
 __all__ = [
     "EnergyTotals",
@@ -172,9 +172,9 @@ def _count_ramp_events(trace: Trace, tick_s: float,
     ok = ramp & (np.abs(cmd - actual) <= tol)
     if ramp_cfg is not None:
         compensated = np.where(ramp, trace.p_pv - actual, trace.p_pv)
-        rr_post = ((compensated[1:] - compensated[:-1]) / ramp_cfg.nameplate_w
-                   / (tick_s / 60.0) * 100.0)
-        ok[1:] |= ramp[1:] & (np.abs(rr_post) < ramp_cfg.limit_pct_per_min)
+        rr_post = ramp_rate(compensated[1:], compensated[:-1], ramp_cfg,
+                            tick_s / 60.0)
+        ok[1:] |= ramp[1:] & ~violates(rr_post, ramp_cfg)
 
     starts = violated & ~np.concatenate(([False], violated[:-1]))
     event = np.cumsum(starts)

@@ -67,14 +67,17 @@ class RampConfig:
 
 def ramp_rate(p_now_w: float, p_prev_w: float, cfg: RampConfig,
               dt_min: float = 1.0) -> float:
-    """Signed ramp rate in percent of nameplate per minute."""
+    """Signed ramp rate in percent of nameplate per minute (elementwise on arrays)."""
     if dt_min <= 0:
         raise ValueError(f"dt_min must be positive, got {dt_min}")
     return (p_now_w - p_prev_w) / cfg.nameplate_w / dt_min * 100.0
 
 
 def violates(rr_pct_per_min: float, cfg: RampConfig) -> bool:
-    """True when the magnitude reaches the configured limit (inclusive)."""
+    """True when the magnitude reaches the configured limit (inclusive).
+
+    Elementwise on arrays; NaN never violates.
+    """
     return abs(rr_pct_per_min) >= cfg.limit_pct_per_min
 
 
@@ -195,8 +198,6 @@ def window_sweep(series: PowerSeries, cfg: RampConfig,
                              f"step ({series.step_s} s)")
         n = int(round(n))
         avg = moving_average(series.values, n)
-        rr = np.diff(avg) / cfg.nameplate_w / (series.step_s / 60.0) * 100.0
-        fires = np.abs(rr) >= cfg.limit_pct_per_min
-        fires &= ~np.isnan(rr)
-        results.append((w, count_violation_events(fires)))
+        rr = ramp_rate(avg[1:], avg[:-1], cfg, series.step_s / 60.0)
+        results.append((w, count_violation_events(violates(rr, cfg))))
     return results

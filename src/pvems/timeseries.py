@@ -8,6 +8,7 @@ simulation.  Everything here is a pure function over immutable series.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -91,9 +92,6 @@ class PowerSeries:
     def start_epoch(self) -> float:
         return self.start.timestamp()
 
-    def timestamps(self) -> list[datetime]:
-        return [self.start + timedelta(seconds=i * self.step_s) for i in range(len(self))]
-
     def scaled(self, factor: float) -> "PowerSeries":
         return PowerSeries(self.start, self.step_s, self.values * factor)
 
@@ -132,16 +130,14 @@ def load_power_csv(
     if not path.exists():
         raise ProfileError(f"profile file not found: {path}")
 
-    timestamps: list[datetime] = []
     powers: list[float] = []
     power_idx = 1
+    first = prev = step = None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        first_data_line = 1
-        rows = list(reader)
-        if not rows:
+        header = next(reader, None)
+        if header is None:
             raise ProfileError(f"{path}: empty file")
-        header = rows[0]
         has_header = False
         if header:
             try:
@@ -149,17 +145,17 @@ def load_power_csv(
             except ValueError:
                 has_header = True
         if has_header:
-            first_data_line = 2
             if column is not None:
                 if column not in header:
                     raise ProfileError(f"{path}: column {column!r} not in header {header}")
                 power_idx = header.index(column)
-            rows = rows[1:]
+            rows = enumerate(reader, start=2)
         elif column is not None:
             raise ProfileError(f"{path}: column selection requires a header row")
+        else:
+            rows = enumerate(itertools.chain([header], reader), start=1)
 
-        for offset, row in enumerate(rows):
-            lineno = first_data_line + offset
+        for lineno, row in rows:
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) <= power_idx:
@@ -175,26 +171,25 @@ def load_power_csv(
                 raise ProfileError(f"{path}: line {lineno}: bad power value {row[power_idx]!r}") from None
             if not math.isfinite(p):
                 raise ProfileError(f"{path}: line {lineno}: non-finite power value")
-            timestamps.append(ts)
+            if prev is None:
+                first = ts
+            else:
+                dt = (ts - prev).total_seconds()
+                if step is None:
+                    step = dt
+                if dt <= 0:
+                    raise ProfileError(f"{path}: line {lineno}: timestamps not strictly increasing")
+                if abs(dt - step) > 1e-6:
+                    raise ProfileError(f"{path}: line {lineno}: irregular step "
+                                       f"({dt} s, expected {step} s)")
+            prev = ts
             powers.append(p * scale)
 
-    if not timestamps:
+    if first is None:
         raise ProfileError(f"{path}: empty file")
-    if len(timestamps) < 2:
+    if step is None:
         raise ProfileError(f"{path}: need at least two rows to infer the sampling step")
-
-    step = (timestamps[1] - timestamps[0]).total_seconds()
-    if step <= 0:
-        raise ProfileError(f"{path}: line {first_data_line + 1}: timestamps not strictly increasing")
-    for i in range(1, len(timestamps)):
-        dt = (timestamps[i] - timestamps[i - 1]).total_seconds()
-        if dt <= 0:
-            raise ProfileError(f"{path}: line {first_data_line + i}: timestamps not strictly increasing")
-        if abs(dt - step) > 1e-6:
-            raise ProfileError(f"{path}: line {first_data_line + i}: irregular step "
-                               f"({dt} s, expected {step} s)")
-
-    return PowerSeries(timestamps[0], step, np.array(powers))
+    return PowerSeries(first, step, np.array(powers))
 
 
 def resample(series: PowerSeries, target_step_s: float,

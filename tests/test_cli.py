@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from pvems import cli
 from pvems.cli import main
 from pvems.fixtures import write_fixture_corpus
 from pvems.timeseries import load_power_csv
@@ -189,6 +190,21 @@ class TestErrorsWithoutTraceback:
         blocker = tmp_path / "plain_file"
         blocker.write_text("not a directory")
         code = main(["simulate", "--config", str(day_config),
+                     "--out-dir", str(blocker / "out")])
+        assert code == 1
+        assert_one_line_error(capsys, "plain_file")
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_unwritable_out_dir_fails_before_ingest(self, day_config, tmp_path,
+                                                    capsys, monkeypatch,
+                                                    command):
+        def never(config):
+            raise AssertionError("load_profiles reached")
+
+        monkeypatch.setattr(cli, "load_profiles", never)
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("not a directory")
+        code = main([command, "--config", str(day_config),
                      "--out-dir", str(blocker / "out")])
         assert code == 1
         assert_one_line_error(capsys, "plain_file")

@@ -7,7 +7,7 @@ import pytest
 
 from pvems.battery import BatteryParams, BatteryState
 from pvems.ems import (DispatchMode, EmsConfig, StrategyKind,
-                       night_charge_tick, rr_dispatch, scm_dispatch, simulate)
+                       night_charge_tick, scm_dispatch, simulate)
 from pvems.forecast import FixtureForecastSource, ForecastError
 from pvems.ramp import RampConfig
 from pvems.timeseries import PowerSeries
@@ -48,60 +48,67 @@ class TestScmDispatch:
 
 
 class TestRrDispatch:
+    """SCM_RR on a flat PV series with one sample 337 W off the level.
+
+    The window holds 10 samples, so the spike moves the window average
+    by 33.7 W in one 2 s tick: 15 %/min of the 6740 W nameplate.
+    """
+
+    SPIKE = 30
+
+    def run(self, base, offset, strategy=StrategyKind.SCM_RR):
+        values = np.full(60, base)
+        values[self.SPIKE] += offset
+        cfg = EmsConfig(strategy=strategy, ramp=RCFG)
+        return simulate(series(values), series(np.full(60, 500.0)), cfg,
+                        PARAMS, initial_soc=0.40)
+
     def test_quiet_tick_delegates_to_scm(self):
-        window = [2_000.0] * 10
-        cmd, grid, mode, rr = rr_dispatch(window, 2_000.0, 2_000.0, 500.0,
-                                          PARAMS, BatteryState(soc=0.40), RCFG)
-        ref_cmd, ref_grid = scm_dispatch(2_000.0, 500.0, PARAMS, BatteryState(soc=0.40))
-        assert (cmd, grid) == (ref_cmd, ref_grid)
-        assert mode is DispatchMode.SCM
-        assert rr == 0.0
+        trace = self.run(2_000.0, 337.0)
+        ref = self.run(2_000.0, 337.0, strategy=StrategyKind.SCM)
+        for k in (self.SPIKE - 1, self.SPIKE + 1):
+            assert trace[k].rr_pct_per_min == 0.0
+            assert trace[k].mode is DispatchMode.SCM
+            assert trace[k].p_batt_cmd == ref[k].p_batt_cmd
+            assert trace[k].p_grid == ref[k].p_grid
 
     def test_upward_spike_charges(self):
-        # one sample 337 W above a flat window moves the average by
-        # 33.7 W per tick: +15 %/min of the 6740 W nameplate
-        base = 2_000.0
-        window = [base] * 9 + [base + 337.0]
-        cmd, _, mode, rr = rr_dispatch(window, base, base + 337.0, 500.0,
-                                       PARAMS, BatteryState(soc=0.40), RCFG)
-        assert rr == pytest.approx(15.0)
-        assert mode is DispatchMode.RAMP_CONTROL
-        assert cmd == pytest.approx(337.0 * 9 / 10)
+        hit = self.run(2_000.0, 337.0)[self.SPIKE]
+        assert hit.rr_pct_per_min == pytest.approx(15.0)
+        assert hit.mode is DispatchMode.RAMP_CONTROL
+        assert hit.p_batt_cmd == pytest.approx(337.0 * 9 / 10)
 
     def test_downward_spike_discharges(self):
-        base = 3_000.0
-        window = [base] * 9 + [base - 337.0]
-        cmd, _, mode, rr = rr_dispatch(window, base, base - 337.0, 500.0,
-                                       PARAMS, BatteryState(soc=0.40), RCFG)
-        assert rr == pytest.approx(-15.0)
-        assert mode is DispatchMode.RAMP_CONTROL
-        assert cmd == pytest.approx(-337.0 * 9 / 10)
+        hit = self.run(3_000.0, -337.0)[self.SPIKE]
+        assert hit.rr_pct_per_min == pytest.approx(-15.0)
+        assert hit.mode is DispatchMode.RAMP_CONTROL
+        assert hit.p_batt_cmd == pytest.approx(-337.0 * 9 / 10)
 
     def test_warmup_falls_through(self):
-        cmd, _, mode, rr = rr_dispatch([2_000.0] * 4, None, 2_000.0, 500.0,
-                                       PARAMS, BatteryState(soc=0.40), RCFG)
-        assert mode is DispatchMode.SCM
-        assert rr == 0.0
+        trace = self.run(2_000.0, 337.0)
+        for r in list(trace)[:RCFG.window_samples]:
+            assert r.rr_pct_per_min == 0.0
+            assert r.mode is not DispatchMode.RAMP_CONTROL
 
 
 class TestNightChargeTick:
     CFG = EmsConfig(strategy=StrategyKind.SCM_RR_WF)
 
     def test_charges_when_due(self):
-        cmd = night_charge_tick(time(2, 0), 0.30, True, self.CFG, PARAMS)
+        cmd = night_charge_tick(time(2, 0), 0.30, True, self.CFG)
         assert cmd == 2_700.0
 
     def test_target_reached_stops(self):
-        assert night_charge_tick(time(2, 0), 0.50, True, self.CFG, PARAMS) is None
+        assert night_charge_tick(time(2, 0), 0.50, True, self.CFG) is None
 
     def test_decision_false_never_charges(self):
-        assert night_charge_tick(time(2, 0), 0.30, False, self.CFG, PARAMS) is None
+        assert night_charge_tick(time(2, 0), 0.30, False, self.CFG) is None
 
     def test_before_start_time(self):
-        assert night_charge_tick(time(1, 0), 0.30, True, self.CFG, PARAMS) is None
+        assert night_charge_tick(time(1, 0), 0.30, True, self.CFG) is None
 
     def test_pv_day_started_stops(self):
-        cmd = night_charge_tick(time(9, 0), 0.30, True, self.CFG, PARAMS,
+        cmd = night_charge_tick(time(9, 0), 0.30, True, self.CFG,
                                 pv_day_started=True)
         assert cmd is None
 

