@@ -17,15 +17,17 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from datetime import datetime, time, timedelta
 from pathlib import Path
-from typing import Optional, Sequence
+from time import perf_counter
+from typing import Iterator, Optional, Sequence
 
 from . import fixtures
 from .battery import BatteryParams
-from .ems import MODES, EmsConfig, StrategyKind, Trace, simulate
+from .ems import MODES, EmsConfig, StrategyKind, Trace, prepass, simulate
 from .forecast import (ChargeDecisionPolicy, FixtureForecastSource,
                        ForecastError, LiveForecastSource, should_night_charge)
 from .kpi import KPI_NAMES, KpiReport, accumulate, compute_kpis
@@ -214,6 +216,14 @@ def load_profiles(config: RunConfig) -> tuple[PowerSeries, PowerSeries]:
     return pv_a, load_a
 
 
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Log ``stage <name> <seconds>`` (INFO, shown with ``-v``) after the block."""
+    t0 = perf_counter()
+    yield
+    log.info("stage %s %.6f", name, perf_counter() - t0)
+
+
 def _resolve_forecast(config: RunConfig):
     """Source + policy for the run; warns when the section is unused."""
     if not config.strategy.has_forecast_charging:
@@ -296,17 +306,25 @@ def run_simulation(config: RunConfig) -> KpiReport:
     names = ("trace_csv", "kpi_json", "histogram_csv")
     for name in names:
         config.outputs[name].parent.mkdir(parents=True, exist_ok=True)
-    pv, load = load_profiles(config)
+    with _stage("ingest+align"):
+        pv, load = load_profiles(config)
+    with _stage("prepass"):
+        pre = prepass(pv, config.ems)
     source, policy = _resolve_forecast(config)
-    trace = simulate(pv, load, config.ems, config.battery,
-                     forecast_source=source, policy=policy,
-                     initial_soc=config.initial_soc)
-    totals = accumulate(trace, config.ramp.tick_s, config.ramp)
-    report = compute_kpis(totals)
+    with _stage(f"dispatch.{config.strategy.value}"):
+        trace = simulate(pv, load, config.ems, config.battery,
+                         forecast_source=source, policy=policy,
+                         initial_soc=config.initial_soc, pre=pre)
+    with _stage(f"accounting.{config.strategy.value}"):
+        totals = accumulate(trace, config.ramp.tick_s, config.ramp)
+        report = compute_kpis(totals)
 
-    write_trace_csv(trace, config.outputs["trace_csv"])
-    write_kpi_json(report, config.outputs["kpi_json"])
-    write_histogram_csv(pv, config.ramp, config.outputs["histogram_csv"])
+    with _stage("write.trace_csv"):
+        write_trace_csv(trace, config.outputs["trace_csv"])
+    with _stage("write.kpi_json"):
+        write_kpi_json(report, config.outputs["kpi_json"])
+    with _stage("write.histogram_csv"):
+        write_histogram_csv(pv, config.ramp, config.outputs["histogram_csv"])
     print_kpi_summary(report, config.strategy.value)
     for name in names:
         print(f"  wrote {config.outputs[name]}")
@@ -341,24 +359,34 @@ def run_ramp_analysis(pv_path: Path, cfg: RampConfig, windows_s: list[float],
 
 def compare_strategies(config: RunConfig, strategies: list[StrategyKind],
                        out_dir: Path) -> None:
-    """Run each strategy on identical inputs; emit a side-by-side table."""
+    """Run each strategy on identical inputs; emit a side-by-side table.
+
+    The SOC-independent pre-pass is computed once and shared by every
+    strategy's ``simulate`` call.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    pv, load = load_profiles(config)
+    with _stage("ingest+align"):
+        pv, load = load_profiles(config)
+    with _stage("prepass"):
+        pre = prepass(pv, config.ems)
     reports: dict[str, KpiReport] = {}
     for strat in strategies:
         run_cfg = replace(config.ems, strategy=strat)
         source, policy = (None, None)
         if strat.has_forecast_charging and config.forecast is not None:
             source, policy = config.forecast.source(), config.forecast.policy()
-        trace = simulate(pv, load, run_cfg, config.battery,
-                         forecast_source=source, policy=policy,
-                         initial_soc=config.initial_soc)
-        totals = accumulate(trace, config.ramp.tick_s, config.ramp)
-        reports[strat.value] = compute_kpis(totals)
+        with _stage(f"dispatch.{strat.value}"):
+            trace = simulate(pv, load, run_cfg, config.battery,
+                             forecast_source=source, policy=policy,
+                             initial_soc=config.initial_soc, pre=pre)
+        with _stage(f"accounting.{strat.value}"):
+            totals = accumulate(trace, config.ramp.tick_s, config.ramp)
+            reports[strat.value] = compute_kpis(totals)
 
     table_path = out_dir / "compare.csv"
     names = [s.value for s in strategies]
-    with table_path.open("w", newline="", encoding="utf-8") as fh:
+    with _stage("write.compare_csv"), \
+            table_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kpi"] + names)
         for kpi in KPI_NAMES:

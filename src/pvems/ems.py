@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import datetime, time, timedelta
 from enum import Enum
@@ -300,6 +300,27 @@ class PrePass:
     after_start: np.ndarray
     day_started: np.ndarray
     first_date: Date
+    pv: PowerSeries = field(repr=False)  # the series it was built for
+    settings: tuple  # and the settings, see ``_prepass_settings``
+
+    def check_built_for(self, pv: PowerSeries, cfg: EmsConfig) -> None:
+        """Raise ``ValueError`` unless this pre-pass is ``prepass(pv, cfg)``'s."""
+        if self.settings != _prepass_settings(cfg):
+            raise ValueError("pre-pass was built for other ramp or clock settings "
+                             f"{self.settings}, expected {_prepass_settings(cfg)}")
+        same = self.pv is pv or (
+            self.pv.start == pv.start and self.pv.step_s == pv.step_s
+            and np.array_equal(self.pv.values, pv.values))
+        if not same:
+            raise ValueError(f"pre-pass was built for another series "
+                             f"({len(self.pv)} samples from {self.pv.start}), "
+                             f"not this one ({len(pv)} samples from {pv.start})")
+
+
+def _prepass_settings(cfg: EmsConfig) -> tuple:
+    """The parts of ``cfg`` that ``prepass`` reads (not the strategy)."""
+    return (cfg.ramp, cfg.utc_offset_h, cfg.charge_start_time,
+            cfg.pv_day_threshold)
 
 
 def prepass(pv: PowerSeries, cfg: EmsConfig) -> PrePass:
@@ -307,7 +328,9 @@ def prepass(pv: PowerSeries, cfg: EmsConfig) -> PrePass:
 
     Every value equals what a per-tick loop computes with ``fsum``,
     ``ramp_rate``, ``violates`` and ``datetime`` arithmetic: the local
-    clock is integer microseconds, as ``timedelta`` keeps it.
+    clock is integer microseconds, as ``timedelta`` keeps it.  The
+    strategy is not read, so one pre-pass serves every strategy run on
+    the same series and settings.
     """
     ramp = cfg.ramp
     n = len(pv)
@@ -335,14 +358,15 @@ def prepass(pv: PowerSeries, cfg: EmsConfig) -> PrePass:
     return PrePass(window_mean=mean, rr=rr, violated=violated, day=day,
                    after_start=clock_us >= start_us,
                    day_started=last_above >= day_first_tick,
-                   first_date=first_date)
+                   first_date=first_date, pv=pv, settings=_prepass_settings(cfg))
 
 
 def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
              params: BatteryParams,
              forecast_source: Optional[ForecastSource] = None,
              policy: Optional[ChargeDecisionPolicy] = None,
-             initial_soc: float = 0.35) -> Trace:
+             initial_soc: float = 0.35,
+             pre: Optional[PrePass] = None) -> Trace:
     """Run one strategy over aligned PV and load profiles.
 
     Inputs must share start, step and length, with the step equal to
@@ -350,7 +374,10 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
     deterministic; forecast decisions are resolved once per simulated
     day, in date order, for each day that reaches the charge start time
     (a missing or failing source defaults to no charge with a logged
-    warning).
+    warning).  ``pre`` is ``prepass(pv, cfg)`` computed by the caller,
+    so several strategies can share it; it is computed here when not
+    given, and refused when it was built for another series or other
+    ramp or clock settings.
     """
     if (pv.start != load.start or pv.step_s != load.step_s
             or len(pv) != len(load)):
@@ -367,7 +394,10 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
     if policy is None:
         policy = ChargeDecisionPolicy()
 
-    pre = prepass(pv, cfg)
+    if pre is None:
+        pre = prepass(pv, cfg)
+    else:
+        pre.check_built_for(pv, cfg)
     n = len(pv)
     pv_values, load_values = pv.values, load.values
 

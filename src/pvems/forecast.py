@@ -9,12 +9,9 @@ files use the exact same JSON, enabling deterministic replay.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from datetime import date as Date
 from pathlib import Path
@@ -161,13 +158,20 @@ def fetch_daily_forecast(region_id: int, endpoint_base: str, date: Date,
     """GET ``<endpoint_base>/<region_id>.json`` and extract one day.
 
     A ``{region_id}`` placeholder in ``endpoint_base`` overrides the
-    default path layout.  Retries transient failures (HTTP errors,
-    unreachable hosts, timeouts, truncated bodies) up to ``retries``
-    extra attempts before raising; a body that arrives whole but does
-    not parse is not retried.  Only http(s) endpoints are accepted.
+    default path layout; only that literal text is replaced, other
+    braces are kept as they are.  Retries transient failures (HTTP
+    errors, unreachable hosts, timeouts, truncated bodies) up to
+    ``retries`` extra attempts before raising; a body that arrives whole
+    but does not parse is not retried.  Only http(s) endpoints are
+    accepted.  The HTTP modules are imported here, on first use, so
+    importing this module stays cheap for fixture replay.
     """
+    import http.client
+    import urllib.error
+    import urllib.request
+
     if "{region_id}" in endpoint_base:
-        url = endpoint_base.format(region_id=region_id)
+        url = endpoint_base.replace("{region_id}", str(region_id))
     else:
         url = f"{endpoint_base.rstrip('/')}/{region_id}.json"
     try:

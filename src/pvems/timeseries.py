@@ -108,6 +108,9 @@ def _parse_timestamp(text: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
+_INGEST_BLOCK_ROWS = 8_192  # rows read and grid-checked at a time by load_power_csv
+
+
 def load_power_csv(
     path: Union[str, Path],
     expected_unit: str = "W",
@@ -121,6 +124,13 @@ def load_power_csv(
     to watts.  When the file has a header, ``column`` selects a named
     power column (defaults to the second column), which lets wide trace
     CSVs round-trip through this loader.
+
+    Rows come in blocks of ``_INGEST_BLOCK_ROWS``.  Once the first two
+    rows fix the step, a block whose first row continues the grid in
+    the canonical spelling (see ``_grid_prefix``) is read whole, and
+    its longest run of such rows is accepted in one go.  Every other
+    row goes through the per-row checks below, so values, messages and
+    line numbers are those of reading row by row.
     """
     if expected_unit not in ("W", "kW"):
         raise ProfileError(f"expected_unit must be 'W' or 'kW', got {expected_unit!r}")
@@ -130,12 +140,17 @@ def load_power_csv(
     if not path.exists():
         raise ProfileError(f"profile file not found: {path}")
 
-    powers: list[float] = []
+    chunks: list[np.ndarray] = []  # accepted powers, in file order, unscaled
+    powers: list[float] = []       # rows accepted one by one since the last chunk
     power_idx = 1
-    first = prev = step = None
+    first = prev = step = step_td = None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        lineno = 0  # records read so far, blank ones included
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ProfileError(f"{path}: line 1: {exc}") from None
         if header is None:
             raise ProfileError(f"{path}: empty file")
         has_header = False
@@ -149,47 +164,115 @@ def load_power_csv(
                 if column not in header:
                     raise ProfileError(f"{path}: column {column!r} not in header {header}")
                 power_idx = header.index(column)
-            rows = enumerate(reader, start=2)
+            lineno, rows = 1, reader
         elif column is not None:
             raise ProfileError(f"{path}: column selection requires a header row")
         else:
-            rows = enumerate(itertools.chain([header], reader), start=1)
+            rows = itertools.chain([header], reader)
 
-        for lineno, row in rows:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= power_idx:
-                raise ProfileError(f"{path}: line {lineno}: expected at least "
-                                   f"{power_idx + 1} columns, got {len(row)}")
+        while True:
+            # Otherwise the block's rows stream through the per-row checks:
+            # holding rows that are checked one by one anyway only adds
+            # garbage-collector work.
+            block: list[list[str]] = []
+            head_on_grid, failure, accepted = False, None, 0
+            if step is not None:
+                try:
+                    block.extend(itertools.islice(rows, 1))
+                    head_on_grid = bool(block) and _grid_prefix(
+                        block, prev, step_td, power_idx)[0] == 1
+                    if head_on_grid:
+                        block.extend(itertools.islice(rows, _INGEST_BLOCK_ROWS - 1))
+                except csv.Error as exc:  # the rows before it are checked first
+                    failure = ProfileError(f"{path}: line {lineno + len(block) + 1}: {exc}")
+            if head_on_grid:
+                accepted, values = _grid_prefix(block, prev, step_td, power_idx)
+                chunks += [np.array(powers), values]
+                powers = []
+                prev += accepted * step_td
+            quota = 0 if failure else _INGEST_BLOCK_ROWS - len(block)
+            pos = lineno + accepted  # line number of the last row done
+            fixing = step is None  # the row that fixes the step ends the block
             try:
-                ts = _parse_timestamp(row[0])
-            except ValueError as exc:
-                raise ProfileError(f"{path}: line {lineno}: bad timestamp {row[0]!r}: {exc}") from None
-            try:
-                p = float(row[power_idx])
-            except ValueError:
-                raise ProfileError(f"{path}: line {lineno}: bad power value {row[power_idx]!r}") from None
-            if not math.isfinite(p):
-                raise ProfileError(f"{path}: line {lineno}: non-finite power value")
-            if prev is None:
-                first = ts
-            else:
-                dt = (ts - prev).total_seconds()
-                if step is None:
-                    step = dt
-                if dt <= 0:
-                    raise ProfileError(f"{path}: line {lineno}: timestamps not strictly increasing")
-                if abs(dt - step) > 1e-6:
-                    raise ProfileError(f"{path}: line {lineno}: irregular step "
-                                       f"({dt} s, expected {step} s)")
-            prev = ts
-            powers.append(p * scale)
+                for pos, row in enumerate(itertools.chain(
+                        block[accepted:], itertools.islice(rows, quota)), pos + 1):
+                    if not row or all(not cell.strip() for cell in row):
+                        continue
+                    if len(row) <= power_idx:
+                        raise ProfileError(f"{path}: line {pos}: expected at least "
+                                           f"{power_idx + 1} columns, got {len(row)}")
+                    try:
+                        ts = _parse_timestamp(row[0])
+                    except ValueError as exc:
+                        raise ProfileError(f"{path}: line {pos}: bad timestamp {row[0]!r}: {exc}") from None
+                    try:
+                        p = float(row[power_idx])
+                    except ValueError:
+                        raise ProfileError(f"{path}: line {pos}: bad power value {row[power_idx]!r}") from None
+                    if not math.isfinite(p):
+                        raise ProfileError(f"{path}: line {pos}: non-finite power value")
+                    if prev is None:
+                        first = ts
+                    else:
+                        dt = (ts - prev).total_seconds()
+                        if step is None:
+                            step, step_td = dt, ts - prev
+                        if dt <= 0:
+                            raise ProfileError(f"{path}: line {pos}: timestamps not strictly increasing")
+                        if abs(dt - step) > 1e-6:
+                            raise ProfileError(f"{path}: line {pos}: irregular step "
+                                               f"({dt} s, expected {step} s)")
+                    prev = ts
+                    powers.append(p)
+                    if fixing and step is not None:
+                        break
+                else:
+                    fixing = False  # the block ran to its end
+            except csv.Error as exc:
+                raise ProfileError(f"{path}: line {pos + 1}: {exc}") from None
+            if failure is not None:
+                raise failure
+            if not fixing and pos - lineno < _INGEST_BLOCK_ROWS:
+                break  # end of file
+            lineno = pos
 
     if first is None:
         raise ProfileError(f"{path}: empty file")
     if step is None:
         raise ProfileError(f"{path}: need at least two rows to infer the sampling step")
-    return PowerSeries(first, step, np.array(powers))
+    values = np.concatenate(chunks + [np.array(powers)])
+    return PowerSeries(first, step, values * scale if scale != 1.0 else values)
+
+
+def _grid_prefix(rows: list[list[str]], prev: datetime, step: timedelta,
+                 power_idx: int) -> tuple[int, Union[np.ndarray, None]]:
+    """How many leading ``rows`` continue the grid after ``prev``, and their powers.
+
+    A row qualifies when its timestamp text is exactly
+    ``format_utc_grid``'s for the next grid point and its power cell
+    gives a finite ``float``: such a row passes every per-row check of
+    ``load_power_csv`` with the same value.
+    """
+    n = len(rows)
+    try:
+        prev + n * step  # the grid must stay within datetime's years
+    except OverflowError:
+        return 0, None
+    short = np.flatnonzero(np.fromiter(map(len, rows), np.intp, n) <= power_idx)
+    if short.size:
+        n = int(short[0])
+    texts = [row[0] for row in rows[:n]]
+    expected = format_utc_grid(prev, step, 1, n + 1)
+    if texts != expected:
+        n = next(k for k, (a, b) in enumerate(zip(texts, expected)) if a != b)
+    try:
+        powers = np.array([float(row[power_idx]) for row in rows[:n]])
+    except ValueError:  # a bad power cell: the per-row checks report it
+        return 0, None
+    finite = np.isfinite(powers)
+    if not finite.all():
+        n = int(finite.argmin())
+    return n, powers[:n]
 
 
 def resample(series: PowerSeries, target_step_s: float,
@@ -277,6 +360,12 @@ def format_utc(dt: datetime) -> str:
     return text.replace("+00:00", "Z")
 
 
+_WHOLE_SECOND_ROW = np.frombuffer(b"0000-00-00T00:00:00Z\n", dtype=np.uint8)
+_TWO_DIGITS = np.frombuffer("".join(f"{i:02d}" for i in range(60)).encode(),
+                            dtype=np.uint8).reshape(60, 2)
+_YEAR_1, _YEAR_10000 = np.datetime64("0001-01-01", "us"), np.datetime64("10000-01-01", "us")
+
+
 def format_utc_grid(start: datetime, step: timedelta, lo: int,
                     hi: int) -> list[str]:
     """``format_utc(start + k * step)`` for ``k`` in ``range(lo, hi)``, vectorised.
@@ -284,14 +373,39 @@ def format_utc_grid(start: datetime, step: timedelta, lo: int,
     Rows whose microseconds are not zero keep their ``.ffffff`` part, as
     ``isoformat`` does.  ``start`` is converted to UTC once, which equals
     converting each row for any fixed-offset zone (series loaded from
-    CSV are UTC).
+    CSV are UTC).  An increasing grid of whole seconds is written as
+    ASCII bytes from per-day date text and two-digit tables.
     """
     origin = np.datetime64(start.astimezone(timezone.utc).replace(tzinfo=None), "us")
     step_us = step // timedelta(microseconds=1)
     stamps = origin + (np.arange(lo, hi, dtype=np.int64) * step_us).astype("m8[us]")
+    us = stamps.astype(np.int64)
+    whole = us % 1_000_000 == 0
+    if (len(stamps) and step_us > 0 and whole.all()
+            and _YEAR_1 <= stamps[0] and stamps[-1] < _YEAR_10000):
+        return _format_whole_seconds(us // 1_000_000)
     text = np.datetime_as_string(stamps, unit="us").tolist()
-    whole = (stamps.astype(np.int64) % 1_000_000 == 0).tolist()
-    return [t[:19] + "Z" if w else t + "Z" for t, w in zip(text, whole)]
+    return [t[:19] + "Z" if w else t + "Z" for t, w in zip(text, whole.tolist())]
+
+
+def _format_whole_seconds(seconds: np.ndarray) -> list[str]:
+    """``YYYY-MM-DDTHH:MM:SSZ`` for increasing epoch seconds within years 1-9999."""
+    day, second = np.divmod(seconds, 86_400)
+    new_day = np.empty(len(day), dtype=bool)
+    new_day[0] = True
+    np.not_equal(day[1:], day[:-1], out=new_day[1:])
+    dates = np.datetime_as_string(day[new_day].astype("M8[D]")).astype("S10")
+    rows = np.empty((len(day), len(_WHOLE_SECOND_ROW)), dtype=np.uint8)
+    rows[:] = _WHOLE_SECOND_ROW
+    rows[:, :10] = dates.view(np.uint8).reshape(-1, 10)[np.cumsum(new_day) - 1]
+    hour, second = np.divmod(second, 3600)
+    minute, second = np.divmod(second, 60)
+    rows[:, 11:13] = _TWO_DIGITS[hour]
+    rows[:, 14:16] = _TWO_DIGITS[minute]
+    rows[:, 17:19] = _TWO_DIGITS[second]
+    text = rows.tobytes().decode("ascii").split("\n")
+    text.pop()
+    return text
 
 
 def write_power_csv(series: PowerSeries, path: Union[str, Path],

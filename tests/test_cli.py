@@ -2,11 +2,13 @@
 
 import csv
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
 
-from pvems import cli
+from pvems import cli, ems
 from pvems.cli import main
 from pvems.fixtures import write_fixture_corpus
 from pvems.timeseries import load_power_csv
@@ -210,7 +212,95 @@ class TestErrorsWithoutTraceback:
         assert_one_line_error(capsys, "plain_file")
 
 
+class TestCsvErrorsWithoutTraceback:
+    """A csv-level fault in a profile is one ``error:`` line and exit 1."""
+
+    @pytest.fixture
+    def oversized_pv(self, tmp_path):
+        path = tmp_path / "oversized_pv.csv"
+        path.write_text("timestamp,power\n2018-01-01T00:00:00Z,0.0\n"
+                        "2018-01-01T00:00:02Z," + "1" * 200_000 + "\n")
+        return path
+
+    def test_simulate(self, day_config, oversized_pv, tmp_path, capsys):
+        doc = json.loads(day_config.read_text())
+        doc["pv_path"] = str(oversized_pv)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(config),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert_one_line_error(capsys, "oversized_pv.csv", "line 3",
+                              "field larger than field limit")
+
+    def test_ramp_analyze(self, oversized_pv, tmp_path, capsys):
+        code = main(["ramp-analyze", "--pv", str(oversized_pv),
+                     "--out-dir", str(tmp_path / "ra")])
+        assert code == 1
+        assert_one_line_error(capsys, "oversized_pv.csv", "line 3",
+                              "field larger than field limit")
+
+
+STAGE = re.compile(r"^stage (\S+) (\d+\.\d{6})$")
+
+
+class TestStageLog:
+    """``-v`` logs one ``stage <name> <seconds>`` line per stage, nothing else changes."""
+
+    def run_twice(self, argv, out_dir, capsys, caplog):
+        outputs = []
+        for verbose in ([], ["-v"]):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="pvems.cli"):
+                assert main(verbose + argv) == 0
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            outputs.append((files, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        stages = [STAGE.match(m) for m in caplog.messages
+                  if m.startswith("stage ")]
+        assert all(stages), caplog.messages
+        return [m.group(1) for m in stages]
+
+    def test_simulate(self, day_config, tmp_path, capsys, caplog):
+        out_dir = tmp_path / "sim"
+        names = self.run_twice(["simulate", "--config", str(day_config),
+                                "--out-dir", str(out_dir)],
+                               out_dir, capsys, caplog)
+        assert names == ["ingest+align", "prepass", "dispatch.SCM_RR_WF",
+                         "accounting.SCM_RR_WF", "write.trace_csv",
+                         "write.kpi_json", "write.histogram_csv"]
+
+    def test_compare(self, day_config, tmp_path, capsys, caplog):
+        out_dir = tmp_path / "cmp"
+        names = self.run_twice(["compare", "--config", str(day_config),
+                                "--out-dir", str(out_dir)],
+                               out_dir, capsys, caplog)
+        assert names == ["ingest+align", "prepass",
+                         "dispatch.SCM", "accounting.SCM",
+                         "dispatch.SCM_RR", "accounting.SCM_RR",
+                         "dispatch.SCM_RR_WF", "accounting.SCM_RR_WF",
+                         "write.compare_csv"]
+
+
 class TestCompare:
+    def test_prepass_runs_once_for_three_strategies(self, day_config, tmp_path,
+                                                     monkeypatch):
+        calls, real = [], ems.prepass
+
+        def counting_prepass(pv, cfg):
+            calls.append(cfg.strategy)
+            return real(pv, cfg)
+
+        # both names: compare's own call and simulate's fallback
+        monkeypatch.setattr(cli, "prepass", counting_prepass)
+        monkeypatch.setattr(ems, "prepass", counting_prepass)
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--config", str(day_config),
+                     "--out-dir", str(out_dir)]) == 0
+        assert len(calls) == 1
+        rows = (out_dir / "compare.csv").read_text().splitlines()
+        assert rows[0] == "kpi,SCM,SCM_RR,SCM_RR_WF"
+
     def test_three_strategies_table(self, day_config, tmp_path, capsys):
         out_dir = tmp_path / "cmp"
         code = main(["compare", "--config", str(day_config),

@@ -7,7 +7,7 @@ import pytest
 
 from pvems.battery import BatteryParams, BatteryState
 from pvems.ems import (DispatchMode, EmsConfig, StrategyKind,
-                       night_charge_tick, scm_dispatch, simulate)
+                       night_charge_tick, prepass, scm_dispatch, simulate)
 from pvems.forecast import FixtureForecastSource, ForecastError
 from pvems.ramp import RampConfig
 from pvems.timeseries import PowerSeries
@@ -285,3 +285,49 @@ class TestPowerBalance:
                                                 + PARAMS.standby_power_w)
                 assert abs(residual) <= 1e-6
                 assert PARAMS.soc_min <= r.soc <= PARAMS.soc_max
+
+
+class TestSharedPrePass:
+    """``simulate(..., pre=prepass(pv, cfg))`` equals ``simulate`` without it."""
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_shared_prepass_gives_the_same_trace(self, smooth_day_profiles,
+                                                 cloudy_source, strategy):
+        pv, load = smooth_day_profiles
+        pre = prepass(pv, EmsConfig(ramp=RCFG))  # built under another strategy
+        cfg = EmsConfig(strategy=strategy, ramp=RCFG, soc_target=0.45)
+        shared = simulate(pv, load, cfg, PARAMS, forecast_source=cloudy_source,
+                          initial_soc=0.30, pre=pre)
+        own = simulate(pv, load, cfg, PARAMS, forecast_source=cloudy_source,
+                       initial_soc=0.30)
+        assert shared == own
+
+    @pytest.mark.parametrize("change", [
+        {"ramp": RampConfig(window_s=40.0)},
+        {"ramp": RampConfig(limit_pct_per_min=5.0)},
+        {"ramp": RampConfig(nameplate_w=5_000.0)},
+        {"utc_offset_h": 1.0},
+        {"charge_start_time": time(2, 0)},
+        {"pv_day_threshold": 0.02},
+    ])
+    def test_prepass_for_other_settings_refused(self, smooth_day_profiles,
+                                                change):
+        pv, load = smooth_day_profiles
+        cfg = EmsConfig(strategy=StrategyKind.SCM_RR, ramp=RCFG)
+        pre = prepass(pv, EmsConfig(**{"ramp": RCFG, **change}))
+        with pytest.raises(ValueError, match="other ramp or clock settings"):
+            simulate(pv, load, cfg, PARAMS, pre=pre)
+
+    @pytest.mark.parametrize("other", ["shorter", "later", "other_values"])
+    def test_prepass_for_another_series_refused(self, other):
+        cfg = EmsConfig(strategy=StrategyKind.SCM_RR, ramp=RCFG)
+        values = np.linspace(0.0, 3_000.0, 200)
+        pv, load = series(values), series(np.full(200, 500.0))
+        built_on = {"shorter": series(values[:-1]),
+                    "later": series(values, start=T0 + timedelta(seconds=2)),
+                    "other_values": series(values + 1.0)}[other]
+        with pytest.raises(ValueError, match="another series"):
+            simulate(pv, load, cfg, PARAMS, pre=prepass(built_on, cfg))
+        # an equal series built separately is accepted
+        assert simulate(pv, load, cfg, PARAMS, pre=prepass(series(values), cfg)) \
+            == simulate(pv, load, cfg, PARAMS)

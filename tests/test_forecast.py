@@ -123,10 +123,12 @@ class _Handler(BaseHTTPRequestHandler):
     failures_before_success = 0
     requests_seen = 0
     missing_bytes = 0  # Content-Length promises this many bytes more than sent
+    last_path = None
 
     def do_GET(self):
         cls = type(self)
         cls.requests_seen += 1
+        cls.last_path = self.path
         if cls.requests_seen <= cls.failures_before_success:
             self.send_response(500)
             self.end_headers()
@@ -201,6 +203,17 @@ class TestLiveClient:
         day = fetch_daily_forecast(REGION, endpoint, TOMORROW)
         assert day.weather_type_id == 4
 
+    def test_only_the_region_placeholder_is_filled(self, http_server,
+                                                   payload_bytes):
+        _Handler.payload = payload_bytes
+        _Handler.failures_before_success = 0
+        _Handler.requests_seen = 0
+        endpoint = (f"http://127.0.0.1:{http_server.server_port}"
+                    "/{region_id}/{x}.json")
+        day = fetch_daily_forecast(REGION, endpoint, TOMORROW)
+        assert day.weather_type_id == 4
+        assert _Handler.last_path == f"/{REGION}/{{x}}.json"
+
     def test_truncated_body_is_retried(self, http_server, payload_bytes):
         _Handler.payload = payload_bytes
         _Handler.failures_before_success = 0
@@ -238,6 +251,11 @@ class TestLiveClient:
 
 
 def test_cli_import_leaves_requests_unloaded():
+    # nor the HTTP modules, which only the live client imports, on use
+    modules = ["requests", "urllib.request", "http.client", "ssl"]
     code = ("import sys, pvems.cli; "
-            "sys.exit('requests' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+            f"loaded = [m for m in {modules!r} if m in sys.modules]; "
+            "sys.exit(f'loaded: {loaded}' if loaded else 0)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr

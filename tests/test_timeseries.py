@@ -1,14 +1,17 @@
 """Tests for profile ingestion, resampling and alignment."""
 
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvems import timeseries
 from pvems.timeseries import (PowerSeries, ProfileError, ResampleMethod,
-                              ResamplePolicy, align, load_power_csv, resample,
+                              ResamplePolicy, align, format_utc,
+                              format_utc_grid, load_power_csv, resample,
                               trapezoid_energy_wh, write_power_csv)
 
 T0 = datetime(2018, 1, 1, tzinfo=timezone.utc)
@@ -244,3 +247,207 @@ class TestCsvRoundTrip:
         assert back.start == s.start
         assert back.step_s == s.step_s
         assert np.array_equal(back.values, s.values)
+
+
+def load_outcome(path, **kwargs):
+    """What a load gives: the series' start, step and value bytes, or the error."""
+    try:
+        s = load_power_csv(path, **kwargs)
+    except ProfileError as exc:
+        return "error", str(exc)
+    return s.start, s.step_s.hex(), s.values.tobytes()
+
+
+def load_row_by_row(path, **kwargs):
+    """The per-row reference: the grid check never accepts a row."""
+    with mock.patch.object(timeseries, "_grid_prefix", return_value=(0, None)):
+        return load_outcome(path, **kwargs)
+
+
+# Row kinds of the differential test.  Most rows continue the grid in the
+# canonical spelling; the others are the spellings and faults that the
+# block check must hand to the per-row code.  Faults are rarer than the
+# other spellings, so that many files load.
+ROW_KINDS = st.sampled_from(
+    ["canonical"] * 40
+    + ["blank", "whitespace", "epoch", "offset", "jitter", "underscore"] * 2
+    + ["duplicate", "decreasing", "irregular", "short", "inf", "nan",
+       "bad_power", "bad_stamp"])
+
+
+@st.composite
+def profile_csv(draw):
+    """CSV text, ``load_power_csv`` keyword arguments and a block size."""
+    step = draw(st.sampled_from([timedelta(seconds=2), timedelta(seconds=900),
+                                 timedelta(seconds=1),
+                                 timedelta(milliseconds=500)]))
+    start = T0 + timedelta(seconds=draw(st.integers(0, 86_400)),
+                           microseconds=draw(st.sampled_from([0, 0, 250_000])))
+    header = draw(st.sampled_from(["none", "plain", "column"]))
+    kwargs = {"expected_unit": draw(st.sampled_from(["W", "kW"]))}
+    lines = []
+    if header == "plain":
+        lines.append("timestamp,power")
+    elif header == "column":
+        lines.append("timestamp,other,power")
+        kwargs["column"] = "power"
+    t = start
+    for kind in draw(st.lists(ROW_KINDS, min_size=2, max_size=40)):
+        power = repr(draw(st.floats(-1e4, 1e4, allow_nan=False)))
+        stamp = format_utc(t)
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "whitespace":
+            lines.append("  ,\t")
+            continue
+        if kind == "epoch":
+            stamp = str(int(t.timestamp()))
+        elif kind == "offset":
+            stamp = t.astimezone(timezone(timedelta(hours=1))).isoformat()
+        elif kind == "jitter":
+            stamp = format_utc(t + timedelta(microseconds=1))
+        elif kind == "duplicate":
+            stamp = format_utc(t - step)
+        elif kind == "decreasing":
+            stamp = format_utc(t - 2 * step)
+        elif kind == "irregular":
+            stamp = format_utc(t + step / 2)
+        elif kind == "bad_stamp":
+            stamp = "2018-13-01T00:00:00Z"
+        power = {"inf": "inf", "nan": "nan", "underscore": "1_000",
+                 "bad_power": "12 W"}.get(kind, power)
+        if kind == "short":
+            lines.append(stamp)
+        elif header == "column":
+            lines.append(f"{stamp},x,{power}")
+        else:
+            lines.append(f"{stamp},{power}")
+        t += step
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    block_rows = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 8_192]))
+    return newline.join(lines) + newline, kwargs, block_rows
+
+
+class TestBlockIngest:
+    """Block-wise grid checks load exactly what the per-row checks load."""
+
+    @given(profile_csv())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_row_by_row(self, tmp_path_factory, case):
+        text, kwargs, block_rows = case
+        path = tmp_path_factory.mktemp("ingest") / "profile.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", block_rows):
+            assert load_outcome(path, **kwargs) == load_row_by_row(path, **kwargs)
+
+    @pytest.mark.parametrize("n_rows", [7, 8, 9, 15, 16, 17])
+    @pytest.mark.parametrize("fault", ["none", "blank", "irregular", "nan"])
+    def test_rows_around_block_boundaries(self, tmp_path, n_rows, fault):
+        # blocks of 8 rows; the fault sits on the last row
+        rows = [f"{format_utc(T0 + timedelta(seconds=2 * k))},{k}.5"
+                for k in range(n_rows)]
+        rows[-1] = {"none": rows[-1], "blank": "",
+                    "irregular": f"{format_utc(T0 + timedelta(seconds=2 * n_rows))},1",
+                    "nan": rows[-1].split(",")[0] + ",nan"}[fault]
+        path = make_csv(tmp_path, "timestamp,power\n" + "\n".join(rows) + "\n")
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", 8):
+            assert load_outcome(path) == load_row_by_row(path)
+
+    def test_jittered_quarter_hours_still_load(self, tmp_path):
+        stamps = [T0 + timedelta(seconds=900 * k) for k in range(6)]
+        stamps[3] += timedelta(microseconds=1)
+        path = make_csv(tmp_path, "".join(f"{format_utc(t)},{k}\n"
+                                          for k, t in enumerate(stamps)))
+        s = load_power_csv(path)
+        assert s.step_s == 900.0 and list(s.values) == [0, 1, 2, 3, 4, 5]
+        assert load_outcome(path) == load_row_by_row(path)
+
+    @pytest.mark.parametrize("block_rows", [2, 3, 8_192])
+    def test_oversized_field_is_a_profile_error(self, tmp_path, block_rows):
+        rows = ["timestamp,power", "2018-01-01T00:00:00Z,1",
+                "2018-01-01T00:00:02Z,2", "2018-01-01T00:00:04Z,3",
+                "2018-01-01T00:00:06Z," + "9" * 200_000]
+        path = make_csv(tmp_path, "\n".join(rows) + "\n")
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", block_rows):
+            with pytest.raises(ProfileError, match=r"line 5: field larger than "
+                                                   r"field limit"):
+                load_power_csv(path)
+            # a fault on an earlier row is reported first, as row by row
+            rows[2] = "2018-01-01T00:00:02Z,x"
+            path.write_text("\n".join(rows) + "\n")
+            with pytest.raises(ProfileError, match="line 3: bad power value"):
+                load_power_csv(path)
+
+    def test_oversized_header_is_a_profile_error(self, tmp_path):
+        path = make_csv(tmp_path, "t" * 200_000 + ",power\n")
+        with pytest.raises(ProfileError, match="line 1: field larger"):
+            load_power_csv(path)
+
+    # numpy writes years past 9999, and its text cut to 19 characters
+    @pytest.mark.parametrize("stamp", ["10000-01-01T00:00:00Z",
+                                       "10000-01-01T00:00:0Z"])
+    def test_grid_past_year_9999_is_left_to_the_row_checks(self, tmp_path,
+                                                            stamp):
+        path = make_csv(tmp_path, "9999-12-31T23:59:56Z,1\n"
+                                  f"9999-12-31T23:59:58Z,2\n{stamp},3\n")
+        assert f"line 3: bad timestamp '{stamp}'" in load_outcome(path)[1]
+        assert load_outcome(path) == load_row_by_row(path)
+
+    def _checks(self, path, block_rows):
+        """Results of every grid check made while loading ``path``."""
+        real, seen = timeseries._grid_prefix, []
+
+        def spy(rows, *args):
+            n, values = real(rows, *args)
+            seen.append((len(rows), n))
+            return n, values
+
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", block_rows), \
+                mock.patch.object(timeseries, "_grid_prefix", spy):
+            load_power_csv(path)
+        return seen
+
+    def test_canonical_file_is_accepted_a_block_at_a_time(self, tmp_path):
+        s = PowerSeries(T0, 2.0, np.arange(100, dtype=float))
+        write_power_csv(s, tmp_path / "pv.csv")
+        # header + 100 rows in blocks of 16: rows 1-2 fix the step, then
+        # each block's first row is checked alone before the block is read
+        assert self._checks(tmp_path / "pv.csv", 16) == \
+            [(1, 1), (16, 16)] * 6 + [(1, 1), (2, 2)]
+
+    def test_other_spelling_costs_one_rejected_check_per_block(self, tmp_path):
+        rows = "".join(f"{(T0 + timedelta(seconds=2 * k)).isoformat()},{k}\n"
+                       for k in range(100))
+        path = make_csv(tmp_path, rows)
+        assert "+00:00" in rows.splitlines()[0]
+        real, formatted = timeseries.format_utc_grid, []
+
+        def spy(start, step, lo, hi):
+            formatted.append(hi - lo)
+            return real(start, step, lo, hi)
+
+        with mock.patch.object(timeseries, "format_utc_grid", spy):
+            checks = self._checks(path, 16)
+        assert len(checks) == 7 and all(n == 0 for _, n in checks)
+        assert formatted == [1] * 7  # only the first row of each block
+        assert load_outcome(path) == load_row_by_row(path)
+
+
+class TestFormatUtcGrid:
+    @given(st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9998, 1, 1)),
+           st.sampled_from([timedelta(seconds=2), timedelta(seconds=900),
+                            timedelta(days=1, seconds=1), timedelta(days=400),
+                            timedelta(milliseconds=500), timedelta(microseconds=1),
+                            timedelta(seconds=-2)]),
+           st.integers(-3, 3), st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_format_utc_per_row(self, start, step, lo, count):
+        start = start.replace(tzinfo=timezone.utc)
+        assert format_utc_grid(start, step, lo, lo + count) == \
+            [format_utc(start + k * step) for k in range(lo, lo + count)]
+
+    def test_fixed_offset_start(self):
+        start = datetime(2018, 1, 1, 1, tzinfo=timezone(timedelta(hours=1)))
+        assert format_utc_grid(start, timedelta(seconds=2), 0, 2) == \
+            ["2018-01-01T00:00:00Z", "2018-01-01T00:00:02Z"]
