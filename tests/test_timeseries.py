@@ -82,6 +82,12 @@ class TestLoadPowerCsv:
         assert s.start == T0
         assert s.step_s == 60.0
 
+    def test_epoch_beyond_time_t_is_a_bad_timestamp(self, tmp_path):
+        path = make_csv(tmp_path, "0,1\n2,2\n99999999999999999999,3\n")
+        with pytest.raises(ProfileError, match="line 3: bad timestamp "
+                                               "'99999999999999999999'"):
+            load_power_csv(path)
+
     def test_header_is_optional(self, tmp_path):
         path = make_csv(tmp_path, "timestamp,power\n"
                                   "2018-01-01T00:00:00Z,5\n"
@@ -435,7 +441,8 @@ class TestBlockIngest:
 
 
 class TestFormatUtcGrid:
-    @given(st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9998, 1, 1)),
+    # the range keeps every row within datetime's years 1-9999
+    @given(st.datetimes(min_value=datetime(5, 1, 1), max_value=datetime(9950, 1, 1)),
            st.sampled_from([timedelta(seconds=2), timedelta(seconds=900),
                             timedelta(days=1, seconds=1), timedelta(days=400),
                             timedelta(milliseconds=500), timedelta(microseconds=1),
