@@ -23,6 +23,12 @@ SMOOTH_DAY_DIGESTS = {
     "trace.csv": "b157e12288986f68cab49f9029d3981286364033e01a85a715ee21b4586ebf9c",
     "kpi.json": "7327694341245784255cdf0cf0f0acb91297cb28570190c117921d37853240bb",
 }
+FIXTURE_DIGESTS = {
+    "pv_week.csv": "1a2b274833cfda93a835ea1735da6f862c49a72365c3c0280bd92c2a86072d8a",
+    "load_week.csv": "868a809c6fc74e1fe9aa95687e289c68e29c9654f713b4964b5097d7210ac9b7",
+    "pv_smooth_day.csv": "37790d5afa88bf63c0fa7268a4133935f69e100bc407ac6e6a269985f9553a7b",
+    "load_smooth_day.csv": "79a0bcbe9f32115f526462ed214ba03af93129f63207067fede1fc0624fbc83a",
+}
 
 
 def sha256(path):
@@ -48,6 +54,10 @@ def smooth_day_config(fixtures_dir):
 
 
 class TestGoldenDigests:
+    def test_seed_fixture_profiles(self, fixtures_dir):
+        got = {name: sha256(fixtures_dir / name) for name in FIXTURE_DIGESTS}
+        assert got == FIXTURE_DIGESTS
+
     def test_week_simulate_and_compare(self, fixtures_dir, tmp_path):
         config = str(fixtures_dir / "config_week.json")
         assert main(["simulate", "--config", config,

@@ -1,5 +1,6 @@
 """Tests for profile ingestion, resampling and alignment."""
 
+import csv
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -253,6 +254,39 @@ class TestCsvRoundTrip:
         assert back.start == s.start
         assert back.step_s == s.step_s
         assert np.array_equal(back.values, s.values)
+
+    @staticmethod
+    def write_row_by_row(series, path, header=True):
+        """The per-row reference of ``write_power_csv``."""
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            if header:
+                writer.writerow(["timestamp", "power"])
+            ts, delta = series.start, timedelta(seconds=series.step_s)
+            for value in series.values:
+                writer.writerow([format_utc(ts), repr(float(value))])
+                ts += delta
+
+    @given(st.datetimes(min_value=datetime(1970, 1, 1),
+                        max_value=datetime(2100, 1, 1)),
+           st.one_of(st.sampled_from([2.0, 900.0, 0.5, 0.25, 1e-3, 1e-6, 1 / 3]),
+                     st.floats(1e-6, 86_400.0)),
+           st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324,
+                                               1.7976931348623157e308,
+                                               -1.7976931348623157e308,
+                                               2.2250738585072014e-308]),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=60),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_by_row_writer(self, tmp_path_factory, start, step_s,
+                                       values, header):
+        s = PowerSeries(start.replace(tzinfo=timezone.utc), step_s,
+                        np.array(values))
+        out = tmp_path_factory.mktemp("write")
+        write_power_csv(s, out / "block.csv", header=header)
+        self.write_row_by_row(s, out / "rows.csv", header=header)
+        assert (out / "block.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 
 def load_outcome(path, **kwargs):
