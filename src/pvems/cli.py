@@ -33,8 +33,8 @@ from .forecast import (ChargeDecisionPolicy, FixtureForecastSource,
 from .kpi import KPI_NAMES, KpiReport, accumulate, compute_kpis
 from .ramp import RampConfig, ramp_histogram, window_sweep
 from .timeseries import (PowerSeries, ProfileError, ResampleMethod,
-                         ResamplePolicy, align, format_utc_grid,
-                         load_power_csv, resample)
+                         ResamplePolicy, align, load_power_csv, resample,
+                         write_grid_csv)
 
 log = logging.getLogger(__name__)
 
@@ -42,7 +42,6 @@ ENDPOINT_ENV_VAR = "PVEMS_FORECAST_ENDPOINT"
 
 TRACE_COLUMNS = ["timestamp", "p_pv", "p_load", "p_batt_cmd", "p_batt_actual",
                  "p_grid", "soc", "mode", "rr", "rr_violated"]
-TRACE_BLOCK_ROWS = 16_384  # rows formatted at a time by write_trace_csv
 
 
 class CliError(RuntimeError):
@@ -88,21 +87,19 @@ class RunConfig:
     load_unit: str = "W"
     load_scale_w: float = 1.0
     load_resample: str = "hold"
-    strategy: StrategyKind = StrategyKind.SCM_RR_WF
     initial_soc: float = 0.35
     battery: BatteryParams = field(default_factory=BatteryParams)
-    ramp: RampConfig = field(default_factory=RampConfig)
     ems: EmsConfig = field(default_factory=EmsConfig)
     forecast: Optional[ForecastConfig] = None
     outputs: dict[str, Path] = field(default_factory=dict)
 
 
-def _parse_clock(text: str) -> time:
+def _parse_clock(text) -> time:
     try:
-        hh, mm = text.split(":")
+        hh, mm = str(text).split(":")
         return time(int(hh), int(mm))
     except ValueError:
-        raise CliError(f"bad clock time {text!r}, expected HH:MM") from None
+        raise ValueError(f"bad clock time {text!r}, expected HH:MM") from None
 
 
 def _read_config_doc(path: Path) -> dict:
@@ -117,22 +114,30 @@ def _read_config_doc(path: Path) -> dict:
     return doc
 
 
-def _ramp_section(doc: dict, path: Path) -> RampConfig:
-    try:
-        return RampConfig(**doc.get("ramp", {}))
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+def _section(doc: dict, name: str) -> dict:
+    """The ``name`` section of a config; absent or ``null`` is empty."""
+    section = doc.get(name)
+    if section is not None and not isinstance(section, dict):
+        raise TypeError(f"section {name!r} must be a JSON object")
+    return section or {}
 
 
 def load_ramp_config(path: Path) -> RampConfig:
     """Only the ramp section of a JSON run config, validated as in ``load_config``."""
     path = Path(path)
-    return _ramp_section(_read_config_doc(path), path)
+    try:
+        return RampConfig(**_section(_read_config_doc(path), "ramp"))
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def load_config(path: Path, strategy_override: Optional[str] = None,
                 out_dir: Optional[Path] = None) -> RunConfig:
-    """Read a JSON run config; relative paths resolve against the file."""
+    """Read a JSON run config; relative paths resolve against the file.
+
+    A value of the wrong type or out of range is a ``CliError`` naming
+    the file.
+    """
     path = Path(path)
     doc = _read_config_doc(path)
     base = path.parent
@@ -142,20 +147,17 @@ def load_config(path: Path, strategy_override: Optional[str] = None,
         return p if p.is_absolute() else base / p
 
     try:
-        battery = BatteryParams(**doc.get("battery", {}))
-        ramp = _ramp_section(doc, path)
-        strategy = StrategyKind(strategy_override or doc.get("strategy", "SCM_RR_WF"))
-        ems_doc = dict(doc.get("ems", {}))
+        battery = BatteryParams(**_section(doc, "battery"))
+        ems_doc = dict(_section(doc, "ems"))
         if "charge_start_time" in ems_doc:
             ems_doc["charge_start_time"] = _parse_clock(ems_doc["charge_start_time"])
-        ems = EmsConfig(strategy=strategy, ramp=ramp, **ems_doc)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+        ems = EmsConfig(
+            strategy=StrategyKind(strategy_override or doc.get("strategy", "SCM_RR_WF")),
+            ramp=RampConfig(**_section(doc, "ramp")), **ems_doc)
 
-    forecast = None
-    if "forecast" in doc and doc["forecast"]:
-        f = doc["forecast"]
-        try:
+        forecast = None
+        f = _section(doc, "forecast")
+        if f:
             forecast = ForecastConfig(
                 mode=f.get("mode", "fixture"),
                 fixture_path=respath(f["fixture_path"]) if f.get("fixture_path") else None,
@@ -168,36 +170,32 @@ def load_config(path: Path, strategy_override: Optional[str] = None,
                 timeout_s=float(f.get("timeout_s", 10.0)),
             )
             forecast.policy()  # validate ids now
-        except (KeyError, ValueError) as exc:
-            raise CliError(f"{path}: forecast section: {exc}") from None
 
-    outputs_doc = doc.get("outputs", {})
-    outputs = {name: respath(p) for name, p in outputs_doc.items()}
-    if out_dir is not None:
-        outputs = {name: Path(out_dir) / Path(p).name for name, p in outputs.items()}
-    default_dir = Path(out_dir) if out_dir else base / "out"
-    for name, filename in (("trace_csv", "trace.csv"), ("kpi_json", "kpi.json"),
-                           ("histogram_csv", "histogram.csv")):
-        outputs.setdefault(name, default_dir / filename)
+        outputs = {name: respath(p) for name, p in _section(doc, "outputs").items()}
+        if out_dir is not None:
+            outputs = {name: Path(out_dir) / Path(p).name for name, p in outputs.items()}
+        default_dir = Path(out_dir) if out_dir else base / "out"
+        for name, filename in (("trace_csv", "trace.csv"), ("kpi_json", "kpi.json"),
+                               ("histogram_csv", "histogram.csv")):
+            outputs.setdefault(name, default_dir / filename)
 
-    if "pv_path" not in doc or "load_path" not in doc:
-        raise CliError(f"{path}: pv_path and load_path are required")
-
-    return RunConfig(
-        pv_path=respath(doc["pv_path"]),
-        load_path=respath(doc["load_path"]),
-        pv_unit=doc.get("pv_unit", "W"),
-        load_unit=doc.get("load_unit", "W"),
-        load_scale_w=float(doc.get("load_scale_w", 1.0)),
-        load_resample=doc.get("load_resample", "hold"),
-        strategy=strategy,
-        initial_soc=float(doc.get("initial_soc", 0.35)),
-        battery=battery,
-        ramp=ramp,
-        ems=ems,
-        forecast=forecast,
-        outputs=outputs,
-    )
+        if "pv_path" not in doc or "load_path" not in doc:
+            raise CliError(f"{path}: pv_path and load_path are required")
+        return RunConfig(
+            pv_path=respath(doc["pv_path"]),
+            load_path=respath(doc["load_path"]),
+            pv_unit=doc.get("pv_unit", "W"),
+            load_unit=doc.get("load_unit", "W"),
+            load_scale_w=float(doc.get("load_scale_w", 1.0)),
+            load_resample=doc.get("load_resample", "hold"),
+            initial_soc=float(doc.get("initial_soc", 0.35)),
+            battery=battery,
+            ems=ems,
+            forecast=forecast,
+            outputs=outputs,
+        )
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def load_profiles(config: RunConfig) -> tuple[PowerSeries, PowerSeries]:
@@ -207,13 +205,12 @@ def load_profiles(config: RunConfig) -> tuple[PowerSeries, PowerSeries]:
     if config.load_scale_w != 1.0:
         load = load.scaled(config.load_scale_w)
 
-    tick = config.ramp.tick_s
+    tick = config.ems.ramp.tick_s
     method = ResampleMethod(config.load_resample)
     gap = max(3600.0, pv.step_s, load.step_s)
     if pv.step_s != tick:
         pv = resample(pv, tick, ResamplePolicy(ResampleMethod.HOLD, gap))
-    pv_a, load_a = align(pv, load, ResamplePolicy(method, gap))
-    return pv_a, load_a
+    return align(pv, load, ResamplePolicy(method, gap))
 
 
 @contextmanager
@@ -224,44 +221,26 @@ def _stage(name: str) -> Iterator[None]:
     log.info("stage %s %.6f", name, perf_counter() - t0)
 
 
-def _resolve_forecast(config: RunConfig):
-    """Source + policy for the run; warns when the section is unused."""
-    if not config.strategy.has_forecast_charging:
-        if config.forecast is not None:
-            log.warning("strategy %s does not use forecasts; forecast "
-                        "section ignored", config.strategy.value)
-        return None, None
+def _resolve_forecast(config: RunConfig, strategies: list[StrategyKind]):
+    """Source + policy for a run of ``strategies``; warns when the section is unused."""
     if config.forecast is None:
-        log.warning("strategy %s without a forecast section: nights default "
-                    "to no charge", config.strategy.value)
+        return None, None
+    if not any(s.has_forecast_charging for s in strategies):
+        log.warning("no strategy of %s uses forecasts; forecast section ignored",
+                    ",".join(s.value for s in strategies))
         return None, None
     return config.forecast.source(), config.forecast.policy()
 
 
 def write_trace_csv(trace: Trace, path: Path) -> None:
-    """One CSV row per tick; floats as ``repr``, timestamps as ``format_utc``.
-
-    Whole columns are formatted at a time, ``TRACE_BLOCK_ROWS`` rows per
-    block, so memory stays bounded on long traces.  No field can hold a
-    delimiter, quote or line break, so rows are joined directly, ending
-    in CRLF as the csv module's rows do.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    mode_names = [m.value for m in MODES]
-    n = len(trace)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for lo in range(0, n, TRACE_BLOCK_ROWS):
-            hi = min(lo + TRACE_BLOCK_ROWS, n)
-            fields = [format_utc_grid(trace.start, trace.step, lo, hi)]
-            fields += [map(repr, col[lo:hi].tolist()) for col in (
-                trace.p_pv, trace.p_load, trace.p_batt_cmd,
-                trace.p_batt_actual, trace.p_grid, trace.soc)]
-            fields.append([mode_names[m] for m in trace.mode[lo:hi].tolist()])
-            fields.append(map(repr, trace.rr_pct_per_min[lo:hi].tolist()))
-            fields.append(["true" if v else "false"
-                           for v in trace.rr_violated[lo:hi].tolist()])
-            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+    """One grid-CSV row per tick (see ``timeseries.write_grid_csv``)."""
+    columns = (trace.p_pv, trace.p_load, trace.p_batt_cmd, trace.p_batt_actual,
+               trace.p_grid, trace.soc, trace.mode, trace.rr_pct_per_min,
+               trace.rr_violated)
+    write_grid_csv(path, trace.start, trace.step,
+                   dict(zip(TRACE_COLUMNS[1:], columns)),
+                   labels={"mode": [m.value for m in MODES],
+                           "rr_violated": ("false", "true")})
 
 
 def write_histogram_csv(series: PowerSeries, cfg: RampConfig, path: Path) -> None:
@@ -310,13 +289,14 @@ def run_simulation(config: RunConfig) -> KpiReport:
         pv, load = load_profiles(config)
     with _stage("prepass"):
         pre = prepass(pv, config.ems)
-    source, policy = _resolve_forecast(config)
-    with _stage(f"dispatch.{config.strategy.value}"):
+    strategy, ramp = config.ems.strategy, config.ems.ramp
+    source, policy = _resolve_forecast(config, [strategy])
+    with _stage(f"dispatch.{strategy.value}"):
         trace = simulate(pv, load, config.ems, config.battery,
                          forecast_source=source, policy=policy,
                          initial_soc=config.initial_soc, pre=pre)
-    with _stage(f"accounting.{config.strategy.value}"):
-        totals = accumulate(trace, config.ramp.tick_s, config.ramp)
+    with _stage(f"accounting.{strategy.value}"):
+        totals = accumulate(trace, ramp.tick_s, ramp)
         report = compute_kpis(totals)
 
     with _stage("write.trace_csv"):
@@ -324,8 +304,8 @@ def run_simulation(config: RunConfig) -> KpiReport:
     with _stage("write.kpi_json"):
         write_kpi_json(report, config.outputs["kpi_json"])
     with _stage("write.histogram_csv"):
-        write_histogram_csv(pv, config.ramp, config.outputs["histogram_csv"])
-    print_kpi_summary(report, config.strategy.value)
+        write_histogram_csv(pv, ramp, config.outputs["histogram_csv"])
+    print_kpi_summary(report, strategy.value)
     for name in names:
         print(f"  wrote {config.outputs[name]}")
     return report
@@ -369,18 +349,16 @@ def compare_strategies(config: RunConfig, strategies: list[StrategyKind],
         pv, load = load_profiles(config)
     with _stage("prepass"):
         pre = prepass(pv, config.ems)
+    source, policy = _resolve_forecast(config, strategies)
     reports: dict[str, KpiReport] = {}
     for strat in strategies:
         run_cfg = replace(config.ems, strategy=strat)
-        source, policy = (None, None)
-        if strat.has_forecast_charging and config.forecast is not None:
-            source, policy = config.forecast.source(), config.forecast.policy()
         with _stage(f"dispatch.{strat.value}"):
             trace = simulate(pv, load, run_cfg, config.battery,
                              forecast_source=source, policy=policy,
                              initial_soc=config.initial_soc, pre=pre)
         with _stage(f"accounting.{strat.value}"):
-            totals = accumulate(trace, config.ramp.tick_s, config.ramp)
+            totals = accumulate(trace, run_cfg.ramp.tick_s, run_cfg.ramp)
             reports[strat.value] = compute_kpis(totals)
 
     table_path = out_dir / "compare.csv"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "trapezoid_energy_wh",
     "format_utc",
     "format_utc_grid",
+    "write_grid_csv",
     "write_power_csv",
 ]
 
@@ -111,7 +112,15 @@ def _parse_timestamp(text: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-_INGEST_BLOCK_ROWS = 8_192  # rows read and grid-checked at a time by load_power_csv
+_INGEST_BLOCK_ROWS = 8_192  # largest block of rows that load_power_csv reads at a time
+
+
+def _parses(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
 
 
 def load_power_csv(
@@ -121,19 +130,19 @@ def load_power_csv(
 ) -> PowerSeries:
     """Load a ``timestamp,power`` CSV into a validated PowerSeries.
 
-    The header row is optional.  Timestamps are ISO-8601 UTC or integer
-    epoch seconds and must be strictly increasing on a uniform grid.
-    ``expected_unit`` is ``"W"`` or ``"kW"``; kW inputs are converted
-    to watts.  When the file has a header, ``column`` selects a named
-    power column (defaults to the second column), which lets wide trace
-    CSVs round-trip through this loader.
+    The header row is optional: the first row is one when its first
+    cell is not a timestamp and its second cell, if any, not a number.
+    Timestamps are ISO-8601 UTC or integer epoch seconds and must be
+    strictly increasing on a uniform grid.  ``expected_unit`` is ``"W"``
+    or ``"kW"``; kW inputs are converted to watts.  When the file has a
+    header, ``column`` selects a named power column (defaults to the
+    second column), which lets wide trace CSVs round-trip through this
+    loader.
 
-    Rows come in blocks of ``_INGEST_BLOCK_ROWS``.  Once the first two
-    rows fix the step, a block whose first row continues the grid in
-    the canonical spelling (see ``_grid_prefix``) is read whole, and
-    its longest run of such rows is accepted in one go.  Every other
-    row goes through the per-row checks below, so values, messages and
-    line numbers are those of reading row by row.
+    Once the first two rows fix the step, each block's leading run of
+    canonical rows on the grid (see ``_grid_prefix``) is accepted at
+    once; the per-row checks below take the rest, so values, messages
+    and line numbers are those of reading row by row.
     """
     if expected_unit not in ("W", "kW"):
         raise ProfileError(f"expected_unit must be 'W' or 'kW', got {expected_unit!r}")
@@ -144,25 +153,18 @@ def load_power_csv(
         raise ProfileError(f"profile file not found: {path}")
 
     chunks: list[np.ndarray] = []  # accepted powers, in file order, unscaled
-    powers: list[float] = []       # rows accepted one by one since the last chunk
     power_idx = 1
     first = prev = step = step_td = None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        lineno = 0  # records read so far, blank ones included
         try:
             header = next(reader, None)
         except csv.Error as exc:
             raise ProfileError(f"{path}: line 1: {exc}") from None
         if header is None:
             raise ProfileError(f"{path}: empty file")
-        has_header = False
-        if header:
-            try:
-                _parse_timestamp(header[0])
-            except ValueError:
-                has_header = True
-        if has_header:
+        if (header and not _parses(_parse_timestamp, header[0])
+                and not (len(header) > 1 and _parses(float, header[1]))):
             if column is not None:
                 if column not in header:
                     raise ProfileError(f"{path}: column {column!r} not in header {header}")
@@ -171,82 +173,76 @@ def load_power_csv(
         elif column is not None:
             raise ProfileError(f"{path}: column selection requires a header row")
         else:
-            rows = itertools.chain([header], reader)
+            lineno, rows = 0, itertools.chain([header], reader)
 
-        while True:
-            # The rest of a block is read ahead only when its first row is
-            # on the grid.  Otherwise the rows stream through the per-row
-            # checks: holding rows that are checked one by one anyway only
-            # adds garbage-collector work (about 8 % on the week's PV
-            # spelled with +00:00 offsets).
-            block: list[list[str]] = []
-            head_on_grid, failure, accepted = False, None, 0
+        for block in _blocks(rows, path, lineno):
+            accepted = 0
             if step is not None:
-                try:
-                    block.extend(itertools.islice(rows, 1))
-                    head_on_grid = bool(block) and _grid_prefix(
-                        block, prev, step_td, power_idx)[0] == 1
-                    if head_on_grid:
-                        block.extend(itertools.islice(rows, _INGEST_BLOCK_ROWS - 1))
-                except csv.Error as exc:  # the rows before it are checked first
-                    failure = ProfileError(f"{path}: line {lineno + len(block) + 1}: {exc}")
-            if head_on_grid:
                 accepted, values = _grid_prefix(block, prev, step_td, power_idx)
-                chunks += [np.array(powers), values]
-                powers = []
-                prev += accepted * step_td
-            quota = 0 if failure else _INGEST_BLOCK_ROWS - len(block)
-            pos = lineno + accepted  # line number of the last row done
-            fixing = step is None  # the row that fixes the step ends the block
-            try:
-                for pos, row in enumerate(itertools.chain(
-                        block[accepted:], itertools.islice(rows, quota)), pos + 1):
-                    if not row or all(not cell.strip() for cell in row):
-                        continue
-                    if len(row) <= power_idx:
-                        raise ProfileError(f"{path}: line {pos}: expected at least "
-                                           f"{power_idx + 1} columns, got {len(row)}")
-                    try:
-                        ts = _parse_timestamp(row[0])
-                    except ValueError as exc:
-                        raise ProfileError(f"{path}: line {pos}: bad timestamp {row[0]!r}: {exc}") from None
-                    try:
-                        p = float(row[power_idx])
-                    except ValueError:
-                        raise ProfileError(f"{path}: line {pos}: bad power value {row[power_idx]!r}") from None
-                    if not math.isfinite(p):
-                        raise ProfileError(f"{path}: line {pos}: non-finite power value")
-                    if prev is None:
-                        first = ts
-                    else:
-                        dt = (ts - prev).total_seconds()
-                        if step is None:
-                            step, step_td = dt, ts - prev
-                        if dt <= 0:
-                            raise ProfileError(f"{path}: line {pos}: timestamps not strictly increasing")
-                        if abs(dt - step) > 1e-6:
-                            raise ProfileError(f"{path}: line {pos}: irregular step "
-                                               f"({dt} s, expected {step} s)")
-                    prev = ts
-                    powers.append(p)
-                    if fixing and step is not None:
-                        break
+                if accepted:
+                    chunks.append(values)
+                    prev += accepted * step_td
+            powers = []
+            for pos, row in enumerate(block[accepted:], lineno + accepted + 1):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) <= power_idx:
+                    raise ProfileError(f"{path}: line {pos}: expected at least "
+                                       f"{power_idx + 1} columns, got {len(row)}")
+                try:
+                    ts = _parse_timestamp(row[0])
+                except ValueError as exc:
+                    raise ProfileError(f"{path}: line {pos}: bad timestamp {row[0]!r}: {exc}") from None
+                try:
+                    p = float(row[power_idx])
+                except ValueError:
+                    raise ProfileError(f"{path}: line {pos}: bad power value {row[power_idx]!r}") from None
+                if not math.isfinite(p):
+                    raise ProfileError(f"{path}: line {pos}: non-finite power value")
+                if prev is None:
+                    first = ts
                 else:
-                    fixing = False  # the block ran to its end
-            except csv.Error as exc:
-                raise ProfileError(f"{path}: line {pos + 1}: {exc}") from None
-            if failure is not None:
-                raise failure
-            if not fixing and pos - lineno < _INGEST_BLOCK_ROWS:
-                break  # end of file
-            lineno = pos
+                    dt = (ts - prev).total_seconds()
+                    if step is None:
+                        step, step_td = dt, ts - prev
+                    if dt <= 0:
+                        raise ProfileError(f"{path}: line {pos}: timestamps not strictly increasing")
+                    if abs(dt - step) > 1e-6:
+                        raise ProfileError(f"{path}: line {pos}: irregular step "
+                                           f"({dt} s, expected {step} s)")
+                prev = ts
+                powers.append(p)
+            chunks.append(np.array(powers))
+            lineno += len(block)
+            del block  # released before the next block is read
 
     if first is None:
         raise ProfileError(f"{path}: empty file")
     if step is None:
         raise ProfileError(f"{path}: need at least two rows to infer the sampling step")
-    values = np.concatenate(chunks + [np.array(powers)])
+    values = np.concatenate(chunks)
     return PowerSeries(first, step, values * scale if scale != 1.0 else values)
+
+
+def _blocks(rows, path: Path, lineno: int):
+    """Lists of ``rows``: 2 rows (those that fix the step), then twice as
+    many up to ``_INGEST_BLOCK_ROWS``.  A ``csv.Error`` first yields the
+    rows read before it, whose faults come first, then raises as a
+    ``ProfileError`` at its line, counted after ``lineno`` records.
+    """
+    size = 2
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(itertools.islice(rows, size))
+        except csv.Error as exc:
+            yield block
+            raise ProfileError(f"{path}: line {lineno + len(block) + 1}: {exc}") from None
+        if not block:
+            return
+        yield block
+        lineno += len(block)
+        size = min(2 * size, _INGEST_BLOCK_ROWS)
 
 
 def _grid_prefix(rows: list[list[str]], prev: datetime, step: timedelta,
@@ -256,7 +252,8 @@ def _grid_prefix(rows: list[list[str]], prev: datetime, step: timedelta,
     A row qualifies when its timestamp text is exactly
     ``format_utc_grid``'s for the next grid point and its power cell
     gives a finite ``float``: such a row passes every per-row check of
-    ``load_power_csv`` with the same value.
+    ``load_power_csv`` with the same value.  A block whose first row is
+    off the grid is rejected after formatting one timestamp.
     """
     n = len(rows)
     try:
@@ -266,6 +263,8 @@ def _grid_prefix(rows: list[list[str]], prev: datetime, step: timedelta,
     short = np.flatnonzero(np.fromiter(map(len, rows), np.intp, n) <= power_idx)
     if short.size:
         n = int(short[0])
+    if n == 0 or rows[0][0] != format_utc_grid(prev, step, 1, 2)[0]:
+        return 0, None
     texts = [row[0] for row in rows[:n]]
     expected = format_utc_grid(prev, step, 1, n + 1)
     if texts != expected:
@@ -360,9 +359,7 @@ def trapezoid_energy_wh(series: PowerSeries) -> float:
 
 def format_utc(dt: datetime) -> str:
     """ISO-8601 with a Z suffix, seconds resolution when possible."""
-    dt = dt.astimezone(timezone.utc)
-    text = dt.isoformat()
-    return text.replace("+00:00", "Z")
+    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
 _WHOLE_SECOND_ROW = np.frombuffer(b"0000-00-00T00:00:00Z\n", dtype=np.uint8)
@@ -408,22 +405,43 @@ def _format_whole_seconds(seconds: np.ndarray) -> list[str]:
     rows[:, 11:13] = _TWO_DIGITS[hour]
     rows[:, 14:16] = _TWO_DIGITS[minute]
     rows[:, 17:19] = _TWO_DIGITS[second]
-    text = rows.tobytes().decode("ascii").split("\n")
-    text.pop()
-    return text
+    return rows.tobytes().decode("ascii").split("\n")[:-1]
+
+
+_WRITE_BLOCK_ROWS = 16_384  # rows formatted at a time by write_grid_csv
+
+
+def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
+                   columns: dict[str, np.ndarray],
+                   labels: Union[dict[str, Sequence[str]], None] = None,
+                   header: bool = True) -> None:
+    """One CSV row per grid point ``start + k * step``: the grid-CSV format.
+
+    A ``timestamp`` column as ``format_utc``, then ``columns`` as
+    ``repr`` of their floats, or as ``labels[name][code]`` for a coded
+    column.  Rows end in CRLF like the csv module's; no field can hold a
+    delimiter, quote or line break.  Columns are formatted
+    ``_WRITE_BLOCK_ROWS`` rows at a time, so memory stays bounded.
+    """
+    tables = {name: np.array(table, dtype=object) for name, table in (labels or {}).items()}
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    n = len(next(iter(columns.values())))
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        if header:
+            fh.write(",".join(["timestamp", *columns]) + "\r\n")
+        for lo in range(0, n, _WRITE_BLOCK_ROWS):
+            hi = min(lo + _WRITE_BLOCK_ROWS, n)
+            fields = [format_utc_grid(start, step, lo, hi)]
+            for name, col in columns.items():
+                cells = col[lo:hi]
+                fields.append(tables[name].take(cells).tolist() if name in tables
+                              else map(repr, cells.tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def write_power_csv(series: PowerSeries, path: Union[str, Path],
                     header: bool = True) -> None:
     """Write ``timestamp,power`` rows that load_power_csv reads back losslessly."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if header:
-            writer.writerow(["timestamp", "power"])
-        ts = series.start
-        delta = timedelta(seconds=series.step_s)
-        for value in series.values:
-            writer.writerow([format_utc(ts), repr(float(value))])
-            ts += delta
+    write_grid_csv(path, series.start, timedelta(seconds=series.step_s),
+                   {"power": series.values}, header=header)

@@ -74,6 +74,19 @@ class TestSimulate:
         assert code == 0
         assert any("forecast" in m and "ignored" in m for m in caplog.messages)
 
+    def test_missing_forecast_section_is_one_warning(self, day_config,
+                                                     tmp_path, caplog):
+        doc = json.loads(day_config.read_text())
+        del doc["forecast"]
+        config = tmp_path / "no_forecast.json"
+        config.write_text(json.dumps(doc))
+        with caplog.at_level("WARNING"):
+            assert main(["simulate", "--config", str(config),
+                         "--strategy", "SCM_RR_WF",
+                         "--out-dir", str(tmp_path / "o")]) == 0
+        assert [m for m in caplog.messages if "forecast" in m] == \
+            ["no forecast source configured; defaulting to no night charge"]
+
     def test_trace_round_trips_through_loader(self, day_config, tmp_path):
         out_dir = tmp_path / "out"
         assert main(["simulate", "--config", str(day_config),
@@ -187,6 +200,31 @@ class TestErrorsWithoutTraceback:
         bad.write_text("[1, 2]")
         assert main(["simulate", "--config", str(bad)]) == 1
         assert_one_line_error(capsys, "list.json", "JSON object")
+
+    @pytest.mark.parametrize("change", [
+        {"forecast": 5},
+        {"outputs": []},
+        {"outputs": {"trace_csv": 5}},
+        {"pv_path": 5},
+        {"initial_soc": None},
+        {"load_scale_w": None},
+        {"forecast": {"charge_ids": 5}},
+        {"forecast": {"region_id": None}},
+        {"ems": {"charge_start_time": 130}},
+    ], ids=repr)
+    def test_wrong_typed_config_value(self, day_config, tmp_path, capsys,
+                                      change):
+        doc = json.loads(day_config.read_text())
+        for key, value in change.items():
+            if isinstance(value, dict) and isinstance(doc.get(key), dict):
+                value = {**doc[key], **value}
+            doc[key] = value
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert_one_line_error(capsys, "typed.json")
 
     def test_simulate_out_dir_under_a_file(self, day_config, tmp_path, capsys):
         blocker = tmp_path / "plain_file"
@@ -309,6 +347,18 @@ class TestCompare:
         rows = (out_dir / "compare.csv").read_text().splitlines()
         assert rows[0] == "kpi,SCM,SCM_RR,SCM_RR_WF"
         assert len(rows) == 1 + 10 + 2
+
+    @pytest.mark.parametrize("strategies, ignored", [
+        ("SCM", True), ("SCM,SCM_RR", True), ("SCM,SCM_RR_WF", False)])
+    def test_unused_forecast_section_warns_as_simulate(self, day_config,
+                                                       tmp_path, caplog,
+                                                       strategies, ignored):
+        with caplog.at_level("WARNING"):
+            assert main(["compare", "--config", str(day_config),
+                         "--strategies", strategies,
+                         "--out-dir", str(tmp_path / "cmp")]) == 0
+        assert any("forecast" in m and "ignored" in m
+                   for m in caplog.messages) == ignored
 
     def test_single_strategy(self, day_config, tmp_path):
         out_dir = tmp_path / "cmp1"

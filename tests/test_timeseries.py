@@ -95,6 +95,33 @@ class TestLoadPowerCsv:
                                   "2018-01-01T00:00:02Z,6\n")
         assert list(load_power_csv(path).values) == [5.0, 6.0]
 
+    @pytest.mark.parametrize("first_row", ["2018-13-01T00:00:00Z,1",
+                                           "yesterday,5", "x,-0.5,7"])
+    def test_bad_first_row_is_not_taken_for_a_header(self, tmp_path,
+                                                     first_row):
+        path = make_csv(tmp_path, f"{first_row}\n"
+                                  "2018-01-01T00:00:02Z,2\n"
+                                  "2018-01-01T00:00:04Z,3\n")
+        stamp = first_row.split(",")[0]
+        with pytest.raises(ProfileError, match=f"line 1: bad timestamp '{stamp}'"):
+            load_power_csv(path)
+
+    @pytest.mark.parametrize("header, column", [
+        ("timestamp,power", None),
+        ("timestamp,other,power", "power"),
+        ("timestamp", None),
+        ("timestamp,p_pv,p_load,p_batt_cmd,p_batt_actual,p_grid,soc,mode,rr,"
+         "rr_violated", "p_load"),
+    ])
+    def test_header_rows(self, tmp_path, header, column):
+        n_cols = max(2, header.count(",") + 1)
+        cells = ",".join(["5"] * (n_cols - 1))
+        path = make_csv(tmp_path, f"{header}\n"
+                                  f"2018-01-01T00:00:00Z,{cells}\n"
+                                  f"2018-01-01T00:00:02Z,{cells}\n")
+        s = load_power_csv(path, column=column)
+        assert s.start == T0 and list(s.values) == [5.0, 5.0]
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(ProfileError, match="empty"):
             load_power_csv(make_csv(tmp_path, ""))
@@ -381,10 +408,12 @@ class TestBlockIngest:
         with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", block_rows):
             assert load_outcome(path, **kwargs) == load_row_by_row(path, **kwargs)
 
-    @pytest.mark.parametrize("n_rows", [7, 8, 9, 15, 16, 17])
+    @pytest.mark.parametrize("n_rows", [2, 3, 5, 6, 7, 8, 9, 13, 14, 15, 16,
+                                        17, 21, 22, 23])
     @pytest.mark.parametrize("fault", ["none", "blank", "irregular", "nan"])
     def test_rows_around_block_boundaries(self, tmp_path, n_rows, fault):
-        # blocks of 8 rows; the fault sits on the last row
+        # blocks of 2, 4, 8, 8, ... rows end after rows 2, 6, 14, 22, ...;
+        # the fault sits on the last row
         rows = [f"{format_utc(T0 + timedelta(seconds=2 * k))},{k}.5"
                 for k in range(n_rows)]
         rows[-1] = {"none": rows[-1], "blank": "",
@@ -451,10 +480,10 @@ class TestBlockIngest:
     def test_canonical_file_is_accepted_a_block_at_a_time(self, tmp_path):
         s = PowerSeries(T0, 2.0, np.arange(100, dtype=float))
         write_power_csv(s, tmp_path / "pv.csv")
-        # header + 100 rows in blocks of 16: rows 1-2 fix the step, then
-        # each block's first row is checked alone before the block is read
+        # header + 100 rows in blocks of 2, 4, 8, then 16: rows 1-2 fix the
+        # step, and every later block is accepted whole by one check
         assert self._checks(tmp_path / "pv.csv", 16) == \
-            [(1, 1), (16, 16)] * 6 + [(1, 1), (2, 2)]
+            [(4, 4), (8, 8)] + [(16, 16)] * 5 + [(6, 6)]
 
     def test_other_spelling_costs_one_rejected_check_per_block(self, tmp_path):
         rows = "".join(f"{(T0 + timedelta(seconds=2 * k)).isoformat()},{k}\n"
@@ -469,8 +498,10 @@ class TestBlockIngest:
 
         with mock.patch.object(timeseries, "format_utc_grid", spy):
             checks = self._checks(path, 16)
-        assert len(checks) == 7 and all(n == 0 for _, n in checks)
-        assert formatted == [1] * 7  # only the first row of each block
+        # 100 rows in blocks of 2, 4, 8, 16, 16, 16, 16, 16, 6: one check
+        # per block after the step-fixing one
+        assert len(checks) == 8 and all(n == 0 for _, n in checks)
+        assert formatted == [1] * 8  # only the first row of each block
         assert load_outcome(path) == load_row_by_row(path)
 
 
