@@ -355,8 +355,8 @@ def compare_strategies(config: RunConfig, strategies: list[StrategyKind],
         run_cfg = replace(config.ems, strategy=strat)
         with _stage(f"dispatch.{strat.value}"):
             trace = simulate(pv, load, run_cfg, config.battery,
-                             forecast_source=source, policy=policy,
-                             initial_soc=config.initial_soc, pre=pre)
+                             forecast_source=source if strat.has_forecast_charging else None,
+                             policy=policy, initial_soc=config.initial_soc, pre=pre)
         with _stage(f"accounting.{strat.value}"):
             totals = accumulate(trace, run_cfg.ramp.tick_s, run_cfg.ramp)
             reports[strat.value] = compute_kpis(totals)

@@ -448,6 +448,19 @@ class TestBlockIngest:
             with pytest.raises(ProfileError, match="line 3: bad power value"):
                 load_power_csv(path)
 
+    @pytest.mark.parametrize("block_rows", [2, 4, 8_192])
+    def test_fault_in_the_rows_before_a_csv_error_comes_first(self, tmp_path,
+                                                             block_rows):
+        # blocks of 2, 4, ...: the oversized field on line 5 stops the
+        # second block after line 4, whose bad power must be reported
+        rows = ["timestamp,power", "2018-01-01T00:00:00Z,1",
+                "2018-01-01T00:00:02Z,2", "2018-01-01T00:00:04Z,x",
+                "2018-01-01T00:00:06Z," + "9" * 200_000]
+        path = make_csv(tmp_path, "\n".join(rows) + "\n")
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", block_rows):
+            with pytest.raises(ProfileError, match="line 4: bad power value"):
+                load_power_csv(path)
+
     def test_oversized_header_is_a_profile_error(self, tmp_path):
         path = make_csv(tmp_path, "t" * 200_000 + ",power\n")
         with pytest.raises(ProfileError, match="line 1: field larger"):
