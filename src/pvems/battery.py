@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "BatteryParams",
     "BatteryState",
     "advance",
+    "advance_run",
     "available",
     "step",
 ]
@@ -106,6 +109,52 @@ def advance(params: BatteryParams, soc: float, ac_command_w: float,
         ac_actual = ac_command_w
 
     return min(max(soc, params.soc_min), params.soc_max), ac_actual
+
+
+def advance_run(params: BatteryParams, soc: float, ac_command_w: np.ndarray,
+                dt_s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array form of :func:`advance` for a run of ticks where no limit binds.
+
+    Returns ``(path, actual, free)``.  ``path`` has one more entry than
+    the commands: ``path[0]`` is ``soc`` and ``path[k + 1]`` the SOC
+    after tick ``k`` if every tick before it executed its command
+    unchanged.  ``free[k]`` holds when tick ``k``, started from
+    ``path[k]``, binds no limit: its command is within the availability
+    of its direction, the room (or stored-energy) limit does not cut it
+    and the final clamp leaves the SOC alone.  Up to the first ``False``
+    of ``free``, ``advance(params, path[k], cmd[k], dt_s)`` is
+    ``(path[k + 1], actual[k])`` bit for bit: without a limit the SOC
+    step does not depend on the SOC, and ``np.add.accumulate`` adds the
+    steps left to right as repeated ``advance`` calls do.
+    """
+    cmd = np.asarray(ac_command_w, dtype=float)
+    hours = dt_s / 3600.0
+    charge = cmd > 0
+    # stored Wh (charge) or minus the drawn Wh (discharge); a zero
+    # command adds -0.0, which leaves every SOC, -0.0 included, alone
+    signed_wh = np.where(charge, cmd * params.eta_acdc,
+                         np.where(cmd < 0, cmd / params.eta_acdc, -0.0)) * hours
+    path = np.empty(len(cmd) + 1)
+    path[0] = soc
+    path[1:] = signed_wh / params.energy_capacity_wh
+    np.add.accumulate(path, out=path)
+
+    before, after = path[:-1], path[1:]
+    headroom = np.where(charge, params.soc_max - before, before - params.soc_min)
+    free = np.abs(cmd) <= _available_array(params, headroom)
+    free &= np.abs(signed_wh) <= headroom * params.energy_capacity_wh
+    free &= (after >= params.soc_min) & (after <= params.soc_max)
+    return path, cmd, free
+
+
+def _available_array(params: BatteryParams, headroom: np.ndarray) -> np.ndarray:
+    """:func:`available` of each headroom, bit for bit."""
+    avail = np.where(headroom > 0, params.power_nominal_w, 0.0)
+    if params.derate_band > 0:
+        taper = (headroom > 0) & (headroom < params.derate_band)
+        avail[taper] = (params.power_nominal_w * headroom[taper]
+                        / params.derate_band)
+    return avail
 
 
 def step(params: BatteryParams, state: BatteryState, ac_command_w: float,

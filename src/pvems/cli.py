@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
 import sys
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
@@ -94,9 +96,9 @@ class RunConfig:
     outputs: dict[str, Path] = field(default_factory=dict)
 
 
-def _parse_clock(text) -> time:
+def _parse_clock(text: str) -> time:
     try:
-        hh, mm = str(text).split(":")
+        hh, mm = text.split(":")
         return time(int(hh), int(mm))
     except ValueError:
         raise ValueError(f"bad clock time {text!r}, expected HH:MM") from None
@@ -114,19 +116,69 @@ def _read_config_doc(path: Path) -> dict:
     return doc
 
 
+# The JSON value each annotation of a config field takes: paths, clock
+# times and enum members are written as strings.
+_JSON_TYPES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
+               float: ("a number", (int, float)), str: ("a string", (str,)),
+               Path: ("a string", (str,)), time: ("a string", (str,)),
+               StrategyKind: ("a string", (str,))}
+
+
+def _check_types(cls: type, doc: dict, where: str = "") -> None:
+    """Raise ``TypeError`` naming ``<where><key>`` for the first value of
+    ``doc`` whose JSON type does not fit the annotation of the field of
+    ``cls`` with that name.
+
+    A dataclass field takes an object (or ``null``) whose values are
+    checked against its own fields in turn.  Keys that are not fields of
+    ``cls`` are left for ``cls`` to refuse.
+    """
+    hints = typing.get_type_hints(cls)
+    for key, value in doc.items():
+        if key in hints:
+            _check_value(value, hints[key], f"{where}{key}")
+
+
+def _check_value(value, hint, name: str) -> None:
+    if typing.get_origin(hint) is typing.Union:  # Optional[...]
+        if value is None:
+            return
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint) or origin is dict:
+        if value is None:
+            return  # an absent or null section is empty
+        if not isinstance(value, dict):
+            raise TypeError(f"{name} must be a JSON object, got {value!r}")
+        if origin is dict:
+            for key, item in value.items():
+                _check_value(item, args[1], f"{name}.{key}")
+        else:
+            _check_types(hint, value, f"{name}.")
+        return
+    if origin in (list, frozenset):
+        if not isinstance(value, list):
+            raise TypeError(f"{name} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_value(item, args[0], f"{name}[{i}]")
+        return
+    expected, types = _JSON_TYPES[hint]
+    if isinstance(value, bool) is not (hint is bool) or not isinstance(value, types):
+        raise TypeError(f"{name} must be {expected}, got {value!r}")
+
+
 def _section(doc: dict, name: str) -> dict:
-    """The ``name`` section of a config; absent or ``null`` is empty."""
-    section = doc.get(name)
-    if section is not None and not isinstance(section, dict):
-        raise TypeError(f"section {name!r} must be a JSON object")
-    return section or {}
+    """The ``name`` section of a checked config; absent or ``null`` is empty."""
+    return doc.get(name) or {}
 
 
 def load_ramp_config(path: Path) -> RampConfig:
     """Only the ramp section of a JSON run config, validated as in ``load_config``."""
     path = Path(path)
     try:
-        return RampConfig(**_section(_read_config_doc(path), "ramp"))
+        doc = _read_config_doc(path)
+        _check_types(EmsConfig, {"ramp": doc.get("ramp")})
+        return RampConfig(**_section(doc, "ramp"))
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -147,6 +199,9 @@ def load_config(path: Path, strategy_override: Optional[str] = None,
         return p if p.is_absolute() else base / p
 
     try:
+        _check_types(RunConfig, doc)
+        _check_types(EmsConfig, {key: doc[key] for key in ("strategy", "ramp")
+                                 if key in doc})
         battery = BatteryParams(**_section(doc, "battery"))
         ems_doc = dict(_section(doc, "ems"))
         if "charge_start_time" in ems_doc:
@@ -162,11 +217,11 @@ def load_config(path: Path, strategy_override: Optional[str] = None,
                 mode=f.get("mode", "fixture"),
                 fixture_path=respath(f["fixture_path"]) if f.get("fixture_path") else None,
                 endpoint_base=f.get("endpoint_base"),
-                region_id=int(f.get("region_id", 0)),
+                region_id=f.get("region_id", 0),
                 charge_ids=frozenset(f.get("charge_ids",
                                            sorted(ChargeDecisionPolicy().charge_ids))),
                 unknown_behavior=f.get("unknown_behavior", "no_charge"),
-                retries=int(f.get("retries", 2)),
+                retries=f.get("retries", 2),
                 timeout_s=float(f.get("timeout_s", 10.0)),
             )
             forecast.policy()  # validate ids now

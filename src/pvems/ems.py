@@ -16,8 +16,12 @@ self-consumption.  Every tick obeys the AC power balance
 ``simulate`` runs in two phases.  A numpy pre-pass computes everything
 that does not depend on the battery's SOC: the window average, the
 ramp rate and its violations, the local day and clock, the "PV day
-started" flag and each day's forecast decision.  A tick loop on plain
-floats then keeps only the SOC recurrence and the choice of command.
+started" flag and each day's forecast decision.  The tick loop then
+keeps only the SOC recurrence and the choice of command.  Where no
+battery limit binds, a tick's SOC step does not depend on the SOC, so
+the loop advances such ticks in array runs (``battery.advance_run``);
+the tick where a limit binds, and a stretch after it, go through the
+scalar ``battery.advance`` one tick at a time.  Both give the same bits.
 The result is a columnar ``Trace``; indexing or iterating it yields
 ``DispatchRecord`` rows.
 """
@@ -84,6 +88,12 @@ _SCM = MODES.index(DispatchMode.SCM)
 _RAMP = MODES.index(DispatchMode.RAMP_CONTROL)
 _NIGHT = MODES.index(DispatchMode.NIGHT_CHARGE)
 _IDLE = MODES.index(DispatchMode.IDLE)
+
+# Block sizes of ``simulate``'s tick loop: an array guess starts at
+# _FIRST_GUESS ticks and doubles while whole guesses are accepted; after
+# a guess that accepts nothing, the scalar stretch doubles up to
+# _MAX_STRETCH ticks.
+_FIRST_GUESS, _MAX_GUESS, _MAX_STRETCH = 256, 65_536, 1_024
 
 _US = timedelta(microseconds=1)
 _DAY_US = 86_400 * 1_000_000
@@ -400,44 +410,137 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
         pre.check_built_for(pv, cfg)
     n = len(pv)
     pv_values, load_values = pv.values, load.values
+    surplus = pv_values - load_values
+    nominal = params.power_nominal_w
 
-    # Per-tick candidates: 1 = ramp control, 2 = night charge (until the
-    # SOC target ends the day's segment), 3 = both.
-    kind = np.zeros(n, dtype=np.int64)
-    if cfg.strategy.has_ramp_control:
-        kind[pre.violated] = 1
+    # The command a tick gets when its day's night segment is closed:
+    # the ramp command where the pre-pass flagged a violation, otherwise
+    # the SCM command at full availability, which is the SCM command of
+    # every tick that ``advance_run`` accepts.
+    ramp = (pre.violated if cfg.strategy.has_ramp_control
+            else np.zeros(n, dtype=bool))
+    scm_cmd = np.where(surplus > 0, np.minimum(surplus, nominal),
+                       np.where(surplus < 0, -np.minimum(-surplus, nominal), 0.0))
+    day_cmd = np.where(ramp, pv_values - pre.window_mean, scm_cmd)
+    day_mode = np.where(ramp, _RAMP, np.where(scm_cmd == 0.0, _IDLE, _SCM)
+                        ).astype(np.uint8)
+    del scm_cmd
+    # Night charge candidates, until the SOC target ends the day's segment.
     if cfg.strategy.has_forecast_charging:
         decisions = _resolve_decisions(forecast_source, policy, pre)
-        kind[pre.after_start & decisions[pre.day] & ~pre.day_started] += 2
+        night = pre.after_start & decisions[pre.day] & ~pre.day_started
+    else:
+        night = np.zeros(n, dtype=bool)
 
-    cmd_col, actual_col, soc_col = [0.0] * n, [0.0] * n, [0.0] * n
-    mode_col = [0] * n
-    advance, scm_command = bat.advance, _scm_command
-    tick_s = cfg.ramp.tick_s
-    night_w, soc_target = cfg.night_charge_power_w, cfg.soc_target
-    done_day = -1  # local day whose charge segment reached the target
-    soc = initial_soc
-    for k, (what, surplus, ramp_cmd, day) in enumerate(zip(
-            kind.tolist(), (pv_values - load_values).tolist(),
-            (pv_values - pre.window_mean).tolist(), pre.day.tolist())):
-        if what & 2 and day != done_day and soc >= soc_target:
-            done_day = day  # target reached: one charge segment per night
-        if what & 2 and day != done_day:
-            cmd, mode = night_w, _NIGHT
-        elif what & 1:
-            cmd, mode = ramp_cmd, _RAMP
-        else:
-            cmd = scm_command(params, soc, surplus)
-            mode = _IDLE if cmd == 0.0 else _SCM
-        soc, actual = advance(params, soc, cmd, tick_s)
-        cmd_col[k], actual_col[k], soc_col[k], mode_col[k] = cmd, actual, soc, mode
+    ticks = _Dispatch(params, cfg, surplus, ramp, day_cmd, day_mode, night,
+                      pre.day)
+    soc, done_day, pos = initial_soc, -1, 0
+    guess, stretch = _FIRST_GUESS, 1
+    run_ticks = 0
+    while pos < n:
+        accepted, soc = ticks.run(pos, min(pos + guess, n), soc, done_day)
+        pos += accepted
+        run_ticks += accepted
+        if accepted == guess:
+            guess = min(2 * guess, _MAX_GUESS)
+            continue
+        if pos == n:
+            break
+        # A limit binds at ``pos``: advance it, and after a guess that
+        # accepted nothing a longer stretch, one tick at a time.
+        stretch = min(2 * stretch, _MAX_STRETCH) if accepted == 0 else 1
+        guess = _FIRST_GUESS
+        end = min(pos + stretch, n)
+        soc, done_day = ticks.scalar(pos, end, soc, done_day)
+        pos = end
+    log.info("dispatch %s runs %d scalar %d", cfg.strategy.value, run_ticks,
+             n - run_ticks)
 
-    actual = np.array(actual_col)
-    return Trace(start=pv.start, step_s=tick_s, p_pv=pv_values,
-                 p_load=load_values, p_batt_cmd=cmd_col, p_batt_actual=actual,
+    actual = ticks.actual
+    return Trace(start=pv.start, step_s=cfg.ramp.tick_s, p_pv=pv_values,
+                 p_load=load_values, p_batt_cmd=ticks.cmd, p_batt_actual=actual,
                  p_grid=load_values + actual + params.standby_power_w - pv_values,
-                 soc=soc_col, mode=mode_col, rr_pct_per_min=pre.rr,
+                 soc=ticks.soc, mode=ticks.mode, rr_pct_per_min=pre.rr,
                  rr_violated=pre.violated)
+
+
+class _Dispatch:
+    """Output columns of one ``simulate`` call and the two ways to fill them.
+
+    ``run`` advances ticks on arrays while no battery limit binds;
+    ``scalar`` advances them one ``battery.advance`` call at a time.
+    Both read the SOC-independent per-tick inputs and carry the SOC and
+    the local day whose night segment reached the SOC target.
+    """
+
+    def __init__(self, params: BatteryParams, cfg: EmsConfig,
+                 surplus: np.ndarray, ramp: np.ndarray, day_cmd: np.ndarray,
+                 day_mode: np.ndarray, night: np.ndarray, day: np.ndarray):
+        self.params, self.cfg = params, cfg
+        self.surplus, self.ramp, self.day_cmd = surplus, ramp, day_cmd
+        self.day_mode, self.night, self.day = day_mode, night, day
+        self.any_night = bool(night.any())
+        n = len(surplus)
+        self.cmd, self.actual, self.soc = np.empty(n), np.empty(n), np.empty(n)
+        self.mode = np.empty(n, dtype=np.uint8)
+
+    def run(self, start: int, end: int, soc: float,
+            done_day: int) -> tuple[int, float]:
+        """Advance the longest prefix of ``[start, end)`` that binds no limit.
+
+        Returns the number of ticks accepted and the SOC after them.
+        """
+        cmd, mode = self.day_cmd[start:end], self.day_mode[start:end]
+        night = None
+        if self.any_night:
+            night = self.night[start:end] & (self.day[start:end] != done_day)
+            if night.any():
+                cmd = np.where(night, self.cfg.night_charge_power_w, cmd)
+                mode = np.where(night, _NIGHT, mode)
+            else:
+                night = None
+        path, actual, free = bat.advance_run(self.params, soc, cmd,
+                                             self.cfg.ramp.tick_s)
+        if night is not None:
+            free &= ~night | (path[:-1] < self.cfg.soc_target)
+        accepted = int(free.argmin()) if not free.all() else len(free)
+        stop = start + accepted
+        self.cmd[start:stop] = cmd[:accepted]
+        self.actual[start:stop] = actual[:accepted]
+        self.soc[start:stop] = path[1:accepted + 1]
+        self.mode[start:stop] = mode[:accepted]
+        return accepted, float(path[accepted])
+
+    def scalar(self, start: int, end: int, soc: float,
+               done_day: int) -> tuple[float, int]:
+        """Advance ``[start, end)`` tick by tick; returns the SOC and ``done_day``."""
+        params, advance, scm_command = self.params, bat.advance, _scm_command
+        tick_s = self.cfg.ramp.tick_s
+        night_w, soc_target = self.cfg.night_charge_power_w, self.cfg.soc_target
+        cmds, actuals, socs, modes = [], [], [], []
+        for night, ramp, surplus, day_cmd, day in zip(
+                self.night[start:end].tolist(), self.ramp[start:end].tolist(),
+                self.surplus[start:end].tolist(),
+                self.day_cmd[start:end].tolist(), self.day[start:end].tolist()):
+            if night and day != done_day and soc >= soc_target:
+                done_day = day  # target reached: one charge segment per night
+            if night and day != done_day:
+                cmd, mode = night_w, _NIGHT
+            elif ramp:
+                cmd, mode = day_cmd, _RAMP
+            else:
+                cmd = scm_command(params, soc, surplus)
+                mode = _IDLE if cmd == 0.0 else _SCM
+            soc, actual = advance(params, soc, cmd, tick_s)
+            cmds.append(cmd)
+            actuals.append(actual)
+            socs.append(soc)
+            modes.append(mode)
+        self.cmd[start:end] = cmds
+        self.actual[start:end] = actuals
+        self.soc[start:end] = socs
+        self.mode[start:end] = modes
+        return soc, done_day
 
 
 def _resolve_decisions(source: Optional[ForecastSource],

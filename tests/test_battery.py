@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvems.battery import BatteryParams, BatteryState, advance, available, step
+from pvems.battery import (BatteryParams, BatteryState, advance, advance_run,
+                           available, step)
 
 
 @pytest.fixture
@@ -162,3 +164,104 @@ class TestProperties:
         state, actual = step(params, BatteryState(soc=soc), cmd, 2.0)
         assert abs(actual) <= abs(cmd) + 1e-9
         assert actual * cmd >= 0  # never flips direction
+
+
+def binds(params, soc, cmd, dt_s):
+    """Whether ``advance`` from ``soc`` takes one of its limiting branches:
+    the availability clamp, the room (or stored-energy) cut, or a final
+    clamp that moves the SOC."""
+    hours = dt_s / 3600.0
+    if cmd > 0:
+        if cmd > available(params, params.soc_max - soc):
+            return True
+        stored_wh = cmd * params.eta_acdc * hours
+        if stored_wh > (params.soc_max - soc) * params.energy_capacity_wh:
+            return True
+        soc += stored_wh / params.energy_capacity_wh
+    elif cmd < 0:
+        if -cmd > available(params, soc - params.soc_min):
+            return True
+        drawn_wh = (-cmd / params.eta_acdc) * hours
+        if drawn_wh > (soc - params.soc_min) * params.energy_capacity_wh:
+            return True
+        soc -= drawn_wh / params.energy_capacity_wh
+    return not params.soc_min <= soc <= params.soc_max
+
+
+def fbits(x):
+    return np.float64(x).view(np.int64).item()
+
+
+@st.composite
+def run_setups(draw):
+    """Params, a start SOC and a run of commands for ``advance_run``.
+
+    Capacities down to 1 Wh let the room limit bind within one tick; the
+    start SOC is often on, or one ulp either side of, a derate-band edge
+    or a window limit; commands include +-0.0 and values beyond nominal,
+    and the first one may fill the room (or drain the stored energy) of
+    the start SOC to within an ulp, where rounding decides whether the
+    room limit or only the final clamp would bind.
+    """
+    params = BatteryParams(
+        energy_capacity_wh=draw(st.sampled_from([1.0, 50.0, 2_000.0, 60_000.0])),
+        derate_band=draw(st.sampled_from([0.0, 0.05, 0.2])))
+    lo, hi, band = params.soc_min, params.soc_max, params.derate_band
+    edge = draw(st.sampled_from([lo, lo + band, hi - band, hi]))
+    near = st.sampled_from([edge, math.nextafter(edge, 0.0),
+                            math.nextafter(edge, 1.0)])
+    soc = draw(st.one_of(near, st.floats(lo, hi)).filter(lambda s: lo <= s <= hi))
+    nominal = params.power_nominal_w
+    special = st.sampled_from([0.0, -0.0, nominal, -nominal,
+                               math.nextafter(nominal, math.inf),
+                               -math.nextafter(nominal, math.inf)])
+    cmds = draw(st.lists(st.one_of(special, st.floats(-2 * nominal, 2 * nominal)),
+                         min_size=1, max_size=80))
+    dt_s = draw(st.sampled_from([2.0, 0.3, 300.0]))
+    hours, cap, eta = dt_s / 3600.0, params.energy_capacity_wh, params.eta_acdc
+    fill = draw(st.sampled_from([None, (hi - soc) * cap / (eta * hours),
+                                 -((soc - lo) * cap * eta / hours)]))
+    if fill is not None:
+        cmds[0] = draw(st.sampled_from([fill, math.nextafter(fill, -math.inf),
+                                        math.nextafter(fill, math.inf)]))
+    return params, soc, cmds, dt_s
+
+
+class TestAdvanceRun:
+    @given(run_setups())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_repeated_advance_where_no_limit_binds(self, setup):
+        params, soc0, cmds, dt_s = setup
+        path, actual, free = advance_run(params, soc0, np.array(cmds), dt_s)
+        assert path[0] == soc0 and len(path) == len(cmds) + 1
+        # every tick, started from its place on the path, is free exactly
+        # when advance takes none of its limiting branches, and a free
+        # tick is advance's, bit for bit
+        for k, cmd in enumerate(cmds):
+            soc = path[k].item()
+            assert bool(free[k]) is not binds(params, soc, cmd, dt_s)
+            if free[k]:
+                new, executed = advance(params, soc, cmd, dt_s)
+                assert fbits(new) == fbits(path[k + 1])
+                assert fbits(executed) == fbits(actual[k]) == fbits(cmd)
+        # up to the first rejected tick the path is repeated advance calls
+        first = int(np.argmin(free)) if not free.all() else len(cmds)
+        soc = soc0
+        for k in range(first):
+            soc, _ = advance(params, soc, cmds[k], dt_s)
+            assert fbits(soc) == fbits(path[k + 1])
+        if first < len(cmds):
+            assert binds(params, soc, cmds[first], dt_s)
+
+    def test_rejects_each_limit(self):
+        params = BatteryParams(energy_capacity_wh=1.0)
+        # beyond nominal, beyond the taper, a room cut and a stored-energy
+        # cut (1 Wh holds less than one tick's energy)
+        mid = 0.45
+        for soc, cmd in [(mid, 5_001.0), (params.soc_max - 0.01, 5_000.0),
+                         (params.soc_max - 1e-6, 0.09), (mid, -1_000.0)]:
+            _, _, free = advance_run(params, soc, np.array([cmd]), 2.0)
+            assert not free[0], (soc, cmd)
+            assert binds(params, soc, cmd, 2.0)
+        _, _, free = advance_run(BatteryParams(), mid, np.array([5_000.0, -0.0]), 2.0)
+        assert free.all()

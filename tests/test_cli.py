@@ -4,6 +4,7 @@ import csv
 import json
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +227,47 @@ class TestErrorsWithoutTraceback:
         assert code == 1
         assert_one_line_error(capsys, "typed.json")
 
+    @pytest.mark.parametrize("change, argv, key", [
+        ({"ems": {"utc_offset_h": "x"}}, ["simulate"], "ems.utc_offset_h"),
+        ({"forecast": {"mode": "live", "endpoint_base": 5}},
+         ["forecast-check", "--date", "2018-01-02"], "forecast.endpoint_base"),
+        ({"battery": {"soc_min": "0.2"}}, ["simulate"], "battery.soc_min"),
+        ({"ramp": {"tick_s": "2"}}, ["simulate"], "ramp.tick_s"),
+        ({"ramp": {"tick_s": "2"}}, ["ramp-analyze"], "ramp.tick_s"),
+        ({"ems": {"utc_offset_h": True}}, ["simulate"], "ems.utc_offset_h"),
+        ({"outputs": {"kpi_json": 5}}, ["compare"], "outputs.kpi_json"),
+        ({"forecast": {"charge_ids": [4, "5"]}}, ["simulate"],
+         "forecast.charge_ids[1]"),
+        ({"strategy": 5}, ["simulate"], "strategy"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_wrong_typed_value_names_its_key(self, corpus, day_config,
+                                             tmp_path, capsys, change, argv,
+                                             key):
+        doc = json.loads(day_config.read_text())
+        for section, values in change.items():
+            doc[section] = ({**doc[section], **values}
+                            if isinstance(values, dict) else values)
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(doc))
+        if argv[0] == "ramp-analyze":
+            argv = argv + ["--pv", str(corpus[0]["pv_smooth_day"])]
+        if argv[0] != "forecast-check":
+            argv = argv + ["--out-dir", str(tmp_path / "o")]
+        code = main([argv[0], "--config", str(bad)] + argv[1:])
+        assert code == 1
+        assert_one_line_error(capsys, f"typed.json: {key} must be ")
+
+    @pytest.mark.parametrize("cls", [cli.RunConfig, cli.ForecastConfig,
+                                     ems.EmsConfig, cli.RampConfig,
+                                     cli.BatteryParams], ids=lambda c: c.__name__)
+    def test_every_config_field_has_a_json_type(self, cls):
+        # a field whose annotation the check does not know would raise
+        # KeyError, a traceback, instead of the TypeError that is
+        # reported as one error line
+        for name in cls.__dataclass_fields__:
+            with pytest.raises(TypeError, match=f"^x.{name} must be "):
+                cli._check_types(cls, {name: object()}, "x.")
+
     def test_simulate_out_dir_under_a_file(self, day_config, tmp_path, capsys):
         blocker = tmp_path / "plain_file"
         blocker.write_text("not a directory")
@@ -280,16 +322,20 @@ class TestCsvErrorsWithoutTraceback:
 
 
 STAGE = re.compile(r"^stage (\S+) (\d+\.\d{6})$")
+DISPATCH = re.compile(r"^dispatch (\S+) runs (\d+) scalar (\d+)$")
 
 
 class TestStageLog:
-    """``-v`` logs one ``stage <name> <seconds>`` line per stage, nothing else changes."""
+    """``-v`` logs one ``stage <name> <seconds>`` line per stage and one
+    ``dispatch <strategy> runs <ticks> scalar <ticks>`` line per
+    strategy; nothing else changes."""
 
     def run_twice(self, argv, out_dir, capsys, caplog):
         outputs = []
         for verbose in ([], ["-v"]):
             caplog.clear()
-            with caplog.at_level(logging.INFO, logger="pvems.cli"):
+            with caplog.at_level(logging.INFO, logger="pvems.cli"), \
+                    caplog.at_level(logging.INFO, logger="pvems.ems"):
                 assert main(verbose + argv) == 0
             files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
             outputs.append((files, capsys.readouterr().out))
@@ -297,27 +343,37 @@ class TestStageLog:
         stages = [STAGE.match(m) for m in caplog.messages
                   if m.startswith("stage ")]
         assert all(stages), caplog.messages
-        return [m.group(1) for m in stages]
+        dispatch = [DISPATCH.match(m) for m in caplog.messages
+                    if m.startswith("dispatch ")]
+        assert all(dispatch), caplog.messages
+        # runs and scalar ticks add up to the horizon
+        config = json.loads(Path(argv[argv.index("--config") + 1]).read_text())
+        n_ticks = len(load_power_csv(config["pv_path"]))
+        assert all(int(m.group(2)) + int(m.group(3)) == n_ticks
+                   for m in dispatch)
+        return [m.group(1) for m in stages], [m.group(1) for m in dispatch]
 
     def test_simulate(self, day_config, tmp_path, capsys, caplog):
         out_dir = tmp_path / "sim"
-        names = self.run_twice(["simulate", "--config", str(day_config),
-                                "--out-dir", str(out_dir)],
-                               out_dir, capsys, caplog)
+        names, dispatch = self.run_twice(
+            ["simulate", "--config", str(day_config), "--out-dir", str(out_dir)],
+            out_dir, capsys, caplog)
         assert names == ["ingest+align", "prepass", "dispatch.SCM_RR_WF",
                          "accounting.SCM_RR_WF", "write.trace_csv",
                          "write.kpi_json", "write.histogram_csv"]
+        assert dispatch == ["SCM_RR_WF"]
 
     def test_compare(self, day_config, tmp_path, capsys, caplog):
         out_dir = tmp_path / "cmp"
-        names = self.run_twice(["compare", "--config", str(day_config),
-                                "--out-dir", str(out_dir)],
-                               out_dir, capsys, caplog)
+        names, dispatch = self.run_twice(
+            ["compare", "--config", str(day_config), "--out-dir", str(out_dir)],
+            out_dir, capsys, caplog)
         assert names == ["ingest+align", "prepass",
                          "dispatch.SCM", "accounting.SCM",
                          "dispatch.SCM_RR", "accounting.SCM_RR",
                          "dispatch.SCM_RR_WF", "accounting.SCM_RR_WF",
                          "write.compare_csv"]
+        assert dispatch == ["SCM", "SCM_RR", "SCM_RR_WF"]
 
 
 class TestCompare:

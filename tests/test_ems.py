@@ -1,5 +1,7 @@
 """Tests for the dispatch strategies and the simulation loop."""
 
+import json
+import re
 from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from pvems.battery import BatteryParams, BatteryState
 from pvems.ems import (DispatchMode, EmsConfig, StrategyKind,
                        night_charge_tick, prepass, scm_dispatch, simulate)
+from pvems.fixtures import DEFAULT_REGION_ID, WEEK_START, forecast_payload
 from pvems.forecast import FixtureForecastSource, ForecastError
 from pvems.ramp import RampConfig
 from pvems.timeseries import PowerSeries
@@ -331,3 +334,28 @@ class TestSharedPrePass:
         # an equal series built separately is accepted
         assert simulate(pv, load, cfg, PARAMS, pre=prepass(series(values), cfg)) \
             == simulate(pv, load, cfg, PARAMS)
+
+
+class TestTickSplit:
+    """``simulate`` advances ticks where no battery limit binds on arrays
+    and logs ``dispatch <strategy> runs <ticks> scalar <ticks>``."""
+
+    def test_seed_week_runs_most_forecast_strategy_ticks_on_arrays(
+            self, week_profiles, tmp_path, caplog):
+        # the --seed-fixtures week and config: mixed forecast, SOC 0.35
+        pv, load = week_profiles
+        path = tmp_path / "forecast_mixed.json"
+        path.write_text(json.dumps(forecast_payload(
+            DEFAULT_REGION_ID, WEEK_START.date(), [1, 4, 4, 4, 4, 1, 1, 1])))
+        source = FixtureForecastSource(path, DEFAULT_REGION_ID)
+        cfg = EmsConfig(strategy=StrategyKind.SCM_RR_WF, ramp=RCFG)
+        with caplog.at_level("INFO", logger="pvems.ems"):
+            simulate(pv, load, cfg, PARAMS, forecast_source=source,
+                     initial_soc=0.35)
+        (line,) = [m for m in caplog.messages if m.startswith("dispatch ")]
+        runs, scalar = map(int, re.fullmatch(
+            r"dispatch SCM_RR_WF runs (\d+) scalar (\d+)", line).groups())
+        assert runs + scalar == len(pv)
+        # 181 794 of 302 400 ticks when this test was written; a fall-back
+        # to scalar ticks only would read 0
+        assert runs >= len(pv) / 2

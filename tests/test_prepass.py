@@ -1,7 +1,8 @@
 """The two-phase engine against scalar per-tick references.
 
 ``simulate`` computes its SOC-independent quantities in a numpy
-pre-pass, runs a float-only tick loop and returns a columnar trace;
+pre-pass, advances ticks in array runs where no battery limit binds and
+one at a time where one does, and returns a columnar trace;
 ``accumulate`` sums columns and ``write_trace_csv`` formats them.  The
 references below are the straightforward per-tick versions (a deque,
 ``fsum``, ``ramp_rate``, ``violates``, ``datetime`` arithmetic,
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pvems import battery as bat
+from pvems import ems
 from pvems.battery import BatteryParams, BatteryState
 from pvems.cli import TRACE_COLUMNS, write_trace_csv
 from pvems.ems import (DispatchMode, DispatchRecord, EmsConfig, StrategyKind,
@@ -275,27 +277,23 @@ class TestPrepassReference:
                                          reference_prepass(pv, cfg)]
 
 
-class TestEngineReference:
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data())
-    def test_simulate_accumulate_and_writer_match(self, data, tmp_path_factory):
-        cfg, start = data.draw(ems_setups())
-        values = data.draw(profiles(cfg.ramp))
-        n = len(values)
-        load = data.draw(st.lists(st.one_of(st.floats(0.0, 6_000.0),
-                                            st.just(-0.0)),
-                                  min_size=n, max_size=n))
-        params = BatteryParams(
-            energy_capacity_wh=data.draw(st.sampled_from([50.0, 2_000.0, 60_000.0])),
-            derate_band=data.draw(st.sampled_from([0.0, 0.05, 0.2])))
-        soc0 = data.draw(st.floats(params.soc_min, params.soc_max))
-        codes = data.draw(st.lists(st.sampled_from([1, 4, 17, 99]),
-                                   min_size=1, max_size=4))
-        policy = ChargeDecisionPolicy()
-        pv = PowerSeries(start, cfg.ramp.tick_s, np.array(values))
-        load_s = PowerSeries(start, cfg.ramp.tick_s, np.array(load))
+def band_crossing_day():
+    """(pv, load) of 250 ticks for a 500 Wh battery from SOC 0.3.
 
+    A night charge from the first ticks up to the 0.5 target, PV that
+    jumps to 7 kW (ramp commands beyond the 5 kW nominal), a surplus
+    that charges into the upper derate band, then a drop to a 6 kW
+    deficit (a ramp command down) that discharges into the lower band.
+    """
+    pv = [0.0] * 110 + [7_000.0] * 50 + [0.0] * 90
+    load = [100.0] * 110 + [0.0] * 50 + [6_000.0] * 90
+    return pv, load
+
+
+class TestEngineReference:
+    def check(self, pv, load_s, cfg, params, soc0, codes, out):
+        """``simulate``, ``accumulate`` and the writer against the references."""
+        policy = ChargeDecisionPolicy()
         source = _CodeSource(codes)
         trace = simulate(pv, load_s, cfg, params, forecast_source=source,
                          policy=policy, initial_soc=soc0)
@@ -322,10 +320,85 @@ class TestEngineReference:
         assert (totals.n_ramps_original, totals.n_ramps_controlled) == (n_orig, n_ctl)
         assert accumulate(ref, cfg.ramp.tick_s, cfg.ramp) == totals
 
-        out = tmp_path_factory.mktemp("writer")
         write_trace_csv(trace, out / "columns.csv")
         reference_write_trace_csv(ref, out / "rows.csv")
         assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+        return ref
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_simulate_accumulate_and_writer_match(self, data, tmp_path_factory):
+        cfg, start = data.draw(ems_setups())
+        values = data.draw(profiles(cfg.ramp))
+        n = len(values)
+        load = data.draw(st.lists(st.one_of(st.floats(0.0, 6_000.0),
+                                            st.just(-0.0)),
+                                  min_size=n, max_size=n))
+        params = BatteryParams(
+            energy_capacity_wh=data.draw(st.sampled_from([50.0, 2_000.0, 60_000.0])),
+            derate_band=data.draw(st.sampled_from([0.0, 0.05, 0.2])))
+        soc0 = data.draw(st.floats(params.soc_min, params.soc_max))
+        codes = data.draw(st.lists(st.sampled_from([1, 4, 17, 99]),
+                                   min_size=1, max_size=4))
+        pv = PowerSeries(start, cfg.ramp.tick_s, np.array(values))
+        load_s = PowerSeries(start, cfg.ramp.tick_s, np.array(load))
+        self.check(pv, load_s, cfg, params, soc0, codes,
+                   tmp_path_factory.mktemp("writer"))
+
+    # The engine guesses a block of ticks, keeps its prefix that binds no
+    # battery limit and advances the rest one tick at a time.  Besides
+    # its own block sizes, run it with tiny ones, so that block and
+    # stretch ends fall on every kind of tick.
+    @pytest.fixture(params=["default", "tiny"])
+    def block_sizes(self, request, monkeypatch):
+        if request.param == "tiny":
+            monkeypatch.setattr(ems, "_FIRST_GUESS", 1)
+            monkeypatch.setattr(ems, "_MAX_GUESS", 8)
+            monkeypatch.setattr(ems, "_MAX_STRETCH", 4)
+        return request.param
+
+    def band_crossing_setup(self, n_ticks):
+        pv, load = band_crossing_day()
+        ramp = RampConfig(nameplate_w=NAMEPLATE_W, window_s=20.0, tick_s=2.0)
+        cfg = EmsConfig(strategy=StrategyKind.SCM_RR_WF, ramp=ramp,
+                        soc_target=0.5, charge_start_time=time(0, 0, 10))
+        params = BatteryParams(energy_capacity_wh=500.0)
+        return (PowerSeries(T0, 2.0, np.array(pv[:n_ticks])),
+                PowerSeries(T0, 2.0, np.array(load[:n_ticks])), cfg, params)
+
+    def test_bands_night_target_and_big_ramps_in_one_block(self, block_sizes,
+                                                            tmp_path):
+        pv, load, cfg, params = self.band_crossing_setup(250)
+        assert len(pv) < ems._FIRST_GUESS or block_sizes == "tiny"
+        ref = self.check(pv, load, cfg, params, 0.3, [4], tmp_path)
+        # the day has what it was built for
+        lo, hi, band = params.soc_min, params.soc_max, params.derate_band
+        socs = [r.soc for r in ref]
+        assert any(lo < s < lo + band for s in socs)
+        assert any(hi - band < s < hi for s in socs)
+        modes = [r.mode for r in ref]
+        last_night = max(k for k, m in enumerate(modes)
+                         if m is DispatchMode.NIGHT_CHARGE)
+        assert ref[last_night].soc >= cfg.soc_target
+        assert modes[last_night + 1] is DispatchMode.SCM
+        assert any(r.mode is DispatchMode.RAMP_CONTROL
+                   and abs(r.p_batt_cmd) > params.power_nominal_w for r in ref)
+
+    def test_horizon_ends_inside_a_scalar_stretch(self, block_sizes, tmp_path,
+                                                  caplog):
+        pv, load, cfg, params = self.band_crossing_setup(240)
+        with caplog.at_level("INFO", logger="pvems.ems"):
+            ref = self.check(pv, load, cfg, params, 0.3, [4], tmp_path)
+        # the last tick tapers: its SCM command is below the deficit and
+        # the nominal power, so only a scalar tick can advance it
+        last = ref[-1]
+        assert last.mode is DispatchMode.SCM
+        assert -last.p_batt_cmd < min(last.p_load - last.p_pv,
+                                      params.power_nominal_w)
+        (line,) = [m for m in caplog.messages if m.startswith("dispatch ")]
+        runs, scalar = map(int, line.split()[3::2])
+        assert runs + scalar == len(pv) and runs > 0 and scalar > 0
 
 
 class TestTrace:
