@@ -17,6 +17,7 @@ __all__ = [
     "BatteryState",
     "advance",
     "advance_run",
+    "advance_taper",
     "available",
     "step",
 ]
@@ -145,6 +146,59 @@ def advance_run(params: BatteryParams, soc: float, ac_command_w: np.ndarray,
     free &= np.abs(signed_wh) <= headroom * params.energy_capacity_wh
     free &= (after >= params.soc_min) & (after <= params.soc_max)
     return path, cmd, free
+
+
+def advance_taper(params: BatteryParams, soc: float, charge: bool,
+                  demand_w: np.ndarray,
+                  dt_s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`advance` for a run of ticks that each get the full tapered power.
+
+    Inside the derate band a tick whose demand (``demand_w``, a magnitude
+    in the direction ``charge``) is at least the availability executes
+    exactly the availability, so its SOC step depends only on the SOC:
+
+    * discharge: ``s -= P*(s - soc_min)/band/eta*hours/cap``;
+    * charge: ``s += P*(soc_max - s)/band*eta*hours/cap``.
+
+    Each line applies the operations of :func:`available` and
+    :func:`advance` in their order, so a plain float loop gives their
+    bits.  Returns ``(path, actual, free)`` as :func:`advance_run` does:
+    ``path[k + 1]`` follows the recurrence, ``actual[k]`` is the signed
+    availability at ``path[k]``, and ``free[k]`` holds when tick ``k``,
+    started from ``path[k]``, really is such a tick: its headroom is
+    below the band, the availability is positive (so is the headroom)
+    and at most the demand, the stored (or drawn) Wh fits the room and
+    the final clamp leaves the SOC alone.  ``params.derate_band`` must be
+    positive.
+    """
+    nominal, band = params.power_nominal_w, params.derate_band
+    eta, cap = params.eta_acdc, params.energy_capacity_wh
+    lo, hi = params.soc_min, params.soc_max
+    hours = dt_s / 3600.0
+    s, path = soc, [soc]
+    append = path.append
+    if charge:
+        for _ in range(len(demand_w)):
+            s += nominal * (hi - s) / band * eta * hours / cap
+            append(s)
+    else:
+        for _ in range(len(demand_w)):
+            s -= nominal * (s - lo) / band / eta * hours / cap
+            append(s)
+    path = np.array(path)
+
+    # Past a tick whose room limit binds the recurrence can run away
+    # geometrically (to inf, then NaN); such ticks are rejected, so their
+    # overflow is no error.
+    with np.errstate(over="ignore"):
+        before, after = path[:-1], path[1:]
+        headroom = hi - before if charge else before - lo
+        avail = nominal * headroom / band
+        wh = avail * eta * hours if charge else avail / eta * hours
+        free = (headroom < band) & (avail > 0) & (demand_w >= avail)
+        free &= wh <= headroom * cap
+    free &= (after >= lo) & (after <= hi)
+    return path, avail if charge else -avail, free
 
 
 def _available_array(params: BatteryParams, headroom: np.ndarray) -> np.ndarray:

@@ -81,6 +81,16 @@ class ForecastConfig:
         raise CliError(f"unknown forecast mode {self.mode!r}")
 
 
+@dataclass(frozen=True)
+class OutputPaths:
+    """The files ``simulate`` writes.  A config that does not name one
+    gets its default file name in ``out/`` next to the config."""
+
+    trace_csv: Path = Path("trace.csv")
+    kpi_json: Path = Path("kpi.json")
+    histogram_csv: Path = Path("histogram.csv")
+
+
 @dataclass
 class RunConfig:
     pv_path: Path
@@ -93,7 +103,7 @@ class RunConfig:
     battery: BatteryParams = field(default_factory=BatteryParams)
     ems: EmsConfig = field(default_factory=EmsConfig)
     forecast: Optional[ForecastConfig] = None
-    outputs: dict[str, Path] = field(default_factory=dict)
+    outputs: OutputPaths = field(default_factory=OutputPaths)
 
 
 def _parse_clock(text: str) -> time:
@@ -125,18 +135,18 @@ _JSON_TYPES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
 
 
 def _check_types(cls: type, doc: dict, where: str = "") -> None:
-    """Raise ``TypeError`` naming ``<where><key>`` for the first value of
-    ``doc`` whose JSON type does not fit the annotation of the field of
-    ``cls`` with that name.
+    """Raise ``TypeError`` naming ``<where><key>`` for the first key of
+    ``doc`` that is not a field of ``cls``, or whose value's JSON type
+    does not fit the annotation of that field.
 
-    A dataclass field takes an object (or ``null``) whose values are
-    checked against its own fields in turn.  Keys that are not fields of
-    ``cls`` are left for ``cls`` to refuse.
+    A dataclass field takes an object (or ``null``) whose keys and
+    values are checked against its own fields in turn.
     """
     hints = typing.get_type_hints(cls)
     for key, value in doc.items():
-        if key in hints:
-            _check_value(value, hints[key], f"{where}{key}")
+        if key not in hints:
+            raise TypeError(f"{where}{key} is not a known key")
+        _check_value(value, hints[key], f"{where}{key}")
 
 
 def _check_value(value, hint, name: str) -> None:
@@ -144,23 +154,19 @@ def _check_value(value, hint, name: str) -> None:
         if value is None:
             return
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if dataclasses.is_dataclass(hint) or origin is dict:
+    if dataclasses.is_dataclass(hint):
         if value is None:
             return  # an absent or null section is empty
         if not isinstance(value, dict):
             raise TypeError(f"{name} must be a JSON object, got {value!r}")
-        if origin is dict:
-            for key, item in value.items():
-                _check_value(item, args[1], f"{name}.{key}")
-        else:
-            _check_types(hint, value, f"{name}.")
+        _check_types(hint, value, f"{name}.")
         return
-    if origin in (list, frozenset):
+    if typing.get_origin(hint) in (list, frozenset):
         if not isinstance(value, list):
             raise TypeError(f"{name} must be a list, got {value!r}")
+        (item_hint,) = typing.get_args(hint)
         for i, item in enumerate(value):
-            _check_value(item, args[0], f"{name}[{i}]")
+            _check_value(item, item_hint, f"{name}[{i}]")
         return
     expected, types = _JSON_TYPES[hint]
     if isinstance(value, bool) is not (hint is bool) or not isinstance(value, types):
@@ -183,12 +189,16 @@ def load_ramp_config(path: Path) -> RampConfig:
         raise CliError(f"{path}: {exc}") from None
 
 
+# EmsConfig fields that a config sets at its top level, not under "ems".
+_TOP_LEVEL_EMS_FIELDS = ("strategy", "ramp")
+
+
 def load_config(path: Path, strategy_override: Optional[str] = None,
                 out_dir: Optional[Path] = None) -> RunConfig:
     """Read a JSON run config; relative paths resolve against the file.
 
-    A value of the wrong type or out of range is a ``CliError`` naming
-    the file.
+    A key that is not a config field, or a value of the wrong type or
+    out of range, is a ``CliError`` naming the file.
     """
     path = Path(path)
     doc = _read_config_doc(path)
@@ -199,11 +209,16 @@ def load_config(path: Path, strategy_override: Optional[str] = None,
         return p if p.is_absolute() else base / p
 
     try:
-        _check_types(RunConfig, doc)
-        _check_types(EmsConfig, {key: doc[key] for key in ("strategy", "ramp")
+        _check_types(RunConfig, {key: value for key, value in doc.items()
+                                 if key not in _TOP_LEVEL_EMS_FIELDS})
+        _check_types(EmsConfig, {key: doc[key] for key in _TOP_LEVEL_EMS_FIELDS
                                  if key in doc})
         battery = BatteryParams(**_section(doc, "battery"))
         ems_doc = dict(_section(doc, "ems"))
+        for key in _TOP_LEVEL_EMS_FIELDS:
+            if key in ems_doc:
+                raise TypeError(f"ems.{key} is not a known key "
+                                "(it is set at the top level)")
         if "charge_start_time" in ems_doc:
             ems_doc["charge_start_time"] = _parse_clock(ems_doc["charge_start_time"])
         ems = EmsConfig(
@@ -226,13 +241,17 @@ def load_config(path: Path, strategy_override: Optional[str] = None,
             )
             forecast.policy()  # validate ids now
 
-        outputs = {name: respath(p) for name, p in _section(doc, "outputs").items()}
-        if out_dir is not None:
-            outputs = {name: Path(out_dir) / Path(p).name for name, p in outputs.items()}
+        named = _section(doc, "outputs")
         default_dir = Path(out_dir) if out_dir else base / "out"
-        for name, filename in (("trace_csv", "trace.csv"), ("kpi_json", "kpi.json"),
-                               ("histogram_csv", "histogram.csv")):
-            outputs.setdefault(name, default_dir / filename)
+
+        def output_path(name: str, default: Path) -> Path:
+            if name not in named:
+                return default_dir / default
+            p = respath(named[name])
+            return p if out_dir is None else Path(out_dir) / p.name
+
+        outputs = OutputPaths(**{f.name: output_path(f.name, f.default)
+                                 for f in dataclasses.fields(OutputPaths)})
 
         if "pv_path" not in doc or "load_path" not in doc:
             raise CliError(f"{path}: pv_path and load_path are required")
@@ -337,9 +356,9 @@ def run_simulation(config: RunConfig) -> KpiReport:
     The output directories are created first, so an unwritable one
     fails before any ingest or simulation work.
     """
-    names = ("trace_csv", "kpi_json", "histogram_csv")
-    for name in names:
-        config.outputs[name].parent.mkdir(parents=True, exist_ok=True)
+    paths = dataclasses.astuple(config.outputs)
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
     with _stage("ingest+align"):
         pv, load = load_profiles(config)
     with _stage("prepass"):
@@ -355,14 +374,14 @@ def run_simulation(config: RunConfig) -> KpiReport:
         report = compute_kpis(totals)
 
     with _stage("write.trace_csv"):
-        write_trace_csv(trace, config.outputs["trace_csv"])
+        write_trace_csv(trace, config.outputs.trace_csv)
     with _stage("write.kpi_json"):
-        write_kpi_json(report, config.outputs["kpi_json"])
+        write_kpi_json(report, config.outputs.kpi_json)
     with _stage("write.histogram_csv"):
-        write_histogram_csv(pv, ramp, config.outputs["histogram_csv"])
+        write_histogram_csv(pv, ramp, config.outputs.histogram_csv)
     print_kpi_summary(report, strategy.value)
-    for name in names:
-        print(f"  wrote {config.outputs[name]}")
+    for path in paths:
+        print(f"  wrote {path}")
     return report
 
 
@@ -519,7 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           for s in args.strategies.split(",") if s.strip()]
             if not strategies:
                 raise CliError("no strategies requested")
-            out_dir = args.out_dir or config.outputs["trace_csv"].parent
+            out_dir = args.out_dir or config.outputs.trace_csv.parent
             compare_strategies(config, strategies, out_dir)
         elif args.command == "forecast-check":
             config = load_config(args.config)

@@ -17,11 +17,20 @@ self-consumption.  Every tick obeys the AC power balance
 that does not depend on the battery's SOC: the window average, the
 ramp rate and its violations, the local day and clock, the "PV day
 started" flag and each day's forecast decision.  The tick loop then
-keeps only the SOC recurrence and the choice of command.  Where no
-battery limit binds, a tick's SOC step does not depend on the SOC, so
-the loop advances such ticks in array runs (``battery.advance_run``);
-the tick where a limit binds, and a stretch after it, go through the
-scalar ``battery.advance`` one tick at a time.  Both give the same bits.
+keeps only the SOC recurrence and the choice of command.  It advances
+ticks in three ways, which give the same bits:
+
+* runs: where no battery limit binds, a tick's SOC step does not depend
+  on the SOC, so a run of such ticks is one ``np.add.accumulate`` on
+  arrays (``battery.advance_run``);
+* taper: an SCM tick in a derate band whose command is the whole
+  tapered availability has a SOC step that depends only on the SOC; a
+  plain float loop follows that recurrence and an array check keeps the
+  prefix of ticks that really taper (``battery.advance_taper``);
+* scalar: every other tick (a command the battery cuts, a night segment
+  reaching its SOC target) goes through ``battery.advance`` one tick at
+  a time.
+
 The result is a columnar ``Trace``; indexing or iterating it yields
 ``DispatchRecord`` rows.
 """
@@ -89,10 +98,10 @@ _RAMP = MODES.index(DispatchMode.RAMP_CONTROL)
 _NIGHT = MODES.index(DispatchMode.NIGHT_CHARGE)
 _IDLE = MODES.index(DispatchMode.IDLE)
 
-# Block sizes of ``simulate``'s tick loop: an array guess starts at
-# _FIRST_GUESS ticks and doubles while whole guesses are accepted; after
-# a guess that accepts nothing, the scalar stretch doubles up to
-# _MAX_STRETCH ticks.
+# Block sizes of ``simulate``'s tick loop: a run guess and a taper guess
+# each start at _FIRST_GUESS ticks and double up to _MAX_GUESS while whole
+# guesses are accepted; after a run guess that accepts nothing, the
+# scalar stretch doubles up to _MAX_STRETCH ticks.
 _FIRST_GUESS, _MAX_GUESS, _MAX_STRETCH = 256, 65_536, 1_024
 
 _US = timedelta(microseconds=1)
@@ -435,8 +444,8 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
     ticks = _Dispatch(params, cfg, surplus, ramp, day_cmd, day_mode, night,
                       pre.day)
     soc, done_day, pos = initial_soc, -1, 0
-    guess, stretch = _FIRST_GUESS, 1
-    run_ticks = 0
+    guess, taper_guess, stretch = _FIRST_GUESS, _FIRST_GUESS, 1
+    run_ticks = taper_ticks = 0
     while pos < n:
         accepted, soc = ticks.run(pos, min(pos + guess, n), soc, done_day)
         pos += accepted
@@ -444,17 +453,27 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
         if accepted == guess:
             guess = min(2 * guess, _MAX_GUESS)
             continue
+        guess = _FIRST_GUESS
         if pos == n:
             break
-        # A limit binds at ``pos``: advance it, and after a guess that
-        # accepted nothing a longer stretch, one tick at a time.
+        # A limit binds at ``pos``: most often the SOC is in a derate
+        # band and the SCM command is the whole tapered availability.
+        tapered, soc = ticks.taper(pos, min(pos + taper_guess, n), soc,
+                                   done_day)
+        pos += tapered
+        taper_ticks += tapered
+        taper_guess = (min(2 * taper_guess, _MAX_GUESS)
+                       if tapered == taper_guess else _FIRST_GUESS)
+        if tapered:
+            continue
+        # Otherwise advance ``pos``, and after a run guess that accepted
+        # nothing a longer stretch, one tick at a time.
         stretch = min(2 * stretch, _MAX_STRETCH) if accepted == 0 else 1
-        guess = _FIRST_GUESS
         end = min(pos + stretch, n)
         soc, done_day = ticks.scalar(pos, end, soc, done_day)
         pos = end
-    log.info("dispatch %s runs %d scalar %d", cfg.strategy.value, run_ticks,
-             n - run_ticks)
+    log.info("dispatch %s runs %d taper %d scalar %d", cfg.strategy.value,
+             run_ticks, taper_ticks, n - run_ticks - taper_ticks)
 
     actual = ticks.actual
     return Trace(start=pv.start, step_s=cfg.ramp.tick_s, p_pv=pv_values,
@@ -465,12 +484,14 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
 
 
 class _Dispatch:
-    """Output columns of one ``simulate`` call and the two ways to fill them.
+    """Output columns of one ``simulate`` call and the three ways to fill them.
 
     ``run`` advances ticks on arrays while no battery limit binds;
-    ``scalar`` advances them one ``battery.advance`` call at a time.
-    Both read the SOC-independent per-tick inputs and carry the SOC and
-    the local day whose night segment reached the SOC target.
+    ``taper`` advances SCM ticks that get the whole tapered availability
+    of a derate band; ``scalar`` advances any tick, one
+    ``battery.advance`` call at a time.  All read the SOC-independent
+    per-tick inputs and carry the SOC and the local day whose night
+    segment reached the SOC target.
     """
 
     def __init__(self, params: BatteryParams, cfg: EmsConfig,
@@ -509,6 +530,36 @@ class _Dispatch:
         self.actual[start:stop] = actual[:accepted]
         self.soc[start:stop] = path[1:accepted + 1]
         self.mode[start:stop] = mode[:accepted]
+        return accepted, float(path[accepted])
+
+    def taper(self, start: int, end: int, soc: float,
+              done_day: int) -> tuple[int, float]:
+        """Advance the longest prefix of ``[start, end)`` that tapers.
+
+        A taper tick is an SCM tick (no ramp flag, no open night
+        segment) in a derate band whose command is the whole tapered
+        availability of its direction (``battery.advance_taper``).
+        Returns the number of ticks accepted and the SOC after them.
+        """
+        if not self.params.derate_band > 0:
+            return 0, soc
+        surplus = self.surplus[start:end]
+        charge = bool(surplus[0] > 0)
+        regime = (surplus > 0 if charge else surplus < 0) & ~self.ramp[start:end]
+        if self.any_night:
+            regime &= ~self.night[start:end] | (self.day[start:end] == done_day)
+        length = int(regime.argmin()) if not regime.all() else len(regime)
+        if length == 0:
+            return 0, soc
+        path, actual, free = bat.advance_taper(self.params, soc, charge,
+                                               np.abs(surplus[:length]),
+                                               self.cfg.ramp.tick_s)
+        accepted = int(free.argmin()) if not free.all() else length
+        stop = start + accepted
+        self.cmd[start:stop] = actual[:accepted]
+        self.actual[start:stop] = actual[:accepted]
+        self.soc[start:stop] = path[1:accepted + 1]
+        self.mode[start:stop] = _SCM
         return accepted, float(path[accepted])
 
     def scalar(self, start: int, end: int, soc: float,

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvems.battery import (BatteryParams, BatteryState, advance, advance_run,
-                           available, step)
+                           advance_taper, available, step)
+from pvems.ems import _scm_command
 
 
 @pytest.fixture
@@ -265,3 +266,148 @@ class TestAdvanceRun:
             assert binds(params, soc, cmd, 2.0)
         _, _, free = advance_run(BatteryParams(), mid, np.array([5_000.0, -0.0]), 2.0)
         assert free.all()
+
+
+def tapers(params, soc, charge, demand, dt_s):
+    """Whether an SCM tick from ``soc`` that asks for ``demand`` watts in
+    direction ``charge`` executes the whole tapered availability, with
+    ``advance`` taking none of its limiting branches."""
+    headroom = params.soc_max - soc if charge else soc - params.soc_min
+    if not 0 < headroom < params.derate_band:
+        return False
+    cmd = _scm_command(params, soc, demand if charge else -demand)
+    return (cmd != 0 and abs(cmd) == available(params, headroom)
+            and not binds(params, soc, cmd, dt_s))
+
+
+def scm_advance(params, soc, charge, demand, dt_s):
+    return advance(params, soc,
+                   _scm_command(params, soc, demand if charge else -demand), dt_s)
+
+
+@st.composite
+def taper_setups(draw):
+    """Params, a direction, a start SOC and the demands of a taper run.
+
+    The start SOC is on, or one ulp either side of, a derate-band edge
+    or a window limit, or inside the band of the direction, or anywhere.
+    A demand is a fixed value or the availability at the SOC the scalar
+    path reaches, exactly or one ulp either side; the first ``keep``
+    demands are ones that keep a tapering tick tapering.  A 1 Wh
+    capacity makes the room limit bind; a capacity that one tick at the
+    availability fills (to within an ulp) leaves the room limit and the
+    final clamp to rounding, and with a narrow window near 0 makes each
+    step as large as the SOC.  A nominal power of one ulp makes the
+    availability round to zero, and an arbitrary one makes
+    ``nominal * band / band`` differ from ``nominal``.
+    """
+    lo, hi, band = draw(st.sampled_from([(0.2, 0.7, 0.05), (0.2, 0.7, 0.2),
+                                         (0.0, 0.1, 0.04)]))
+    charge = draw(st.booleans())
+    dt_s = draw(st.sampled_from([2.0, 0.3, 300.0]))
+    nominal = draw(st.one_of(st.sampled_from([5_000.0] * 3 + [math.ulp(0.0)]),
+                             st.floats(1.0, 10_000.0)))
+    eta = draw(st.sampled_from([0.88, 1.0]))
+    fill = nominal / band * (eta if charge else 1 / eta) * dt_s / 3600.0
+    capacity = draw(st.sampled_from(
+        [c for c in [1.0, 50.0, 2_000.0, 60_000.0, fill, 2 * fill,
+                     math.nextafter(fill, 0.0), math.nextafter(fill, math.inf)]
+         if c > 0]))
+    params = BatteryParams(energy_capacity_wh=capacity, power_nominal_w=nominal,
+                           soc_min=lo, soc_max=hi, eta_acdc=eta,
+                           derate_band=band)
+    where = draw(st.sampled_from(["edge", "band", "band", "window"]))
+    if where == "edge":
+        edge = draw(st.sampled_from([lo, lo + band, hi - band, hi]))
+        soc0 = draw(st.sampled_from([edge, math.nextafter(edge, 0.0),
+                                     math.nextafter(edge, 1.0)])
+                    .filter(lambda s: lo <= s <= hi))
+    elif where == "band":
+        headroom = band * draw(st.floats(0.0, 1.0, exclude_min=True,
+                                         exclude_max=True))
+        soc0 = hi - headroom if charge else lo + headroom
+    else:
+        soc0 = draw(st.floats(lo, hi))
+    keeping = st.one_of(st.sampled_from(["avail", "above", nominal, 2 * nominal]),
+                        st.floats(nominal, 2 * nominal))
+    anything = st.one_of(st.sampled_from(["avail", "below", "above", 0.0]),
+                         st.floats(0.0, 2 * nominal))
+    keep = draw(st.integers(0, 80))
+    kinds = (draw(st.lists(keeping, min_size=keep, max_size=keep))
+             + draw(st.lists(anything, min_size=int(keep == 0), max_size=10)))
+    demands, soc = [], soc0
+    for kind in kinds:
+        if isinstance(kind, str):
+            avail = available(params, hi - soc if charge else soc - lo)
+            kind = {"avail": avail, "below": math.nextafter(avail, 0.0),
+                    "above": math.nextafter(avail, math.inf)}[kind]
+        demands.append(kind)
+        soc, _ = scm_advance(params, soc, charge, kind, dt_s)
+    return params, charge, soc0, demands, dt_s
+
+
+class TestAdvanceTaper:
+    @given(taper_setups())
+    @settings(max_examples=400, deadline=None)
+    # charge ticks whose SOC shows the order of ``* eta`` and ``/ band``
+    @example((BatteryParams(energy_capacity_wh=50.0), True, 0.6704593848791524,
+              [5_000.0] * 3, 2.0))
+    @example((BatteryParams(energy_capacity_wh=3.6666666666666665,
+                            derate_band=0.2),
+              True, 0.5153117232722276, [5_000.0] * 3, 0.3))
+    # a discharge whose drawn Wh fits the room but whose SOC the final
+    # clamp moves
+    @example((BatteryParams(energy_capacity_wh=10.416666666666666, soc_min=0.0,
+                            soc_max=0.1, eta_acdc=1.0, derate_band=0.04),
+              False, 0.026442197071038245, [5_000.0], 0.3))
+    def test_matches_repeated_scm_advance_on_taper_ticks(self, setup):
+        params, charge, soc0, demands, dt_s = setup
+        path, actual, free = advance_taper(params, soc0, charge,
+                                           np.array(demands), dt_s)
+        assert path[0] == soc0 and len(path) == len(demands) + 1
+        # every tick, started from its place on the path, is free exactly
+        # when the scalar SCM tick tapers, and a free tick is the scalar
+        # tick's, bit for bit
+        for k, demand in enumerate(demands):
+            soc = path[k].item()
+            assert bool(free[k]) is tapers(params, soc, charge, demand, dt_s)
+            if free[k]:
+                cmd = _scm_command(params, soc, demand if charge else -demand)
+                new, executed = advance(params, soc, cmd, dt_s)
+                assert fbits(new) == fbits(path[k + 1])
+                assert fbits(executed) == fbits(actual[k]) == fbits(cmd)
+        # up to the first rejected tick the path is repeated scalar ticks,
+        # and the first rejected tick really leaves the taper regime
+        first = int(np.argmin(free)) if not free.all() else len(demands)
+        soc = soc0
+        for k in range(first):
+            soc, _ = scm_advance(params, soc, charge, demands[k], dt_s)
+            assert fbits(soc) == fbits(path[k + 1])
+        if first < len(demands):
+            assert not tapers(params, soc, charge, demands[first], dt_s)
+
+    def test_taper_regime_holds_and_ends(self):
+        # guards for the property above: a 60 kWh taper stays in the
+        # regime; a demand one ulp below the availability, a 1 Wh room cut
+        # and a start on the band edge leave it
+        params = BatteryParams()
+        for charge, soc in [(True, 0.69), (False, 0.21)]:
+            _, _, free = advance_taper(params, soc, charge,
+                                       np.full(500, 5_000.0), 2.0)
+            assert free.all()
+        avail = available(params, 0.21 - params.soc_min)
+        for demand, tapering in [(avail, True),
+                                 (math.nextafter(avail, 0.0), False)]:
+            _, _, free = advance_taper(params, 0.21, False,
+                                       np.array([demand]), 2.0)
+            assert free.tolist() == [tapering]
+            assert tapers(params, 0.21, False, demand, 2.0) is tapering
+        _, _, free = advance_taper(BatteryParams(energy_capacity_wh=1.0), 0.21,
+                                   False, np.full(300, 5_000.0), 2.0)
+        assert not free.any()
+        # a headroom of exactly the band gets the nominal power, which
+        # here differs from the taper formula: 1000.5 * 0.2 / 0.2 > 1000.5
+        edge = BatteryParams(power_nominal_w=1000.5, derate_band=0.2)
+        assert 1000.5 * 0.2 / 0.2 != 1000.5 and 0.4 - edge.soc_min == 0.2
+        _, _, free = advance_taper(edge, 0.4, False, np.array([5_000.0]), 2.0)
+        assert not free[0] and not tapers(edge, 0.4, False, 5_000.0, 2.0)

@@ -257,6 +257,28 @@ class TestErrorsWithoutTraceback:
         assert code == 1
         assert_one_line_error(capsys, f"typed.json: {key} must be ")
 
+    @pytest.mark.parametrize("change, key", [
+        ({"forecast": {"retires": 5}}, "forecast.retires"),
+        ({"initial_sco": 0.6}, "initial_sco"),
+        ({"outputs": {"trace_cvs": "o2/t.csv"}}, "outputs.trace_cvs"),
+        ({"ems": {"soc_targt": 0.6}}, "ems.soc_targt"),
+        ({"ems": {"strategy": "SCM"}}, "ems.strategy"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_unknown_key_is_refused(self, day_config, tmp_path, capsys, change,
+                                    key):
+        # a misspelt key used to be dropped, its default used in silence
+        doc = json.loads(day_config.read_text())
+        for section, values in change.items():
+            doc[section] = ({**doc[section], **values}
+                            if isinstance(values, dict) else values)
+        bad = tmp_path / "unknown.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert_one_line_error(capsys, f"unknown.json: {key} is not a known key")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("cls", [cli.RunConfig, cli.ForecastConfig,
                                      ems.EmsConfig, cli.RampConfig,
                                      cli.BatteryParams], ids=lambda c: c.__name__)
@@ -322,13 +344,13 @@ class TestCsvErrorsWithoutTraceback:
 
 
 STAGE = re.compile(r"^stage (\S+) (\d+\.\d{6})$")
-DISPATCH = re.compile(r"^dispatch (\S+) runs (\d+) scalar (\d+)$")
+DISPATCH = re.compile(r"^dispatch (\S+) runs (\d+) taper (\d+) scalar (\d+)$")
 
 
 class TestStageLog:
     """``-v`` logs one ``stage <name> <seconds>`` line per stage and one
-    ``dispatch <strategy> runs <ticks> scalar <ticks>`` line per
-    strategy; nothing else changes."""
+    ``dispatch <strategy> runs <ticks> taper <ticks> scalar <ticks>``
+    line per strategy; nothing else changes."""
 
     def run_twice(self, argv, out_dir, capsys, caplog):
         outputs = []
@@ -346,10 +368,10 @@ class TestStageLog:
         dispatch = [DISPATCH.match(m) for m in caplog.messages
                     if m.startswith("dispatch ")]
         assert all(dispatch), caplog.messages
-        # runs and scalar ticks add up to the horizon
+        # runs, taper and scalar ticks add up to the horizon
         config = json.loads(Path(argv[argv.index("--config") + 1]).read_text())
         n_ticks = len(load_power_csv(config["pv_path"]))
-        assert all(int(m.group(2)) + int(m.group(3)) == n_ticks
+        assert all(sum(map(int, m.group(2, 3, 4))) == n_ticks
                    for m in dispatch)
         return [m.group(1) for m in stages], [m.group(1) for m in dispatch]
 

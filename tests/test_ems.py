@@ -337,25 +337,45 @@ class TestSharedPrePass:
 
 
 class TestTickSplit:
-    """``simulate`` advances ticks where no battery limit binds on arrays
-    and logs ``dispatch <strategy> runs <ticks> scalar <ticks>``."""
+    """``simulate`` advances ticks where no battery limit binds on arrays,
+    taper ticks in a float recurrence and the rest one at a time, and
+    logs ``dispatch <strategy> runs <ticks> taper <ticks> scalar <ticks>``."""
 
-    def test_seed_week_runs_most_forecast_strategy_ticks_on_arrays(
-            self, week_profiles, tmp_path, caplog):
-        # the --seed-fixtures week and config: mixed forecast, SOC 0.35
+    def split(self, week_profiles, tmp_path, caplog, strategy):
+        """(runs, taper, scalar) of the --seed-fixtures week and config:
+        mixed forecast, SOC 0.35."""
         pv, load = week_profiles
         path = tmp_path / "forecast_mixed.json"
         path.write_text(json.dumps(forecast_payload(
             DEFAULT_REGION_ID, WEEK_START.date(), [1, 4, 4, 4, 4, 1, 1, 1])))
         source = FixtureForecastSource(path, DEFAULT_REGION_ID)
-        cfg = EmsConfig(strategy=StrategyKind.SCM_RR_WF, ramp=RCFG)
+        cfg = EmsConfig(strategy=strategy, ramp=RCFG)
         with caplog.at_level("INFO", logger="pvems.ems"):
-            simulate(pv, load, cfg, PARAMS, forecast_source=source,
-                     initial_soc=0.35)
+            simulate(pv, load, cfg, PARAMS, initial_soc=0.35,
+                     forecast_source=(source if strategy.has_forecast_charging
+                                      else None))
         (line,) = [m for m in caplog.messages if m.startswith("dispatch ")]
-        runs, scalar = map(int, re.fullmatch(
-            r"dispatch SCM_RR_WF runs (\d+) scalar (\d+)", line).groups())
-        assert runs + scalar == len(pv)
+        split = tuple(map(int, re.fullmatch(
+            rf"dispatch {strategy.value} runs (\d+) taper (\d+) scalar (\d+)",
+            line).groups()))
+        assert sum(split) == len(pv)
+        return split
+
+    def test_seed_week_runs_most_forecast_strategy_ticks_on_arrays(
+            self, week_profiles, tmp_path, caplog):
+        runs, _, _ = self.split(week_profiles, tmp_path, caplog,
+                                StrategyKind.SCM_RR_WF)
         # 181 794 of 302 400 ticks when this test was written; a fall-back
         # to scalar ticks only would read 0
-        assert runs >= len(pv) / 2
+        assert runs >= len(week_profiles[0]) / 2
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind),
+                             ids=lambda k: k.value)
+    def test_seed_week_leaves_few_ticks_scalar(self, week_profiles, tmp_path,
+                                               caplog, strategy):
+        # 0 / 217 / 93 of 302 400 ticks when this test was written (the
+        # rest of the derate-band nights taper); a silent fall-back from
+        # the taper recurrence would leave 38-62 % scalar
+        _, taper, scalar = self.split(week_profiles, tmp_path, caplog, strategy)
+        assert scalar <= 0.03 * len(week_profiles[0])
+        assert taper > 0

@@ -1,8 +1,9 @@
 """The two-phase engine against scalar per-tick references.
 
 ``simulate`` computes its SOC-independent quantities in a numpy
-pre-pass, advances ticks in array runs where no battery limit binds and
-one at a time where one does, and returns a columnar trace;
+pre-pass, advances ticks in array runs where no battery limit binds,
+in a float recurrence where the SOC tapers and one at a time elsewhere,
+and returns a columnar trace;
 ``accumulate`` sums columns and ``write_trace_csv`` formats them.  The
 references below are the straightforward per-tick versions (a deque,
 ``fsum``, ``ramp_rate``, ``violates``, ``datetime`` arithmetic,
@@ -385,20 +386,77 @@ class TestEngineReference:
         assert any(r.mode is DispatchMode.RAMP_CONTROL
                    and abs(r.p_batt_cmd) > params.power_nominal_w for r in ref)
 
+    @staticmethod
+    def dispatch_split(caplog, n_ticks):
+        """(runs, taper, scalar) of the one ``dispatch`` log line."""
+        (line,) = [m for m in caplog.messages if m.startswith("dispatch ")]
+        runs, taper, scalar = map(int, line.split()[3::2])
+        assert runs + taper + scalar == n_ticks
+        return runs, taper, scalar
+
     def test_horizon_ends_inside_a_scalar_stretch(self, block_sizes, tmp_path,
                                                   caplog):
+        pv, load, cfg, params = self.band_crossing_setup(161)
+        with caplog.at_level("INFO", logger="pvems.ems"):
+            ref = self.check(pv, load, cfg, params, 0.3, [4], tmp_path)
+        # the last tick is a ramp command cut to the nominal power, so
+        # only a scalar tick can advance it
+        last = ref[-1]
+        assert last.mode is DispatchMode.RAMP_CONTROL
+        assert last.p_batt_cmd < last.p_batt_actual == -params.power_nominal_w
+        runs, _, scalar = self.dispatch_split(caplog, len(pv))
+        assert runs > 0 and scalar > 0
+
+    def test_horizon_ends_inside_a_taper_run(self, block_sizes, tmp_path,
+                                             caplog):
         pv, load, cfg, params = self.band_crossing_setup(240)
         with caplog.at_level("INFO", logger="pvems.ems"):
             ref = self.check(pv, load, cfg, params, 0.3, [4], tmp_path)
-        # the last tick tapers: its SCM command is below the deficit and
-        # the nominal power, so only a scalar tick can advance it
+        # the last tick tapers: its SCM command is the whole availability,
+        # below the deficit and the nominal power
         last = ref[-1]
         assert last.mode is DispatchMode.SCM
         assert -last.p_batt_cmd < min(last.p_load - last.p_pv,
                                       params.power_nominal_w)
-        (line,) = [m for m in caplog.messages if m.startswith("dispatch ")]
-        runs, scalar = map(int, line.split()[3::2])
-        assert runs + scalar == len(pv) and runs > 0 and scalar > 0
+        runs, taper, _ = self.dispatch_split(caplog, len(pv))
+        assert runs > 0 and taper > 0
+
+    def test_charge_taper_around_ramp_ticks_and_a_night_segment(
+            self, block_sizes, tmp_path, caplog):
+        # 60 kWh from SOC 0.66 under a 4.5 kW surplus, from 23:58 local:
+        # tapers toward soc_max, a 300 W PV step gives ten ramp ticks,
+        # and at 00:00:10 the next day's night segment charges to its
+        # 0.664 target (PV stays under the PV-day threshold).  With the
+        # default sizes the taper guesses from ticks 0 and 40 both reach
+        # past these ticks, so the taper must stop at them.
+        ramp = RampConfig(nameplate_w=NAMEPLATE_W, window_s=20.0, tick_s=2.0)
+        cfg = EmsConfig(strategy=StrategyKind.SCM_RR_WF, ramp=ramp,
+                        soc_target=0.664, charge_start_time=time(0, 0, 10),
+                        pv_day_threshold=0.9)
+        params = BatteryParams()
+        start = T0 + timedelta(hours=23, minutes=58)
+        pv = PowerSeries(start, 2.0, np.array([5_000.0] * 30 + [5_300.0] * 220))
+        load = PowerSeries(start, 2.0, np.full(250, 500.0))
+        with caplog.at_level("INFO", logger="pvems.ems"):
+            # codes: no charge on 2018-01-01, charge on 2018-01-02
+            ref = self.check(pv, load, cfg, params, 0.66, [4, 1], tmp_path)
+        # the horizon has what it was built for
+        hi, band = params.soc_max, params.derate_band
+        socs = [0.66] + [r.soc for r in ref]
+        taper = [k for k, r in enumerate(ref)
+                 if r.mode is DispatchMode.SCM and hi - band < socs[k] < hi
+                 and r.p_batt_cmd < min(r.p_pv - r.p_load,
+                                        params.power_nominal_w)]
+        modes = [r.mode for r in ref]
+        ramps = [k for k, m in enumerate(modes) if m is DispatchMode.RAMP_CONTROL]
+        nights = [k for k, m in enumerate(modes) if m is DispatchMode.NIGHT_CHARGE]
+        assert ramps and nights
+        assert taper[0] < ramps[0] and ramps[-1] < nights[0]
+        assert any(ramps[-1] < k < nights[0] for k in taper)
+        assert ref[nights[-1]].soc >= cfg.soc_target
+        assert taper[-1] == len(ref) - 1 and len(taper) > 100
+        _, tapered, _ = self.dispatch_split(caplog, len(pv))
+        assert tapered > 0
 
 
 class TestTrace:
