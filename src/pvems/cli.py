@@ -14,10 +14,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
 import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -178,19 +181,34 @@ def _section(doc: dict, name: str) -> dict:
     return doc.get(name) or {}
 
 
+# EmsConfig fields that a config sets at its top level, not under "ems".
+_TOP_LEVEL_EMS_FIELDS = ("strategy", "ramp")
+
+
+def _check_config(doc: dict) -> None:
+    """``_check_types`` for a whole run config: ``RunConfig``'s fields and
+    the ``EmsConfig`` fields set at the top level, which the ``ems``
+    section must not set."""
+    _check_types(RunConfig, {key: value for key, value in doc.items()
+                             if key not in _TOP_LEVEL_EMS_FIELDS})
+    _check_types(EmsConfig, {key: doc[key] for key in _TOP_LEVEL_EMS_FIELDS
+                             if key in doc})
+    for key in _TOP_LEVEL_EMS_FIELDS:
+        if key in _section(doc, "ems"):
+            raise TypeError(f"ems.{key} is not a known key "
+                            "(it is set at the top level)")
+
+
 def load_ramp_config(path: Path) -> RampConfig:
-    """Only the ramp section of a JSON run config, validated as in ``load_config``."""
+    """The ramp section of a JSON run config; the whole file is checked
+    as in ``load_config``, so a misspelt key anywhere is refused."""
     path = Path(path)
     try:
         doc = _read_config_doc(path)
-        _check_types(EmsConfig, {"ramp": doc.get("ramp")})
+        _check_config(doc)
         return RampConfig(**_section(doc, "ramp"))
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from None
-
-
-# EmsConfig fields that a config sets at its top level, not under "ems".
-_TOP_LEVEL_EMS_FIELDS = ("strategy", "ramp")
 
 
 def load_config(path: Path, strategy_override: Optional[str] = None,
@@ -209,16 +227,9 @@ def load_config(path: Path, strategy_override: Optional[str] = None,
         return p if p.is_absolute() else base / p
 
     try:
-        _check_types(RunConfig, {key: value for key, value in doc.items()
-                                 if key not in _TOP_LEVEL_EMS_FIELDS})
-        _check_types(EmsConfig, {key: doc[key] for key in _TOP_LEVEL_EMS_FIELDS
-                                 if key in doc})
+        _check_config(doc)
         battery = BatteryParams(**_section(doc, "battery"))
         ems_doc = dict(_section(doc, "ems"))
-        for key in _TOP_LEVEL_EMS_FIELDS:
-            if key in ems_doc:
-                raise TypeError(f"ems.{key} is not a known key "
-                                "(it is set at the top level)")
         if "charge_start_time" in ems_doc:
             ems_doc["charge_start_time"] = _parse_clock(ems_doc["charge_start_time"])
         ems = EmsConfig(
@@ -288,6 +299,35 @@ def load_profiles(config: RunConfig) -> tuple[PowerSeries, PowerSeries]:
 
 
 @contextmanager
+def _output_set(paths: Sequence[Path]) -> Iterator[list[Path]]:
+    """Temporary paths to write ``paths`` to, moved into place together.
+
+    Each output is written under its own name into a temporary directory
+    made in its own directory, so ``os.replace`` moves it within one
+    file system.  The moves happen only after the block ends without an
+    error, and the temporary directories are removed either way: a run
+    that fails leaves the outputs that were there before it, never a
+    mix.  Paths that are directories are refused before the block.
+    """
+    tmp_dirs: dict[Path, Path] = {}
+    try:
+        for path in paths:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            if path.parent not in tmp_dirs:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp_dirs[path.parent] = Path(tempfile.mkdtemp(prefix=".pvems-",
+                                                              dir=path.parent))
+        staged = {path: tmp_dirs[path.parent] / path.name for path in paths}
+        yield [staged[path] for path in paths]
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp_dir in tmp_dirs.values():
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+
+
+@contextmanager
 def _stage(name: str) -> Iterator[None]:
     """Log ``stage <name> <seconds>`` (INFO, shown with ``-v``) after the block."""
     t0 = perf_counter()
@@ -322,7 +362,6 @@ def write_histogram_csv(series: PowerSeries, cfg: RampConfig, path: Path) -> Non
     pct = hist.percentages()
     counts = {"<5": hist.below_5, ">=5": hist.ge_5, ">=10": hist.ge_10,
               ">10": hist.gt_10, ">=50": hist.ge_50}
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bucket_pct_per_min", "minutes", "percent_of_total"])
@@ -332,8 +371,32 @@ def write_histogram_csv(series: PowerSeries, cfg: RampConfig, path: Path) -> Non
 
 
 def write_kpi_json(report: KpiReport, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(report.to_json() + "\n", encoding="utf-8")
+
+
+def write_window_sweep_csv(sweep: list[tuple[float, int]], path: Path) -> None:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["window_s", "controlled_ramps"])
+        for w, count in sweep:
+            writer.writerow([repr(float(w)), count])
+
+
+def write_compare_csv(reports: dict[str, KpiReport], names: list[str],
+                      path: Path) -> None:
+    """One row per KPI (percent, 4 places) and the ramp counts, one
+    column per strategy name in ``names``."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kpi"] + names)
+        for kpi in KPI_NAMES:
+            row = [kpi.upper()]
+            for name in names:
+                value = reports[name].values_pct()[kpi]
+                row.append("" if value is None else f"{value:.4f}")
+            writer.writerow(row)
+        writer.writerow(["ramps_original"] + [reports[n].totals.n_ramps_original for n in names])
+        writer.writerow(["ramps_controlled"] + [reports[n].totals.n_ramps_controlled for n in names])
 
 
 def print_kpi_summary(report: KpiReport, strategy: str) -> None:
@@ -353,32 +416,32 @@ def print_kpi_summary(report: KpiReport, strategy: str) -> None:
 def run_simulation(config: RunConfig) -> KpiReport:
     """Ingest, simulate, and write trace CSV, KPI JSON and ramp histogram.
 
-    The output directories are created first, so an unwritable one
-    fails before any ingest or simulation work.
+    The outputs are staged first (see ``_output_set``), so an unwritable
+    directory fails before any ingest or simulation work, and they are
+    moved into place only after all three are written.
     """
     paths = dataclasses.astuple(config.outputs)
-    for path in paths:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with _stage("ingest+align"):
-        pv, load = load_profiles(config)
-    with _stage("prepass"):
-        pre = prepass(pv, config.ems)
-    strategy, ramp = config.ems.strategy, config.ems.ramp
-    source, policy = _resolve_forecast(config, [strategy])
-    with _stage(f"dispatch.{strategy.value}"):
-        trace = simulate(pv, load, config.ems, config.battery,
-                         forecast_source=source, policy=policy,
-                         initial_soc=config.initial_soc, pre=pre)
-    with _stage(f"accounting.{strategy.value}"):
-        totals = accumulate(trace, ramp.tick_s, ramp)
-        report = compute_kpis(totals)
+    with _output_set(paths) as (trace_tmp, kpi_tmp, histogram_tmp):
+        with _stage("ingest+align"):
+            pv, load = load_profiles(config)
+        with _stage("prepass"):
+            pre = prepass(pv, config.ems)
+        strategy, ramp = config.ems.strategy, config.ems.ramp
+        source, policy = _resolve_forecast(config, [strategy])
+        with _stage(f"dispatch.{strategy.value}"):
+            trace = simulate(pv, load, config.ems, config.battery,
+                             forecast_source=source, policy=policy,
+                             initial_soc=config.initial_soc, pre=pre)
+        with _stage(f"accounting.{strategy.value}"):
+            totals = accumulate(trace, ramp.tick_s, ramp)
+            report = compute_kpis(totals)
 
-    with _stage("write.trace_csv"):
-        write_trace_csv(trace, config.outputs.trace_csv)
-    with _stage("write.kpi_json"):
-        write_kpi_json(report, config.outputs.kpi_json)
-    with _stage("write.histogram_csv"):
-        write_histogram_csv(pv, ramp, config.outputs.histogram_csv)
+        with _stage("write.trace_csv"):
+            write_trace_csv(trace, trace_tmp)
+        with _stage("write.kpi_json"):
+            write_kpi_json(report, kpi_tmp)
+        with _stage("write.histogram_csv"):
+            write_histogram_csv(pv, ramp, histogram_tmp)
     print_kpi_summary(report, strategy.value)
     for path in paths:
         print(f"  wrote {path}")
@@ -392,18 +455,11 @@ def run_ramp_analysis(pv_path: Path, cfg: RampConfig, windows_s: list[float],
         print(f"no windows given; defaulting to {{{cfg.window_s:g} s}}")
         windows_s = [cfg.window_s]
     pv = load_power_csv(pv_path, expected_unit=pv_unit)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    hist_path = out_dir / "histogram.csv"
-    write_histogram_csv(pv, cfg, hist_path)
-
-    sweep = window_sweep(pv, cfg, windows_s)
-    sweep_path = out_dir / "window_sweep.csv"
-    with sweep_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_s", "controlled_ramps"])
-        for w, count in sweep:
-            writer.writerow([repr(float(w)), count])
+    hist_path, sweep_path = out_dir / "histogram.csv", out_dir / "window_sweep.csv"
+    with _output_set([hist_path, sweep_path]) as (hist_tmp, sweep_tmp):
+        write_histogram_csv(pv, cfg, hist_tmp)
+        sweep = window_sweep(pv, cfg, windows_s)
+        write_window_sweep_csv(sweep, sweep_tmp)
 
     for w, count in sweep:
         print(f"window {w:g} s: {count} controlled ramps")
@@ -416,39 +472,29 @@ def compare_strategies(config: RunConfig, strategies: list[StrategyKind],
     """Run each strategy on identical inputs; emit a side-by-side table.
 
     The SOC-independent pre-pass is computed once and shared by every
-    strategy's ``simulate`` call.
+    strategy's ``simulate`` call.  ``compare.csv`` is staged first, as
+    ``run_simulation``'s outputs are.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _stage("ingest+align"):
-        pv, load = load_profiles(config)
-    with _stage("prepass"):
-        pre = prepass(pv, config.ems)
-    source, policy = _resolve_forecast(config, strategies)
-    reports: dict[str, KpiReport] = {}
-    for strat in strategies:
-        run_cfg = replace(config.ems, strategy=strat)
-        with _stage(f"dispatch.{strat.value}"):
-            trace = simulate(pv, load, run_cfg, config.battery,
-                             forecast_source=source if strat.has_forecast_charging else None,
-                             policy=policy, initial_soc=config.initial_soc, pre=pre)
-        with _stage(f"accounting.{strat.value}"):
-            totals = accumulate(trace, run_cfg.ramp.tick_s, run_cfg.ramp)
-            reports[strat.value] = compute_kpis(totals)
-
     table_path = out_dir / "compare.csv"
     names = [s.value for s in strategies]
-    with _stage("write.compare_csv"), \
-            table_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kpi"] + names)
-        for kpi in KPI_NAMES:
-            row = [kpi.upper()]
-            for name in names:
-                value = reports[name].values_pct()[kpi]
-                row.append("" if value is None else f"{value:.4f}")
-            writer.writerow(row)
-        writer.writerow(["ramps_original"] + [reports[n].totals.n_ramps_original for n in names])
-        writer.writerow(["ramps_controlled"] + [reports[n].totals.n_ramps_controlled for n in names])
+    with _output_set([table_path]) as (table_tmp,):
+        with _stage("ingest+align"):
+            pv, load = load_profiles(config)
+        with _stage("prepass"):
+            pre = prepass(pv, config.ems)
+        source, policy = _resolve_forecast(config, strategies)
+        reports: dict[str, KpiReport] = {}
+        for strat in strategies:
+            run_cfg = replace(config.ems, strategy=strat)
+            with _stage(f"dispatch.{strat.value}"):
+                trace = simulate(pv, load, run_cfg, config.battery,
+                                 forecast_source=source if strat.has_forecast_charging else None,
+                                 policy=policy, initial_soc=config.initial_soc, pre=pre)
+            with _stage(f"accounting.{strat.value}"):
+                totals = accumulate(trace, run_cfg.ramp.tick_s, run_cfg.ramp)
+                reports[strat.value] = compute_kpis(totals)
+        with _stage("write.compare_csv"):
+            write_compare_csv(reports, names, table_tmp)
 
     header = "KPI (%)".ljust(18) + "".join(name.rjust(12) for name in names)
     print(header)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import logging
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -32,6 +33,8 @@ __all__ = [
     "write_grid_csv",
     "write_power_csv",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class ProfileError(ValueError):
@@ -139,10 +142,11 @@ def load_power_csv(
     second column), which lets wide trace CSVs round-trip through this
     loader.
 
-    Once the first two rows fix the step, each block's leading run of
-    canonical rows on the grid (see ``_grid_prefix``) is accepted at
-    once; the per-row checks below take the rest, so values, messages
-    and line numbers are those of reading row by row.
+    The file is read in blocks of raw lines.  Once the first two rows
+    fix the step, each block's leading run of canonical lines on the
+    grid (see ``_grid_prefix``) is accepted at once; ``csv`` parses the
+    rest for the per-row checks below, so values, messages and line
+    numbers (counted in csv records) are those of reading row by row.
     """
     if expected_unit not in ("W", "kW"):
         raise ProfileError(f"expected_unit must be 'W' or 'kW', got {expected_unit!r}")
@@ -156,9 +160,8 @@ def load_power_csv(
     power_idx = 1
     first = prev = step = step_td = None
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
         except csv.Error as exc:
             raise ProfileError(f"{path}: line 1: {exc}") from None
         if header is None:
@@ -169,52 +172,60 @@ def load_power_csv(
                 if column not in header:
                     raise ProfileError(f"{path}: column {column!r} not in header {header}")
                 power_idx = header.index(column)
-            lineno, rows = 1, reader
+            lineno, rows = 1, []
         elif column is not None:
             raise ProfileError(f"{path}: column selection requires a header row")
         else:
-            lineno, rows = 0, itertools.chain([header], reader)
+            lineno, rows = 0, [header]  # the first record is data
 
-        for block in _blocks(rows, path, lineno):
+        for lines in _line_blocks(fh):
             accepted = 0
             if step is not None:
-                accepted, values = _grid_prefix(block, prev, step_td, power_idx)
+                accepted, values = _grid_prefix(lines, prev, step_td, power_idx)
                 if accepted:
                     chunks.append(values)
                     prev += accepted * step_td
+                    lineno += accepted
             powers = []
-            for pos, row in enumerate(block[accepted:], lineno + accepted + 1):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) <= power_idx:
-                    raise ProfileError(f"{path}: line {pos}: expected at least "
-                                       f"{power_idx + 1} columns, got {len(row)}")
-                try:
-                    ts = _parse_timestamp(row[0])
-                except ValueError as exc:
-                    raise ProfileError(f"{path}: line {pos}: bad timestamp {row[0]!r}: {exc}") from None
-                try:
-                    p = float(row[power_idx])
-                except ValueError:
-                    raise ProfileError(f"{path}: line {pos}: bad power value {row[power_idx]!r}") from None
-                if not math.isfinite(p):
-                    raise ProfileError(f"{path}: line {pos}: non-finite power value")
-                if prev is None:
-                    first = ts
-                else:
-                    dt = (ts - prev).total_seconds()
-                    if step is None:
-                        step, step_td = dt, ts - prev
-                    if dt <= 0:
-                        raise ProfileError(f"{path}: line {pos}: timestamps not strictly increasing")
-                    if abs(dt - step) > 1e-6:
-                        raise ProfileError(f"{path}: line {pos}: irregular step "
-                                           f"({dt} s, expected {step} s)")
-                prev = ts
-                powers.append(p)
+            try:
+                for row in itertools.chain(rows, _csv_rows(lines[accepted:], fh)):
+                    lineno += 1
+                    if not row or all(not cell.strip() for cell in row):
+                        continue
+                    if len(row) <= power_idx:
+                        raise ProfileError(f"{path}: line {lineno}: expected at least "
+                                           f"{power_idx + 1} columns, got {len(row)}")
+                    try:
+                        ts = _parse_timestamp(row[0])
+                    except ValueError as exc:
+                        raise ProfileError(f"{path}: line {lineno}: bad timestamp "
+                                           f"{row[0]!r}: {exc}") from None
+                    try:
+                        p = float(row[power_idx])
+                    except ValueError:
+                        raise ProfileError(f"{path}: line {lineno}: bad power value "
+                                           f"{row[power_idx]!r}") from None
+                    if not math.isfinite(p):
+                        raise ProfileError(f"{path}: line {lineno}: non-finite power value")
+                    if prev is None:
+                        first = ts
+                    else:
+                        dt = (ts - prev).total_seconds()
+                        if step is None:
+                            step, step_td = dt, ts - prev
+                        if dt <= 0:
+                            raise ProfileError(f"{path}: line {lineno}: timestamps "
+                                               "not strictly increasing")
+                        if abs(dt - step) > 1e-6:
+                            raise ProfileError(f"{path}: line {lineno}: irregular step "
+                                               f"({dt} s, expected {step} s)")
+                    prev = ts
+                    powers.append(p)
+            except csv.Error as exc:  # the faults of the rows before it come first
+                raise ProfileError(f"{path}: line {lineno + 1}: {exc}") from None
             chunks.append(np.array(powers))
-            lineno += len(block)
-            del block  # released before the next block is read
+            rows = []
+            del lines  # released before the next block is read
 
     if first is None:
         raise ProfileError(f"{path}: empty file")
@@ -224,53 +235,72 @@ def load_power_csv(
     return PowerSeries(first, step, values * scale if scale != 1.0 else values)
 
 
-def _blocks(rows, path: Path, lineno: int):
-    """Lists of ``rows``: 2 rows (those that fix the step), then twice as
-    many up to ``_INGEST_BLOCK_ROWS``.  A ``csv.Error`` first yields the
-    rows read before it, whose faults come first, then raises as a
-    ``ProfileError`` at its line, counted after ``lineno`` records.
-    """
-    size = 2
+def _line_blocks(fh):
+    """Lists of raw lines of ``fh``: 2 lines (those that fix the step on a
+    plain file), then twice as many up to ``_INGEST_BLOCK_ROWS``.  Only
+    the first list can be empty."""
+    size, lines = 2, list(itertools.islice(fh, 2))
     while True:
-        block: list[list[str]] = []
-        try:
-            block.extend(itertools.islice(rows, size))
-        except csv.Error as exc:
-            yield block
-            raise ProfileError(f"{path}: line {lineno + len(block) + 1}: {exc}") from None
-        if not block:
-            return
-        yield block
-        lineno += len(block)
+        yield lines
         size = min(2 * size, _INGEST_BLOCK_ROWS)
+        if not (lines := list(itertools.islice(fh, size))):
+            return
 
 
-def _grid_prefix(rows: list[list[str]], prev: datetime, step: timedelta,
+def _csv_rows(lines: list[str], fh):
+    """The csv records that start on ``lines``.  A record that goes on
+    past them (a quoted line break) reads its rest from ``fh``, the
+    source of ``lines``, so it is one record, as in one reader over the
+    whole file."""
+    reader = csv.reader(itertools.chain(lines, fh))
+    while reader.line_num < len(lines):
+        yield next(reader)
+
+
+def _grid_prefix(lines: list[str], prev: datetime, step: timedelta,
                  power_idx: int) -> tuple[int, Union[np.ndarray, None]]:
-    """How many leading ``rows`` continue the grid after ``prev``, and their powers.
+    """How many leading raw ``lines`` continue the grid after ``prev``, and their powers.
 
-    A row qualifies when its timestamp text is exactly
-    ``format_utc_grid``'s for the next grid point and its power cell
-    gives a finite ``float``: such a row passes every per-row check of
-    ``load_power_csv`` with the same value.  A block whose first row is
-    off the grid is rejected after formatting one timestamp.
+    A line qualifies when it is exactly ``format_utc_grid``'s text for
+    the next grid point, then ``,``, then cells, then a line end, and
+    its ``power_idx`` cell gives a finite ``float``.  ``csv`` gives such
+    a line's fields by splitting it at its commas unless it holds a
+    quote, a NUL (refused before Python 3.11) or a field longer than
+    ``csv.field_size_limit()``; so a line with a quote or a NUL, or
+    longer than the limit, does not qualify, and every other one passes
+    the per-row checks of ``load_power_csv`` with the same value
+    (``float`` ignores the line end left on a last cell).  The prefix
+    also ends where the number of cells changes, so that one split of
+    the joined lines gives each line's cells.  A block whose first line
+    is off the grid is rejected after formatting one timestamp.
     """
-    n = len(rows)
+    n = len(lines)
     try:
         prev + n * step  # the grid must stay within datetime's years
     except OverflowError:
         return 0, None
-    short = np.flatnonzero(np.fromiter(map(len, rows), np.intp, n) <= power_idx)
-    if short.size:
-        n = int(short[0])
-    if n == 0 or rows[0][0] != format_utc_grid(prev, step, 1, 2)[0]:
+    if not lines[0].startswith(format_utc_grid(prev, step, 1, 2)[0] + ","):
         return 0, None
-    texts = [row[0] for row in rows[:n]]
+    # the last line of a file may lack a line end
+    ends = [n if lines[-1].endswith(("\n", "\r")) else n - 1]
+    text = ",".join(lines)
+    if '"' in text or "\0" in text:
+        ends.append(next(k for k, line in enumerate(lines) if '"' in line or "\0" in line))
+    limit = csv.field_size_limit()
+    if max(map(len, lines)) > limit:
+        ends.append(next(k for k, line in enumerate(lines) if len(line) > limit))
+    commas = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, n)
+    ends.extend(np.flatnonzero(commas != commas[0])[:1].tolist())
+    n, width = min(ends), int(commas[0]) + 1
+    if width <= power_idx:
+        return 0, None
+    cells = text.split(",", n * width)
+    stamps = cells[0:n * width:width]
     expected = format_utc_grid(prev, step, 1, n + 1)
-    if texts != expected:
-        n = next(k for k, (a, b) in enumerate(zip(texts, expected)) if a != b)
+    if stamps != expected:
+        n = next(k for k, (a, b) in enumerate(zip(stamps, expected)) if a != b)
     try:
-        powers = np.array([float(row[power_idx]) for row in rows[:n]])
+        powers = np.array(list(map(float, cells[power_idx:n * width:width])))
     except ValueError:  # a bad power cell: the per-row checks report it
         return 0, None
     finite = np.isfinite(powers)
@@ -363,8 +393,12 @@ def format_utc(dt: datetime) -> str:
 
 
 _WHOLE_SECOND_ROW = np.frombuffer(b"0000-00-00T00:00:00Z\n", dtype=np.uint8)
-_TWO_DIGITS = np.frombuffer("".join(f"{i:02d}" for i in range(60)).encode(),
-                            dtype=np.uint8).reshape(60, 2)
+# The variable fields of a _WHOLE_SECOND_ROW, copied in whole items.
+_WHOLE_SECOND_FIELDS = np.dtype({"names": ["date", "hour", "minute", "second"],
+                                 "formats": ["S10", "S2", "S2", "S2"],
+                                 "offsets": [0, 11, 14, 17],
+                                 "itemsize": len(_WHOLE_SECOND_ROW)})
+_TWO_DIGITS = np.array([f"{i:02d}" for i in range(60)], dtype="S2")
 _YEAR_1, _YEAR_10000 = np.datetime64("0001-01-01", "us"), np.datetime64("10000-01-01", "us")
 
 
@@ -399,12 +433,13 @@ def _format_whole_seconds(seconds: np.ndarray) -> list[str]:
     dates = np.datetime_as_string(day[new_day].astype("M8[D]")).astype("S10")
     rows = np.empty((len(day), len(_WHOLE_SECOND_ROW)), dtype=np.uint8)
     rows[:] = _WHOLE_SECOND_ROW
-    rows[:, :10] = dates.view(np.uint8).reshape(-1, 10)[np.cumsum(new_day) - 1]
+    fields = rows.reshape(-1).view(_WHOLE_SECOND_FIELDS)
+    fields["date"] = dates[np.cumsum(new_day) - 1]
     hour, second = np.divmod(second, 3600)
     minute, second = np.divmod(second, 60)
-    rows[:, 11:13] = _TWO_DIGITS[hour]
-    rows[:, 14:16] = _TWO_DIGITS[minute]
-    rows[:, 17:19] = _TWO_DIGITS[second]
+    fields["hour"] = _TWO_DIGITS[hour]
+    fields["minute"] = _TWO_DIGITS[minute]
+    fields["second"] = _TWO_DIGITS[second]
     return rows.tobytes().decode("ascii").split("\n")[:-1]
 
 
@@ -418,26 +453,67 @@ def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
     """One CSV row per grid point ``start + k * step``: the grid-CSV format.
 
     A ``timestamp`` column as ``format_utc``, then ``columns`` as
-    ``repr`` of their floats, or as ``labels[name][code]`` for a coded
-    column.  Rows end in CRLF like the csv module's; no field can hold a
-    delimiter, quote or line break.  Columns are formatted
-    ``_WRITE_BLOCK_ROWS`` rows at a time, so memory stays bounded.
+    ``repr`` of their float64 values, or as ``labels[name][code]`` for a
+    coded column.  Rows end in CRLF like the csv module's; no field can
+    hold a delimiter, quote or line break.  Columns are formatted
+    ``_WRITE_BLOCK_ROWS`` rows at a time, so memory stays bounded, and
+    each float is formatted once per run of equal cells (see
+    ``_float_texts``).  Logs ``wrote <name> rows <n> formatted <k> of
+    <cells> float cells`` at INFO.
     """
     tables = {name: np.array(table, dtype=object) for name, table in (labels or {}).items()}
+    columns = {name: col if name in tables else np.asarray(col, dtype=np.float64)
+               for name, col in columns.items()}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = len(next(iter(columns.values())))
+    formatted = 0
     with path.open("w", newline="", encoding="utf-8") as fh:
         if header:
             fh.write(",".join(["timestamp", *columns]) + "\r\n")
         for lo in range(0, n, _WRITE_BLOCK_ROWS):
             hi = min(lo + _WRITE_BLOCK_ROWS, n)
             fields = [format_utc_grid(start, step, lo, hi)]
+            left = None  # the bits and texts of the last float column
             for name, col in columns.items():
-                cells = col[lo:hi]
-                fields.append(tables[name].take(cells).tolist() if name in tables
-                              else map(repr, cells.tolist()))
+                if name in tables:
+                    fields.append(tables[name].take(col[lo:hi]).tolist())
+                    continue
+                bits = col[lo:hi].view(np.int64)
+                texts, k = _float_texts(bits, left)
+                formatted += k
+                fields.append(texts.tolist())
+                left = bits, texts
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+    n_floats = n * sum(name not in tables for name in columns)
+    log.info("wrote %s rows %d formatted %d of %d float cells",
+             path.name, n, formatted, n_floats)
+
+
+def _float_texts(bits: np.ndarray, left: Union[tuple[np.ndarray, np.ndarray], None]
+                 ) -> tuple[np.ndarray, int]:
+    """``repr`` of each float64 whose bits are ``bits``, as an object
+    array, and the number of ``repr`` calls made.
+
+    Only the first cell of each run of equal bits is formatted, and a
+    run head whose bits equal the same row of ``left`` (the bits and
+    texts of the nearest float column to the left) takes that text.  Bits, not
+    ``==``: ``0.0`` equals ``-0.0`` and NaN equals nothing, but equal
+    bits always have equal ``repr``.
+    """
+    head = np.empty(len(bits), dtype=bool)
+    head[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=head[1:])
+    rows = np.flatnonzero(head)
+    texts = np.empty(len(rows), dtype=object)
+    fresh = np.ones(len(rows), dtype=bool)
+    if left is not None:
+        left_bits, left_texts = left
+        np.not_equal(bits[rows], left_bits[rows], out=fresh)
+        texts[~fresh] = left_texts[rows[~fresh]]
+    values = bits[rows[fresh]].view(np.float64).tolist()
+    texts[fresh] = np.fromiter(map(repr, values), dtype=object, count=len(values))
+    return texts.take(np.cumsum(head) - 1), len(values)
 
 
 def write_power_csv(series: PowerSeries, path: Union[str, Path],

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import errno
 import json
 import logging
 import re
@@ -266,18 +267,20 @@ class TestErrorsWithoutTraceback:
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_unknown_key_is_refused(self, day_config, tmp_path, capsys, change,
                                     key):
-        # a misspelt key used to be dropped, its default used in silence
+        # a misspelt key used to be dropped, its default used in silence;
+        # ramp-analyze, which reads only the ramp section, refuses it too
         doc = json.loads(day_config.read_text())
         for section, values in change.items():
             doc[section] = ({**doc[section], **values}
                             if isinstance(values, dict) else values)
         bad = tmp_path / "unknown.json"
         bad.write_text(json.dumps(doc))
-        code = main(["simulate", "--config", str(bad),
-                     "--out-dir", str(tmp_path / "o")])
-        assert code == 1
-        assert_one_line_error(capsys, f"unknown.json: {key} is not a known key")
-        assert not (tmp_path / "o").exists()
+        for argv in (["simulate"], ["ramp-analyze", "--pv", doc["pv_path"]]):
+            code = main([*argv, "--config", str(bad),
+                         "--out-dir", str(tmp_path / "o")])
+            assert code == 1
+            assert_one_line_error(capsys, f"unknown.json: {key} is not a known key")
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cls", [cli.RunConfig, cli.ForecastConfig,
                                      ems.EmsConfig, cli.RampConfig,
@@ -343,21 +346,96 @@ class TestCsvErrorsWithoutTraceback:
                               "field larger than field limit")
 
 
+class TestAtomicOutputs:
+    """A run writes its whole output set or none of it: outputs go to
+    temporary files that are moved into place after the last one is
+    written, and a failing writer leaves the files that were there."""
+
+    OUTPUTS = {"simulate": ("trace.csv", "kpi.json", "histogram.csv"),
+               "ramp-analyze": ("histogram.csv", "window_sweep.csv"),
+               "compare": ("compare.csv",)}
+
+    @staticmethod
+    def argv(command, day_config):
+        pv_path = json.loads(day_config.read_text())["pv_path"]
+        return {"simulate": ["simulate", "--config", str(day_config)],
+                "ramp-analyze": ["ramp-analyze", "--pv", pv_path],
+                "compare": ["compare", "--config", str(day_config)]}[command]
+
+    @pytest.mark.parametrize("command, writer", [
+        ("simulate", "write_trace_csv"),
+        ("simulate", "write_kpi_json"),
+        ("simulate", "write_histogram_csv"),
+        ("ramp-analyze", "write_histogram_csv"),
+        ("ramp-analyze", "write_window_sweep_csv"),
+        ("compare", "write_compare_csv"),
+    ])
+    def test_failing_writer_leaves_the_previous_set(self, day_config, tmp_path,
+                                                    capsys, monkeypatch,
+                                                    command, writer):
+        def half_written(*args):
+            path = Path(args[-1])
+            path.write_text("half a")
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        before = {}
+        for name in self.OUTPUTS[command]:
+            (out_dir / name).write_text(f"previous {name}\n")
+            before[name] = (out_dir / name).read_bytes()
+        monkeypatch.setattr(cli, writer, half_written)
+        code = main(self.argv(command, day_config) + ["--out-dir", str(out_dir)])
+        assert code == 1
+        assert_one_line_error(capsys, "No space left on device")
+        # no new, half-written or temporary file; the previous set intact
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["simulate", "ramp-analyze", "compare"])
+    def test_complete_set_replaces_the_previous_one(self, day_config, tmp_path,
+                                                    capsys, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for name in self.OUTPUTS[command]:
+            (out_dir / name).write_text(f"previous {name}\n")
+        assert main(self.argv(command, day_config) + ["--out-dir", str(out_dir)]) == 0
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert sorted(files) == sorted(self.OUTPUTS[command])
+        assert not any(data.startswith(b"previous") for data in files.values())
+
+    def test_output_path_that_is_a_directory_fails_before_ingest(
+            self, day_config, tmp_path, capsys, monkeypatch):
+        def never(config):
+            raise AssertionError("load_profiles reached")
+
+        monkeypatch.setattr(cli, "load_profiles", never)
+        out_dir = tmp_path / "out"
+        (out_dir / "kpi.json").mkdir(parents=True)
+        code = main(["simulate", "--config", str(day_config),
+                     "--out-dir", str(out_dir)])
+        assert code == 1
+        assert_one_line_error(capsys, "kpi.json")
+        assert [p.name for p in out_dir.iterdir()] == ["kpi.json"]
+
+
 STAGE = re.compile(r"^stage (\S+) (\d+\.\d{6})$")
 DISPATCH = re.compile(r"^dispatch (\S+) runs (\d+) taper (\d+) scalar (\d+)$")
+WROTE = re.compile(r"^wrote (\S+) rows (\d+) formatted (\d+) of (\d+) float cells$")
 
 
 class TestStageLog:
-    """``-v`` logs one ``stage <name> <seconds>`` line per stage and one
+    """``-v`` logs one ``stage <name> <seconds>`` line per stage, one
     ``dispatch <strategy> runs <ticks> taper <ticks> scalar <ticks>``
-    line per strategy; nothing else changes."""
+    line per strategy and one ``wrote <name> rows <n> formatted <k> of
+    <cells> float cells`` line per grid CSV; nothing else changes."""
 
     def run_twice(self, argv, out_dir, capsys, caplog):
         outputs = []
         for verbose in ([], ["-v"]):
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="pvems.cli"), \
-                    caplog.at_level(logging.INFO, logger="pvems.ems"):
+                    caplog.at_level(logging.INFO, logger="pvems.ems"), \
+                    caplog.at_level(logging.INFO, logger="pvems.timeseries"):
                 assert main(verbose + argv) == 0
             files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
             outputs.append((files, capsys.readouterr().out))
@@ -373,21 +451,31 @@ class TestStageLog:
         n_ticks = len(load_power_csv(config["pv_path"]))
         assert all(sum(map(int, m.group(2, 3, 4))) == n_ticks
                    for m in dispatch)
-        return [m.group(1) for m in stages], [m.group(1) for m in dispatch]
+        wrote = [WROTE.match(m) for m in caplog.messages
+                 if m.startswith("wrote ")]
+        assert all(wrote), caplog.messages
+        # a trace row has 7 float cells, and at most all of them are formatted
+        wrote = [(m.group(1), *map(int, m.group(2, 3, 4))) for m in wrote]
+        assert all(cells == 7 * rows and k <= cells
+                   for _, rows, k, cells in wrote)
+        return ([m.group(1) for m in stages], [m.group(1) for m in dispatch],
+                [(name, rows) for name, rows, _, _ in wrote])
 
     def test_simulate(self, day_config, tmp_path, capsys, caplog):
         out_dir = tmp_path / "sim"
-        names, dispatch = self.run_twice(
+        names, dispatch, wrote = self.run_twice(
             ["simulate", "--config", str(day_config), "--out-dir", str(out_dir)],
             out_dir, capsys, caplog)
         assert names == ["ingest+align", "prepass", "dispatch.SCM_RR_WF",
                          "accounting.SCM_RR_WF", "write.trace_csv",
                          "write.kpi_json", "write.histogram_csv"]
         assert dispatch == ["SCM_RR_WF"]
+        n_ticks = len(load_power_csv(out_dir / "trace.csv", column="p_pv"))
+        assert wrote == [("trace.csv", n_ticks)]
 
     def test_compare(self, day_config, tmp_path, capsys, caplog):
         out_dir = tmp_path / "cmp"
-        names, dispatch = self.run_twice(
+        names, dispatch, wrote = self.run_twice(
             ["compare", "--config", str(day_config), "--out-dir", str(out_dir)],
             out_dir, capsys, caplog)
         assert names == ["ingest+align", "prepass",
@@ -396,6 +484,22 @@ class TestStageLog:
                          "dispatch.SCM_RR_WF", "accounting.SCM_RR_WF",
                          "write.compare_csv"]
         assert dispatch == ["SCM", "SCM_RR", "SCM_RR_WF"]
+        assert wrote == []
+
+    def test_seed_week_trace_formats_at_most_half_its_float_cells(
+            self, corpus, tmp_path, caplog):
+        # 538 110 of 2 116 800 when this test was written: hold-resampled
+        # load, nights of zero PV and unclamped commands repeat their
+        # text; a fall-back to one repr per cell would read all of them
+        paths, _ = corpus
+        with caplog.at_level(logging.INFO, logger="pvems.timeseries"):
+            assert main(["simulate", "--config", str(paths["config"]),
+                         "--out-dir", str(tmp_path)]) == 0
+        (line,) = [m for m in caplog.messages if m.startswith("wrote ")]
+        name, rows, formatted, cells = WROTE.match(line).groups()
+        assert name == "trace.csv" and int(rows) == 302_400
+        assert int(cells) == 7 * int(rows)
+        assert int(formatted) <= int(cells) / 2
 
 
 class TestCompare:

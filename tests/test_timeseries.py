@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvems import timeseries
@@ -271,6 +271,52 @@ class TestAlign:
         assert load_a.values[0] == 10.0  # held from the 00:00:03 sample
 
 
+FINITE = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324,
+                                    1.7976931348623157e308,
+                                    -1.7976931348623157e308,
+                                    2.2250738585072014e-308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+# NaNs of both signs, quiet and signalling, with several payloads
+NANS = st.sampled_from([0x7FF8000000000000, 0xFFF8000000000000,
+                        0x7FF8000000000001, 0x7FF0000000000001,
+                        0x7FFFFFFFFFFFFFFF]).map(
+    lambda bits: np.array([bits], dtype=np.uint64).view(np.float64)[0])
+# write_grid_csv's block size; runs cross the boundaries of small blocks
+BLOCK_ROWS = st.sampled_from([1, 2, 3, 5, 16, 16_384])
+
+
+def runs(values, max_runs=8):
+    """Lists of runs of one value, each 1 to 40 cells long."""
+    return st.lists(st.tuples(values, st.integers(1, 40)), min_size=1,
+                    max_size=max_runs).map(
+        lambda pairs: [v for v, k in pairs for _ in range(k)])
+
+
+@st.composite
+def grid_columns(draw):
+    """Float columns, and one coded column, for ``write_grid_csv``: each
+    float column is runs of values, or its left neighbour with a few
+    cells changed."""
+    cells = st.one_of(FINITE, NANS, st.sampled_from([0.0, -0.0]))
+    first = draw(runs(cells))
+    n = len(first)
+    columns = {"a": np.array(first)}
+    for name in ("b", "code", "c", "d"):
+        if name == "code":
+            columns[name] = np.array(draw(st.lists(st.integers(0, 2), min_size=n,
+                                                   max_size=n)), dtype=np.uint8)
+            continue
+        left = list(columns)[-1]
+        if columns[left].dtype == np.float64 and draw(st.booleans()):
+            col = columns[left].copy()
+            for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+                col[k] = draw(cells)
+        else:
+            col = np.resize(np.array(draw(runs(cells))), n)
+        columns[name] = col
+    return columns
+
+
 class TestCsvRoundTrip:
     def test_write_then_load(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -298,22 +344,76 @@ class TestCsvRoundTrip:
                         max_value=datetime(2100, 1, 1)),
            st.one_of(st.sampled_from([2.0, 900.0, 0.5, 0.25, 1e-3, 1e-6, 1 / 3]),
                      st.floats(1e-6, 86_400.0)),
-           st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324,
-                                               1.7976931348623157e308,
-                                               -1.7976931348623157e308,
-                                               2.2250738585072014e-308]),
-                              st.floats(allow_nan=False, allow_infinity=False)),
-                    min_size=1, max_size=60),
-           st.booleans())
+           st.one_of(st.lists(FINITE, min_size=1, max_size=60),
+                     runs(FINITE)),
+           st.booleans(),
+           BLOCK_ROWS)
     @settings(max_examples=300, deadline=None)
     def test_matches_row_by_row_writer(self, tmp_path_factory, start, step_s,
-                                       values, header):
+                                       values, header, block_rows):
         s = PowerSeries(start.replace(tzinfo=timezone.utc), step_s,
                         np.array(values))
         out = tmp_path_factory.mktemp("write")
-        write_power_csv(s, out / "block.csv", header=header)
+        with mock.patch.object(timeseries, "_WRITE_BLOCK_ROWS", block_rows):
+            write_power_csv(s, out / "block.csv", header=header)
         self.write_row_by_row(s, out / "rows.csv", header=header)
         assert (out / "block.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+    def test_runs_across_the_real_block_boundary(self, tmp_path):
+        # runs of 0.0, -0.0 and one value over the 16 384-row boundary
+        values = np.r_[np.zeros(16_000), np.full(500, -0.0), np.full(400, 5.5),
+                       np.zeros(3)]
+        s = PowerSeries(T0, 2.0, values)
+        write_power_csv(s, tmp_path / "block.csv")
+        self.write_row_by_row(s, tmp_path / "rows.csv")
+        assert (tmp_path / "block.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
+
+    @staticmethod
+    def write_grid_row_by_row(path, start, step, columns, labels):
+        """The per-row reference of ``write_grid_csv``."""
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp", *columns])
+            for k in range(len(next(iter(columns.values())))):
+                writer.writerow([format_utc(start + k * step)]
+                                + [labels[name][col[k]] if name in labels
+                                   else repr(float(col[k]))
+                                   for name, col in columns.items()])
+
+    @given(grid_columns(), BLOCK_ROWS)
+    @settings(max_examples=200, deadline=None)
+    def test_grid_matches_row_by_row_writer(self, tmp_path_factory, columns,
+                                            block_rows):
+        labels = {"code": ("off", "on", "idle")}
+        out = tmp_path_factory.mktemp("grid")
+        with mock.patch.object(timeseries, "_WRITE_BLOCK_ROWS", block_rows):
+            timeseries.write_grid_csv(out / "block.csv", T0, timedelta(seconds=2),
+                                      columns, labels=labels)
+        self.write_grid_row_by_row(out / "rows.csv", T0, timedelta(seconds=2),
+                                   columns, labels)
+        assert (out / "block.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+    def test_formats_each_run_once_and_reuses_the_left_column(self, tmp_path,
+                                                              caplog):
+        n = 1_000
+        cmd = np.repeat([0.0, -0.0, 2.5, 0.0], n // 4)
+        actual = cmd.copy()
+        actual[[10, 400]] = [1.0, 0.0]  # 0.0 under -0.0: its own text
+        nan = np.array([0x7FF8000000000000, 0x7FF8000000000001],
+                       dtype=np.uint64).view(np.float64)
+        columns = {"cmd": cmd, "actual": actual, "nan": np.repeat(nan, n // 2)}
+        with caplog.at_level("INFO", logger="pvems.timeseries"):
+            timeseries.write_grid_csv(tmp_path / "t.csv", T0,
+                                      timedelta(seconds=2), columns)
+        # cmd: 4 runs; actual: 1.0 at row 10 and 0.0 under -0.0 at row
+        # 400, its other run heads sit on equal cmd cells; nan: 2 payloads
+        assert caplog.messages == [
+            f"wrote t.csv rows {n} formatted {4 + 2 + 2} of {3 * n} float cells"]
+        self.write_grid_row_by_row(tmp_path / "rows.csv", T0,
+                                   timedelta(seconds=2), columns, {})
+        assert (tmp_path / "t.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
 
 
 def load_outcome(path, **kwargs):
@@ -333,13 +433,18 @@ def load_row_by_row(path, **kwargs):
 
 # Row kinds of the differential test.  Most rows continue the grid in the
 # canonical spelling; the others are the spellings and faults that the
-# block check must hand to the per-row code.  Faults are rarer than the
+# block check must hand to the per-row code, and the lines that csv
+# splits otherwise than at their commas.  Faults are rarer than the
 # other spellings, so that many files load.
 ROW_KINDS = st.sampled_from(
     ["canonical"] * 40
     + ["blank", "whitespace", "epoch", "offset", "jitter", "underscore"] * 2
+    + ["quoted_power", "quote_after", "nul_after", "spanning"] * 2
     + ["duplicate", "decreasing", "irregular", "short", "inf", "nan",
-       "bad_power", "bad_stamp"])
+       "bad_power", "bad_stamp", "long_line", "long_field", "split_row"])
+# A trace CSV's header, whose named columns load_power_csv can select.
+WIDE_HEADER = ("timestamp,p_pv,p_load,p_batt_cmd,p_batt_actual,p_grid,soc,"
+               "mode,rr,rr_violated")
 
 
 @st.composite
@@ -350,7 +455,7 @@ def profile_csv(draw):
                                  timedelta(milliseconds=500)]))
     start = T0 + timedelta(seconds=draw(st.integers(0, 86_400)),
                            microseconds=draw(st.sampled_from([0, 0, 250_000])))
-    header = draw(st.sampled_from(["none", "plain", "column"]))
+    header = draw(st.sampled_from(["none", "plain", "column", "wide"]))
     kwargs = {"expected_unit": draw(st.sampled_from(["W", "kW"]))}
     lines = []
     if header == "plain":
@@ -358,6 +463,12 @@ def profile_csv(draw):
     elif header == "column":
         lines.append("timestamp,other,power")
         kwargs["column"] = "power"
+    elif header == "wide":
+        lines.append(WIDE_HEADER)
+        names = WIDE_HEADER.split(",")
+        kwargs["column"] = draw(st.sampled_from(names[1:]))
+        power_idx = names.index(kwargs["column"])
+    limit = csv.field_size_limit()
     t = start
     for kind in draw(st.lists(ROW_KINDS, min_size=2, max_size=40)):
         power = repr(draw(st.floats(-1e4, 1e4, allow_nan=False)))
@@ -383,22 +494,87 @@ def profile_csv(draw):
         elif kind == "bad_stamp":
             stamp = "2018-13-01T00:00:00Z"
         power = {"inf": "inf", "nan": "nan", "underscore": "1_000",
-                 "bad_power": "12 W"}.get(kind, power)
+                 "bad_power": "12 W", "quoted_power": '"5"'}.get(kind, power)
+        # cells after the power cell: csv reads a quote inside an unquoted
+        # field and a NUL as text, a quoted line break as part of a field,
+        # and refuses a field longer than its limit
+        after = {"quote_after": 'a"b', "nul_after": "x\0y",
+                 "spanning": '"two\nlines"', "long_line": "9" * (limit - 9),
+                 "long_field": "9" * (limit + 1)}.get(kind)
         if kind == "short":
             lines.append(stamp)
+        elif kind == "split_row":
+            # the next stamp as an extra cell, then a line of one cell:
+            # split at every comma of both lines, they would look like
+            # two grid rows
+            lines += [f"{stamp},{power},{format_utc(t + step)}", "7"]
         elif header == "column":
-            lines.append(f"{stamp},x,{power}")
+            lines.append(f"{stamp},x,{power}" + ("" if after is None else f",{after}"))
+        elif header == "wide":
+            cells = ["1.5"] * 9
+            cells[power_idx - 1] = power
+            lines.append(",".join([stamp, *cells] + ([] if after is None else [after])))
         else:
-            lines.append(f"{stamp},{power}")
+            lines.append(f"{stamp},{power}" + ("" if after is None else f",{after}"))
         t += step
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    # one line end for the file, or CR-only, or each line its own
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    ends = (draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                          min_size=len(lines), max_size=len(lines)))
+            if newline == "mixed" else [newline] * len(lines))
     block_rows = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 8_192]))
-    return newline.join(lines) + newline, kwargs, block_rows
+    return "".join(map(str.__add__, lines, ends)), kwargs, block_rows
+
+
+def grid_lines(n, cells=lambda k: f"{k}.5", start=0):
+    """``n`` canonical 2 s grid rows from T0, the ``k``-th with ``cells(k)``."""
+    return [f"{format_utc(T0 + timedelta(seconds=2 * k))},{cells(k)}"
+            for k in range(start, start + n)]
+
+
+def pinned(lines, kwargs=None, block_rows=8_192, ends="\n"):
+    """A ``profile_csv`` case from ``lines`` and one line end per line."""
+    ends = ends if isinstance(ends, list) else [ends] * len(lines)
+    return "".join(map(str.__add__, lines, ends)), kwargs or {}, block_rows
+
+
+LIMIT = csv.field_size_limit()
+SECOND = timedelta(seconds=1)
 
 
 class TestBlockIngest:
     """Block-wise grid checks load exactly what the per-row checks load."""
 
+    # header + blocks of 2, 4, 8, ... lines: line 7 (the 6th after the
+    # header) ends the second block
+    @example(case=pinned(["timestamp,power"] + grid_lines(20), ends="\r"))
+    @example(case=pinned(["timestamp,power"] + grid_lines(20),
+                         ends=["\r", "\n", "\r\n"] * 7))
+    @example(case=pinned(grid_lines(12, lambda k: '"5"' if k == 7 else "5")))
+    @example(case=pinned(["timestamp,power,note"]
+                         + grid_lines(5, lambda k: f"{k},x")
+                         + grid_lines(1, lambda k: '5,"two', start=5)
+                         + ['lines"'] + grid_lines(8, lambda k: f"{k},y", start=6)))
+    @example(case=pinned(grid_lines(12, lambda k: {7: "5,x\0y", 9: '5,a"b'}.get(k, "5"))))
+    # a line one cell short, then a line whose power cell is its own stamp:
+    # split at every comma of the block, their cells would line up as rows
+    @example(case=pinned(grid_lines(8, lambda k: f"{k},n") + grid_lines(1, start=8)
+                         + grid_lines(1, lambda k: f"{format_utc(T0 + 2 * k * SECOND)},5",
+                                      start=9) + grid_lines(5, lambda k: f"{k},n", start=10)))
+    # the power column missing from a block's only line
+    @example(case=pinned(["timestamp,other,power"] + grid_lines(3, lambda k: f"x,{k}")
+                         + grid_lines(1, lambda k: "x", start=3)
+                         + grid_lines(2, lambda k: f"x,{k}", start=4),
+                         {"column": "power"}, 1))
+    @example(case=pinned(grid_lines(12, lambda k: "0" * LIMIT + "5"
+                                    if k == 9 else "5")))
+    @example(case=pinned(grid_lines(12, lambda k: "5," + "9" * (LIMIT + 1)
+                                    if k == 9 else "5")))
+    @example(case=pinned(grid_lines(12, lambda k: "5," + "9" * (LIMIT - 9)
+                                    if k == 9 else "5")))
+    @example(case=pinned([WIDE_HEADER] + grid_lines(
+        40, lambda k: ",".join(str(float(k + c)) for c in range(9))),
+        {"column": "p_grid"}, 8))
     @given(profile_csv())
     @settings(max_examples=400, deadline=None)
     def test_matches_row_by_row(self, tmp_path_factory, case):
@@ -407,6 +583,18 @@ class TestBlockIngest:
         path.write_bytes(text.encode())
         with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", block_rows):
             assert load_outcome(path, **kwargs) == load_row_by_row(path, **kwargs)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 8, 8_192])
+    def test_quoted_line_break_is_one_record_at_any_block_size(self, tmp_path,
+                                                               block_rows):
+        # a note cell with a quoted line break on every third row: each
+        # record holds one power, wherever the blocks of lines end
+        rows = grid_lines(30, lambda k: f'{k}.5,"line\nbreak"' if k % 3 == 0
+                          else f"{k}.5,plain")
+        path = make_csv(tmp_path, "timestamp,power,note\n" + "\n".join(rows) + "\n")
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", block_rows):
+            s = load_power_csv(path)
+        assert list(s.values) == [k + 0.5 for k in range(30)]
 
     @pytest.mark.parametrize("n_rows", [2, 3, 5, 6, 7, 8, 9, 13, 14, 15, 16,
                                         17, 21, 22, 23])
