@@ -32,7 +32,8 @@ from typing import Iterator, Optional, Sequence
 
 from . import fixtures
 from .battery import BatteryParams
-from .ems import MODES, EmsConfig, StrategyKind, Trace, prepass, simulate
+from .ems import (MODES, EmsConfig, PrePass, StrategyKind, Trace, prepass,
+                  simulate)
 from .forecast import (ChargeDecisionPolicy, FixtureForecastSource,
                        ForecastError, LiveForecastSource, should_night_charge)
 from .kpi import KPI_NAMES, KpiReport, accumulate, compute_kpis
@@ -335,6 +336,17 @@ def _stage(name: str) -> Iterator[None]:
     log.info("stage %s %.6f", name, perf_counter() - t0)
 
 
+def _prepass(pv: PowerSeries, config: RunConfig) -> PrePass:
+    """``prepass`` of the PV profile; a window sum that overflows is a
+    ``CliError`` that names the profile."""
+    try:
+        return prepass(pv, config.ems)
+    except OverflowError as exc:
+        raise CliError(f"{config.pv_path}: the sum of a "
+                       f"{config.ems.ramp.window_s:g} s window of PV power "
+                       f"overflows ({exc})") from None
+
+
 def _resolve_forecast(config: RunConfig, strategies: list[StrategyKind]):
     """Source + policy for a run of ``strategies``; warns when the section is unused."""
     if config.forecast is None:
@@ -425,7 +437,7 @@ def run_simulation(config: RunConfig) -> KpiReport:
         with _stage("ingest+align"):
             pv, load = load_profiles(config)
         with _stage("prepass"):
-            pre = prepass(pv, config.ems)
+            pre = _prepass(pv, config)
         strategy, ramp = config.ems.strategy, config.ems.ramp
         source, policy = _resolve_forecast(config, [strategy])
         with _stage(f"dispatch.{strategy.value}"):
@@ -481,7 +493,7 @@ def compare_strategies(config: RunConfig, strategies: list[StrategyKind],
         with _stage("ingest+align"):
             pv, load = load_profiles(config)
         with _stage("prepass"):
-            pre = prepass(pv, config.ems)
+            pre = _prepass(pv, config)
         source, policy = _resolve_forecast(config, strategies)
         reports: dict[str, KpiReport] = {}
         for strat in strategies:

@@ -6,6 +6,13 @@ averaging windows).
 Two distinct evaluation paths exist on purpose: the offline histogram
 uses raw 1-minute differences, while the dispatch loop evaluates
 consecutive samples of the window-averaged signal (normalised to %/min).
+
+The dispatch loop's window average is exact: ``fsum_window_mean`` gives
+the bits of ``fsum(window) / n`` for every window.  It sums all windows
+at once on arrays with error-free transformations and proves, window by
+window, that the float result is the correctly rounded sum; only the
+windows it cannot prove go through ``math.fsum`` (see
+``exact_window_mean``).
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ __all__ = [
     "window_sweep",
     "moving_average",
     "fsum_window_mean",
+    "exact_window_mean",
     "count_violation_events",
 ]
 
@@ -155,20 +163,132 @@ def moving_average(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+_WINDOW_BLOCK = 16_384  # windows that exact_window_mean sums at a time
+
+
 def fsum_window_mean(values: np.ndarray, n: int) -> np.ndarray:
     """Trailing mean over ``n`` samples, ``fsum(window) / n`` for each window.
 
     Exact by construction, unlike ``moving_average``'s cumsum difference.
-    The first ``n - 1`` outputs are NaN.
+    The first ``n - 1`` outputs are NaN.  See ``exact_window_mean``.
+    """
+    return exact_window_mean(values, n)[0]
+
+
+def exact_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """``fsum_window_mean``'s array, and how many windows went through ``fsum``.
+
+    Each output has the bits of ``fsum(window) / n``, and a window that
+    ``fsum`` refuses raises its error.  The windows are summed on
+    arrays, ``_WINDOW_BLOCK`` at a time (``n - 1`` samples of overlap),
+    by a cascade of error-free TwoSum steps (Ogita, Rump and Oishi,
+    *Accurate Sum and Dot Product*, 2005): the head ``s`` and the
+    rounding errors ``e`` sum exactly to the window's sum ``S``, and
+    ``r, lo = TwoSum(s, fl(sum(e)))``.  ``r`` is ``fsum``'s correctly
+    rounded sum when either holds:
+
+    * ``|S - r|`` is below half the smaller gap next to ``r``.  It is at
+      most ``|lo|`` plus the float error of ``fl(sum(e))``, which
+      recursive summation bounds by ``(n - 1) u sum(|e|)``
+      (``u = 2**-53``); the test uses eight times that, from the
+      computed ``sum(|e|)``, and a floor of ``2**-1072`` for an
+      underflowing product, which covers every rounding of the test.
+    * ``fl(sum(e))`` is exact, so ``r`` is ``S`` rounded to nearest
+      even, as in ``fsum``, ties included.  Every sample, head and error
+      is a multiple of ``q``, the smallest ulp of the window's nonzero
+      samples, so every partial sum of the errors is too; when
+      ``sum(|e|) <= 2**52 q`` each fits in 53 bits and no addition
+      rounds.  This covers the exact ties of measured data, whose errors
+      are few and coarse.
+
+    ``fsum`` itself sums the other windows: those that neither test
+    proves, those with a sample that is not finite or large enough to
+    overflow a sum (``|x| >= 2**1020 / 2**n.bit_length()``: ``fsum``
+    raises or gives ``inf`` or ``nan`` there, and the cascade could round
+    past the largest float), and zero sums of windows holding a
+    ``-0.0``, whose sign ``fsum`` sets (``+0.0`` on Python 3.11) and the
+    cascade does not.
     """
     if n < 1:
         raise ValueError("window must span at least one sample")
-    listed = np.asarray(values, dtype=float).tolist()
-    out = np.full(len(listed), np.nan)
-    m = len(listed) - n + 1
-    if m > 0:
-        out[n - 1:] = [fsum(listed[i:i + n]) / n for i in range(m)]
-    return out
+    x = np.asarray(values, dtype=float)
+    out = np.full(len(x), np.nan)
+    m = len(x) - n + 1
+    if m <= 0:
+        return out, 0
+    # samples whose windows fsum sums
+    big = 2.0 ** (1020 - n.bit_length())
+    odd = ~((x < big) & (x > -big))
+    neg_zero = (x == 0.0) & np.signbit(x)
+    odd_in = _windows_holding(odd, n) if odd.any() else None
+    neg_zero_in = _windows_holding(neg_zero, n) if neg_zero.any() else None
+
+    k = min(m, _WINDOW_BLOCK)
+    buffers = np.empty((7, k))
+    c = n * 2.0 ** -50  # 8 (n - 1) u with room, see the docstring
+    resummed: list[int] = []
+    for start in range(0, m, k):
+        stop = min(start + k, m)
+        w = stop - start
+        block = x[start:stop + n - 1]
+        if odd_in is not None and odd_in[start:stop].any():
+            block = np.where(odd[start:stop + n - 1], 0.0, block)
+        s, s2, t, bb, e, a, q = buffers[:, :w]
+        ulp = np.spacing(np.abs(block))
+        ulp[block == 0.0] = np.inf
+        s[:] = block[:w]
+        q[:] = ulp[:w]
+        e.fill(0.0)
+        a.fill(0.0)
+        for j in range(1, n):
+            b = block[j:j + w]
+            _two_sum(s, b, s2, bb, t)  # s2 + t == s + b exactly
+            np.add(e, t, out=e)
+            np.abs(t, out=t)
+            np.add(a, t, out=a)
+            np.minimum(q, ulp[j:j + w], out=q)
+            s, s2 = s2, s
+        r = s2
+        _two_sum(s, e, r, bb, t)  # r + t == s + e exactly: t is lo
+        # the slack: half the smaller gap next to r, less |lo|
+        g = np.abs(r, out=bb)
+        np.subtract(g, np.nextafter(g, 0.0, out=s), out=g)
+        np.multiply(g, 0.5, out=g)
+        np.abs(t, out=t)
+        np.subtract(g, t, out=g)
+        # the bound on the float error of fl(sum(e)), against the slack
+        np.multiply(a, c, out=t)
+        np.add(t, 2.0 ** -1072, out=t)
+        np.multiply(q, 2.0 ** 52, out=q)
+        sure = (t < g) | (a <= q)
+        if odd_in is not None:
+            sure &= ~odd_in[start:stop]
+        if neg_zero_in is not None:
+            sure &= ~(neg_zero_in[start:stop] & (r == 0.0))
+        np.divide(r, n, out=out[n - 1 + start:n - 1 + stop])
+        if not sure.all():
+            resummed += (start + np.flatnonzero(~sure)).tolist()
+    for i in resummed:
+        out[n - 1 + i] = fsum(x[i:i + n].tolist()) / n
+    return out, len(resummed)
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray, s: np.ndarray, bb: np.ndarray,
+             e: np.ndarray) -> None:
+    """Knuth's TwoSum into buffers: ``s = fl(a + b)`` and ``s + e == a + b``
+    exactly, barring overflow.  ``bb`` is scratch; ``a`` and ``b`` stay."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=bb)
+    np.subtract(s, bb, out=e)
+    np.subtract(a, e, out=e)
+    np.subtract(b, bb, out=bb)
+    np.add(e, bb, out=e)
+
+
+def _windows_holding(flags: np.ndarray, n: int) -> np.ndarray:
+    """Whether each full window of ``n`` samples holds a True flag."""
+    counts = np.concatenate(([0], np.cumsum(flags)))
+    return counts[n:] > counts[:-n]
 
 
 def count_violation_events(flags: np.ndarray) -> int:

@@ -316,6 +316,34 @@ class TestErrorsWithoutTraceback:
         assert code == 1
         assert_one_line_error(capsys, "plain_file")
 
+    # a finite PV profile whose window sum overflows names the profile
+    # and leaves the previous outputs
+    @pytest.mark.parametrize("command, outputs", [
+        ("simulate", ("trace.csv", "kpi.json", "histogram.csv")),
+        ("compare", ("compare.csv",)),
+    ])
+    def test_window_sum_overflow(self, corpus, day_config, tmp_path, capsys,
+                                 command, outputs):
+        paths, _ = corpus
+        rows = paths["pv_smooth_day"].read_text().splitlines()
+        huge_pv = tmp_path / "huge_pv.csv"
+        huge_pv.write_text("\n".join([rows[0]] + [row.split(",")[0] + ",1e308"
+                                                  for row in rows[1:]]) + "\n")
+        doc = json.loads(day_config.read_text())
+        doc["pv_path"] = str(huge_pv)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for name in outputs:
+            (out_dir / name).write_text(f"previous {name}\n")
+        code = main([command, "--config", str(config), "--out-dir", str(out_dir)])
+        assert code == 1
+        assert_one_line_error(capsys, "huge_pv.csv", "overflow")
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(outputs)
+        assert all((out_dir / name).read_text() == f"previous {name}\n"
+                   for name in outputs)
+
 
 class TestCsvErrorsWithoutTraceback:
     """A csv-level fault in a profile is one ``error:`` line and exit 1."""
@@ -421,10 +449,12 @@ class TestAtomicOutputs:
 STAGE = re.compile(r"^stage (\S+) (\d+\.\d{6})$")
 DISPATCH = re.compile(r"^dispatch (\S+) runs (\d+) taper (\d+) scalar (\d+)$")
 WROTE = re.compile(r"^wrote (\S+) rows (\d+) formatted (\d+) of (\d+) float cells$")
+PREPASS = re.compile(r"^prepass windows (\d+) resummed (\d+)$")
 
 
 class TestStageLog:
     """``-v`` logs one ``stage <name> <seconds>`` line per stage, one
+    ``prepass windows <m> resummed <k>`` line per pre-pass, one
     ``dispatch <strategy> runs <ticks> taper <ticks> scalar <ticks>``
     line per strategy and one ``wrote <name> rows <n> formatted <k> of
     <cells> float cells`` line per grid CSV; nothing else changes."""
@@ -451,6 +481,12 @@ class TestStageLog:
         n_ticks = len(load_power_csv(config["pv_path"]))
         assert all(sum(map(int, m.group(2, 3, 4))) == n_ticks
                    for m in dispatch)
+        # one full window per tick from the window's last sample on
+        (prepass,) = [PREPASS.match(m) for m in caplog.messages
+                      if m.startswith("prepass ")]
+        windows, resummed = map(int, prepass.groups())
+        n_window = round(config["ramp"]["window_s"] / config["ramp"]["tick_s"])
+        assert windows == n_ticks - n_window + 1 and resummed <= windows
         wrote = [WROTE.match(m) for m in caplog.messages
                  if m.startswith("wrote ")]
         assert all(wrote), caplog.messages
@@ -500,6 +536,17 @@ class TestStageLog:
         assert name == "trace.csv" and int(rows) == 302_400
         assert int(cells) == 7 * int(rows)
         assert int(formatted) <= int(cells) / 2
+
+
+    def test_seed_week_prepass_resums_no_window(self, corpus, tmp_path, caplog):
+        # the week's window means all certify on arrays; a fall-back to
+        # fsum for every window would count 302 391
+        paths, _ = corpus
+        with caplog.at_level(logging.INFO, logger="pvems.ems"):
+            assert main(["compare", "--config", str(paths["config"]),
+                         "--strategies", "SCM", "--out-dir", str(tmp_path)]) == 0
+        (line,) = [m for m in caplog.messages if m.startswith("prepass ")]
+        assert PREPASS.match(line).groups() == ("302391", "0")
 
 
 class TestCompare:

@@ -3,16 +3,21 @@ offline ramp analyses.  Reference values come from explicit brute-force
 loops, kept deliberately separate from the vectorised implementations.
 """
 
+import math
+import struct
 from datetime import datetime, timezone
+from math import fsum
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvems.ramp import (RampConfig, count_violation_events, ma_command,
-                        moving_average, ramp_histogram, ramp_rate, violates,
-                        window_sweep)
+from pvems import ramp
+from pvems.ramp import (RampConfig, count_violation_events, exact_window_mean,
+                        fsum_window_mean, ma_command, moving_average,
+                        ramp_histogram, ramp_rate, violates, window_sweep)
 from pvems.timeseries import PowerSeries
 
 T0 = datetime(2018, 1, 1, tzinfo=timezone.utc)
@@ -212,3 +217,106 @@ class TestHelpers:
         assert count_violation_events(flags) == 3
         assert count_violation_events(np.array([], dtype=bool)) == 0
         assert count_violation_events(np.array([True])) == 1
+
+
+def fsum_oracle(values, n):
+    """``fsum(window) / n`` per full window, NaN before the first one."""
+    return ([math.nan] * min(n - 1, len(values))
+            + [fsum(values[i:i + n]) / n for i in range(len(values) - n + 1)])
+
+
+def outcome(mean, values, n):
+    """The bits of ``mean(values, n)``, or the type and text of its error."""
+    try:
+        out = list(mean(values, n))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return struct.pack(f"<{len(out)}d", *out)
+
+
+HUGE = 1.7976931348623157e308
+TINY = 5e-324
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.1, 3.0, 2.0 ** -53, 2.0 ** -106, 2.0 ** 53,
+           1e300, -1e300, 2.0 ** 1000, HUGE, -HUGE, TINY, -TINY,
+           2.2250738585072014e-308, 2.225073858507201e-308]
+
+
+@st.composite
+def window_case(draw):
+    """Values, a window length and a block size (windows per block)."""
+    n = draw(st.sampled_from([1, 2, 3, 10, 300]))
+    elements = [st.sampled_from(SPECIAL), st.floats(-1e4, 1e4),
+                st.integers(-2 ** 64, 2 ** 64).map(float),
+                st.floats(-1e-300, 1e-300),
+                st.floats(allow_nan=False, allow_infinity=False)]
+    if draw(st.booleans()):
+        elements.append(st.sampled_from([math.inf, -math.inf, math.nan]))
+    size = draw(st.one_of(st.integers(0, n + 1), st.integers(n, n + 40)))
+    values = draw(st.lists(st.one_of(elements), min_size=size, max_size=size))
+    return values, n, draw(st.sampled_from([1, 2, 3, 7, 16_384]))
+
+
+def pinned_windows(values, n, block=2):
+    return values, n, block
+
+
+def hex_floats(text):
+    return [float.fromhex(h) for h in text.split()]
+
+
+class TestExactWindowMean:
+    """``fsum_window_mean`` gives the bits of a plain ``fsum`` loop, or
+    raises its error, at any block size."""
+
+    @example(case=pinned_windows([-0.0] * 12, 1))
+    @example(case=pinned_windows([-0.0] * 12, 10))
+    @example(case=pinned_windows([0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 1.0, -1.0], 2))
+    @example(case=pinned_windows([-0.0, 0.0, -0.0] * 4, 3))
+    @example(case=pinned_windows([1.0, 2.0 ** -53], 2))
+    @example(case=pinned_windows([1.0, -2.0 ** -54, 3.0, 2.0 ** -53, 1.0], 2))
+    @example(case=pinned_windows([1.0, 2.0 ** -53, 2.0 ** -106], 3))
+    @example(case=pinned_windows([1.0, 2.0 ** -53, -2.0 ** -106], 3))
+    # near-ties where the float sum of the rounding errors is off by
+    # enough to pick the other neighbour of the head
+    @example(case=pinned_windows(hex_floats("0x1.8p+0 0x1.0000000000001p-54 "
+                                            "0x1p-54 -0x1.fffffffffffffp-107"), 4))
+    @example(case=pinned_windows(hex_floats("0x1.8p+0 -0x1p-53 "
+                                            "-0x1.0000000000001p-107"), 3))
+    # errors that sum to 54 bits, so their float sum is not exact
+    @example(case=pinned_windows(hex_floats("0x1.0000000000001p+0 0x1p-54 "
+                                            "0x1.fffffffffffffp-55"), 3))
+    @example(case=pinned_windows([2.0 ** 53, 1.0, 1.0], 3))
+    @example(case=pinned_windows([2.0 ** 53, 1.0, 1.0, 2.0 ** 53, 1.0], 2))
+    @example(case=pinned_windows([TINY, 3 * TINY, -TINY, 2.0 ** -1022, TINY], 2))
+    @example(case=pinned_windows([TINY] * 5 + [2.0 ** -1060] * 5, 3))
+    @example(case=pinned_windows([1e300, 1.0, -1e300], 3))
+    @example(case=pinned_windows([1e300, 1.0, -1e300, 1.0, 1e300], 3))
+    @example(case=pinned_windows([1.0, HUGE, HUGE, -HUGE], 3))
+    # samples below the largest float whose sums overflow, on both sides
+    @example(case=pinned_windows([float.fromhex("0x1.fffffffffffffp+1022")] * 4, 3))
+    @example(case=pinned_windows([float.fromhex("0x1.fp+1019")] * 301, 300))
+    @example(case=pinned_windows([HUGE, 2.0 ** 969, 2.0 ** 969, -HUGE], 4))
+    @example(case=pinned_windows([1.0, math.inf, -math.inf, 1.0], 2))
+    @example(case=pinned_windows([1.0, 2.0, 3.0, math.nan, 5.0], 2))
+    @given(case=window_case())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fsum_bits(self, case):
+        values, n, block = case
+        with mock.patch.object(ramp, "_WINDOW_BLOCK", block):
+            got = outcome(lambda v, k: fsum_window_mean(np.array(v, dtype=float), k),
+                          values, n)
+        assert got == outcome(fsum_oracle, values, n)
+
+    def test_counts_the_windows_fsum_sums(self):
+        # a near-tie whose errors do not sum exactly, a window of -0.0 and
+        # one holding a sample too large for the arrays; the tie of the
+        # second window has exact errors, so round-to-even decides it
+        values = [1.0, 2.0 ** -53, 2.0 ** -106, -0.0, -0.0, -0.0, 2.0, HUGE]
+        mean, resummed = exact_window_mean(values, 3)
+        assert resummed == 3
+        assert outcome(lambda v, k: mean, values, 3) == outcome(fsum_oracle, values, 3)
+        assert exact_window_mean(np.arange(100.0), 10)[1] == 0
+
+    def test_rejects_an_empty_window(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            fsum_window_mean(np.ones(3), 0)
