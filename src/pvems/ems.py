@@ -51,7 +51,7 @@ from . import battery as bat
 from .battery import BatteryParams, BatteryState
 from .forecast import (ChargeDecisionPolicy, ForecastDay, ForecastError,
                        should_night_charge)
-from .ramp import RampConfig, exact_window_mean, ramp_rate, violates
+from .ramp import RampConfig, fsum_window_mean, ramp_rate, violates
 from .timeseries import PowerSeries
 
 __all__ = [
@@ -354,7 +354,7 @@ def prepass(pv: PowerSeries, cfg: EmsConfig) -> PrePass:
     ramp = cfg.ramp
     n = len(pv)
     n_window = ramp.window_samples
-    mean, resummed = exact_window_mean(pv.values, n_window)
+    mean, resummed = fsum_window_mean(pv.values, n_window)
     log.info("prepass windows %d resummed %d", max(n - n_window + 1, 0), resummed)
 
     rr = np.zeros(n)

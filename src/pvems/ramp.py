@@ -11,8 +11,7 @@ The dispatch loop's window average is exact: ``fsum_window_mean`` gives
 the bits of ``fsum(window) / n`` for every window.  It sums all windows
 at once on arrays with error-free transformations and proves, window by
 window, that the float result is the correctly rounded sum; only the
-windows it cannot prove go through ``math.fsum`` (see
-``exact_window_mean``).
+windows it cannot prove go through ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "window_sweep",
     "moving_average",
     "fsum_window_mean",
-    "exact_window_mean",
     "count_violation_events",
 ]
 
@@ -163,46 +161,31 @@ def moving_average(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-_WINDOW_BLOCK = 16_384  # windows that exact_window_mean sums at a time
+_WINDOW_BLOCK = 16_384  # windows that fsum_window_mean sums at a time
 
 
-def fsum_window_mean(values: np.ndarray, n: int) -> np.ndarray:
-    """Trailing mean over ``n`` samples, ``fsum(window) / n`` for each window.
+def fsum_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Trailing mean over ``n`` samples, and how many windows went through ``fsum``.
 
-    Exact by construction, unlike ``moving_average``'s cumsum difference.
-    The first ``n - 1`` outputs are NaN.  See ``exact_window_mean``.
-    """
-    return exact_window_mean(values, n)[0]
-
-
-def exact_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """``fsum_window_mean``'s array, and how many windows went through ``fsum``.
-
-    Each output has the bits of ``fsum(window) / n``, and a window that
-    ``fsum`` refuses raises its error.  The windows are summed on
-    arrays, ``_WINDOW_BLOCK`` at a time (``n - 1`` samples of overlap),
-    by a cascade of error-free TwoSum steps (Ogita, Rump and Oishi,
+    Each output has the bits of ``fsum(window) / n``, exact by
+    construction unlike ``moving_average``'s cumsum difference; the
+    first ``n - 1`` outputs are NaN, and a window that ``fsum`` refuses
+    raises its error.  The windows are summed on arrays,
+    ``_WINDOW_BLOCK`` at a time (``n - 1`` samples of overlap), by a
+    cascade of error-free TwoSum steps (Ogita, Rump and Oishi,
     *Accurate Sum and Dot Product*, 2005): the head ``s`` and the
-    rounding errors ``e`` sum exactly to the window's sum ``S``, and
-    ``r, lo = TwoSum(s, fl(sum(e)))``.  ``r`` is ``fsum``'s correctly
-    rounded sum when either holds:
+    rounding errors ``e`` sum exactly to the window's sum ``S``.  When
+    the float sum of ``e`` is exact, ``fl(s + sum(e))`` is ``S`` rounded
+    to nearest even, as in ``fsum``, ties included.  It is exact when
+    ``sum(|e|) <= 2**52 q``, ``q`` the smallest ulp of the window's
+    nonzero samples: every sample, head and error is a multiple of
+    ``q``, so every partial sum of the errors is one of at most 53 bits
+    and no addition rounds.  Each error is at most ``2**-53`` of a head
+    of at most ``n`` samples, so the test passes whenever the window's
+    largest nonzero sample is below ``2**52 / n**2`` times its smallest.
 
-    * ``|S - r|`` is below half the smaller gap next to ``r``.  It is at
-      most ``|lo|`` plus the float error of ``fl(sum(e))``, which
-      recursive summation bounds by ``(n - 1) u sum(|e|)``
-      (``u = 2**-53``); the test uses eight times that, from the
-      computed ``sum(|e|)``, and a floor of ``2**-1072`` for an
-      underflowing product, which covers every rounding of the test.
-    * ``fl(sum(e))`` is exact, so ``r`` is ``S`` rounded to nearest
-      even, as in ``fsum``, ties included.  Every sample, head and error
-      is a multiple of ``q``, the smallest ulp of the window's nonzero
-      samples, so every partial sum of the errors is too; when
-      ``sum(|e|) <= 2**52 q`` each fits in 53 bits and no addition
-      rounds.  This covers the exact ties of measured data, whose errors
-      are few and coarse.
-
-    ``fsum`` itself sums the other windows: those that neither test
-    proves, those with a sample that is not finite or large enough to
+    ``fsum`` itself sums the other windows: those that the test does not
+    prove, those with a sample that is not finite or large enough to
     overflow a sum (``|x| >= 2**1020 / 2**n.bit_length()``: ``fsum``
     raises or gives ``inf`` or ``nan`` there, and the cascade could round
     past the largest float), and zero sums of windows holding a
@@ -225,7 +208,6 @@ def exact_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
 
     k = min(m, _WINDOW_BLOCK)
     buffers = np.empty((7, k))
-    c = n * 2.0 ** -50  # 8 (n - 1) u with room, see the docstring
     resummed: list[int] = []
     for start in range(0, m, k):
         stop = min(start + k, m)
@@ -248,19 +230,9 @@ def exact_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
             np.add(a, t, out=a)
             np.minimum(q, ulp[j:j + w], out=q)
             s, s2 = s2, s
-        r = s2
-        _two_sum(s, e, r, bb, t)  # r + t == s + e exactly: t is lo
-        # the slack: half the smaller gap next to r, less |lo|
-        g = np.abs(r, out=bb)
-        np.subtract(g, np.nextafter(g, 0.0, out=s), out=g)
-        np.multiply(g, 0.5, out=g)
-        np.abs(t, out=t)
-        np.subtract(g, t, out=g)
-        # the bound on the float error of fl(sum(e)), against the slack
-        np.multiply(a, c, out=t)
-        np.add(t, 2.0 ** -1072, out=t)
+        r = np.add(s, e, out=s2)  # S rounded once where e summed exactly
         np.multiply(q, 2.0 ** 52, out=q)
-        sure = (t < g) | (a <= q)
+        sure = a <= q
         if odd_in is not None:
             sure &= ~odd_in[start:stop]
         if neg_zero_in is not None:

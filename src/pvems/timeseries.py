@@ -262,30 +262,24 @@ def _grid_prefix(lines: list[str], prev: datetime, step: timedelta,
     """How many leading raw ``lines`` continue the grid after ``prev``, and their powers.
 
     A line qualifies when it is exactly ``format_utc_grid``'s text for
-    the next grid point, or that text with ``+00:00`` or nothing in place
-    of its ``Z`` (as the block's first line spells it; ``_parse_timestamp``
-    reads all three as the same instant), then ``,``, then cells, then a
-    line end, and its ``power_idx`` cell gives a finite ``float``.
-    ``csv`` gives such a line's fields by splitting it at its commas
-    unless it holds a quote, a NUL (refused before Python 3.11) or a
-    field longer than ``csv.field_size_limit()``; so a line with a
-    quote or a NUL, or longer than the limit, does not qualify, and
-    every other one passes the per-row checks of ``load_power_csv`` with
-    the same value (``float`` ignores the line end left on a last cell).
-    The prefix also ends where the number of cells changes, so that one
-    split of the joined lines gives each line's cells.  A block whose
-    first line is off the grid is rejected after formatting one
-    timestamp.
+    the next grid point, then ``,``, then cells, then a line end, and
+    its ``power_idx`` cell gives a finite ``float``.  ``csv`` gives such
+    a line's fields by splitting it at its commas unless it holds a
+    quote, a NUL (refused before Python 3.11) or a field longer than
+    ``csv.field_size_limit()``; so a line with a quote or a NUL, or
+    longer than the limit, does not qualify, and every other one passes
+    the per-row checks of ``load_power_csv`` with the same value
+    (``float`` ignores the line end left on a last cell).  The prefix
+    also ends where the number of cells changes, so that one split of
+    the joined lines gives each line's cells.  A block whose first line
+    is off the grid is rejected after formatting one timestamp.
     """
     n = len(lines)
     try:
         prev + n * step  # the grid must stay within datetime's years
     except OverflowError:
         return 0, None
-    stamp = format_utc_grid(prev, step, 1, 2)[0][:-1]
-    zone = next((z for z in ("Z", "+00:00", "")
-                 if lines[0].startswith(stamp + z + ",")), None)
-    if zone is None:
+    if not lines[0].startswith(format_utc_grid(prev, step, 1, 2)[0] + ","):
         return 0, None
     # the last line of a file may lack a line end
     ends = [n if lines[-1].endswith(("\n", "\r")) else n - 1]
@@ -303,8 +297,6 @@ def _grid_prefix(lines: list[str], prev: datetime, step: timedelta,
     cells = text.split(",", n * width)
     stamps = cells[0:n * width:width]
     expected = format_utc_grid(prev, step, 1, n + 1)
-    if zone != "Z":
-        expected = [t[:-1] + zone for t in expected]
     if stamps != expected:
         n = next(k for k, (a, b) in enumerate(zip(stamps, expected)) if a != b)
     try:

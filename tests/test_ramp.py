@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvems import ramp
-from pvems.ramp import (RampConfig, count_violation_events, exact_window_mean,
-                        fsum_window_mean, ma_command, moving_average,
+from pvems.ramp import (RampConfig, count_violation_events, fsum_window_mean,
+                        ma_command, moving_average,
                         ramp_histogram, ramp_rate, violates, window_sweep)
 from pvems.timeseries import PowerSeries
 
@@ -296,6 +296,14 @@ class TestExactWindowMean:
     @example(case=pinned_windows([float.fromhex("0x1.fffffffffffffp+1022")] * 4, 3))
     @example(case=pinned_windows([float.fromhex("0x1.fp+1019")] * 301, 300))
     @example(case=pinned_windows([HUGE, 2.0 ** 969, 2.0 ** 969, -HUGE], 4))
+    # finite heads and errors that sum exactly to half an ulp past the
+    # largest float: the tie rounds to infinity, and fsum raises
+    @example(case=pinned_windows([2.0 ** 1023, 2.0 ** 1022 + 2.0 ** 970,
+                                  2.0 ** 1022 - 2.0 ** 971], 3))
+    # the same with 18 samples below 2**1020 (heads are multiples of 2**971)
+    @example(case=pinned_windows([2.0 ** 970] + [(2 ** 49 - 1) * 2.0 ** 971] * 8
+                                 + [(2 ** 49 - 2) * 2.0 ** 971]
+                                 + [(2 ** 49 - 1) * 2.0 ** 971] * 7 + [2.0 ** 975], 18))
     @example(case=pinned_windows([1.0, math.inf, -math.inf, 1.0], 2))
     @example(case=pinned_windows([1.0, 2.0, 3.0, math.nan, 5.0], 2))
     @given(case=window_case())
@@ -303,7 +311,7 @@ class TestExactWindowMean:
     def test_matches_fsum_bits(self, case):
         values, n, block = case
         with mock.patch.object(ramp, "_WINDOW_BLOCK", block):
-            got = outcome(lambda v, k: fsum_window_mean(np.array(v, dtype=float), k),
+            got = outcome(lambda v, k: fsum_window_mean(np.array(v, dtype=float), k)[0],
                           values, n)
         assert got == outcome(fsum_oracle, values, n)
 
@@ -312,11 +320,25 @@ class TestExactWindowMean:
         # one holding a sample too large for the arrays; the tie of the
         # second window has exact errors, so round-to-even decides it
         values = [1.0, 2.0 ** -53, 2.0 ** -106, -0.0, -0.0, -0.0, 2.0, HUGE]
-        mean, resummed = exact_window_mean(values, 3)
+        mean, resummed = fsum_window_mean(values, 3)
         assert resummed == 3
         assert outcome(lambda v, k: mean, values, 3) == outcome(fsum_oracle, values, 3)
-        assert exact_window_mean(np.arange(100.0), 10)[1] == 0
+        assert fsum_window_mean(np.arange(100.0), 10)[1] == 0
 
     def test_rejects_an_empty_window(self):
         with pytest.raises(ValueError, match="at least one sample"):
             fsum_window_mean(np.ones(3), 0)
+
+    @given(n=st.sampled_from([2, 3, 10, 300]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_samples_within_the_proven_range_need_no_fsum(self, n, data):
+        # largest nonzero sample below 2**52 / n**2 times the smallest:
+        # the rounding errors sum exactly, so no window goes to fsum
+        # (samples too large for the arrays do; see test_matches_fsum_bits)
+        lo = data.draw(st.floats(1e-300, 1e250))
+        size = st.floats(lo, lo * 2.0 ** 52 / n ** 2 / 1.001)
+        sample = st.one_of(size, size.map(lambda v: -v), st.just(0.0))
+        values = data.draw(st.lists(sample, min_size=n, max_size=n + 40))
+        mean, resummed = fsum_window_mean(values, n)
+        assert resummed == 0
+        assert outcome(lambda v, k: mean, values, n) == outcome(fsum_oracle, values, n)
