@@ -470,7 +470,10 @@ def run_ramp_analysis(pv_path: Path, cfg: RampConfig, windows_s: list[float],
     hist_path, sweep_path = out_dir / "histogram.csv", out_dir / "window_sweep.csv"
     with _output_set([hist_path, sweep_path]) as (hist_tmp, sweep_tmp):
         write_histogram_csv(pv, cfg, hist_tmp)
-        sweep = window_sweep(pv, cfg, windows_s)
+        try:
+            sweep = window_sweep(pv, cfg, windows_s)
+        except OverflowError as exc:
+            raise CliError(f"{pv_path}: {exc}") from None
         write_window_sweep_csv(sweep, sweep_tmp)
 
     for w, count in sweep:

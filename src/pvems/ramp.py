@@ -281,6 +281,9 @@ def window_sweep(series: PowerSeries, cfg: RampConfig,
     samples of the averaged signal, and with unlimited execution every
     detected ramp event is neutralised, so the count equals the number
     of detected events.  Wider windows smooth harder and detect fewer.
+    Raises ``OverflowError`` when a window's average is not finite: the
+    running sum behind ``moving_average`` overflowed, as it does when
+    the sum of a window does.  The message says which of the two.
     """
     results: list[tuple[float, int]] = []
     for w in windows_s:
@@ -289,7 +292,16 @@ def window_sweep(series: PowerSeries, cfg: RampConfig,
             raise ValueError(f"window {w} s is not a multiple of the series "
                              f"step ({series.step_s} s)")
         n = int(round(n))
-        avg = moving_average(series.values, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            avg = moving_average(series.values, n)
+        if not np.isfinite(avg[n - 1:]).all():
+            try:
+                fsum_window_mean(series.values, n)
+            except OverflowError as exc:
+                raise OverflowError(f"the sum of a {w:g} s window of PV power "
+                                    f"overflows ({exc})") from None
+            raise OverflowError(f"the running sum behind the {w:g} s window "
+                                "average of PV power overflows")
         rr = ramp_rate(avg[1:], avg[:-1], cfg, series.step_s / 60.0)
         results.append((w, count_violation_events(violates(rr, cfg))))
     return results

@@ -412,6 +412,11 @@ def format_utc_grid(start: datetime, step: timedelta, lo: int,
     CSV are UTC).  An increasing grid of whole seconds is written as
     ASCII bytes from per-day date text and two-digit tables.
     """
+    return _utc_grid_lines(start, step, lo, hi).decode("ascii").split("\n")[:-1]
+
+
+def _utc_grid_lines(start: datetime, step: timedelta, lo: int, hi: int) -> bytes:
+    """``format_utc_grid``'s texts as ASCII, each ended by a line feed."""
     origin = np.datetime64(start.astimezone(timezone.utc).replace(tzinfo=None), "us")
     step_us = step // timedelta(microseconds=1)
     stamps = origin + (np.arange(lo, hi, dtype=np.int64) * step_us).astype("m8[us]")
@@ -421,11 +426,13 @@ def format_utc_grid(start: datetime, step: timedelta, lo: int,
             and _YEAR_1 <= stamps[0] and stamps[-1] < _YEAR_10000):
         return _format_whole_seconds(us // 1_000_000)
     text = np.datetime_as_string(stamps, unit="us").tolist()
-    return [t[:19] + "Z" if w else t + "Z" for t, w in zip(text, whole.tolist())]
+    return "".join(t[:19] + "Z\n" if w else t + "Z\n"
+                   for t, w in zip(text, whole.tolist())).encode("ascii")
 
 
-def _format_whole_seconds(seconds: np.ndarray) -> list[str]:
-    """``YYYY-MM-DDTHH:MM:SSZ`` for increasing epoch seconds within years 1-9999."""
+def _format_whole_seconds(seconds: np.ndarray) -> bytes:
+    """``YYYY-MM-DDTHH:MM:SSZ`` and a line feed for each of increasing epoch
+    seconds within years 1-9999, as ASCII."""
     day, second = np.divmod(seconds, 86_400)
     new_day = np.empty(len(day), dtype=bool)
     new_day[0] = True
@@ -440,7 +447,7 @@ def _format_whole_seconds(seconds: np.ndarray) -> list[str]:
     fields["hour"] = _TWO_DIGITS[hour]
     fields["minute"] = _TWO_DIGITS[minute]
     fields["second"] = _TWO_DIGITS[second]
-    return rows.tobytes().decode("ascii").split("\n")[:-1]
+    return rows.tobytes()
 
 
 _WRITE_BLOCK_ROWS = 16_384  # rows formatted at a time by write_grid_csv
@@ -458,42 +465,47 @@ def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
     hold a delimiter, quote or line break.  Columns are formatted
     ``_WRITE_BLOCK_ROWS`` rows at a time, so memory stays bounded, and
     each float is formatted once per run of equal cells (see
-    ``_float_texts``).  Logs ``wrote <name> rows <n> formatted <k> of
-    <cells> float cells`` at INFO.
+    ``_float_texts``), on arrays by ``_format_floats``, which calls
+    ``repr`` only for the cells it cannot prove.  Texts stay ASCII bytes
+    from the formatters to the file.  Logs ``wrote <name> rows <n>
+    formatted <k> of <cells> float cells repr <r>`` at INFO.
     """
-    tables = {name: np.array(table, dtype=object) for name, table in (labels or {}).items()}
+    tables = {name: np.array([text.encode() for text in table], dtype=object)
+              for name, table in (labels or {}).items()}
     columns = {name: col if name in tables else np.asarray(col, dtype=np.float64)
                for name, col in columns.items()}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = len(next(iter(columns.values())))
-    formatted = 0
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    formatted = reprs = 0
+    with path.open("wb") as fh:
         if header:
-            fh.write(",".join(["timestamp", *columns]) + "\r\n")
+            fh.write((",".join(["timestamp", *columns]) + "\r\n").encode())
         for lo in range(0, n, _WRITE_BLOCK_ROWS):
             hi = min(lo + _WRITE_BLOCK_ROWS, n)
-            fields = [format_utc_grid(start, step, lo, hi)]
+            fields = [_utc_grid_lines(start, step, lo, hi).split(b"\n")[:-1]]
             left = None  # the bits and texts of the last float column
             for name, col in columns.items():
                 if name in tables:
                     fields.append(tables[name].take(col[lo:hi]).tolist())
                     continue
                 bits = col[lo:hi].view(np.int64)
-                texts, k = _float_texts(bits, left)
+                texts, k, r = _float_texts(bits, left)
                 formatted += k
+                reprs += r
                 fields.append(texts.tolist())
                 left = bits, texts
-            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+            fh.write(b"\r\n".join(map(b",".join, zip(*fields))) + b"\r\n")
     n_floats = n * sum(name not in tables for name in columns)
-    log.info("wrote %s rows %d formatted %d of %d float cells",
-             path.name, n, formatted, n_floats)
+    log.info("wrote %s rows %d formatted %d of %d float cells repr %d",
+             path.name, n, formatted, n_floats, reprs)
 
 
 def _float_texts(bits: np.ndarray, left: Union[tuple[np.ndarray, np.ndarray], None]
-                 ) -> tuple[np.ndarray, int]:
+                 ) -> tuple[np.ndarray, int, int]:
     """``repr`` of each float64 whose bits are ``bits``, as an object
-    array, and the number of ``repr`` calls made.
+    array of ASCII bytes, the number of cells formatted and the number
+    of ``repr`` calls made.
 
     Only the first cell of each run of equal bits is formatted, and a
     run head whose bits equal the same row of ``left`` (the bits and
@@ -511,9 +523,185 @@ def _float_texts(bits: np.ndarray, left: Union[tuple[np.ndarray, np.ndarray], No
         left_bits, left_texts = left
         np.not_equal(bits[rows], left_bits[rows], out=fresh)
         texts[~fresh] = left_texts[rows[~fresh]]
-    values = bits[rows[fresh]].view(np.float64).tolist()
-    texts[fresh] = np.fromiter(map(repr, values), dtype=object, count=len(values))
-    return texts.take(np.cumsum(head) - 1), len(values)
+    strings, reprs = _format_floats(bits[rows[fresh]].view(np.float64))
+    texts[fresh] = strings
+    return texts.take(np.cumsum(head) - 1), len(strings), reprs
+
+
+def _binade_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each biased exponent ``b`` of the binades that meet [1e-4, 1e16):
+    ``16 - floor(log10(2**(b - 1023)))`` and the least double at or above
+    the power of ten inside the binade (``inf`` when there is none)."""
+    shift, threshold = np.zeros(2048, np.int64), np.full(2048, np.inf)
+    for b in range(1009, 1077):
+        e = b - 1023
+        # exact: 2**e and 5**-e are never powers of ten
+        dec = len(str(2 ** e)) - 1 if e >= 0 else len(str(5 ** -e)) - 1 + e
+        shift[b] = 16 - dec
+        # 1e-3 .. 1e-1 (and 1e-4) round up, so ``a >= t`` is ``a >= 10**k``
+        t = float(f"1e{dec + 1}")
+        if t < 2.0 ** (e + 1):
+            threshold[b] = t
+    return shift, threshold
+
+
+_SHIFT, _NEXT_POW10 = _binade_tables()
+_HALF_ULP = np.ldexp(1.0, np.arange(2048) - 1076)  # of a float with biased exponent b
+_POW10 = np.array([float(10 ** k) for k in range(21)])  # exact
+_SPLIT = 134_217_729.0  # 2**27 + 1
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)  # Veltkamp's split
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _digits4() -> np.ndarray:
+    """``b"%04d" % i`` for ``i`` in ``range(10_000)``, as an ``S4`` array."""
+    pairs = np.arange(100, dtype=np.uint8)[:, None] // np.array([10, 1], np.uint8) % 10
+    table = np.empty((100, 100, 4), dtype=np.uint8)
+    table[:, :, :2] = pairs[:, None] + ord("0")
+    table[:, :, 2:] = pairs[None, :] + ord("0")
+    return table.reshape(10_000, 4).view("S4")[:, 0]
+
+
+_DIGITS4 = _digits4()
+_DIGITS17 = np.dtype({"names": ["d0", "d1", "d2", "d3", "d4"],
+                      "formats": ["u1", "S4", "S4", "S4", "S4"],
+                      "offsets": [0, 1, 5, 9, 13], "itemsize": 17})
+_UNPROVEN = 0xFFFF  # sort key of the cells left to repr
+
+
+def _format_floats(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``repr(v).encode()`` for each float ``v`` of ``values`` (an ``S24``
+    array) and the number of cells that were left to ``repr``.
+
+    ``repr`` writes the decimal with the fewest significant digits that
+    reads back as ``v`` and, of several, the one nearest ``v``.  It lays
+    it out positionally when ``E = floor(log10|v|)`` is in [-4, 15], that
+    is ``1e-4 <= |v| < 1e16``; those cells are decided here on arrays,
+    and every other cell (zeros, subnormals, inf, NaN, the exponent form)
+    and every cell the steps below leave unproven goes to ``repr``.
+
+    1. ``E`` comes from the binary exponent: a binade holds at most one
+       power of ten (``_NEXT_POW10``).  With ``j = 16 - E`` in [1, 20],
+       ``y = |v| * 10**j`` is in [1e16, 1e17), so a unit of ``y`` is the
+       17th significant digit.
+    2. ``10**j`` is a double, so Dekker's TwoProduct gives ``y = p + err``
+       exactly, ``p = fl(y)``.  ``p >= 1e16 > 2**53`` is an integer, so
+       ``q = p + floor(err)`` is ``floor(y)`` and ``phi = err - floor(err)``
+       is ``y - q`` in [0, 1), both exact.
+    3. A decimal reads back as ``v`` iff it lies in ``v``'s rounding
+       interval: up to ``h`` units above ``y`` (half an ulp of ``v``,
+       times ``10**j``) and ``h_lo`` below (``h / 2`` when ``v`` is a power
+       of two), ends included iff ``v``'s significand is even.  An ulp is
+       ``2**-53`` to ``2**-52`` of ``|v|``, so ``0.55 < h_lo <= h < 11.2``.
+       The ends are taken as included, which never decides: an end has
+       as many decimals as bits below the point, at most ``j`` only for
+       ``|v| >= 2**52``.  There ``v`` is an integer, so ``y`` is a multiple
+       of 10 units (the nearest of step 5), and neither end (``v +- 1/2``,
+       or ``v +- 1`` with ``v`` even) is a multiple of 100 units.
+    4. Decimals of at most 15 significant digits are multiples of 100
+       units, of 16 digits multiples of 10 (one from a neighbouring
+       decade that reads back puts the power of ten between it and
+       ``v``, a multiple of 100, in the interval too).  The interval,
+       under 22.4 units wide, holds at most one multiple of 100, and the
+       multiples of ``g`` (100 or 10) in it nearest ``y`` can only be the
+       ones next to ``y``: with ``rem = q mod g``, the one below is in iff
+       ``phi <= h_lo - rem`` and the one above iff ``phi >= g - rem - h``.
+       The right sides are exact: ``h`` is ``5**j < 2**47`` times a power
+       of two, below 16, so it and ``rem`` or ``g - rem`` (below 128) fit
+       in 51 bits.
+    5. So the shortest, then nearest, decimal is: the multiple of 100 if
+       one is in; else the multiple of 10 in and nearer ``y`` (below iff
+       ``rem < 5``); else the integer nearest ``y``, ``q + (phi > 0.5)``,
+       always in as ``h_lo > 0.5``.  Unproven, and left to ``repr``: two
+       multiples of 10 at equal distance (``phi == 0``, ``rem == 5``), ties
+       at 17 digits (``phi == 0.5``) and ``1e17`` units, the next decade
+       (no double in range rounds to a power of ten above it).
+    6. The digits, trailing zeros stripped, are laid out as ASCII from a
+       table of 4-digit texts, in groups of rows with the same decimal
+       point position, sign and digit count.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    texts = np.empty(len(values), dtype="S24")
+    a = np.abs(values)
+    cells = np.flatnonzero((a >= 1e-4) & (a < 1e16))
+    a = a[cells]
+    bits = a.view(np.int64)
+    biased = bits >> 52
+    j = _SHIFT[biased] - (a >= _NEXT_POW10[biased])
+    t = _POW10[j]
+    p = a * t
+    a_hi = a * _SPLIT  # Dekker's TwoProduct: a * t == p + err
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    t_hi, t_lo = _POW10_HI[j], _POW10_LO[j]
+    err = ((a_hi * t_hi - p) + a_hi * t_lo + a_lo * t_hi) + a_lo * t_lo
+    floor = np.floor(err)
+    q = p.astype(np.int64) + floor.astype(np.int64)
+    phi = err - floor
+    h = t * _HALF_ULP[biased]
+    h_lo = np.where(bits & ((1 << 52) - 1) == 0, 0.5 * h, h)
+    rem100 = q - q // 100 * 100
+    rem10 = rem100 - rem100 // 10 * 10
+    below100 = phi <= h_lo - rem100
+    above100 = phi >= (100 - rem100) - h
+    below10 = phi <= h_lo - rem10
+    above10 = phi >= (10 - rem10) - h
+    in100 = below100 | above100
+    in10 = below10 | above10
+    up10 = above10 & (~below10 | (rem10 >= 5))
+    q += np.where(in100, 100 * above100 - rem100,
+                  np.where(in10, 10 * up10 - rem10, phi > 0.5))
+    n_digits = 17 - in10  # significant digits
+    at15 = np.flatnonzero(in100)
+    if len(at15):
+        m, zeros = q[at15] // 100, np.zeros(len(at15), np.int64)
+        for k in (8, 4, 2, 1):
+            cut = m // 10 ** k
+            whole = cut * 10 ** k == m
+            m = np.where(whole, cut, m)
+            zeros += k * whole
+        n_digits[at15] = 15 - zeros
+    # sort key: decimal point position + 3 (``20 - j``), sign, digit count
+    key = ((40 - 2 * j + (values[cells] < 0)) * 18 + n_digits).astype(np.uint16)
+    key[((phi == 0.0) & (rem10 == 5) & below10 & above10)
+        | (~in10 & (phi == 0.5)) | (q >= 10 ** 17)] = _UNPROVEN
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    proven = np.searchsorted(key, _UNPROVEN)
+    order, key, q = order[:proven], key[:proven], q[order[:proven]]
+    high = q // 100_000_000
+    low = q - high * 100_000_000
+    high4, low4 = high // 10_000, low // 10_000
+    first = high4 // 10_000
+    ascii17 = np.empty((proven, 17), dtype=np.uint8)
+    groups = ascii17.reshape(-1).view(_DIGITS17)
+    groups["d0"] = first + ord("0")
+    groups["d1"] = _DIGITS4[high4 - first * 10_000]
+    groups["d2"] = _DIGITS4[high - high4 * 10_000]
+    groups["d3"] = _DIGITS4[low4]
+    groups["d4"] = _DIGITS4[low - low4 * 10_000]
+    out = np.zeros((proven, 24), dtype=np.uint8)
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])[:proven]
+    for b0, b1, k in zip(starts.tolist(), [*starts[1:].tolist(), proven],
+                         key[starts].tolist()):
+        point, minus, n = k // 36 - 3, k // 18 % 2, k % 18
+        rows, src = slice(b0, b1), ascii17[b0:b1]
+        dst = out[rows, minus:]
+        if minus:
+            out[rows, 0] = ord("-")
+        if point > 0:  # ddd.ddd or ddd.0
+            dst[:, :point] = src[:, :point]
+            dst[:, point] = ord(".")
+            dst[:, point + 1:max(n, point + 1) + 1] = src[:, point:max(n, point + 1)]
+        else:  # 0.00ddd
+            dst[:, :2 - point] = np.frombuffer(b"0.000", np.uint8)[:2 - point]
+            dst[:, 2 - point:2 - point + n] = src[:, :n]
+    texts[cells[order]] = out.view("S24")[:, 0]
+    rest = np.ones(len(values), dtype=bool)
+    rest[cells[order]] = False
+    rest = np.flatnonzero(rest)
+    texts[rest] = [repr(v).encode() for v in values[rest].tolist()]
+    return texts, len(rest)
 
 
 def write_power_csv(series: PowerSeries, path: Union[str, Path],

@@ -324,11 +324,7 @@ class TestErrorsWithoutTraceback:
     ])
     def test_window_sum_overflow(self, corpus, day_config, tmp_path, capsys,
                                  command, outputs):
-        paths, _ = corpus
-        rows = paths["pv_smooth_day"].read_text().splitlines()
-        huge_pv = tmp_path / "huge_pv.csv"
-        huge_pv.write_text("\n".join([rows[0]] + [row.split(",")[0] + ",1e308"
-                                                  for row in rows[1:]]) + "\n")
+        huge_pv = write_huge_pv(corpus, tmp_path)
         doc = json.loads(day_config.read_text())
         doc["pv_path"] = str(huge_pv)
         config = tmp_path / "config.json"
@@ -343,6 +339,31 @@ class TestErrorsWithoutTraceback:
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(outputs)
         assert all((out_dir / name).read_text() == f"previous {name}\n"
                    for name in outputs)
+
+    def test_ramp_analyze_window_sum_overflow(self, corpus, tmp_path, capsys):
+        # without the check: numpy warnings, 0 ramps and exit 0
+        huge_pv = write_huge_pv(corpus, tmp_path)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "histogram.csv").write_text("previous histogram.csv\n")
+        code = main(["ramp-analyze", "--pv", str(huge_pv), "--windows", "20,60",
+                     "--out-dir", str(out_dir)])
+        assert code == 1
+        assert_one_line_error(capsys, "huge_pv.csv", "the sum of a 20 s window",
+                              "overflows")
+        assert [p.name for p in out_dir.iterdir()] == ["histogram.csv"]
+        assert (out_dir / "histogram.csv").read_text() == "previous histogram.csv\n"
+
+
+def write_huge_pv(corpus, tmp_path):
+    """The smooth day with every PV cell ``1e308``: finite, but the sum
+    of any two cells overflows."""
+    paths, _ = corpus
+    rows = paths["pv_smooth_day"].read_text().splitlines()
+    huge_pv = tmp_path / "huge_pv.csv"
+    huge_pv.write_text("\n".join([rows[0]] + [row.split(",")[0] + ",1e308"
+                                              for row in rows[1:]]) + "\n")
+    return huge_pv
 
 
 class TestCsvErrorsWithoutTraceback:
@@ -448,7 +469,8 @@ class TestAtomicOutputs:
 
 STAGE = re.compile(r"^stage (\S+) (\d+\.\d{6})$")
 DISPATCH = re.compile(r"^dispatch (\S+) runs (\d+) taper (\d+) scalar (\d+)$")
-WROTE = re.compile(r"^wrote (\S+) rows (\d+) formatted (\d+) of (\d+) float cells$")
+WROTE = re.compile(r"^wrote (\S+) rows (\d+) formatted (\d+) of (\d+) float cells "
+                   r"repr (\d+)$")
 PREPASS = re.compile(r"^prepass windows (\d+) resummed (\d+)$")
 
 
@@ -457,7 +479,7 @@ class TestStageLog:
     ``prepass windows <m> resummed <k>`` line per pre-pass, one
     ``dispatch <strategy> runs <ticks> taper <ticks> scalar <ticks>``
     line per strategy and one ``wrote <name> rows <n> formatted <k> of
-    <cells> float cells`` line per grid CSV; nothing else changes."""
+    <cells> float cells repr <r>`` line per grid CSV; nothing else changes."""
 
     def run_twice(self, argv, out_dir, capsys, caplog):
         outputs = []
@@ -490,12 +512,13 @@ class TestStageLog:
         wrote = [WROTE.match(m) for m in caplog.messages
                  if m.startswith("wrote ")]
         assert all(wrote), caplog.messages
-        # a trace row has 7 float cells, and at most all of them are formatted
-        wrote = [(m.group(1), *map(int, m.group(2, 3, 4))) for m in wrote]
-        assert all(cells == 7 * rows and k <= cells
-                   for _, rows, k, cells in wrote)
+        # a trace row has 7 float cells, at most all of them are
+        # formatted, and at most all of those by repr
+        wrote = [(m.group(1), *map(int, m.group(2, 3, 4, 5))) for m in wrote]
+        assert all(cells == 7 * rows and r <= k <= cells
+                   for _, rows, k, cells, r in wrote)
         return ([m.group(1) for m in stages], [m.group(1) for m in dispatch],
-                [(name, rows) for name, rows, _, _ in wrote])
+                [(name, rows) for name, rows, *_ in wrote])
 
     def test_simulate(self, day_config, tmp_path, capsys, caplog):
         out_dir = tmp_path / "sim"
@@ -532,11 +555,14 @@ class TestStageLog:
             assert main(["simulate", "--config", str(paths["config"]),
                          "--out-dir", str(tmp_path)]) == 0
         (line,) = [m for m in caplog.messages if m.startswith("wrote ")]
-        name, rows, formatted, cells = WROTE.match(line).groups()
+        name, rows, formatted, cells, reprs = WROTE.match(line).groups()
         assert name == "trace.csv" and int(rows) == 302_400
         assert int(cells) == 7 * int(rows)
         assert int(formatted) <= int(cells) / 2
-
+        # 16 091 of the 538 110 go to repr: nearly all are below 1e-4,
+        # which repr writes in exponent form; a fall-back to repr for
+        # every cell would read 538 110
+        assert int(reprs) <= int(formatted) / 10
 
     def test_seed_week_prepass_resums_no_window(self, corpus, tmp_path, caplog):
         # the week's window means all certify on arrays; a fall-back to

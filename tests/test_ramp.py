@@ -180,6 +180,15 @@ class TestWindowSweep:
         with pytest.raises(ValueError, match="multiple"):
             window_sweep(s, CFG, [3.0])
 
+    def test_refuses_sums_that_overflow(self):
+        # two-sample windows overflow; one-sample windows do not, but the
+        # running sum behind their average does
+        s = PowerSeries(T0, 2.0, np.array([1e308, 1e308, -1e308, -1e308]))
+        with pytest.raises(OverflowError, match="the sum of a 4 s window"):
+            window_sweep(s, CFG, [4.0])
+        with pytest.raises(OverflowError, match="running sum behind the 2 s window"):
+            window_sweep(s, CFG, [2.0])
+
 
 class TestSmoothingProperty:
     def test_full_execution_pins_output_to_moving_average(self):

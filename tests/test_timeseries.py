@@ -2,6 +2,7 @@
 
 import csv
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -407,14 +408,110 @@ class TestCsvRoundTrip:
             timeseries.write_grid_csv(tmp_path / "t.csv", T0,
                                       timedelta(seconds=2), columns)
         # cmd: 4 runs; actual: 1.0 at row 10 and 0.0 under -0.0 at row
-        # 400, its other run heads sit on equal cmd cells; nan: 2 payloads
+        # 400, its other run heads sit on equal cmd cells; nan: 2 payloads.
+        # Of those 8, only 2.5 and 1.0 are formatted on arrays: zeros and
+        # NaNs go to repr
         assert caplog.messages == [
-            f"wrote t.csv rows {n} formatted {4 + 2 + 2} of {3 * n} float cells"]
+            f"wrote t.csv rows {n} formatted {4 + 2 + 2} of {3 * n} float cells "
+            f"repr {3 + 1 + 2}"]
         self.write_grid_row_by_row(tmp_path / "rows.csv", T0,
                                    timedelta(seconds=2), columns, {})
         assert (tmp_path / "t.csv").read_bytes() == \
             (tmp_path / "rows.csv").read_bytes()
 
+
+
+def signed(values):
+    return st.tuples(values, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+# decimals of 1 to 17 significant digits, leading digit at 10**-6 .. 10**17
+DECIMALS = signed(st.integers(1, 17).flatmap(
+    lambda n: st.tuples(st.integers(10 ** (n - 1), 10 ** n - 1),
+                        st.integers(-6, 17)).map(
+        lambda d: float(f"{d[0]}e{d[1] - n + 1}"))))
+
+
+def nudged(value, steps):
+    """The double ``steps`` ulps away from the positive double ``value``."""
+    return float((np.array([value]).view(np.int64) + steps).view(np.float64)[0])
+
+
+def neighbours(base):
+    """Doubles up to 40 ulps either side of a positive double."""
+    return st.tuples(base, st.integers(-40, 40)).map(lambda b: nudged(*b))
+
+
+# powers of ten, 2**53 at each decimal scale, and powers of two (whose
+# rounding interval is narrower below than above), at 10**-6 .. 10**17
+BOUNDARIES = signed(neighbours(st.one_of(
+    st.integers(-6, 17).map(lambda k: float(f"1e{k}")),
+    st.integers(-21, 2).map(lambda k: float(f"{2 ** 53}e{k}")),
+    st.integers(-20, 56).map(lambda k: 2.0 ** k))))
+
+
+class TestFormatFloats:
+    """``_format_floats`` writes ``repr``'s bytes for every float64."""
+
+    @staticmethod
+    def check(values):
+        values = np.array(values, dtype=np.float64)
+        texts, reprs = timeseries._format_floats(values)
+        assert texts.tolist() == [repr(v).encode() for v in values.tolist()]
+        return reprs
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_patterns(self, patterns):
+        self.check(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+    @given(st.lists(DECIMALS, min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_decimals(self, values):
+        self.check(values)
+
+    @given(st.lists(BOUNDARIES, min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_neighbours_of_powers_of_ten_and_two(self, values):
+        self.check(values)
+
+    def test_special_values_go_to_repr(self):
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000001],
+                        dtype=np.uint64).view(np.float64)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308,
+                   np.inf, -np.inf, *nans]
+        # mixed with in-range cells, under the suite's error::RuntimeWarning
+        assert self.check(special + [1.5, -2.5e-4]) == len(special)
+
+    def test_only_unproven_cells_go_to_repr(self):
+        # positional texts of 1 to 17 digits, both ends of the range,
+        # powers of two and of ten, and 2**53 and its neighbours
+        proven = [1.5, 0.1, 1e-4, 9999999999999998.0, 1e15, 0.3, 2.0 ** 53,
+                  2.0 ** 53 + 2, 2.0 ** -13, 123456789.12345679, -0.00012345,
+                  1 / 3, 6740.0, 9007199254740993e-16]
+        assert self.check(proven) == 0
+        # 1e15 + 0.25 is 10000000000000002.5 units of its 17th digit: a tie
+        assert self.check([1e15 + 0.25, 1e-5, 1e16]) == 3
+
+    def test_powers_of_two_and_empty_input(self):
+        # the rounding interval of a power of two is narrower below
+        powers = [2.0 ** k for k in range(-13, 54)]  # 1.2e-4 .. 9.0e15
+        assert self.check(powers + [-v for v in powers]) == 0
+        assert self.check([]) == 0
+
+    def test_binade_tables(self):
+        # each binade's exponent gives floor(log10) below its power of
+        # ten, and the threshold is the least double at or above it
+        for b in range(1009, 1077):
+            low = Fraction(2) ** (b - 1023)
+            dec = 16 - int(timeseries._SHIFT[b])
+            assert Fraction(10) ** dec <= low < Fraction(10) ** (dec + 1)
+            t = timeseries._NEXT_POW10[b]
+            if t == np.inf:
+                assert 2 * low <= Fraction(10) ** (dec + 1)
+            else:
+                assert Fraction(np.nextafter(t, 0)) < Fraction(10) ** (dec + 1) <= Fraction(t)
 
 def load_outcome(path, **kwargs):
     """What a load gives: the series' start, step and value bytes, or the error."""
