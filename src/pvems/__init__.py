@@ -17,7 +17,7 @@ from .forecast import (DEFAULT_CHARGE_IDS, ChargeDecisionPolicy, ForecastDay,
                        parse_forecast_payload, should_night_charge)
 from .kpi import EnergyTotals, KpiReport, accumulate, compute_kpis
 from .ramp import (RampConfig, RampHistogram, ma_command, ramp_histogram,
-                   ramp_rate, violates, window_sweep)
+                   ramp_rate, window_sweep)
 from .timeseries import (PowerSeries, ProfileError, ResampleMethod,
                          ResamplePolicy, align, load_power_csv, resample,
                          write_power_csv)
@@ -33,7 +33,7 @@ __all__ = [
     "fetch_daily_forecast", "parse_forecast_payload", "should_night_charge",
     "EnergyTotals", "KpiReport", "accumulate", "compute_kpis",
     "RampConfig", "RampHistogram", "ma_command", "ramp_histogram",
-    "ramp_rate", "violates", "window_sweep",
+    "ramp_rate", "window_sweep",
     "PowerSeries", "ProfileError", "ResampleMethod", "ResamplePolicy",
     "align", "load_power_csv", "resample", "write_power_csv",
     "__version__",

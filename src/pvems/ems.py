@@ -51,7 +51,7 @@ from . import battery as bat
 from .battery import BatteryParams, BatteryState
 from .forecast import (ChargeDecisionPolicy, ForecastDay, ForecastError,
                        should_night_charge)
-from .ramp import RampConfig, fsum_window_mean, ramp_rate, violates
+from .ramp import RampConfig, fsum_window_mean, ramp_rate, violations
 from .timeseries import PowerSeries
 
 __all__ = [
@@ -305,11 +305,11 @@ class PrePass:
 
     ``window_mean`` is ``fsum(window) / n`` (NaN until the window is
     full); ``rr`` the ramp of consecutive window means in %/min (0.0
-    where undefined) and ``violated`` its limit test.  ``day`` numbers
-    local days from ``first_date``; ``after_start`` marks local times at
-    or after ``charge_start_time``; ``day_started`` marks ticks at or
-    after the first one of their local day whose window mean exceeded
-    the PV-day threshold.
+    where undefined) and ``violated`` its limit test, decided exactly.
+    ``day`` numbers local days from ``first_date``; ``after_start``
+    marks local times at or after ``charge_start_time``;
+    ``day_started`` marks ticks at or after the first one of their
+    local day whose window mean exceeded the PV-day threshold.
     """
 
     window_mean: np.ndarray
@@ -346,10 +346,13 @@ def prepass(pv: PowerSeries, cfg: EmsConfig) -> PrePass:
     """Vectorised SOC-independent phase of ``simulate``.
 
     Every value equals what a per-tick loop computes with ``fsum``,
-    ``ramp_rate``, ``violates`` and ``datetime`` arithmetic: the local
-    clock is integer microseconds, as ``timedelta`` keeps it.  The
-    strategy is not read, so one pre-pass serves every strategy run on
-    the same series and settings.
+    ``ramp_rate`` and ``datetime`` arithmetic (the local clock is
+    integer microseconds, as ``timedelta`` keeps it), except
+    ``violated``: that is ``ramp.violations`` of the window, the limit
+    test on the exact window means, so a tick whose exact ramp equals
+    the limit is flagged even where its ``rr``, rounded, is just below
+    it.  The strategy is not read, so one pre-pass serves every
+    strategy run on the same series and settings.
     """
     ramp = cfg.ramp
     n = len(pv)
@@ -360,7 +363,7 @@ def prepass(pv: PowerSeries, cfg: EmsConfig) -> PrePass:
     rr = np.zeros(n)
     rr[n_window:] = ramp_rate(mean[n_window:], mean[n_window - 1:-1], ramp,
                               ramp.tick_minutes)
-    violated = violates(rr, ramp)  # rr 0.0 never violates
+    violated = violations(pv.values, n_window, ramp, ramp.tick_s)
 
     local0 = pv.start.replace(tzinfo=None) + timedelta(hours=cfg.utc_offset_h)
     first_date = local0.date()

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .ems import MODES, DispatchMode, DispatchRecord, Trace
-from .ramp import RampConfig, ramp_rate, violates
+from .ramp import RampConfig, event_numbers, violations
 
 __all__ = [
     "EnergyTotals",
@@ -158,11 +158,11 @@ def _count_ramp_events(trace: Trace, tick_s: float,
                        ramp_cfg: Optional[RampConfig]) -> tuple[int, int]:
     """Group violating ticks into events and classify each as controlled.
 
-    An event is a maximal run of violating ticks.  A tick is neutralised
-    when the ramp branch ran and either executed its command in full,
-    or the remainder that leaked to the grid kept the compensated PV
-    signal under the limit; an event is controlled when all its ticks
-    are.
+    An event is a maximal run of violating ticks (``event_numbers``).
+    A tick is neutralised when the ramp branch ran and either executed
+    its command in full, or the remainder that leaked to the grid kept
+    the compensated PV signal under the limit (``violations`` with
+    ``n = 1``); an event is controlled when all its ticks are.
     """
     violated = trace.rr_violated
     ramp = trace.mode == MODES.index(DispatchMode.RAMP_CONTROL)
@@ -171,13 +171,12 @@ def _count_ramp_events(trace: Trace, tick_s: float,
     tol = _FULL_EXECUTION_RTOL * np.maximum(1.0, np.abs(cmd))
     ok = ramp & (np.abs(cmd - actual) <= tol)
     if ramp_cfg is not None:
-        compensated = np.where(ramp, trace.p_pv - actual, trace.p_pv)
-        rr_post = ramp_rate(compensated[1:], compensated[:-1], ramp_cfg,
-                            tick_s / 60.0)
-        ok[1:] |= ramp[1:] & ~violates(rr_post, ramp_cfg)
+        compensated = np.subtract(trace.p_pv, actual, out=trace.p_pv.copy(),
+                                  where=ramp)
+        leaked = violations(compensated, 1, ramp_cfg, tick_s)
+        ok[1:] |= ramp[1:] & ~leaked[1:]
 
-    starts = violated & ~np.concatenate(([False], violated[:-1]))
-    event = np.cumsum(starts)
+    event = event_numbers(violated)
     n_orig = int(event[-1])
     n_failed = np.unique(event[violated & ~ok]).size
     return n_orig, n_orig - n_failed

@@ -1,11 +1,16 @@
 """Ramp-rate math: the per-minute ramp definition, the moving-average
-battery command, violation detection, and the offline analyses (bucket
+battery command, the ramp-limit rule, and the offline analyses (bucket
 histogram over a long series, controlled-ramp counts across candidate
 averaging windows).
 
 Two distinct evaluation paths exist on purpose: the offline histogram
 uses raw 1-minute differences, while the dispatch loop evaluates
 consecutive samples of the window-averaged signal (normalised to %/min).
+
+One exact rule, ``violations``, decides every ramp-limit flag: the
+dispatch loop's detector, each window of the sweep and the leaked-ramp
+test of the KPI accounting; ``event_numbers`` groups the flags into
+events.
 
 The dispatch loop's window average is exact: ``fsum_window_mean`` gives
 the bits of ``fsum(window) / n`` for every window.  It sums all windows
@@ -28,12 +33,11 @@ __all__ = [
     "RampHistogram",
     "ramp_rate",
     "ma_command",
-    "violates",
+    "violations",
     "ramp_histogram",
     "window_sweep",
-    "moving_average",
     "fsum_window_mean",
-    "count_violation_events",
+    "event_numbers",
 ]
 
 
@@ -77,14 +81,6 @@ def ramp_rate(p_now_w: float, p_prev_w: float, cfg: RampConfig,
     if dt_min <= 0:
         raise ValueError(f"dt_min must be positive, got {dt_min}")
     return (p_now_w - p_prev_w) / cfg.nameplate_w / dt_min * 100.0
-
-
-def violates(rr_pct_per_min: float, cfg: RampConfig) -> bool:
-    """True when the magnitude reaches the configured limit (inclusive).
-
-    Elementwise on arrays; NaN never violates.
-    """
-    return abs(rr_pct_per_min) >= cfg.limit_pct_per_min
 
 
 def ma_command(pv_window, p_now_w: float, cfg: RampConfig) -> float:
@@ -139,7 +135,8 @@ def ramp_histogram(series: PowerSeries, cfg: RampConfig) -> RampHistogram:
     marks = series.values[::spm]
     if len(marks) < 2:
         raise ValueError("series shorter than one minute")
-    rr = np.abs(np.diff(marks)) / cfg.nameplate_w * 100.0
+    with np.errstate(over="ignore"):  # an inf ramp is above every bucket edge
+        rr = np.abs(np.diff(marks)) / cfg.nameplate_w * 100.0
     return RampHistogram(
         below_5=int(np.count_nonzero(rr < 5.0)),
         ge_5=int(np.count_nonzero(rr >= 5.0)),
@@ -150,14 +147,63 @@ def ramp_histogram(series: PowerSeries, cfg: RampConfig) -> RampHistogram:
     )
 
 
-def moving_average(values: np.ndarray, n: int) -> np.ndarray:
-    """Trailing mean over ``n`` samples; the first ``n - 1`` outputs are NaN."""
+_BAND = 2.0 ** -48  # relative half-width of the band decided in fractions
+
+
+def violations(values: np.ndarray, n: int, cfg: RampConfig,
+               step_s: float) -> np.ndarray:
+    """Whether each of the finite ``values``, ``step_s`` apart, ends a
+    ramp of the trailing ``n``-sample mean that reaches the limit.
+
+    Consecutive means differ by exactly ``(x[i] - x[i-n]) / n``, so
+    sample ``i >= n`` violates when ``L = |x[i] - x[i-n]| * 6000`` is at
+    least ``R = limit * nameplate * n * step_s``, on the exact values of
+    the floats; samples ``i < n`` never do.  Floats decide ``lhs =
+    fl(|fl(x[i] - x[i-n])| * 6000) >= rhs = fl(fl(fl(limit * nameplate)
+    * n) * step_s)``, and ``fractions.Fraction`` re-decides the ticks
+    with ``lhs`` within ``rhs * (1 ± 2**-48)``, each distinct pair of
+    samples once; it decides every tick unless ``limit * nameplate >=
+    2**-1022`` and ``2**-960 <= rhs <= 2**960``.  Proof that the band
+    covers the float error, with ``u = 2**-53``: within those bounds
+    every product is a normal float, so ``rhs / R`` is within ``(1 ±
+    u)**3``.  A difference that rounds to a normal float puts ``lhs /
+    L`` within ``(1 ± u)**2``; the band's rounded edges lie beyond
+    ``rhs * (1 ± (2**-48 - 2u))``, and ``(1 + 2**-48 - 2u)(1 - u)**3 >
+    (1 + u)**2`` and ``(1 - 2**-48 + 2u)(1 + u)**3 < (1 - u)**2``, so
+    ``lhs`` above the band means ``L > R`` and below it ``L < R``.  A
+    difference that rounds to zero or a subnormal is exact, and then
+    ``L`` and ``lhs`` are below ``2**-1009 < R``.  An ``lhs`` of ``inf``
+    comes from ``L > 2**1023 > R``: an overflowing step violates.
+    """
     if n < 1:
         raise ValueError("window must span at least one sample")
-    out = np.full(len(values), np.nan)
-    if len(values) >= n:
-        csum = np.cumsum(np.insert(values, 0, 0.0))
-        out[n - 1:] = (csum[n:] - csum[:-n]) / n
+    x = np.asarray(values, dtype=float)
+    out = np.zeros(len(x), dtype=bool)
+    limit_w = cfg.limit_pct_per_min * cfg.nameplate_w
+    rhs = limit_w * n * step_s
+    with np.errstate(over="ignore"):
+        lhs = np.subtract(x[n:], x[:-n])
+        np.abs(lhs, out=lhs)
+        np.multiply(lhs, 6000.0, out=lhs)
+    np.greater_equal(lhs, rhs, out=out[n:])
+    if limit_w >= 2.0 ** -1022 and 2.0 ** -960 <= rhs <= 2.0 ** 960:
+        band = lhs >= rhs * (1.0 - _BAND)
+        band &= lhs <= rhs * (1.0 + _BAND)
+        near = np.flatnonzero(band)
+    else:
+        near = np.arange(len(lhs))
+    if near.size:
+        from fractions import Fraction  # only ticks near the limit need it
+
+        exact_rhs = (Fraction(cfg.limit_pct_per_min) * Fraction(cfg.nameplate_w)
+                     * n * Fraction(step_s))
+        a, b = x[near + n], x[near]
+        pairs = np.empty(near.size, dtype=complex)  # unique sorts it at array speed
+        pairs.real, pairs.imag = np.maximum(a, b), np.minimum(a, b)
+        pairs, inverse = np.unique(pairs, return_inverse=True)
+        exact = np.array([(Fraction(p.real) - Fraction(p.imag)) * 6000 >= exact_rhs
+                          for p in pairs.tolist()])
+        out[near + n] = exact[inverse]
     return out
 
 
@@ -167,9 +213,8 @@ _WINDOW_BLOCK = 16_384  # windows that fsum_window_mean sums at a time
 def fsum_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """Trailing mean over ``n`` samples, and how many windows went through ``fsum``.
 
-    Each output has the bits of ``fsum(window) / n``, exact by
-    construction unlike ``moving_average``'s cumsum difference; the
-    first ``n - 1`` outputs are NaN, and a window that ``fsum`` refuses
+    Each output has the bits of ``fsum(window) / n``; the first
+    ``n - 1`` outputs are NaN, and a window that ``fsum`` refuses
     raises its error.  The windows are summed on arrays,
     ``_WINDOW_BLOCK`` at a time (``n - 1`` samples of overlap), by a
     cascade of error-free TwoSum steps (Ogita, Rump and Oishi,
@@ -186,7 +231,7 @@ def fsum_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
 
     ``fsum`` itself sums the other windows: those that the test does not
     prove, those with a sample that is not finite or large enough to
-    overflow a sum (``|x| >= 2**1020 / 2**n.bit_length()``: ``fsum``
+    overflow a sum (``|x| >= _sum_bound(n)``: ``fsum``
     raises or gives ``inf`` or ``nan`` there, and the cascade could round
     past the largest float), and zero sums of windows holding a
     ``-0.0``, whose sign ``fsum`` sets (``+0.0`` on Python 3.11) and the
@@ -200,7 +245,7 @@ def fsum_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     if m <= 0:
         return out, 0
     # samples whose windows fsum sums
-    big = 2.0 ** (1020 - n.bit_length())
+    big = _sum_bound(n)
     odd = ~((x < big) & (x > -big))
     neg_zero = (x == 0.0) & np.signbit(x)
     odd_in = _windows_holding(odd, n) if odd.any() else None
@@ -245,6 +290,11 @@ def fsum_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return out, len(resummed)
 
 
+def _sum_bound(n: int) -> float:
+    """No sum of ``n`` samples below this in magnitude reaches ``2**1020``."""
+    return 2.0 ** (1020 - n.bit_length())
+
+
 def _two_sum(a: np.ndarray, b: np.ndarray, s: np.ndarray, bb: np.ndarray,
              e: np.ndarray) -> None:
     """Knuth's TwoSum into buffers: ``s = fl(a + b)`` and ``s + e == a + b``
@@ -263,13 +313,12 @@ def _windows_holding(flags: np.ndarray, n: int) -> np.ndarray:
     return counts[n:] > counts[:-n]
 
 
-def count_violation_events(flags: np.ndarray) -> int:
-    """Number of maximal runs of consecutive True flags."""
-    flags = np.asarray(flags, dtype=bool)
-    if flags.size == 0:
-        return 0
-    starts = flags & ~np.concatenate(([False], flags[:-1]))
-    return int(np.count_nonzero(starts))
+def event_numbers(flags: np.ndarray) -> np.ndarray:
+    """Per sample, the number of the event (a maximal run of True flags)
+    it is in or follows, from 1; 0 before the first event."""
+    starts = np.array(flags, dtype=bool)
+    starts[1:] &= ~starts[:-1]
+    return np.cumsum(starts)
 
 
 def window_sweep(series: PowerSeries, cfg: RampConfig,
@@ -277,14 +326,14 @@ def window_sweep(series: PowerSeries, cfg: RampConfig,
     """Controlled-ramp counts of the pure smoothing filter per window.
 
     For each candidate window the filter is replayed against the series
-    with no battery limits: violations are detected on consecutive
-    samples of the averaged signal, and with unlimited execution every
-    detected ramp event is neutralised, so the count equals the number
-    of detected events.  Wider windows smooth harder and detect fewer.
-    Raises ``OverflowError`` when a window's average is not finite: the
-    running sum behind ``moving_average`` overflowed, as it does when
-    the sum of a window does.  The message says which of the two.
+    with no battery limits: ``violations`` flags the ramps of the window
+    mean, and with unlimited execution every detected ramp event is
+    neutralised, so the count equals the number of detected events.
+    Wider windows smooth harder and detect fewer.  Raises
+    ``OverflowError`` when the sum of a window overflows.
     """
+    x = series.values
+    peak = float(np.max(np.abs(x)))
     results: list[tuple[float, int]] = []
     for w in windows_s:
         n = w / series.step_s
@@ -292,16 +341,12 @@ def window_sweep(series: PowerSeries, cfg: RampConfig,
             raise ValueError(f"window {w} s is not a multiple of the series "
                              f"step ({series.step_s} s)")
         n = int(round(n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            avg = moving_average(series.values, n)
-        if not np.isfinite(avg[n - 1:]).all():
+        if peak >= _sum_bound(n):
             try:
-                fsum_window_mean(series.values, n)
+                fsum_window_mean(x, n)
             except OverflowError as exc:
                 raise OverflowError(f"the sum of a {w:g} s window of PV power "
                                     f"overflows ({exc})") from None
-            raise OverflowError(f"the running sum behind the {w:g} s window "
-                                "average of PV power overflows")
-        rr = ramp_rate(avg[1:], avg[:-1], cfg, series.step_s / 60.0)
-        results.append((w, count_violation_events(violates(rr, cfg))))
+        events = event_numbers(violations(x, n, cfg, series.step_s))
+        results.append((w, int(events[-1])))
     return results

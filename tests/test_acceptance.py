@@ -233,13 +233,13 @@ class TestCriterion07WindowSweepTrend:
     def test_non_increasing_counts(self, week_profiles):
         pv, _ = week_profiles
         t0 = time_mod.perf_counter()
-        sweep = window_sweep(pv, RCFG, [20.0, 60.0, 300.0, 900.0])
+        sweep = window_sweep(pv, RCFG, [20.0, 60.0, 120.0, 300.0, 600.0, 900.0])
         elapsed = time_mod.perf_counter() - t0
         counts = [count for _, count in sweep]
-        assert counts[0] > 0
-        assert all(a >= b for a, b in zip(counts, counts[1:]))
+        # at 600 s the dropouts ramp by exactly the limit
+        assert counts == [140, 70, 70, 70, 70, 0]
         ok(7, f"controlled-ramp counts non-increasing over windows "
-              f"{{20, 60, 300, 900}} s: {counts} ({elapsed:.2f} s)")
+              f"{{20, 60, 120, 300, 600, 900}} s: {counts} ({elapsed:.2f} s)")
 
 
 class TestCriterion08ForecastTable:

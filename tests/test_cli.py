@@ -161,6 +161,29 @@ class TestRampAnalyze:
         sweep = (out_dir / "window_sweep.csv").read_text().splitlines()
         assert sweep[1].endswith(",0") and sweep[2].endswith(",0")
 
+    @pytest.mark.filterwarnings("error")
+    def test_steps_that_overflow_are_ramps(self, tmp_path, capsys):
+        # 2 s PV alternating between 1e308 and -1e308 every minute: each
+        # one-minute difference overflows to inf, which is above every
+        # bucket edge and the limit; no window sum overflows
+        from pvems.timeseries import PowerSeries, write_power_csv
+        from datetime import datetime, timezone
+        values = np.repeat([1e308, -1e308] * 5, 30)
+        pv_path = tmp_path / "alternating.csv"
+        write_power_csv(PowerSeries(datetime(2018, 1, 1, tzinfo=timezone.utc),
+                                    2.0, values), pv_path)
+        out_dir = tmp_path / "ra"
+        code = main(["ramp-analyze", "--pv", str(pv_path), "--windows", "2",
+                     "--out-dir", str(out_dir)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert (out_dir / "histogram.csv").read_text().splitlines() == [
+            "bucket_pct_per_min,minutes,percent_of_total", "<5,0,0.0",
+            ">=5,9,100.0", ">=10,9,100.0", ">10,9,100.0", ">=50,9,100.0",
+            "total,9,100.0"]
+        assert (out_dir / "window_sweep.csv").read_text().splitlines() == [
+            "window_s,controlled_ramps", "2.0,9"]
+
     def test_empty_windows_defaults_with_notice(self, corpus, tmp_path, capsys):
         paths, _ = corpus
         out_dir = tmp_path / "ra"

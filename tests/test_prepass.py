@@ -6,14 +6,15 @@ in a float recurrence where the SOC tapers and one at a time elsewhere,
 and returns a columnar trace;
 ``accumulate`` sums columns and ``write_trace_csv`` formats them.  The
 references below are the straightforward per-tick versions (a deque,
-``fsum``, ``ramp_rate``, ``violates``, ``datetime`` arithmetic,
-``battery.step``, per-record sums and a row-wise csv writer), and every
-comparison is bit for bit.
+``fsum``, ``ramp_rate``, the limit test on ``Fraction`` window means,
+``datetime`` arithmetic, ``battery.step``, per-record sums and a
+row-wise csv writer), and every comparison is bit for bit.
 """
 
 import csv
 from collections import deque
 from datetime import datetime, time, timedelta, timezone
+from fractions import Fraction
 from math import fsum
 
 import numpy as np
@@ -31,7 +32,7 @@ from pvems.ems import (DispatchMode, DispatchRecord, EmsConfig, StrategyKind,
 from pvems.forecast import (ChargeDecisionPolicy, ForecastDay,
                             should_night_charge)
 from pvems.kpi import accumulate
-from pvems.ramp import RampConfig, ma_command, ramp_rate, violates
+from pvems.ramp import RampConfig, ma_command, ramp_rate
 from pvems.timeseries import PowerSeries, format_utc
 
 T0 = datetime(2018, 1, 1, tzinfo=timezone.utc)
@@ -48,29 +49,41 @@ def bits(values):
 
 # ---------------------------------------------------------------- references
 
+def reaches_limit(change, ramp, tick_s):
+    """Whether an exact change (a ``Fraction``, W) over one tick ramps
+    by at least the limit, in %/min of the nameplate."""
+    rate = abs(change) / Fraction(ramp.nameplate_w) / (Fraction(tick_s) / 60) * 100
+    return rate >= Fraction(ramp.limit_pct_per_min)
+
+
 def reference_prepass(pv, cfg):
     """Per-tick (mean, rr, violated, local date, after start, day started)."""
     ramp = cfg.ramp
-    window = deque(maxlen=ramp.window_samples)
+    n = ramp.window_samples
+    window = deque(maxlen=n)
     tick = timedelta(seconds=ramp.tick_s)
     offset = timedelta(hours=cfg.utc_offset_h)
     level = cfg.pv_day_threshold * ramp.nameplate_w
     timestamp, s_prev, started, rows = pv.start, None, set(), []
+    exact_sum, e_prev = Fraction(0), None
     for p in pv.values.tolist():
         local = timestamp + offset
+        if len(window) == n:
+            exact_sum -= Fraction(window[0])
         window.append(p)
-        s_now = (fsum(window) / ramp.window_samples
-                 if len(window) == ramp.window_samples else None)
+        exact_sum += Fraction(p)
+        s_now = fsum(window) / n if len(window) == n else None
+        e_now = exact_sum / n if len(window) == n else None
         if s_now is not None and s_now > level:
             started.add(local.date())
         rr, violated = 0.0, False
         if s_now is not None and s_prev is not None:
             rr = ramp_rate(s_now, s_prev, ramp, ramp.tick_minutes)
-            violated = violates(rr, ramp)
+            violated = reaches_limit(e_now - e_prev, ramp, ramp.tick_s)
         rows.append((s_now, rr, violated, local.date(),
                      local.time() >= cfg.charge_start_time,
                      local.date() in started))
-        s_prev = s_now
+        s_prev, e_prev = s_now, e_now
         timestamp += tick
     return rows
 
@@ -142,8 +155,8 @@ def reference_totals(records, tick_s, ramp_cfg):
                 ok = (abs(r.p_batt_cmd - r.p_batt_actual)
                       <= 1e-9 * max(1.0, abs(r.p_batt_cmd)))
                 if not ok and ramp_cfg is not None and prev_comp is not None:
-                    ok = not violates(ramp_rate(comp, prev_comp, ramp_cfg,
-                                                tick_s / 60.0), ramp_cfg)
+                    ok = not reaches_limit(Fraction(comp) - Fraction(prev_comp),
+                                           ramp_cfg, tick_s)
             event_ok = (event_ok and ok) if in_event else ok
             n_orig += not in_event
             in_event = True
@@ -276,6 +289,25 @@ class TestPrepassReference:
         assert np.count_nonzero(near) >= 10
         assert pre.violated.tolist() == [row[2] for row in
                                          reference_prepass(pv, cfg)]
+
+    def test_limit_is_decided_on_exact_means_not_on_rr(self):
+        # the first input on which hypothesis split the limit test on
+        # float rr from the exact one: a one-sample window stepping by
+        # the float nearest the threshold, which lies just below it, and
+        # whose rr rounds to 10.0
+        ramp = RampConfig(nameplate_w=NAMEPLATE_W, window_s=0.1234567,
+                          tick_s=0.1234567)
+        cfg = EmsConfig(ramp=ramp)
+        pv = PowerSeries(T0, ramp.tick_s, np.array([0.0] * 66 + [1.234567]))
+        pre = prepass(pv, cfg)
+        assert pre.rr[66] == 10.0 and not pre.violated[66]
+        assert pre.violated.tolist() == [row[2] for row in reference_prepass(pv, cfg)]
+        # and the other way round: a full-nameplate step through a 600 s
+        # window ramps by exactly 10 %/min, and its rr rounds below 10
+        ramp = RampConfig(window_s=600.0, tick_s=2.0)
+        pv = PowerSeries(T0, 2.0, np.array([6_740.0] * 300 + [13_480.0]))
+        pre = prepass(pv, EmsConfig(ramp=ramp))
+        assert pre.rr[300] < 10.0 and pre.violated[300]
 
 
 def band_crossing_day():

@@ -6,6 +6,7 @@ loops, kept deliberately separate from the vectorised implementations.
 import math
 import struct
 from datetime import datetime, timezone
+from fractions import Fraction
 from math import fsum
 from unittest import mock
 
@@ -15,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvems import ramp
-from pvems.ramp import (RampConfig, count_violation_events, fsum_window_mean,
-                        ma_command, moving_average,
-                        ramp_histogram, ramp_rate, violates, window_sweep)
+from pvems.ramp import (RampConfig, event_numbers, fsum_window_mean,
+                        ma_command, ramp_histogram, ramp_rate, violations,
+                        window_sweep)
 from pvems.timeseries import PowerSeries
 
 T0 = datetime(2018, 1, 1, tzinfo=timezone.utc)
@@ -78,15 +79,91 @@ class TestRampRate:
             2 * ramp_rate(100.0, 0.0, CFG))
 
 
+def exact_flags(values, n, cfg, step_s):
+    """Per-tick oracle of ``violations``: the ramp of consecutive exact
+    trailing means over ``n`` samples, in %/min, against the limit."""
+    limit, nameplate = Fraction(cfg.limit_pct_per_min), Fraction(cfg.nameplate_w)
+    minutes = Fraction(step_s) / 60
+    flags, total, prev = [], Fraction(0), None
+    for i, v in enumerate(values):
+        total += Fraction(v)
+        if i >= n:
+            total -= Fraction(values[i - n])
+        mean = total / n if i >= n - 1 else None
+        flags.append(prev is not None
+                     and abs(mean - prev) / nameplate / minutes * 100 >= limit)
+        prev = mean
+    return flags
+
+
+# violations decides every tick of the last two in fractions: their
+# limit * nameplate is subnormal, or their threshold exceeds 2**960
+LIMIT_CONFIGS = [CFG, RampConfig(nameplate_w=6_000.0),
+                 RampConfig(limit_pct_per_min=9.7),
+                 RampConfig(nameplate_w=1e-300, limit_pct_per_min=1e-20),
+                 RampConfig(nameplate_w=1e300)]
+
+
+def threshold(n, cfg, step_s):
+    """The float nearest the step ``x[i] - x[i-n]`` that ramps by the limit."""
+    return float(Fraction(cfg.limit_pct_per_min) * Fraction(cfg.nameplate_w)
+                 * n * Fraction(step_s) / 6000)
+
+
+def one_step(n, cfg, step_s):
+    return [0.0] * n + [threshold(n, cfg, step_s)], n, cfg, step_s
+
+
+@st.composite
+def limit_case(draw):
+    """Samples on an integer lattice whose step is the limit's exact
+    threshold (rounded to a float where it is not one), about half of
+    them nudged by up to 24 ulps (the float band is 16 to 32), and some
+    ``±1e308``."""
+    cfg = draw(st.sampled_from(LIMIT_CONFIGS))
+    n = draw(st.sampled_from([1, 2, 10, 300]))
+    step_s = draw(st.sampled_from([2.0, 1.5, 0.3]))
+    unit = threshold(n, cfg, step_s)
+    size = draw(st.one_of(st.integers(0, n + 1), st.integers(n + 1, n + 40)))
+    # one integer per sample: lattice steps -3..6, then 1e308 and -1e308
+    codes = draw(st.lists(st.integers(-3, 8), min_size=size, max_size=size))
+    values = [{7: 1e308, 8: -1e308}.get(k, k * unit) for k in codes]
+    rnd = draw(st.randoms(use_true_random=False))
+    return ([v + rnd.choice([0, rnd.randint(-24, 24)]) * math.ulp(v) for v in values],
+            n, cfg, step_s)
+
+
 class TestViolates:
+    """``violations``: ``|x[i] - x[i-n]| * 6000 >= limit * nameplate * n *
+    step_s``, exactly; 10 %/min of 6 740 W over one 60 s sample is 674 W."""
+
     def test_at_limit_violates(self):
-        assert violates(10.0, CFG)
+        assert violations(np.array([0.0, 674.0]), 1, CFG, 60.0).tolist() == [False, True]
 
     def test_just_below_does_not(self):
-        assert not violates(9.99, CFG)
+        assert not violations(np.array([0.0, 673.99]), 1, CFG, 60.0).any()
 
     def test_symmetric(self):
-        assert violates(-12.0, CFG)
+        assert violations(np.array([800.0, 0.0]), 1, CFG, 60.0).tolist() == [False, True]
+
+    def test_overflowing_difference_violates(self):
+        assert violations(np.array([-1e308, 1e308, 1e308]), 1, CFG, 2.0).tolist() \
+            == [False, True, False]
+
+    # steps just below the limit that the float test puts 1.6 parts in
+    # 2**53 above it and, where every tick is decided in fractions, on it
+    @example(case=one_step(10, LIMIT_CONFIGS[2], 2.0))
+    @example(case=one_step(1, LIMIT_CONFIGS[4], 2.0))
+    @given(case=limit_case())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_exact_means(self, case):
+        values, n, cfg, step_s = case
+        got = violations(np.array(values, dtype=float), n, cfg, step_s)
+        assert got.tolist() == exact_flags(values, n, cfg, step_s)
+
+    def test_rejects_an_empty_window(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            violations(np.ones(3), 0, CFG, 2.0)
 
 
 class TestMaCommand:
@@ -181,13 +258,12 @@ class TestWindowSweep:
             window_sweep(s, CFG, [3.0])
 
     def test_refuses_sums_that_overflow(self):
-        # two-sample windows overflow; one-sample windows do not, but the
-        # running sum behind their average does
+        # two-sample windows overflow; one-sample windows do not, and
+        # their one step of -2e308 is a ramp
         s = PowerSeries(T0, 2.0, np.array([1e308, 1e308, -1e308, -1e308]))
         with pytest.raises(OverflowError, match="the sum of a 4 s window"):
             window_sweep(s, CFG, [4.0])
-        with pytest.raises(OverflowError, match="running sum behind the 2 s window"):
-            window_sweep(s, CFG, [2.0])
+        assert window_sweep(s, CFG, [2.0]) == [(2.0, 1)]
 
 
 class TestSmoothingProperty:
@@ -206,7 +282,7 @@ class TestSmoothingProperty:
             output.append(values[k] - cmd)
         output = np.array(output)
 
-        expected = moving_average(values, n)[n - 1:]
+        expected = fsum_window_mean(values, n)[0][n - 1:]
         assert np.allclose(output, expected, atol=1e-9)
 
         per_min = 30  # 2 s ticks
@@ -216,16 +292,11 @@ class TestSmoothingProperty:
 
 
 class TestHelpers:
-    def test_moving_average_warmup_is_nan(self):
-        out = moving_average(np.array([1.0, 2.0, 3.0, 4.0]), 2)
-        assert np.isnan(out[0])
-        assert list(out[1:]) == [1.5, 2.5, 3.5]
-
     def test_count_events(self):
         flags = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=bool)
-        assert count_violation_events(flags) == 3
-        assert count_violation_events(np.array([], dtype=bool)) == 0
-        assert count_violation_events(np.array([True])) == 1
+        assert event_numbers(flags).tolist() == [0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+        assert event_numbers(np.array([], dtype=bool)).size == 0
+        assert event_numbers(np.array([True])).tolist() == [1]
 
 
 def fsum_oracle(values, n):
