@@ -12,8 +12,10 @@ import tempfile
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
+
 from pvems.battery import BatteryParams
-from pvems.ems import DispatchMode, EmsConfig, StrategyKind, simulate
+from pvems.ems import MODES, DispatchMode, EmsConfig, StrategyKind, simulate
 from pvems.fixtures import (DEFAULT_REGION_ID, WEEK_START, constant_load,
                             forecast_payload, smooth_day_pv)
 from pvems.forecast import FixtureForecastSource
@@ -35,23 +37,27 @@ def run_night(weather_id, label):
         trace = simulate(pv, load, cfg, params, forecast_source=source,
                          initial_soc=0.45)
 
-    night = [r for r in trace if r.mode is DispatchMode.NIGHT_CHARGE]
+    # the trace is columns: tick i is at trace.start + i * trace.step
+    night = np.flatnonzero(trace.mode == MODES.index(DispatchMode.NIGHT_CHARGE))
     print(f"\n--- forecast: {label} ---")
-    if not night:
+    if not night.size:
         print("no night charging")
     else:
-        first, last = night[0], night[-1]
-        energy_wh = sum(r.p_batt_actual for r in night) * cfg.ramp.tick_s / 3600
-        print(f"charging {first.timestamp.time()} -> {last.timestamp.time()} "
-              f"at {first.p_batt_actual:.0f} W ({energy_wh:.0f} Wh from grid)")
+        first, last = (trace.start + i * trace.step for i in (night[0], night[-1]))
+        energy_wh = sum(trace.p_batt_actual[night].tolist()) * cfg.ramp.tick_s / 3600
+        print(f"charging {first.time()} -> {last.time()} "
+              f"at {trace.p_batt_actual[night[0]]:.0f} W ({energy_wh:.0f} Wh from grid)")
 
     # SOC every 30 minutes through the night
-    t0 = trace[0].timestamp
     print("time   soc     mode")
-    for r in trace:
-        minutes = (r.timestamp - t0) // timedelta(minutes=1)
-        if minutes % 30 == 0 and minutes <= 6 * 60 and r.timestamp.second == 0:
-            print(f"{r.timestamp.strftime('%H:%M')}  {r.soc:.4f}  {r.mode.value}")
+    for i in range(len(trace)):
+        timestamp = trace.start + i * trace.step
+        minutes = (timestamp - trace.start) // timedelta(minutes=1)
+        if minutes > 6 * 60:
+            break
+        if minutes % 30 == 0 and timestamp.second == 0:
+            print(f"{timestamp.strftime('%H:%M')}  {trace.soc[i]:.4f}  "
+                  f"{MODES[trace.mode[i]].value}")
 
 
 run_night(4, "cloudy: charge expected")

@@ -14,12 +14,10 @@ import numpy as np
 
 __all__ = [
     "BatteryParams",
-    "BatteryState",
     "advance",
     "advance_run",
     "advance_taper",
     "available",
-    "step",
 ]
 
 
@@ -57,13 +55,6 @@ class BatteryParams:
                              f"got {self.derate_band}")
 
 
-@dataclass(frozen=True)
-class BatteryState:
-    """State of charge (fraction of capacity)."""
-
-    soc: float
-
-
 def available(params: BatteryParams, headroom: float) -> float:
     """AC watts available with ``headroom`` SOC left before a limit (>= 0).
 
@@ -81,11 +72,15 @@ def available(params: BatteryParams, headroom: float) -> float:
 
 def advance(params: BatteryParams, soc: float, ac_command_w: float,
             dt_s: float) -> tuple[float, float]:
-    """Float core of :func:`step`: returns (new SOC, executed AC power).
+    """Advance the battery by ``dt_s`` seconds under a signed AC command.
 
-    A command is clamped to the availability of its own direction only;
-    ``dt_s`` must be positive (:func:`step` checks it, hot loops that
-    fixed it once call this directly).
+    Returns the new SOC and the signed AC power actually executed.
+    Positive commands request charging, negative discharging.  A command
+    is clamped to the SOC-tapered availability of its own direction and,
+    on the final partial step, reduced so the SOC never leaves its
+    window.  Conversion losses apply per direction; the constant standby
+    draw is accounted on the AC bus by the caller, not here.  ``dt_s``
+    must be positive (``RampConfig`` checks the control tick).
     """
     hours = dt_s / 3600.0
     if ac_command_w > 0:
@@ -209,21 +204,3 @@ def _available_array(params: BatteryParams, headroom: np.ndarray) -> np.ndarray:
         avail[taper] = (params.power_nominal_w * headroom[taper]
                         / params.derate_band)
     return avail
-
-
-def step(params: BatteryParams, state: BatteryState, ac_command_w: float,
-         dt_s: float) -> tuple[BatteryState, float]:
-    """Advance the battery by ``dt_s`` seconds under a signed AC command.
-
-    Positive commands request charging, negative discharging.  The
-    executed power is clamped to the SOC-tapered availability and, on
-    the final partial step, reduced so the SOC never leaves its window.
-    Conversion losses apply per direction; the constant standby draw is
-    accounted on the AC bus by the caller, not here.
-
-    Returns the new state and the signed AC power actually executed.
-    """
-    if dt_s <= 0:
-        raise ValueError(f"dt must be positive, got {dt_s}")
-    soc, ac_actual = advance(params, state.soc, ac_command_w, dt_s)
-    return BatteryState(soc=soc), ac_actual

@@ -30,7 +30,6 @@ from pathlib import Path
 from time import perf_counter
 from typing import Iterator, Optional, Sequence
 
-from . import fixtures
 from .battery import BatteryParams
 from .ems import (MODES, EmsConfig, PrePass, StrategyKind, Trace, prepass,
                   simulate)
@@ -337,14 +336,22 @@ def _stage(name: str) -> Iterator[None]:
 
 
 def _prepass(pv: PowerSeries, config: RunConfig) -> PrePass:
-    """``prepass`` of the PV profile; a window sum that overflows is a
-    ``CliError`` that names the profile."""
+    """``prepass`` of the PV profile; a window sum or a ramp rate that
+    overflows is a ``CliError`` that names the profile."""
     try:
         return prepass(pv, config.ems)
     except OverflowError as exc:
-        raise CliError(f"{config.pv_path}: the sum of a "
-                       f"{config.ems.ramp.window_s:g} s window of PV power "
-                       f"overflows ({exc})") from None
+        raise CliError(f"{config.pv_path}: {exc}") from None
+
+
+def _kpis(trace: Trace, config: RunConfig) -> KpiReport:
+    """The KPI report of a trace; an energy or a ratio that overflows is a
+    ``CliError`` that names the profiles."""
+    ramp = config.ems.ramp
+    try:
+        return compute_kpis(accumulate(trace, ramp.tick_s, ramp))
+    except OverflowError as exc:
+        raise CliError(f"{config.pv_path}, {config.load_path}: {exc}") from None
 
 
 def _resolve_forecast(config: RunConfig, strategies: list[StrategyKind]):
@@ -445,8 +452,7 @@ def run_simulation(config: RunConfig) -> KpiReport:
                              forecast_source=source, policy=policy,
                              initial_soc=config.initial_soc, pre=pre)
         with _stage(f"accounting.{strategy.value}"):
-            totals = accumulate(trace, ramp.tick_s, ramp)
-            report = compute_kpis(totals)
+            report = _kpis(trace, config)
 
         with _stage("write.trace_csv"):
             write_trace_csv(trace, trace_tmp)
@@ -506,8 +512,7 @@ def compare_strategies(config: RunConfig, strategies: list[StrategyKind],
                                  forecast_source=source if strat.has_forecast_charging else None,
                                  policy=policy, initial_soc=config.initial_soc, pre=pre)
             with _stage(f"accounting.{strat.value}"):
-                totals = accumulate(trace, run_cfg.ramp.tick_s, run_cfg.ramp)
-                reports[strat.value] = compute_kpis(totals)
+                reports[strat.value] = _kpis(trace, config)
         with _stage("write.compare_csv"):
             write_compare_csv(reports, names, table_tmp)
 
@@ -578,6 +583,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.seed_fixtures:
+            from . import fixtures  # no other command needs it
+
             paths = fixtures.write_fixture_corpus(args.seed_fixtures)
             for name in sorted(paths):
                 print(f"wrote {paths[name]}")

@@ -31,24 +31,23 @@ ticks in three ways, which give the same bits:
   reaching its SOC target) goes through ``battery.advance`` one tick at
   a time.
 
-The result is a columnar ``Trace``; indexing or iterating it yields
-``DispatchRecord`` rows.
+The result is a columnar ``Trace``: one read-only numpy column per
+per-tick quantity, which is the only way to read it.
 """
 
 from __future__ import annotations
 
 import logging
-import operator
 from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import datetime, time, timedelta
 from enum import Enum
-from typing import Iterator, Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
 import numpy as np
 
 from . import battery as bat
-from .battery import BatteryParams, BatteryState
+from .battery import BatteryParams
 from .forecast import (ChargeDecisionPolicy, ForecastDay, ForecastError,
                        should_night_charge)
 from .ramp import RampConfig, fsum_window_mean, ramp_rate, violations
@@ -58,12 +57,9 @@ __all__ = [
     "StrategyKind",
     "DispatchMode",
     "EmsConfig",
-    "DispatchRecord",
     "Trace",
     "PrePass",
     "prepass",
-    "scm_dispatch",
-    "night_charge_tick",
     "simulate",
 ]
 
@@ -143,41 +139,8 @@ class EmsConfig:
                              f"exceeds battery nominal {params.power_nominal_w}")
 
 
-@dataclass(slots=True)
-class DispatchRecord:
-    """One tick of the simulation.
-
-    Battery powers are charge-positive; grid power is import-positive.
-    ``p_batt_cmd`` is what the strategy asked for, ``p_batt_actual``
-    what the battery executed after its SOC and power limits.
-    """
-
-    timestamp: datetime
-    p_pv: float
-    p_load: float
-    p_batt_cmd: float
-    p_batt_actual: float
-    p_grid: float
-    soc: float
-    mode: DispatchMode
-    rr_pct_per_min: float
-    rr_violated: bool
-
-
 class ForecastSource(Protocol):
     def forecast_for(self, date: Date) -> ForecastDay: ...
-
-
-def scm_dispatch(p_pv: float, p_load: float, params: BatteryParams,
-                 state: BatteryState) -> tuple[float, float]:
-    """Self-consumption step: store the surplus, cover the deficit.
-
-    Returns the battery command (already limited to the available
-    power) and the resulting grid power including the standby draw.
-    """
-    cmd = _scm_command(params, state.soc, p_pv - p_load)
-    grid = p_load + cmd + params.standby_power_w - p_pv
-    return cmd, grid
 
 
 def _scm_command(params: BatteryParams, soc: float, surplus: float) -> float:
@@ -189,33 +152,17 @@ def _scm_command(params: BatteryParams, soc: float, surplus: float) -> float:
     return 0.0
 
 
-def night_charge_tick(local_time: time, soc: float, decision: bool,
-                      cfg: EmsConfig,
-                      pv_day_started: bool = False) -> Optional[float]:
-    """Grid-sourced charge command for the small hours, or ``None``.
-
-    Charging runs from ``charge_start_time`` until the SOC target is
-    reached or the PV day begins, and only when the forecast decision
-    asked for it.  ``simulate`` applies the same rule to the flags of
-    its pre-pass.
-    """
-    if not decision or pv_day_started:
-        return None
-    if local_time < cfg.charge_start_time:
-        return None
-    if soc >= cfg.soc_target:
-        return None
-    return cfg.night_charge_power_w
-
-
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Columnar dispatch trace: one numpy column per ``DispatchRecord`` field.
+    """Columnar dispatch trace: one read-only numpy column per quantity.
 
-    Row ``i`` is the tick at ``start + i * step_s``.  ``len``, indexing
-    and iteration yield ``DispatchRecord`` row views built on demand;
-    whole-trace consumers (accounting, the CSV writer) read the columns.
-    ``mode`` holds indices into ``MODES``.  Columns are read-only.
+    Entry ``i`` of each column is the tick at ``start + i * step``;
+    ``len`` is the number of ticks.  Battery powers are charge-positive
+    and grid power is import-positive.  ``p_batt_cmd`` is what the
+    strategy asked for, ``p_batt_actual`` what the battery executed
+    after its SOC and power limits.  ``mode`` holds indices into
+    ``MODES``.  Two traces are equal when their start, step and every
+    column are.
     """
 
     start: datetime
@@ -245,51 +192,12 @@ class Trace:
             col.flags.writeable = False
             object.__setattr__(self, name, col)
 
-    @classmethod
-    def from_records(cls, records: Sequence[DispatchRecord],
-                     step_s: float) -> "Trace":
-        """Columns of a record sequence; ``start`` is the first record's timestamp."""
-        if not records:
-            raise ValueError("cannot build a trace from no records")
-        cols = {name: [getattr(r, name) for r in records]
-                for name in cls.FLOAT_COLUMNS + ("rr_violated",)}
-        return cls(start=records[0].timestamp, step_s=step_s,
-                   mode=[MODES.index(r.mode) for r in records], **cols)
-
     @property
     def step(self) -> timedelta:
         return timedelta(seconds=self.step_s)
 
     def __len__(self) -> int:
         return len(self.p_pv)
-
-    def __getitem__(self, i) -> DispatchRecord:
-        n = len(self)
-        i = operator.index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("trace index out of range")
-        return self._record(self.start + i * self.step,
-                            *(getattr(self, name)[i].item()
-                              for name in self.FLOAT_COLUMNS),
-                            int(self.mode[i]), bool(self.rr_violated[i]))
-
-    def __iter__(self) -> Iterator[DispatchRecord]:
-        timestamp, step = self.start, self.step
-        for row in zip(*(getattr(self, name).tolist()
-                         for name in self.FLOAT_COLUMNS),
-                       self.mode.tolist(), self.rr_violated.tolist()):
-            yield self._record(timestamp, *row)
-            timestamp += step
-
-    @staticmethod
-    def _record(timestamp, p_pv, p_load, cmd, actual, grid, soc, rr, mode,
-                violated) -> DispatchRecord:
-        return DispatchRecord(timestamp=timestamp, p_pv=p_pv, p_load=p_load,
-                              p_batt_cmd=cmd, p_batt_actual=actual,
-                              p_grid=grid, soc=soc, mode=MODES[mode],
-                              rr_pct_per_min=rr, rr_violated=violated)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
@@ -352,17 +260,26 @@ def prepass(pv: PowerSeries, cfg: EmsConfig) -> PrePass:
     test on the exact window means, so a tick whose exact ramp equals
     the limit is flagged even where its ``rr``, rounded, is just below
     it.  The strategy is not read, so one pre-pass serves every
-    strategy run on the same series and settings.
+    strategy run on the same series and settings.  Raises
+    ``OverflowError`` when the sum of a window or a ramp rate overflows.
     """
     ramp = cfg.ramp
     n = len(pv)
     n_window = ramp.window_samples
-    mean, resummed = fsum_window_mean(pv.values, n_window)
+    try:
+        mean, resummed = fsum_window_mean(pv.values, n_window)
+    except OverflowError as exc:
+        raise OverflowError(f"the sum of a {ramp.window_s:g} s window of PV "
+                            f"power overflows ({exc})") from None
     log.info("prepass windows %d resummed %d", max(n - n_window + 1, 0), resummed)
 
     rr = np.zeros(n)
-    rr[n_window:] = ramp_rate(mean[n_window:], mean[n_window - 1:-1], ramp,
-                              ramp.tick_minutes)
+    with np.errstate(over="ignore"):  # refused below
+        rr[n_window:] = ramp_rate(mean[n_window:], mean[n_window - 1:-1], ramp,
+                                  ramp.tick_minutes)
+    if not np.isfinite(rr).all():
+        raise OverflowError(f"the ramp rate of the {ramp.window_s:g} s window "
+                            "mean of PV power overflows")
     violated = violations(pv.values, n_window, ramp, ramp.tick_s)
 
     local0 = pv.start.replace(tzinfo=None) + timedelta(hours=cfg.utc_offset_h)
@@ -423,7 +340,8 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
         pre.check_built_for(pv, cfg)
     n = len(pv)
     pv_values, load_values = pv.values, load.values
-    surplus = pv_values - load_values
+    with np.errstate(over="ignore"):  # an infinite surplus still commands nominal
+        surplus = pv_values - load_values
     nominal = params.power_nominal_w
 
     # The command a tick gets when its day's night segment is closed:
@@ -480,10 +398,11 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
              run_ticks, taper_ticks, n - run_ticks - taper_ticks)
 
     actual = ticks.actual
+    with np.errstate(over="ignore"):  # ``accumulate`` refuses an infinite grid
+        grid = load_values + actual + params.standby_power_w - pv_values
     return Trace(start=pv.start, step_s=cfg.ramp.tick_s, p_pv=pv_values,
                  p_load=load_values, p_batt_cmd=ticks.cmd, p_batt_actual=actual,
-                 p_grid=load_values + actual + params.standby_power_w - pv_values,
-                 soc=ticks.soc, mode=ticks.mode, rr_pct_per_min=pre.rr,
+                 p_grid=grid, soc=ticks.soc, mode=ticks.mode, rr_pct_per_min=pre.rr,
                  rr_violated=pre.violated)
 
 

@@ -5,18 +5,20 @@ direction.  Ramp events are maximal runs of consecutive violating
 ticks; an event counts as controlled when the smoothing command was
 executed in full on every tick (or the leaked remainder stayed under
 the limit).  Ratios with a zero denominator are reported as explicit
-undefined markers, never NaN.
+undefined markers, never NaN; an energy or a ratio that overflows is
+refused with ``OverflowError``, never reported as infinite.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+import math
+from dataclasses import dataclass, field, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .ems import MODES, DispatchMode, DispatchRecord, Trace
+from .ems import MODES, DispatchMode, Trace
 from .ramp import RampConfig, event_numbers, violations
 
 __all__ = [
@@ -109,7 +111,7 @@ class KpiReport:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
 
-def accumulate(trace: Union[Trace, Sequence[DispatchRecord]], tick_s: float,
+def accumulate(trace: Trace, tick_s: float,
                ramp_cfg: Optional[RampConfig] = None) -> EnergyTotals:
     """Integrate a dispatch trace into directional energy totals.
 
@@ -117,31 +119,36 @@ def accumulate(trace: Union[Trace, Sequence[DispatchRecord]], tick_s: float,
     the battery; battery charging beyond the instantaneous PV surplus
     (night charging) is grid energy, not consumed PV.  Ramp counts need
     ``ramp_cfg`` to judge leaked remainders; without it only fully
-    executed commands count as controlled.  A plain record sequence is
-    converted with ``Trace.from_records`` first.
+    executed commands count as controlled.  Raises ``OverflowError``
+    when an energy total, or the grid or battery throughput, overflows.
     """
     if len(trace) == 0:
         raise ValueError("cannot accumulate an empty trace")
-    if not isinstance(trace, Trace):
-        trace = Trace.from_records(trace, tick_s)
     hours = tick_s / 3600.0
     pv, load, grid = trace.p_pv, trace.p_load, trace.p_grid
     batt = trace.p_batt_actual
 
-    pv_direct = np.minimum(np.maximum(pv, 0.0), np.maximum(load, 0.0))
-    pv_to_batt = np.minimum(np.maximum(batt, 0.0), np.maximum(pv - load, 0.0))
     n_orig, n_ctl = _count_ramp_events(trace, tick_s, ramp_cfg)
-    return EnergyTotals(
-        e_pv_generated=_sum(pv[pv > 0]) * hours,
-        e_pv_consumed=_sum(pv_direct + pv_to_batt) * hours,
-        e_load=_sum(load[load > 0]) * hours,
-        e_from_grid=_sum(grid[grid >= 0]) * hours,
-        e_to_grid=_sum(-grid[grid < 0]) * hours,
-        e_to_battery=_sum(batt[batt >= 0]) * hours,
-        e_from_battery=_sum(-batt[batt < 0]) * hours,
-        n_ramps_original=n_orig,
-        n_ramps_controlled=n_ctl,
-    )
+    with np.errstate(over="ignore"):  # refused below
+        pv_direct = np.minimum(np.maximum(pv, 0.0), np.maximum(load, 0.0))
+        pv_to_batt = np.minimum(np.maximum(batt, 0.0), np.maximum(pv - load, 0.0))
+        totals = EnergyTotals(
+            e_pv_generated=_sum(pv[pv > 0]) * hours,
+            e_pv_consumed=_sum(pv_direct + pv_to_batt) * hours,
+            e_load=_sum(load[load > 0]) * hours,
+            e_from_grid=_sum(grid[grid >= 0]) * hours,
+            e_to_grid=_sum(-grid[grid < 0]) * hours,
+            e_to_battery=_sum(batt[batt >= 0]) * hours,
+            e_from_battery=_sum(-batt[batt < 0]) * hours,
+            n_ramps_original=n_orig,
+            n_ramps_controlled=n_ctl,
+        )
+    energies = [f.name for f in fields(totals) if f.name.startswith("e_")]
+    overflowed = [name for name in energies + ["e_grid_total", "e_battery_total"]
+                  if not math.isfinite(getattr(totals, name))]
+    if overflowed:
+        raise OverflowError(f"energy totals overflow: {', '.join(overflowed)}")
+    return totals
 
 
 def _sum(x: np.ndarray) -> float:
@@ -197,7 +204,10 @@ def compute_kpis(totals: EnergyTotals,
         if den <= 0:
             reasons[name] = why
             return None
-        return num / den
+        value = num / den
+        if not math.isfinite(100.0 * value):  # as reported, in percent
+            raise OverflowError(f"{name} overflows: {num!r} Wh over {den!r} Wh")
+        return value
 
     no_load = "no load energy in the trace"
     scr = ratio("scr", totals.e_pv_consumed, totals.e_pv_generated,

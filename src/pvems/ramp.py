@@ -1,7 +1,7 @@
-"""Ramp-rate math: the per-minute ramp definition, the moving-average
-battery command, the ramp-limit rule, and the offline analyses (bucket
-histogram over a long series, controlled-ramp counts across candidate
-averaging windows).
+"""Ramp-rate math: the per-minute ramp definition, the exact window mean
+that the dispatch loop's smoothing command follows, the ramp-limit rule,
+and the offline analyses (bucket histogram over a long series,
+controlled-ramp counts across candidate averaging windows).
 
 Two distinct evaluation paths exist on purpose: the offline histogram
 uses raw 1-minute differences, while the dispatch loop evaluates
@@ -32,7 +32,6 @@ __all__ = [
     "RampConfig",
     "RampHistogram",
     "ramp_rate",
-    "ma_command",
     "violations",
     "ramp_histogram",
     "window_sweep",
@@ -81,23 +80,6 @@ def ramp_rate(p_now_w: float, p_prev_w: float, cfg: RampConfig,
     if dt_min <= 0:
         raise ValueError(f"dt_min must be positive, got {dt_min}")
     return (p_now_w - p_prev_w) / cfg.nameplate_w / dt_min * 100.0
-
-
-def ma_command(pv_window, p_now_w: float, cfg: RampConfig) -> float:
-    """Battery command that pins the net PV output to its recent average.
-
-    ``pv_window`` holds the last ``window_samples`` PV readings
-    including the current one.  The command is charge-positive: PV above
-    its average charges the excess into the battery, PV below discharges
-    the shortfall.  An underfilled window (warm-up) commands nothing.
-    """
-    window = list(pv_window)
-    if len(window) < cfg.window_samples:
-        return 0.0
-    if len(window) > cfg.window_samples:
-        raise ValueError(f"window holds {len(window)} samples, expected "
-                         f"{cfg.window_samples}")
-    return p_now_w - fsum(window) / len(window)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvems.battery import (BatteryParams, BatteryState, advance, advance_run,
-                           advance_taper, available, step)
+from pvems.battery import (BatteryParams, advance, advance_run, advance_taper,
+                           available)
 from pvems.ems import _scm_command
+from reference import step
 
 
 @pytest.fixture
@@ -68,57 +69,63 @@ class TestAvailablePower:
 class TestStep:
     def test_charge_hour_bookkeeping(self, params):
         # 2700 W for one hour stores 2700 * 0.88 = 2376 Wh
-        state, actual = step(params, BatteryState(soc=0.40), 2_700.0, 3_600.0)
+        soc, actual = advance(params, 0.40, 2_700.0, 3_600.0)
         assert actual == 2_700.0
-        assert state.soc == pytest.approx(0.40 + 2_376.0 / 60_000.0)
+        assert soc == pytest.approx(0.40 + 2_376.0 / 60_000.0)
         assert actual > 0
 
     def test_full_battery_clamps_to_zero(self, params):
-        state, actual = step(params, BatteryState(soc=0.70), 5_000.0, 2.0)
+        soc, actual = advance(params, 0.70, 5_000.0, 2.0)
         assert actual == 0.0
-        assert state.soc == 0.70
+        assert soc == 0.70
 
     def test_zero_command_is_idle(self, params):
-        state, actual = step(params, BatteryState(soc=0.40), 0.0, 2.0)
+        soc, actual = advance(params, 0.40, 0.0, 2.0)
         assert actual == 0.0
-        assert state.soc == 0.40
+        assert soc == 0.40
 
     @pytest.mark.parametrize("soc", [0.20, 0.40, 0.70])
     def test_zero_commands_keep_their_sign(self, params, soc):
         # the trace writes repr(actual), so -0.0 must stay -0.0, and a
         # discharge request on an empty battery executes as -0.0
         for cmd in (0.0, -0.0):
-            _, actual = step(params, BatteryState(soc=soc), cmd, 2.0)
+            _, actual = advance(params, soc, cmd, 2.0)
             assert math.copysign(1.0, actual) == math.copysign(1.0, cmd)
-        _, actual = step(params, BatteryState(soc=0.20), -100.0, 2.0)
+        _, actual = advance(params, 0.20, -100.0, 2.0)
         assert math.copysign(1.0, actual) == -1.0 and actual == 0.0
 
     def test_float_core_matches_step(self, params):
-        for soc, cmd in [(0.40, 3_000.0), (0.69, 5_000.0), (0.21, -4_000.0),
-                         (0.40, 0.0), (0.70, 100.0)]:
-            state, actual = step(params, BatteryState(soc=soc), cmd, 2.0)
-            assert advance(params, soc, cmd, 2.0) == (state.soc, actual)
+        # ``advance`` against the per-tick battery rule of the test oracle,
+        # bit for bit, on each of its branches: a free charge, the charge
+        # taper, a free discharge, idle, a full battery, the room cut and
+        # the stored-energy cut
+        small = BatteryParams(energy_capacity_wh=1.0, derate_band=0.0)
+        for p, soc, cmd, dt_s in [
+                (params, 0.40, 3_000.0, 2.0), (params, 0.69, 5_000.0, 2.0),
+                (params, 0.21, -4_000.0, 2.0), (params, 0.40, 0.0, 2.0),
+                (params, 0.40, -0.0, 2.0), (params, 0.70, 100.0, 2.0),
+                (small, 0.6999, 5_000.0, 2.0), (small, 0.2001, -5_000.0, 2.0),
+                (params, 0.41, -3_000.0, 3_600.0 * 30)]:
+            new, executed = advance(p, soc, cmd, dt_s)
+            ref_soc, ref_executed = step(p, soc, cmd, dt_s)
+            assert (fbits(new), fbits(executed)) \
+                == (fbits(ref_soc), fbits(ref_executed)), (soc, cmd, dt_s)
 
     def test_discharge_draws_more_than_delivered(self, params):
-        state, actual = step(params, BatteryState(soc=0.40), -2_200.0, 3_600.0)
+        soc, actual = advance(params, 0.40, -2_200.0, 3_600.0)
         assert actual == -2_200.0
-        assert state.soc == pytest.approx(0.40 - 2_500.0 / 60_000.0)
+        assert soc == pytest.approx(0.40 - 2_500.0 / 60_000.0)
         assert actual < 0
 
     def test_partial_final_step_is_reduced(self, params):
         # 1 Wh of room left but an hour of full-power charge requested
-        state0 = BatteryState(soc=params.soc_max - 1.0 / 60_000.0)
-        state, actual = step(params, state0, 5_000.0, 3_600.0)
-        assert state.soc == pytest.approx(params.soc_max)
+        soc, actual = advance(params, params.soc_max - 1.0 / 60_000.0, 5_000.0,
+                              3_600.0)
+        assert soc == pytest.approx(params.soc_max)
         assert actual == pytest.approx(1.0 / params.eta_acdc)
 
-    def test_rejects_nonpositive_dt(self, params):
-        with pytest.raises(ValueError, match="dt"):
-            step(params, BatteryState(soc=0.40), 0.0, 0.0)
-
     def test_deterministic(self, params):
-        s0 = BatteryState(soc=0.42)
-        assert step(params, s0, 1234.5, 2.0) == step(params, s0, 1234.5, 2.0)
+        assert advance(params, 0.42, 1234.5, 2.0) == advance(params, 0.42, 1234.5, 2.0)
 
 
 class TestRoundTrip:
@@ -126,14 +133,14 @@ class TestRoundTrip:
         # store at 3 kW for an hour, then draw the exact stored energy
         # back out; the AC energy ratio is eta squared
         charge_w, charge_s = 3_000.0, 3_600.0
-        state, ac_in = step(params, BatteryState(soc=0.40), charge_w, charge_s)
-        stored_wh = (state.soc - 0.40) * params.energy_capacity_wh
+        soc, ac_in = advance(params, 0.40, charge_w, charge_s)
+        stored_wh = (soc - 0.40) * params.energy_capacity_wh
 
         discharge_w = 3_000.0
         discharge_s = stored_wh * params.eta_acdc / discharge_w * 3_600.0
-        state2, ac_out = step(params, state, -discharge_w, discharge_s)
+        soc2, ac_out = advance(params, soc, -discharge_w, discharge_s)
 
-        assert state2.soc == pytest.approx(0.40, abs=1e-12)
+        assert soc2 == pytest.approx(0.40, abs=1e-12)
         e_in = ac_in * charge_s / 3_600.0
         e_out = -ac_out * discharge_s / 3_600.0
         ratio = e_out / e_in
@@ -151,10 +158,10 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_soc_stays_in_window(self, cmds):
         params = BatteryParams()
-        state = BatteryState(soc=0.35)
+        soc = 0.35
         for cmd in cmds:
-            state, actual = step(params, state, cmd, 2.0)
-            assert params.soc_min <= state.soc <= params.soc_max
+            soc, actual = advance(params, soc, cmd, 2.0)
+            assert params.soc_min <= soc <= params.soc_max
             assert abs(actual) <= params.power_nominal_w + 1e-9
 
     @given(st.floats(min_value=0.2, max_value=0.7),
@@ -162,7 +169,7 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_actual_never_exceeds_command_magnitude(self, soc, cmd):
         params = BatteryParams()
-        state, actual = step(params, BatteryState(soc=soc), cmd, 2.0)
+        _, actual = advance(params, soc, cmd, 2.0)
         assert abs(actual) <= abs(cmd) + 1e-9
         assert actual * cmd >= 0  # never flips direction
 

@@ -4,7 +4,10 @@ import csv
 import errno
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 from pvems import cli, ems
 from pvems.cli import main
 from pvems.fixtures import write_fixture_corpus
-from pvems.timeseries import load_power_csv
+from pvems.timeseries import PowerSeries, load_power_csv, write_power_csv
 
 
 @pytest.fixture(scope="module")
@@ -389,6 +392,63 @@ def write_huge_pv(corpus, tmp_path):
     return huge_pv
 
 
+class TestOverflowingRuns:
+    """Finite profiles whose ramp rates, energies or ratios overflow are one
+    ``error:`` line, with no warning, and leave the previous outputs: never
+    ``NaN`` or ``Infinity`` in ``kpi.json``.  The config is the smooth
+    day's with a 2 s window (no window sum overflows), SCM_RR and no
+    forecast section."""
+
+    # case -> ({profile replaced: its values from its length}, error text)
+    CASES = {
+        # PV alternating between 1e308 and -1e308 every minute: the ramp
+        # of the one-sample window mean overflows
+        "alternating_pv": ({"pv": lambda n: np.resize(np.repeat([1e308, -1e308], 30), n)},
+                           "the ramp rate of the 2 s window mean of PV power overflows"),
+        # a constant PV of 1e308: the generated and exported energies do
+        "constant_pv": ({"pv": lambda n: np.full(n, 1e308)},
+                        "energy totals overflow: e_pv_generated, e_to_grid, e_grid_total"),
+        # and with a load of -1e308 the surplus and the grid power do too
+        "opposite_load": ({"pv": lambda n: np.full(n, 1e308),
+                           "load": lambda n: np.full(n, -1e308)},
+                          "energy totals overflow: e_pv_generated, e_to_grid"),
+        # a load of 5e-324 W: the PV over the load energy does
+        "subnormal_load": ({"load": lambda n: np.full(n, 5e-324)}, "ssr overflows"),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, outputs", [
+        ("simulate", ("trace.csv", "kpi.json", "histogram.csv")),
+        ("compare", ("compare.csv",)),
+    ])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_with_one_error_line(self, corpus, day_config, tmp_path,
+                                         capsys, command, outputs, case):
+        profiles, message = self.CASES[case]
+        paths, _ = corpus
+        doc = json.loads(day_config.read_text())
+        del doc["forecast"]
+        doc["strategy"] = "SCM_RR"
+        doc["ramp"]["window_s"] = 2.0
+        for profile, values in profiles.items():
+            original = load_power_csv(paths[f"{profile}_smooth_day"])
+            replaced = tmp_path / f"{case}_{profile}.csv"
+            write_power_csv(PowerSeries(original.start, original.step_s,
+                                        values(len(original))), replaced)
+            doc[f"{profile}_path"] = str(replaced)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for name in outputs:
+            (out_dir / name).write_text(f"previous {name}\n")
+        code = main([command, "--config", str(config), "--out-dir", str(out_dir)])
+        assert code == 1
+        assert_one_line_error(capsys, f"{case}_", message)
+        assert {p.name: p.read_text() for p in out_dir.iterdir()} \
+            == {name: f"previous {name}\n" for name in outputs}
+
+
 class TestCsvErrorsWithoutTraceback:
     """A csv-level fault in a profile is one ``error:`` line and exit 1."""
 
@@ -692,3 +752,14 @@ class TestForecastEndpointOverride:
         fc = ForecastConfig(mode="live", endpoint_base=None, region_id=7)
         with pytest.raises(CliError, match="endpoint"):
             fc.source()
+
+
+class TestImports:
+    def test_cli_leaves_fixtures_unimported(self):
+        # only ``--seed-fixtures`` needs the synthetic corpus generator
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, pvems.cli; print('pvems.fixtures' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                             check=True)
+        assert run.stdout == "False\n"

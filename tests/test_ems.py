@@ -7,11 +7,10 @@ from datetime import datetime, time, timedelta, timezone
 import numpy as np
 import pytest
 
-from pvems.battery import BatteryParams, BatteryState
-from pvems.ems import (DispatchMode, EmsConfig, StrategyKind,
-                       night_charge_tick, prepass, scm_dispatch, simulate)
+from pvems.battery import BatteryParams
+from pvems.ems import MODES, DispatchMode, EmsConfig, StrategyKind, prepass, simulate
 from pvems.fixtures import DEFAULT_REGION_ID, WEEK_START, forecast_payload
-from pvems.forecast import FixtureForecastSource, ForecastError
+from pvems.forecast import FixtureForecastSource, ForecastDay, ForecastError
 from pvems.ramp import RampConfig
 from pvems.timeseries import PowerSeries
 
@@ -24,28 +23,42 @@ def series(values, step=2.0, start=T0):
     return PowerSeries(start, step, np.asarray(values, dtype=float))
 
 
+def in_mode(trace, mode):
+    """Per tick, whether ``trace`` ran in ``mode``."""
+    return trace.mode == MODES.index(mode)
+
+
 class TestScmDispatch:
+    """One SCM tick: store the surplus, cover the deficit."""
+
+    def tick(self, p_pv, p_load, soc):
+        """(command, grid power) of one SCM tick from ``soc``."""
+        cfg = EmsConfig(strategy=StrategyKind.SCM, ramp=RCFG)
+        trace = simulate(series([p_pv]), series([p_load]), cfg, PARAMS,
+                         initial_soc=soc)
+        return trace.p_batt_cmd[0], trace.p_grid[0]
+
     def test_surplus_charges(self):
-        cmd, grid = scm_dispatch(3_000.0, 1_000.0, PARAMS, BatteryState(soc=0.40))
+        cmd, grid = self.tick(3_000.0, 1_000.0, soc=0.40)
         assert cmd == 2_000.0
         assert grid == pytest.approx(PARAMS.standby_power_w)
 
     def test_deficit_with_empty_battery_imports(self):
-        cmd, grid = scm_dispatch(0.0, 1_000.0, PARAMS, BatteryState(soc=0.20))
+        cmd, grid = self.tick(0.0, 1_000.0, soc=0.20)
         assert cmd == 0.0
         assert grid == pytest.approx(1_000.0 + PARAMS.standby_power_w)
 
     def test_exact_balance_idles(self):
-        cmd, grid = scm_dispatch(1_500.0, 1_500.0, PARAMS, BatteryState(soc=0.40))
+        cmd, grid = self.tick(1_500.0, 1_500.0, soc=0.40)
         assert cmd == 0.0
         assert grid == pytest.approx(PARAMS.standby_power_w)
 
     def test_surplus_clamped_to_available_power(self):
-        cmd, _ = scm_dispatch(9_000.0, 1_000.0, PARAMS, BatteryState(soc=0.40))
+        cmd, _ = self.tick(9_000.0, 1_000.0, soc=0.40)
         assert cmd == PARAMS.power_nominal_w
 
     def test_deficit_discharges(self):
-        cmd, grid = scm_dispatch(500.0, 2_500.0, PARAMS, BatteryState(soc=0.50))
+        cmd, grid = self.tick(500.0, 2_500.0, soc=0.50)
         assert cmd == -2_000.0
         assert grid == pytest.approx(PARAMS.standby_power_w)
 
@@ -69,51 +82,79 @@ class TestRrDispatch:
     def test_quiet_tick_delegates_to_scm(self):
         trace = self.run(2_000.0, 337.0)
         ref = self.run(2_000.0, 337.0, strategy=StrategyKind.SCM)
+        scm = in_mode(trace, DispatchMode.SCM)
         for k in (self.SPIKE - 1, self.SPIKE + 1):
-            assert trace[k].rr_pct_per_min == 0.0
-            assert trace[k].mode is DispatchMode.SCM
-            assert trace[k].p_batt_cmd == ref[k].p_batt_cmd
-            assert trace[k].p_grid == ref[k].p_grid
+            assert trace.rr_pct_per_min[k] == 0.0
+            assert scm[k]
+            assert trace.p_batt_cmd[k] == ref.p_batt_cmd[k]
+            assert trace.p_grid[k] == ref.p_grid[k]
 
     def test_upward_spike_charges(self):
-        hit = self.run(2_000.0, 337.0)[self.SPIKE]
-        assert hit.rr_pct_per_min == pytest.approx(15.0)
-        assert hit.mode is DispatchMode.RAMP_CONTROL
-        assert hit.p_batt_cmd == pytest.approx(337.0 * 9 / 10)
+        trace, k = self.run(2_000.0, 337.0), self.SPIKE
+        assert trace.rr_pct_per_min[k] == pytest.approx(15.0)
+        assert in_mode(trace, DispatchMode.RAMP_CONTROL)[k]
+        assert trace.p_batt_cmd[k] == pytest.approx(337.0 * 9 / 10)
 
     def test_downward_spike_discharges(self):
-        hit = self.run(3_000.0, -337.0)[self.SPIKE]
-        assert hit.rr_pct_per_min == pytest.approx(-15.0)
-        assert hit.mode is DispatchMode.RAMP_CONTROL
-        assert hit.p_batt_cmd == pytest.approx(-337.0 * 9 / 10)
+        trace, k = self.run(3_000.0, -337.0), self.SPIKE
+        assert trace.rr_pct_per_min[k] == pytest.approx(-15.0)
+        assert in_mode(trace, DispatchMode.RAMP_CONTROL)[k]
+        assert trace.p_batt_cmd[k] == pytest.approx(-337.0 * 9 / 10)
 
     def test_warmup_falls_through(self):
         trace = self.run(2_000.0, 337.0)
-        for r in list(trace)[:RCFG.window_samples]:
-            assert r.rr_pct_per_min == 0.0
-            assert r.mode is not DispatchMode.RAMP_CONTROL
+        warmup = slice(RCFG.window_samples)
+        assert (trace.rr_pct_per_min[warmup] == 0.0).all()
+        assert not in_mode(trace, DispatchMode.RAMP_CONTROL)[warmup].any()
 
 
 class TestNightChargeTick:
-    CFG = EmsConfig(strategy=StrategyKind.SCM_RR_WF)
+    """The night segment at the last tick of a 20 s SCM_RR_WF run (one
+    window of the default ramp settings) that ends at a local time."""
+
+    CFG = EmsConfig(strategy=StrategyKind.SCM_RR_WF, ramp=RCFG)
+
+    class Source:
+        def __init__(self, decision):
+            self.code = 4 if decision else 1  # overcast charges, clear does not
+
+        def forecast_for(self, date):
+            return ForecastDay(date, self.code, DEFAULT_REGION_ID)
+
+    def last_tick(self, clock, soc, decision, pv_w=0.0):
+        """(mode, command) of the tick at ``clock`` from SOC ``soc``;
+        PV of ``pv_w`` through the window starts the PV day."""
+        n = RCFG.window_samples
+        start = T0 + timedelta(hours=clock.hour, minutes=clock.minute) \
+            - (n - 1) * timedelta(seconds=RCFG.tick_s)
+        trace = simulate(series(np.full(n, pv_w), start=start),
+                         series(np.zeros(n), start=start), self.CFG, PARAMS,
+                         forecast_source=self.Source(decision), initial_soc=soc)
+        return MODES[trace.mode[-1]], trace.p_batt_cmd[-1]
 
     def test_charges_when_due(self):
-        cmd = night_charge_tick(time(2, 0), 0.30, True, self.CFG)
+        mode, cmd = self.last_tick(time(2, 0), 0.30, True)
+        assert mode is DispatchMode.NIGHT_CHARGE
         assert cmd == 2_700.0
 
     def test_target_reached_stops(self):
-        assert night_charge_tick(time(2, 0), 0.50, True, self.CFG) is None
+        mode, _ = self.last_tick(time(2, 0), 0.50, True)
+        assert mode is not DispatchMode.NIGHT_CHARGE
 
     def test_decision_false_never_charges(self):
-        assert night_charge_tick(time(2, 0), 0.30, False, self.CFG) is None
+        mode, _ = self.last_tick(time(2, 0), 0.30, False)
+        assert mode is not DispatchMode.NIGHT_CHARGE
 
     def test_before_start_time(self):
-        assert night_charge_tick(time(1, 0), 0.30, True, self.CFG) is None
+        mode, _ = self.last_tick(time(1, 0), 0.30, True)
+        assert mode is not DispatchMode.NIGHT_CHARGE
 
     def test_pv_day_started_stops(self):
-        cmd = night_charge_tick(time(9, 0), 0.30, True, self.CFG,
-                                pv_day_started=True)
-        assert cmd is None
+        # the window mean of 1 kW is above 1 % of the nameplate
+        mode, _ = self.last_tick(time(9, 0), 0.30, True, pv_w=1_000.0)
+        assert mode is not DispatchMode.NIGHT_CHARGE
+        assert self.last_tick(time(9, 0), 0.30, True)[0] \
+            is DispatchMode.NIGHT_CHARGE
 
 
 class TestSimulateBasics:
@@ -123,10 +164,10 @@ class TestSimulateBasics:
         load = series(np.zeros(n))
         cfg = EmsConfig(strategy=StrategyKind.SCM, ramp=RCFG)
         trace = simulate(pv, load, cfg, PARAMS, initial_soc=0.35)
-        assert all(r.p_batt_actual == 0.0 for r in trace)
-        assert all(r.p_grid == PARAMS.standby_power_w for r in trace)
-        assert all(r.soc == 0.35 for r in trace)
-        assert all(r.mode is DispatchMode.IDLE for r in trace)
+        assert (trace.p_batt_actual == 0.0).all()
+        assert (trace.p_grid == PARAMS.standby_power_w).all()
+        assert (trace.soc == 0.35).all()
+        assert in_mode(trace, DispatchMode.IDLE).all()
 
     def test_misaligned_inputs_rejected(self):
         pv = series(np.zeros(100))
@@ -157,6 +198,17 @@ class TestSimulateBasics:
         with pytest.raises(ValueError, match="night_charge_power_w"):
             simulate(pv, pv, cfg, PARAMS)
 
+    @pytest.mark.parametrize("values, window_s, message", [
+        ([1e308, -1e308], 2.0, "the ramp rate of the 2 s window mean"),
+        ([1e308, 1e308], 4.0, "the sum of a 4 s window of PV power"),
+    ])
+    def test_overflowing_prepass_refused(self, values, window_s, message):
+        cfg = EmsConfig(strategy=StrategyKind.SCM_RR,
+                        ramp=RampConfig(window_s=window_s))
+        pv = series(values)
+        with pytest.raises(OverflowError, match=message):
+            simulate(pv, series(np.zeros(len(pv))), cfg, PARAMS)
+
     def test_replay_deterministic(self):
         rng = np.random.default_rng(23)
         pv = series(rng.uniform(0, 6_740, 3_000))
@@ -180,26 +232,27 @@ class TestSimulateRampControl:
         pv, load = self.make_drop_fixture()
         cfg = EmsConfig(strategy=StrategyKind.SCM_RR, ramp=RCFG)
         trace = simulate(pv, load, cfg, PARAMS, initial_soc=PARAMS.soc_min)
-        hits = [r for r in trace if r.rr_violated]
-        assert hits, "fixture must violate"
-        assert all(r.mode is DispatchMode.RAMP_CONTROL for r in hits)
-        assert all(r.p_batt_cmd <= 0 for r in hits)
-        assert any(r.p_batt_cmd < 0 for r in hits)
-        assert all(r.p_batt_actual == 0.0 for r in hits)
+        hits = trace.rr_violated
+        assert hits.any(), "fixture must violate"
+        assert in_mode(trace, DispatchMode.RAMP_CONTROL)[hits].all()
+        assert (trace.p_batt_cmd[hits] <= 0).all()
+        assert (trace.p_batt_cmd[hits] < 0).any()
+        assert (trace.p_batt_actual[hits] == 0.0).all()
 
     def test_healthy_battery_executes_command(self):
         pv, load = self.make_drop_fixture()
         cfg = EmsConfig(strategy=StrategyKind.SCM_RR, ramp=RCFG)
         trace = simulate(pv, load, cfg, PARAMS, initial_soc=0.45)
-        hits = [r for r in trace if r.rr_violated]
-        assert all(r.p_batt_actual == pytest.approx(r.p_batt_cmd) for r in hits)
+        hits = trace.rr_violated
+        assert all(actual == pytest.approx(cmd) for actual, cmd in
+                   zip(trace.p_batt_actual[hits], trace.p_batt_cmd[hits]))
 
     def test_scm_records_violations_but_never_controls(self):
         pv, load = self.make_drop_fixture()
         cfg = EmsConfig(strategy=StrategyKind.SCM, ramp=RCFG)
         trace = simulate(pv, load, cfg, PARAMS, initial_soc=0.45)
-        assert any(r.rr_violated for r in trace)
-        assert all(r.mode is not DispatchMode.RAMP_CONTROL for r in trace)
+        assert trace.rr_violated.any()
+        assert not in_mode(trace, DispatchMode.RAMP_CONTROL).any()
 
 
 class TestSimulateNightCharge:
@@ -208,14 +261,14 @@ class TestSimulateNightCharge:
         cfg = EmsConfig(strategy=StrategyKind.SCM_RR_WF, ramp=RCFG)
         trace = simulate(pv, load, cfg, PARAMS, forecast_source=clear_source,
                          initial_soc=0.30)
-        assert all(r.mode is not DispatchMode.NIGHT_CHARGE for r in trace)
+        assert not in_mode(trace, DispatchMode.NIGHT_CHARGE).any()
 
     def test_no_source_defaults_to_no_charge(self, smooth_day_profiles, caplog):
         pv, load = smooth_day_profiles
         cfg = EmsConfig(strategy=StrategyKind.SCM_RR_WF, ramp=RCFG)
         with caplog.at_level("WARNING"):
             trace = simulate(pv, load, cfg, PARAMS, initial_soc=0.30)
-        assert all(r.mode is not DispatchMode.NIGHT_CHARGE for r in trace)
+        assert not in_mode(trace, DispatchMode.NIGHT_CHARGE).any()
         assert any("no forecast source" in m for m in caplog.messages)
 
     def test_failing_source_falls_back_with_warning(self, smooth_day_profiles,
@@ -229,7 +282,7 @@ class TestSimulateNightCharge:
         with caplog.at_level("WARNING"):
             trace = simulate(pv, load, cfg, PARAMS, forecast_source=Unreachable(),
                              initial_soc=0.30)
-        assert all(r.mode is not DispatchMode.NIGHT_CHARGE for r in trace)
+        assert not in_mode(trace, DispatchMode.NIGHT_CHARGE).any()
         assert any("unavailable" in m and "service down" in m
                    for m in caplog.messages)
 
@@ -247,7 +300,7 @@ class TestSimulateNightCharge:
             trace = simulate(pv, load, cfg, PARAMS,
                              forecast_source=FixtureForecastSource(path),
                              initial_soc=0.30)
-        assert all(r.mode is not DispatchMode.NIGHT_CHARGE for r in trace)
+        assert not in_mode(trace, DispatchMode.NIGHT_CHARGE).any()
         assert any("unavailable" in m for m in caplog.messages)
 
     def test_programming_error_in_source_propagates(self, smooth_day_profiles):
@@ -267,11 +320,11 @@ class TestSimulateNightCharge:
         cfg = EmsConfig(strategy=StrategyKind.SCM_RR_WF, ramp=RCFG)
         trace = simulate(pv, load, cfg, PARAMS, forecast_source=cloudy_source,
                          initial_soc=0.45)
-        night = [r for r in trace if r.mode is DispatchMode.NIGHT_CHARGE]
-        assert night
+        night = in_mode(trace, DispatchMode.NIGHT_CHARGE)
+        assert night.any()
         tick_soc = (cfg.night_charge_power_w * PARAMS.eta_acdc * RCFG.tick_s
                     / 3_600.0 / PARAMS.energy_capacity_wh)
-        assert max(r.soc for r in night) <= cfg.soc_target + tick_soc + 1e-12
+        assert trace.soc[night].max() <= cfg.soc_target + tick_soc + 1e-12
 
 
 class TestPowerBalance:
@@ -283,11 +336,10 @@ class TestPowerBalance:
             cfg = EmsConfig(strategy=strategy, ramp=RCFG)
             trace = simulate(pv, load, cfg, PARAMS,
                              forecast_source=cloudy_source, initial_soc=0.30)
-            for r in trace:
-                residual = r.p_pv + r.p_grid - (r.p_load + r.p_batt_actual
-                                                + PARAMS.standby_power_w)
-                assert abs(residual) <= 1e-6
-                assert PARAMS.soc_min <= r.soc <= PARAMS.soc_max
+            residual = trace.p_pv + trace.p_grid - (trace.p_load + trace.p_batt_actual
+                                                    + PARAMS.standby_power_w)
+            assert (np.abs(residual) <= 1e-6).all()
+            assert ((PARAMS.soc_min <= trace.soc) & (trace.soc <= PARAMS.soc_max)).all()
 
 
 class TestSharedPrePass:

@@ -5,10 +5,11 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from pvems.battery import BatteryParams, BatteryState, step
-from pvems.ems import DispatchMode, DispatchRecord
+from pvems.battery import BatteryParams, advance
+from pvems.ems import DispatchMode, Trace
 from pvems.kpi import EnergyTotals, accumulate, compute_kpis
 from pvems.ramp import RampConfig
+from reference import Record, trace_of
 
 T0 = datetime(2018, 1, 1, tzinfo=timezone.utc)
 RCFG = RampConfig()
@@ -16,10 +17,15 @@ RCFG = RampConfig()
 
 def rec(i=0, p_pv=0.0, p_load=0.0, cmd=0.0, actual=0.0, grid=0.0, soc=0.35,
         mode=DispatchMode.IDLE, rr=0.0, violated=False):
-    return DispatchRecord(
+    return Record(
         timestamp=T0 + timedelta(seconds=2 * i), p_pv=p_pv, p_load=p_load,
         p_batt_cmd=cmd, p_batt_actual=actual, p_grid=grid, soc=soc,
         mode=mode, rr_pct_per_min=rr, rr_violated=violated)
+
+
+def accumulate_rows(rows, tick_s, ramp_cfg=None):
+    """``accumulate`` of the trace whose columns hold ``rows``."""
+    return accumulate(trace_of(rows, tick_s), tick_s, ramp_cfg)
 
 
 def totals(**kwargs):
@@ -33,16 +39,18 @@ def totals(**kwargs):
 class TestAccumulate:
     def test_single_tick_unit_conversion(self):
         trace = [rec(p_pv=1_000.0, p_load=0.0, grid=-970.0)]
-        t = accumulate(trace, 2.0)
+        t = accumulate_rows(trace, 2.0)
         assert t.e_pv_generated == pytest.approx(1_000.0 * 2 / 3_600)
 
     def test_empty_trace_rejected(self):
+        empty = Trace(start=T0, step_s=2.0,
+                      **{name: [] for name in Trace.COLUMN_DTYPES})
         with pytest.raises(ValueError, match="empty"):
-            accumulate([], 2.0)
+            accumulate(empty, 2.0)
 
     def test_all_zero_trace(self):
         trace = [rec(i=i) for i in range(5)]
-        t = accumulate(trace, 2.0)
+        t = accumulate_rows(trace, 2.0)
         assert t.e_pv_generated == t.e_load == t.e_to_battery == 0.0
         report = compute_kpis(t)
         for name in ("scr", "ssr", "grf", "bcr", "eg", "fgu", "tgu", "fbu", "tbu"):
@@ -55,14 +63,14 @@ class TestAccumulate:
         # print "-0.0" if the column sums did
         trace = [rec(i=i, p_pv=-0.0, p_load=-0.0, actual=-0.0, grid=-0.0)
                  for i in range(3)]
-        t = accumulate(trace, 2.0)
+        t = accumulate_rows(trace, 2.0)
         for name in ("e_pv_generated", "e_pv_consumed", "e_load", "e_from_grid",
                      "e_to_grid", "e_to_battery", "e_from_battery"):
             assert math.copysign(1.0, getattr(t, name)) == 1.0, name
 
     def test_grid_direction_split(self):
         trace = [rec(i=0, grid=100.0), rec(i=1, grid=-50.0)]
-        t = accumulate(trace, 3_600.0)
+        t = accumulate_rows(trace, 3_600.0)
         assert t.e_from_grid == pytest.approx(100.0)
         assert t.e_to_grid == pytest.approx(50.0)
         assert t.e_grid_total == pytest.approx(150.0)
@@ -71,7 +79,7 @@ class TestAccumulate:
         # night charging: battery charges 2700 W with zero PV
         trace = [rec(p_pv=0.0, p_load=800.0, actual=2_700.0, grid=3_530.0,
                      mode=DispatchMode.NIGHT_CHARGE)]
-        t = accumulate(trace, 3_600.0)
+        t = accumulate_rows(trace, 3_600.0)
         assert t.e_pv_consumed == 0.0
         assert t.e_to_battery == pytest.approx(2_700.0)
 
@@ -79,28 +87,39 @@ class TestAccumulate:
         # pv 3000: 1000 to load, 2000 into the battery
         trace = [rec(p_pv=3_000.0, p_load=1_000.0, actual=2_000.0, grid=30.0,
                      mode=DispatchMode.SCM)]
-        t = accumulate(trace, 3_600.0)
+        t = accumulate_rows(trace, 3_600.0)
         assert t.e_pv_consumed == pytest.approx(3_000.0)
 
     def test_battery_round_trip_relation(self):
         # build the trace from actual battery steps: charge an hour,
         # discharge back to the starting SOC
         params = BatteryParams()
-        s0 = BatteryState(soc=0.40)
-        s1, ac_in = step(params, s0, 3_000.0, 3_600.0)
-        stored = (s1.soc - s0.soc) * params.energy_capacity_wh
+        s0 = 0.40
+        s1, ac_in = advance(params, s0, 3_000.0, 3_600.0)
+        stored = (s1 - s0) * params.energy_capacity_wh
         t_out = stored * params.eta_acdc / 3_000.0 * 3_600.0
-        s2, ac_out = step(params, s1, -3_000.0, t_out)
-        assert s2.soc == pytest.approx(0.40)
+        s2, ac_out = advance(params, s1, -3_000.0, t_out)
+        assert s2 == pytest.approx(0.40)
 
         # same duration per record: scale powers onto a 1 h grid
         e_in = ac_in  # Wh over 1 h
         e_out = -ac_out * t_out / 3_600.0
         trace = [rec(i=0, actual=e_in, mode=DispatchMode.SCM),
                  rec(i=1, actual=-e_out, mode=DispatchMode.SCM)]
-        t = accumulate(trace, 3_600.0)
+        t = accumulate_rows(trace, 3_600.0)
         assert t.e_from_battery == pytest.approx(t.e_to_battery * params.eta_acdc ** 2,
                                                  rel=1e-9)
+
+
+    @pytest.mark.parametrize("rows, overflowed", [
+        # two ticks of 1e308 W over an hour each
+        ([rec(i=0, p_pv=1e308), rec(i=1, p_pv=1e308)], "e_pv_generated"),
+        # imports and exports that are each finite, but not their sum
+        ([rec(i=0, grid=1.5e308), rec(i=1, grid=-1.5e308)], "e_grid_total"),
+    ])
+    def test_overflowing_energy_refused(self, rows, overflowed):
+        with pytest.raises(OverflowError, match=f"energy totals overflow: .*{overflowed}"):
+            accumulate_rows(rows, 3_600.0)
 
 
 class TestRampEventCounting:
@@ -115,14 +134,14 @@ class TestRampEventCounting:
         ]
 
     def test_fully_executed_event_counts_controlled(self):
-        t = accumulate(self.controlled_run(), 2.0, RCFG)
+        t = accumulate_rows(self.controlled_run(), 2.0, RCFG)
         assert (t.n_ramps_original, t.n_ramps_controlled) == (1, 1)
 
     def test_clamped_event_counts_uncontrolled(self):
         trace = self.controlled_run()
         trace[2] = rec(i=2, p_pv=1_500.0, cmd=400.0, actual=0.0,
                        mode=DispatchMode.RAMP_CONTROL, rr=28.0, violated=True)
-        t = accumulate(trace, 2.0, RCFG)
+        t = accumulate_rows(trace, 2.0, RCFG)
         assert (t.n_ramps_original, t.n_ramps_controlled) == (1, 0)
 
     def test_partial_with_small_remainder_controlled(self):
@@ -136,7 +155,7 @@ class TestRampEventCounting:
                 mode=DispatchMode.RAMP_CONTROL, rr=15.0, violated=True),
             rec(i=3, p_pv=1_230.0),
         ]
-        t = accumulate(trace, 2.0, RCFG)
+        t = accumulate_rows(trace, 2.0, RCFG)
         assert (t.n_ramps_original, t.n_ramps_controlled) == (1, 1)
 
     @pytest.mark.parametrize("leak_step_w, controlled", [(1_000.0, 0), (999.0, 1)])
@@ -151,7 +170,7 @@ class TestRampEventCounting:
             rec(i=1, p_pv=1_500.0 + leak_step_w, cmd=600.0, actual=500.0,
                 mode=DispatchMode.RAMP_CONTROL, rr=20.0, violated=True),
         ]
-        t = accumulate(trace, 60.0, cfg)
+        t = accumulate_rows(trace, 60.0, cfg)
         assert (t.n_ramps_original, t.n_ramps_controlled) == (1, controlled)
 
     def test_partial_without_cfg_counts_uncontrolled(self):
@@ -160,18 +179,18 @@ class TestRampEventCounting:
             rec(i=1, p_pv=1_210.0, cmd=30.0, actual=10.0,
                 mode=DispatchMode.RAMP_CONTROL, rr=15.0, violated=True),
         ]
-        t = accumulate(trace, 2.0, ramp_cfg=None)
+        t = accumulate_rows(trace, 2.0, ramp_cfg=None)
         assert (t.n_ramps_original, t.n_ramps_controlled) == (1, 0)
 
     def test_violations_without_control_uncontrolled(self):
         trace = [rec(i=0, p_pv=1_000.0, rr=20.0, violated=True,
                      mode=DispatchMode.SCM)]
-        t = accumulate(trace, 2.0, RCFG)
+        t = accumulate_rows(trace, 2.0, RCFG)
         assert (t.n_ramps_original, t.n_ramps_controlled) == (1, 0)
 
     def test_separate_runs_are_separate_events(self):
         trace = self.controlled_run() + self.controlled_run()
-        t = accumulate(trace, 2.0, RCFG)
+        t = accumulate_rows(trace, 2.0, RCFG)
         assert t.n_ramps_original == 2
         assert t.n_ramps_controlled == 2
 
@@ -217,6 +236,14 @@ class TestComputeKpis:
         for name in ("scr", "ssr", "grf", "bcr", "eg", "fgu", "tgu", "fbu",
                      "tbu", "crr"):
             assert getattr(r1, name) == pytest.approx(getattr(r2, name))
+
+    def test_overflowing_ratio_refused(self):
+        # grid exchange over a subnormal load energy (grf, the first ratio
+        # over the load): no float holds it, so kpi.json would print Infinity
+        t = totals(e_load=5e-324, e_from_grid=1.0)
+        with pytest.raises(OverflowError, match="grf overflows: 1.0 Wh over 5e-324 Wh"):
+            compute_kpis(t)
+        assert compute_kpis(totals(e_load=1e-300, e_from_grid=1.0)).fgu == pytest.approx(1e300)
 
     def test_json_shape(self):
         r = compute_kpis(totals(e_load=10.0, e_from_grid=5.0))

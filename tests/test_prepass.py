@@ -5,35 +5,34 @@ pre-pass, advances ticks in array runs where no battery limit binds,
 in a float recurrence where the SOC tapers and one at a time elsewhere,
 and returns a columnar trace;
 ``accumulate`` sums columns and ``write_trace_csv`` formats them.  The
-references below are the straightforward per-tick versions (a deque,
-``fsum``, ``ramp_rate``, the limit test on ``Fraction`` window means,
-``datetime`` arithmetic, ``battery.step``, per-record sums and a
-row-wise csv writer), and every comparison is bit for bit.
+references are the straightforward per-tick versions: the dispatch
+oracle of ``reference.py`` (a deque, ``fsum``, the limit test on
+``Fraction`` window means, ``datetime`` arithmetic and the per-tick
+battery, SCM, night and ramp rules, sharing no code with the engine),
+and below, per-record sums and a row-wise csv writer.  Every comparison
+is bit for bit.
 """
 
 import csv
-from collections import deque
 from datetime import datetime, time, timedelta, timezone
 from fractions import Fraction
-from math import fsum
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-
-from pvems import battery as bat
 from pvems import ems
-from pvems.battery import BatteryParams, BatteryState
+from pvems.battery import BatteryParams
 from pvems.cli import TRACE_COLUMNS, write_trace_csv
-from pvems.ems import (DispatchMode, DispatchRecord, EmsConfig, StrategyKind,
-                       Trace, night_charge_tick, prepass, scm_dispatch,
-                       simulate)
-from pvems.forecast import (ChargeDecisionPolicy, ForecastDay,
-                            should_night_charge)
+from pvems.ems import (MODES, DispatchMode, EmsConfig, StrategyKind, Trace,
+                       prepass, simulate)
+from pvems.forecast import ChargeDecisionPolicy, ForecastDay
 from pvems.kpi import accumulate
-from pvems.ramp import RampConfig, ma_command, ramp_rate
+from pvems.ramp import RampConfig
 from pvems.timeseries import PowerSeries, format_utc
+from reference import prepass as reference_prepass
+from reference import reaches_limit
+from reference import simulate as reference_simulate
 
 T0 = datetime(2018, 1, 1, tzinfo=timezone.utc)
 NAMEPLATE_W = 6_000.0
@@ -48,84 +47,6 @@ def bits(values):
 
 
 # ---------------------------------------------------------------- references
-
-def reaches_limit(change, ramp, tick_s):
-    """Whether an exact change (a ``Fraction``, W) over one tick ramps
-    by at least the limit, in %/min of the nameplate."""
-    rate = abs(change) / Fraction(ramp.nameplate_w) / (Fraction(tick_s) / 60) * 100
-    return rate >= Fraction(ramp.limit_pct_per_min)
-
-
-def reference_prepass(pv, cfg):
-    """Per-tick (mean, rr, violated, local date, after start, day started)."""
-    ramp = cfg.ramp
-    n = ramp.window_samples
-    window = deque(maxlen=n)
-    tick = timedelta(seconds=ramp.tick_s)
-    offset = timedelta(hours=cfg.utc_offset_h)
-    level = cfg.pv_day_threshold * ramp.nameplate_w
-    timestamp, s_prev, started, rows = pv.start, None, set(), []
-    exact_sum, e_prev = Fraction(0), None
-    for p in pv.values.tolist():
-        local = timestamp + offset
-        if len(window) == n:
-            exact_sum -= Fraction(window[0])
-        window.append(p)
-        exact_sum += Fraction(p)
-        s_now = fsum(window) / n if len(window) == n else None
-        e_now = exact_sum / n if len(window) == n else None
-        if s_now is not None and s_now > level:
-            started.add(local.date())
-        rr, violated = 0.0, False
-        if s_now is not None and s_prev is not None:
-            rr = ramp_rate(s_now, s_prev, ramp, ramp.tick_minutes)
-            violated = reaches_limit(e_now - e_prev, ramp, ramp.tick_s)
-        rows.append((s_now, rr, violated, local.date(),
-                     local.time() >= cfg.charge_start_time,
-                     local.date() in started))
-        s_prev, e_prev = s_now, e_now
-        timestamp += tick
-    return rows
-
-
-def reference_simulate(pv, load, cfg, params, source, policy, initial_soc):
-    """The per-tick loop: one BatteryState and one DispatchRecord per tick."""
-    ramp = cfg.ramp
-    pre = reference_prepass(pv, cfg)
-    window = deque(maxlen=ramp.window_samples)
-    state = BatteryState(soc=initial_soc)
-    decisions, night_done, records = {}, set(), []
-    timestamp, tick = pv.start, timedelta(seconds=ramp.tick_s)
-    offset = timedelta(hours=cfg.utc_offset_h)
-    for k, (p_pv, p_load) in enumerate(zip(pv.values.tolist(),
-                                           load.values.tolist())):
-        window.append(p_pv)
-        _, rr, violated, date, after, started = pre[k]
-        cmd, mode = None, DispatchMode.SCM
-        if cfg.strategy.has_forecast_charging:
-            if after and date not in decisions:
-                decisions[date] = should_night_charge(
-                    source.forecast_for(date), policy)
-            decision = decisions.get(date, False) and date not in night_done
-            night_cmd = night_charge_tick((timestamp + offset).time(),
-                                          state.soc, decision, cfg,
-                                          pv_day_started=started)
-            if decision and after and state.soc >= cfg.soc_target:
-                night_done.add(date)
-            elif night_cmd is not None:
-                cmd, mode = night_cmd, DispatchMode.NIGHT_CHARGE
-        if cmd is None and cfg.strategy.has_ramp_control and violated:
-            cmd, mode = ma_command(window, p_pv, ramp), DispatchMode.RAMP_CONTROL
-        if cmd is None:
-            cmd, _ = scm_dispatch(p_pv, p_load, params, state)
-            mode = DispatchMode.IDLE if cmd == 0.0 else DispatchMode.SCM
-        state, actual = bat.step(params, state, cmd, ramp.tick_s)
-        grid = p_load + actual + params.standby_power_w - p_pv
-        records.append(DispatchRecord(timestamp, p_pv, p_load, cmd, actual,
-                                      grid, state.soc, mode, rr, violated))
-        timestamp = timestamp + tick
-    return records
-
 
 def reference_totals(records, tick_s, ramp_cfg):
     """Per-record sums and event grouping, as a loop over the rows."""
@@ -339,10 +260,10 @@ class TestEngineReference:
         for name in Trace.FLOAT_COLUMNS:
             assert np.array_equal(bits(getattr(trace, name)),
                                   bits([getattr(r, name) for r in ref])), name
-        assert [r.mode for r in trace] == [r.mode for r in ref]
-        assert [r.rr_violated for r in trace] == [r.rr_violated for r in ref]
-        assert [r.timestamp for r in trace] == [r.timestamp for r in ref]
-        assert trace[-1] == ref[-1]
+        assert [MODES[m] for m in trace.mode.tolist()] == [r.mode for r in ref]
+        assert trace.rr_violated.tolist() == [r.rr_violated for r in ref]
+        assert [trace.start + i * trace.step for i in range(len(trace))] \
+            == [r.timestamp for r in ref]
 
         totals = accumulate(trace, cfg.ramp.tick_s, cfg.ramp)
         energies, n_orig, n_ctl = reference_totals(ref, cfg.ramp.tick_s, cfg.ramp)
@@ -351,7 +272,6 @@ class TestEngineReference:
             totals.e_from_grid, totals.e_to_grid, totals.e_to_battery,
             totals.e_from_battery]), bits(energies))
         assert (totals.n_ramps_original, totals.n_ramps_controlled) == (n_orig, n_ctl)
-        assert accumulate(ref, cfg.ramp.tick_s, cfg.ramp) == totals
 
         write_trace_csv(trace, out / "columns.csv")
         reference_write_trace_csv(ref, out / "rows.csv")
@@ -490,20 +410,32 @@ class TestEngineReference:
         _, tapered, _ = self.dispatch_split(caplog, len(pv))
         assert tapered > 0
 
+    def test_cut_commands_from_an_empty_start(self, tmp_path, caplog):
+        # a 50 Wh battery without a derate band under a random surplus at
+        # 30 s ticks: up to 37 Wh a tick, so the room (or stored-energy)
+        # cut binds on many ticks, each from its own SOC, and only scalar
+        # ticks advance them; the first tick asks an empty battery to
+        # cover a deficit, which commands -0.0
+        rng = np.random.default_rng(7)
+        surplus = rng.uniform(-5_000.0, 5_000.0, 400)
+        surplus[0] = -1_000.0
+        ramp = RampConfig(nameplate_w=NAMEPLATE_W, window_s=30.0, tick_s=30.0)
+        cfg = EmsConfig(strategy=StrategyKind.SCM, ramp=ramp)
+        params = BatteryParams(energy_capacity_wh=50.0, derate_band=0.0)
+        pv = PowerSeries(T0, 30.0, np.maximum(surplus, 0.0))
+        load = PowerSeries(T0, 30.0, np.maximum(-surplus, 0.0))
+        with caplog.at_level("INFO", logger="pvems.ems"):
+            ref = self.check(pv, load, cfg, params, params.soc_min, [1], tmp_path)
+        cut = [r for r in ref if r.mode is DispatchMode.SCM
+               and r.p_batt_actual != r.p_batt_cmd]
+        assert sum(r.p_batt_cmd > 0 for r in cut) > 50
+        assert sum(r.p_batt_cmd < 0 for r in cut) > 50
+        assert str(ref[0].p_batt_cmd) == "-0.0"
+        _, _, scalar = self.dispatch_split(caplog, len(pv))
+        assert scalar > 100
+
 
 class TestTrace:
-    def test_row_views_and_round_trip(self):
-        pv = PowerSeries(T0, 2.0, np.array([0.0, 1_000.0, 3_000.0, 2_500.0]))
-        load = PowerSeries(T0, 2.0, np.full(4, 1_500.0))
-        trace = simulate(pv, load, EmsConfig(), BatteryParams())
-        records = list(trace)
-        assert [trace[i] for i in range(len(trace))] == records
-        assert trace[-1] == records[-1]
-        assert records[2].timestamp == T0 + timedelta(seconds=4)
-        assert Trace.from_records(records, 2.0) == trace
-        with pytest.raises(IndexError):
-            trace[len(trace)]
-
     def test_columns_are_read_only(self):
         pv = PowerSeries(T0, 2.0, np.zeros(3))
         trace = simulate(pv, pv, EmsConfig(), BatteryParams())

@@ -1,6 +1,8 @@
 """Tests for ramp-rate math, the moving-average command and the
 offline ramp analyses.  Reference values come from explicit brute-force
-loops, kept deliberately separate from the vectorised implementations.
+loops, kept deliberately separate from the vectorised implementations;
+the per-tick moving-average command is the test oracle's
+(``reference.ma_command``), checked here against a plain loop.
 """
 
 import math
@@ -17,9 +19,9 @@ from hypothesis import strategies as st
 
 from pvems import ramp
 from pvems.ramp import (RampConfig, event_numbers, fsum_window_mean,
-                        ma_command, ramp_histogram, ramp_rate, violations,
-                        window_sweep)
+                        ramp_histogram, ramp_rate, violations, window_sweep)
 from pvems.timeseries import PowerSeries
+from reference import ma_command
 
 T0 = datetime(2018, 1, 1, tzinfo=timezone.utc)
 CFG = RampConfig()
@@ -52,6 +54,15 @@ def brute_force_sweep_count(values, step_s, n, cfg):
         else:
             in_event = False
     return events
+
+
+class TestRampConfig:
+    @pytest.mark.parametrize("tick_s", [0.0, -2.0, -0.0])
+    def test_rejects_nonpositive_tick(self, tick_s):
+        # the only guard on the control tick: ``battery.advance`` and the
+        # dispatch loop take a positive tick as given
+        with pytest.raises(ValueError, match="tick_s must be positive"):
+            RampConfig(tick_s=tick_s, window_s=20.0)
 
 
 class TestRampRate:
