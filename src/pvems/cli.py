@@ -15,8 +15,10 @@ import argparse
 import csv
 import dataclasses
 import errno
+import functools
 import json
 import logging
+import math
 import os
 import shutil
 import sys
@@ -26,9 +28,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from datetime import datetime, time, timedelta
+from enum import EnumMeta
 from pathlib import Path
 from time import perf_counter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Literal, Optional, Sequence
 
 from .battery import BatteryParams
 from .ems import (MODES, EmsConfig, PrePass, StrategyKind, Trace, prepass,
@@ -55,14 +58,21 @@ class CliError(RuntimeError):
 
 @dataclass
 class ForecastConfig:
-    mode: str = "fixture"                 # "fixture" | "live"
+    mode: Literal["fixture", "live"] = "fixture"
     fixture_path: Optional[Path] = None
     endpoint_base: Optional[str] = None
     region_id: int = 0
-    charge_ids: frozenset[int] = field(default_factory=lambda: ChargeDecisionPolicy().charge_ids)
-    unknown_behavior: str = "no_charge"
-    retries: int = 2
-    timeout_s: float = 10.0
+    charge_ids: frozenset[int] = ChargeDecisionPolicy.charge_ids
+    unknown_behavior: str = ChargeDecisionPolicy.unknown_behavior
+    retries: int = LiveForecastSource.retries
+    timeout_s: float = LiveForecastSource.timeout_s
+
+    def __post_init__(self) -> None:
+        self.policy()  # checks the charge ids and unknown_behavior
+        if self.retries < 0:
+            raise ValueError(f"retries must be non-negative, got {self.retries}")
+        if not self.timeout_s > 0:
+            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
 
     def policy(self) -> ChargeDecisionPolicy:
         return ChargeDecisionPolicy(charge_ids=self.charge_ids,
@@ -73,15 +83,12 @@ class ForecastConfig:
             if self.fixture_path is None:
                 raise CliError("forecast.mode is 'fixture' but no fixture_path given")
             return FixtureForecastSource(self.fixture_path, self.region_id)
-        if self.mode == "live":
-            endpoint = os.environ.get(ENDPOINT_ENV_VAR) or self.endpoint_base
-            if not endpoint:
-                raise CliError("forecast.mode is 'live' but no endpoint_base "
-                               f"given (or {ENDPOINT_ENV_VAR} set)")
-            return LiveForecastSource(endpoint, self.region_id,
-                                      retries=self.retries,
-                                      timeout_s=self.timeout_s)
-        raise CliError(f"unknown forecast mode {self.mode!r}")
+        endpoint = os.environ.get(ENDPOINT_ENV_VAR) or self.endpoint_base
+        if not endpoint:
+            raise CliError("forecast.mode is 'live' but no endpoint_base "
+                           f"given (or {ENDPOINT_ENV_VAR} set)")
+        return LiveForecastSource(endpoint, self.region_id, retries=self.retries,
+                                  timeout_s=self.timeout_s)
 
 
 @dataclass(frozen=True)
@@ -96,12 +103,14 @@ class OutputPaths:
 
 @dataclass
 class RunConfig:
-    pv_path: Path
-    load_path: Path
-    pv_unit: str = "W"
-    load_unit: str = "W"
+    """A run config; ``load_config`` requires both profile paths."""
+
+    pv_path: Optional[Path] = None
+    load_path: Optional[Path] = None
+    pv_unit: Literal["W", "kW"] = "W"
+    load_unit: Literal["W", "kW"] = "W"
     load_scale_w: float = 1.0
-    load_resample: str = "hold"
+    load_resample: ResampleMethod = ResampleMethod.HOLD
     initial_soc: float = 0.35
     battery: BatteryParams = field(default_factory=BatteryParams)
     ems: EmsConfig = field(default_factory=EmsConfig)
@@ -109,106 +118,122 @@ class RunConfig:
     outputs: OutputPaths = field(default_factory=OutputPaths)
 
 
-def _parse_clock(text: str) -> time:
-    try:
-        hh, mm = text.split(":")
-        return time(int(hh), int(mm))
-    except ValueError:
-        raise ValueError(f"bad clock time {text!r}, expected HH:MM") from None
-
-
 def _read_config_doc(path: Path) -> dict:
     if not path.exists():
         raise CliError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also text that is not UTF-8, or an over-long integer
         raise CliError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CliError(f"{path}: a config must be a JSON object")
     return doc
 
 
-# The JSON value each annotation of a config field takes: paths, clock
-# times and enum members are written as strings.
+_type_hints = functools.cache(typing.get_type_hints)
+
+# The JSON type of a field's value by its annotation; paths, clock
+# times, enum members and literals are written as strings.
 _JSON_TYPES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
-               float: ("a number", (int, float)), str: ("a string", (str,)),
-               Path: ("a string", (str,)), time: ("a string", (str,)),
-               StrategyKind: ("a string", (str,))}
+               float: ("a number", (int, float))}
 
 
-def _check_types(cls: type, doc: dict, where: str = "") -> None:
-    """Raise ``TypeError`` naming ``<where><key>`` for the first key of
-    ``doc`` that is not a field of ``cls``, or whose value's JSON type
-    does not fit the annotation of that field.
+def _build(cls: type, doc, where: str, base: Path, given: Optional[dict] = None):
+    """``cls(**fields, **given)`` with ``fields`` the values of the JSON
+    object ``doc`` (``null`` is empty) checked and converted by
+    ``_convert``; fields that ``doc`` does not set keep their defaults.
 
-    A dataclass field takes an object (or ``null``) whose keys and
-    values are checked against its own fields in turn.
+    A key that is not a field of ``cls``, or one of ``given``, or a
+    value that does not fit its field's annotation is a ``TypeError`` or
+    ``ValueError`` naming ``<where><key>``; ``cls`` checks the values.
     """
-    hints = typing.get_type_hints(cls)
+    doc = {} if doc is None else doc
+    if not isinstance(doc, dict):
+        raise TypeError(f"{where[:-1]} must be a JSON object, got {doc!r}")
+    given = given or {}
+    hints = _type_hints(cls)
+    values = {}
     for key, value in doc.items():
-        if key not in hints:
-            raise TypeError(f"{where}{key} is not a known key")
-        _check_value(value, hints[key], f"{where}{key}")
+        if key not in hints or key in given:
+            shown = key if key.isprintable() else repr(key)
+            raise TypeError(f"{where}{shown} is not a known key"
+                            + (" (it is set at the top level)" if key in given else ""))
+        values[key] = _convert(value, hints[key], where + key, base)
+    return cls(**values, **given)
 
 
-def _check_value(value, hint, name: str) -> None:
-    if typing.get_origin(hint) is typing.Union:  # Optional[...]
+def _convert(value, hint, name: str, base: Path):
+    """The field value the JSON ``value`` gives a field annotated ``hint``;
+    relative paths resolve against ``base``."""
+    origin = typing.get_origin(hint)
+    if origin is typing.Union:  # Optional[...]: null, "" and {} are None
         if value is None:
-            return
+            return None
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        converted = _convert(value, hint, name, base)  # checked even if empty
+        return None if value in ("", {}) else converted
     if dataclasses.is_dataclass(hint):
-        if value is None:
-            return  # an absent or null section is empty
-        if not isinstance(value, dict):
-            raise TypeError(f"{name} must be a JSON object, got {value!r}")
-        _check_types(hint, value, f"{name}.")
-        return
-    if typing.get_origin(hint) in (list, frozenset):
+        return _build(hint, value, name + ".", base)
+    if origin in (list, frozenset):
         if not isinstance(value, list):
             raise TypeError(f"{name} must be a list, got {value!r}")
         (item_hint,) = typing.get_args(hint)
-        for i, item in enumerate(value):
-            _check_value(item, item_hint, f"{name}[{i}]")
-        return
-    expected, types = _JSON_TYPES[hint]
+        return origin(_convert(item, item_hint, f"{name}[{i}]", base)
+                      for i, item in enumerate(value))
+    expected, types = _JSON_TYPES.get(hint, ("a string", (str,)))
     if isinstance(value, bool) is not (hint is bool) or not isinstance(value, types):
         raise TypeError(f"{name} must be {expected}, got {value!r}")
-
-
-def _section(doc: dict, name: str) -> dict:
-    """The ``name`` section of a checked config; absent or ``null`` is empty."""
-    return doc.get(name) or {}
+    if hint is float:
+        try:
+            number = float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        return number
+    if hint is Path:
+        return base / value
+    if hint is time:
+        try:
+            hh, mm = value.split(":")
+            return time(int(hh), int(mm))
+        except ValueError:
+            raise ValueError(f"{name} must be a clock time HH:MM, got {value!r}") from None
+    if origin is typing.Literal:
+        choices = typing.get_args(hint)
+    elif isinstance(hint, EnumMeta):
+        choices = [member.value for member in hint]
+    else:
+        return value
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(map(repr, choices))}, "
+                         f"got {value!r}")
+    return value if origin is typing.Literal else hint(value)
 
 
 # EmsConfig fields that a config sets at its top level, not under "ems".
 _TOP_LEVEL_EMS_FIELDS = ("strategy", "ramp")
 
 
-def _check_config(doc: dict) -> None:
-    """``_check_types`` for a whole run config: ``RunConfig``'s fields and
-    the ``EmsConfig`` fields set at the top level, which the ``ems``
-    section must not set."""
-    _check_types(RunConfig, {key: value for key, value in doc.items()
-                             if key not in _TOP_LEVEL_EMS_FIELDS})
-    _check_types(EmsConfig, {key: doc[key] for key in _TOP_LEVEL_EMS_FIELDS
-                             if key in doc})
-    for key in _TOP_LEVEL_EMS_FIELDS:
-        if key in _section(doc, "ems"):
-            raise TypeError(f"ems.{key} is not a known key "
-                            "(it is set at the top level)")
+def _run_config(path: Path, doc: dict) -> RunConfig:
+    """Check and build the whole config ``doc`` read from ``path``; a
+    ``TypeError`` or ``ValueError`` is a ``CliError`` naming the file."""
+    doc, base = {"strategy": StrategyKind.SCM_RR_WF.value, **doc}, path.parent
+    hints = _type_hints(EmsConfig)
+    try:
+        top = {key: _convert(doc.pop(key, None), hints[key], key, base)
+               for key in _TOP_LEVEL_EMS_FIELDS}
+        ems = _build(EmsConfig, doc.pop("ems", None), "ems.", base, top)
+        return _build(RunConfig, doc, "", base, {"ems": ems})
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def load_ramp_config(path: Path) -> RampConfig:
     """The ramp section of a JSON run config; the whole file is checked
     as in ``load_config``, so a misspelt key anywhere is refused."""
     path = Path(path)
-    try:
-        doc = _read_config_doc(path)
-        _check_config(doc)
-        return RampConfig(**_section(doc, "ramp"))
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+    return _run_config(path, _read_config_doc(path)).ems.ramp
 
 
 def load_config(path: Path, strategy_override: Optional[str] = None,
@@ -216,71 +241,28 @@ def load_config(path: Path, strategy_override: Optional[str] = None,
     """Read a JSON run config; relative paths resolve against the file.
 
     A key that is not a config field, or a value of the wrong type or
-    out of range, is a ``CliError`` naming the file.
+    out of range, is a ``CliError`` naming the file, even where
+    ``strategy_override`` or ``out_dir`` replaces it.
     """
     path = Path(path)
     doc = _read_config_doc(path)
-    base = path.parent
+    config = _run_config(path, doc)
+    if config.pv_path is None or config.load_path is None:
+        raise CliError(f"{path}: pv_path and load_path are required")
+    if strategy_override:
+        config.ems = replace(config.ems, strategy=StrategyKind(strategy_override))
 
-    def respath(p) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else base / p
+    named = doc.get("outputs") or {}
+    out = path.parent / "out" if out_dir is None else Path(out_dir)
 
-    try:
-        _check_config(doc)
-        battery = BatteryParams(**_section(doc, "battery"))
-        ems_doc = dict(_section(doc, "ems"))
-        if "charge_start_time" in ems_doc:
-            ems_doc["charge_start_time"] = _parse_clock(ems_doc["charge_start_time"])
-        ems = EmsConfig(
-            strategy=StrategyKind(strategy_override or doc.get("strategy", "SCM_RR_WF")),
-            ramp=RampConfig(**_section(doc, "ramp")), **ems_doc)
+    def output_path(name: str, p: Path) -> Path:
+        if name not in named:
+            return out / p
+        return p if out_dir is None else out / p.name
 
-        forecast = None
-        f = _section(doc, "forecast")
-        if f:
-            forecast = ForecastConfig(
-                mode=f.get("mode", "fixture"),
-                fixture_path=respath(f["fixture_path"]) if f.get("fixture_path") else None,
-                endpoint_base=f.get("endpoint_base"),
-                region_id=f.get("region_id", 0),
-                charge_ids=frozenset(f.get("charge_ids",
-                                           sorted(ChargeDecisionPolicy().charge_ids))),
-                unknown_behavior=f.get("unknown_behavior", "no_charge"),
-                retries=f.get("retries", 2),
-                timeout_s=float(f.get("timeout_s", 10.0)),
-            )
-            forecast.policy()  # validate ids now
-
-        named = _section(doc, "outputs")
-        default_dir = Path(out_dir) if out_dir else base / "out"
-
-        def output_path(name: str, default: Path) -> Path:
-            if name not in named:
-                return default_dir / default
-            p = respath(named[name])
-            return p if out_dir is None else Path(out_dir) / p.name
-
-        outputs = OutputPaths(**{f.name: output_path(f.name, f.default)
-                                 for f in dataclasses.fields(OutputPaths)})
-
-        if "pv_path" not in doc or "load_path" not in doc:
-            raise CliError(f"{path}: pv_path and load_path are required")
-        return RunConfig(
-            pv_path=respath(doc["pv_path"]),
-            load_path=respath(doc["load_path"]),
-            pv_unit=doc.get("pv_unit", "W"),
-            load_unit=doc.get("load_unit", "W"),
-            load_scale_w=float(doc.get("load_scale_w", 1.0)),
-            load_resample=doc.get("load_resample", "hold"),
-            initial_soc=float(doc.get("initial_soc", 0.35)),
-            battery=battery,
-            ems=ems,
-            forecast=forecast,
-            outputs=outputs,
-        )
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+    config.outputs = OutputPaths(**{name: output_path(name, p)
+                                    for name, p in vars(config.outputs).items()})
+    return config
 
 
 def load_profiles(config: RunConfig) -> tuple[PowerSeries, PowerSeries]:
@@ -291,11 +273,10 @@ def load_profiles(config: RunConfig) -> tuple[PowerSeries, PowerSeries]:
         load = load.scaled(config.load_scale_w)
 
     tick = config.ems.ramp.tick_s
-    method = ResampleMethod(config.load_resample)
     gap = max(3600.0, pv.step_s, load.step_s)
     if pv.step_s != tick:
         pv = resample(pv, tick, ResamplePolicy(ResampleMethod.HOLD, gap))
-    return align(pv, load, ResamplePolicy(method, gap))
+    return align(pv, load, ResamplePolicy(config.load_resample, gap))
 
 
 @contextmanager

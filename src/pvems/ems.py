@@ -129,6 +129,8 @@ class EmsConfig:
             raise ValueError(f"soc_target must be in (0, 1), got {self.soc_target}")
         if not 0.0 <= self.pv_day_threshold < 1.0:
             raise ValueError("pv_day_threshold must be a fraction of nameplate")
+        if not -24.0 < self.utc_offset_h < 24.0:
+            raise ValueError(f"utc_offset_h must be in (-24, 24), got {self.utc_offset_h}")
 
     def validate_against(self, params: BatteryParams) -> None:
         if not params.soc_min < self.soc_target < params.soc_max:

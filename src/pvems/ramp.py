@@ -22,7 +22,7 @@ windows it cannot prove go through ``math.fsum``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class RampConfig:
         if self.tick_s <= 0:
             raise ValueError("tick_s must be positive")
         n = self.window_s / self.tick_s
-        if self.window_s <= 0 or abs(n - round(n)) > 1e-9 or round(n) < 1:
+        if not 0.5 <= n < inf or abs(n - round(n)) > 1e-9:
             raise ValueError(f"window_s ({self.window_s}) must be a positive "
                              f"multiple of tick_s ({self.tick_s})")
 

@@ -1,6 +1,8 @@
 import json
+import os
 
 import pytest
+from hypothesis import settings
 
 from pvems.battery import BatteryParams
 from pvems.fixtures import (DEFAULT_REGION_ID, WEEK_START, block_load,
@@ -9,6 +11,13 @@ from pvems.fixtures import (DEFAULT_REGION_ID, WEEK_START, block_load,
 from pvems.forecast import FixtureForecastSource
 from pvems.ramp import RampConfig
 from pvems.timeseries import align
+
+# The suite draws the same examples on every run, so that its result and
+# its run time repeat.  PVEMS_HYPOTHESIS_PROFILE=randomized draws new
+# examples on each run, for searches over many runs.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.register_profile("randomized", derandomize=False)
+settings.load_profile(os.environ.get("PVEMS_HYPOTHESIS_PROFILE", "derandomized"))
 
 
 @pytest.fixture(scope="session")

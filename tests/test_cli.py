@@ -18,6 +18,8 @@ from pvems.cli import main
 from pvems.fixtures import write_fixture_corpus
 from pvems.timeseries import PowerSeries, load_power_csv, write_power_csv
 
+NAN, INF = float("nan"), float("inf")
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -229,6 +231,24 @@ class TestErrorsWithoutTraceback:
         assert main(["simulate", "--config", str(bad)]) == 1
         assert_one_line_error(capsys, "list.json", "JSON object")
 
+    @pytest.mark.parametrize("text, message", [
+        # "error: 'utf-8' codec can't decode …", naming no file
+        (b'{"pv_unit": "\xe9"}', "invalid JSON: 'utf-8' codec can't decode"),
+        # "error: Exceeds the limit (4300 digits) …", naming no file
+        pytest.param(b'{"region": ' + b"9" * 5000 + b"}",
+                     "invalid JSON: Exceeds the limit",
+                     marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                              reason="no integer digit limit")),
+        # a key with a line break broke the error line in two
+        (b'{"init\\nial_soc": 0.5}', "'init\\nial_soc' is not a known key"),
+    ], ids=["latin-1", "5000 digits", "line break in key"])
+    def test_unreadable_config_is_one_line_naming_it(self, tmp_path, capsys,
+                                                     text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        assert main(["simulate", "--config", str(bad)]) == 1
+        assert_one_line_error(capsys, f"{bad}: {message}")
+
     @pytest.mark.parametrize("change", [
         {"forecast": 5},
         {"outputs": []},
@@ -312,12 +332,12 @@ class TestErrorsWithoutTraceback:
                                      ems.EmsConfig, cli.RampConfig,
                                      cli.BatteryParams], ids=lambda c: c.__name__)
     def test_every_config_field_has_a_json_type(self, cls):
-        # a field whose annotation the check does not know would raise
-        # KeyError, a traceback, instead of the TypeError that is
-        # reported as one error line
+        # a field whose annotation the walk does not know would raise
+        # some other error, a traceback, instead of the TypeError that
+        # is reported as one error line
         for name in cls.__dataclass_fields__:
             with pytest.raises(TypeError, match=f"^x.{name} must be "):
-                cli._check_types(cls, {name: object()}, "x.")
+                cli._build(cls, {name: object()}, "x.", Path())
 
     def test_simulate_out_dir_under_a_file(self, day_config, tmp_path, capsys):
         blocker = tmp_path / "plain_file"
@@ -341,6 +361,94 @@ class TestErrorsWithoutTraceback:
                      "--out-dir", str(blocker / "out")])
         assert code == 1
         assert_one_line_error(capsys, "plain_file")
+
+    # each value is checked as the config is read, before any profile is,
+    # even one that a flag overrides; the comment is what happened before
+    @pytest.mark.parametrize("change, flags, message", [
+        # exit 0 with 43 200 nan SOC cells in trace.csv
+        ({"battery": {"energy_capacity_wh": NAN}}, [],
+         "battery.energy_capacity_wh must be a finite number, got nan"),
+        # an overflow blamed on the PV file
+        ({"ramp": {"nameplate_w": NAN}}, [], "ramp.nameplate_w must be a finite number"),
+        # "cannot convert NaN to integer ratio", naming no file
+        ({"ramp": {"limit_pct_per_min": NAN}}, [],
+         "ramp.limit_pct_per_min must be a finite number"),
+        # exit 0
+        ({"battery": {"power_nominal_w": NAN}}, [],
+         "battery.power_nominal_w must be a finite number"),
+        # an energy overflow blamed on the profiles
+        ({"ems": {"night_charge_power_w": NAN}}, [],
+         "ems.night_charge_power_w must be a finite number"),
+        # exit 0
+        ({"forecast": {"timeout_s": NAN}}, [], "forecast.timeout_s must be a finite number"),
+        # a range error naming no key
+        ({"battery": {"soc_max": INF}}, [], "battery.soc_max must be a finite number, got inf"),
+        # an error after ingest, naming no file
+        ({"initial_soc": -INF}, [], "initial_soc must be a finite number, got -inf"),
+        # an OverflowError blamed on the PV file
+        ({"ems": {"utc_offset_h": 1e300}}, [], "utc_offset_h must be in (-24, 24), got 1e+300"),
+        # "cannot convert float NaN to integer", naming no file
+        ({"ems": {"utc_offset_h": NAN}}, [], "ems.utc_offset_h must be a finite number"),
+        # exit 0, looking up forecasts for 2132
+        ({"ems": {"utc_offset_h": 1e6}}, [], "utc_offset_h must be in (-24, 24)"),
+        # exit 0
+        ({"ems": {"utc_offset_h": -24}}, [], "utc_offset_h must be in (-24, 24)"),
+        # "'cubic' is not a valid ResampleMethod" after ingest, naming no file
+        ({"load_resample": "cubic"}, [],
+         "load_resample must be one of 'hold', 'linear', got 'cubic'"),
+        # "expected_unit must be 'W' or 'kW'", naming no file
+        ({"pv_unit": "kw"}, [], "pv_unit must be one of 'W', 'kW', got 'kw'"),
+        ({"load_unit": "MW"}, [], "load_unit must be one of 'W', 'kW', got 'MW'"),
+        # "unknown forecast mode 'Live'" at the first forecast, naming no file
+        ({"forecast": {"mode": "Live"}}, [],
+         "forecast.mode must be one of 'fixture', 'live', got 'Live'"),
+        # exit 0 (live: "forecast unreachable after 0 attempts: None")
+        ({"forecast": {"retries": -1}}, [], "retries must be non-negative, got -1"),
+        # exit 0
+        ({"forecast": {"timeout_s": 0}}, [], "timeout_s must be positive, got 0.0"),
+        # exit 0: the flag replaced it unchecked
+        ({"strategy": "XX"}, ["--strategy", "SCM"],
+         "strategy must be one of 'SCM', 'SCM_RR', 'SCM_RR_WF', got 'XX'"),
+        # an OverflowError traceback
+        ({"ramp": {"window_s": 1e308, "tick_s": 1e-5}}, [],
+         "window_s (1e+308) must be a positive multiple of tick_s (1e-05)"),
+        # "bad clock time '25:00', expected HH:MM", naming no key
+        ({"ems": {"charge_start_time": "25:00"}}, [],
+         "ems.charge_start_time must be a clock time HH:MM, got '25:00'"),
+    ], ids=repr)
+    def test_bad_value_fails_before_ingest(self, day_config, tmp_path, capsys,
+                                           monkeypatch, change, flags, message):
+        def never(config):
+            raise AssertionError("load_profiles reached")
+
+        monkeypatch.setattr(cli, "load_profiles", never)
+        doc = json.loads(day_config.read_text())
+        for section, values in change.items():
+            doc[section] = ({**doc[section], **values}
+                            if isinstance(values, dict) else values)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "o"), *flags])
+        assert code == 1
+        assert_one_line_error(capsys, f"error: {bad}: {message}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.xfail(strict=True, raises=MemoryError,
+                       reason="a tick far finer than the profiles' step is "
+                              "resampled onto a grid too large to allocate")
+    def test_tick_far_finer_than_the_profiles(self, day_config, tmp_path, capsys):
+        # the smooth day on a 1e-12 s grid takes 614 PiB, beyond any
+        # address space, so the allocation fails at once; a tick of
+        # 1e-3 s takes gigabytes, which may well be allocated
+        doc = json.loads(day_config.read_text())
+        doc["ramp"] = {**doc["ramp"], "tick_s": 1e-12, "window_s": 1e-11}
+        bad = tmp_path / "tick.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert_one_line_error(capsys, "tick.json", "tick_s")
 
     # a finite PV profile whose window sum overflows names the profile
     # and leaves the previous outputs

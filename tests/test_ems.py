@@ -192,6 +192,11 @@ class TestSimulateBasics:
         with pytest.raises(ValueError, match="soc_target"):
             simulate(pv, pv, cfg, PARAMS)
 
+    @pytest.mark.parametrize("offset", [24.0, -24.0, 1e6, float("nan")])
+    def test_utc_offset_outside_a_day_rejected(self, offset):
+        with pytest.raises(ValueError, match="utc_offset_h must be in"):
+            EmsConfig(utc_offset_h=offset)
+
     def test_night_power_above_nominal_rejected(self):
         pv = series(np.zeros(10))
         cfg = EmsConfig(ramp=RCFG, night_charge_power_w=9_000.0)

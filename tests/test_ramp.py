@@ -64,6 +64,13 @@ class TestRampConfig:
         with pytest.raises(ValueError, match="tick_s must be positive"):
             RampConfig(tick_s=tick_s, window_s=20.0)
 
+    @pytest.mark.parametrize("window_s, tick_s", [
+        (1e308, 1e-5), (2.0, 1e-320),  # a ratio that overflows to inf
+        (float("nan"), 2.0), (1.0, 2.0), (3.0, 2.0), (-2.0, 2.0)])
+    def test_rejects_window_not_a_multiple_of_tick(self, window_s, tick_s):
+        with pytest.raises(ValueError, match="must be a positive multiple of tick_s"):
+            RampConfig(tick_s=tick_s, window_s=window_s)
+
 
 class TestRampRate:
     def test_no_change_is_zero(self):
