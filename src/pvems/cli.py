@@ -56,6 +56,11 @@ class CliError(RuntimeError):
     pass
 
 
+class ConfigError(CliError):
+    """A config value that fails only once the profiles are read; the
+    CLI names the config file."""
+
+
 @dataclass
 class ForecastConfig:
     mode: Literal["fixture", "live"] = "fixture"
@@ -103,7 +108,8 @@ class OutputPaths:
 
 @dataclass
 class RunConfig:
-    """A run config; ``load_config`` requires both profile paths."""
+    """A run config; ``load_config`` requires both profile paths.  The
+    SOC target, night-charge power and initial SOC must fit the battery."""
 
     pv_path: Optional[Path] = None
     load_path: Optional[Path] = None
@@ -116,6 +122,9 @@ class RunConfig:
     ems: EmsConfig = field(default_factory=EmsConfig)
     forecast: Optional[ForecastConfig] = None
     outputs: OutputPaths = field(default_factory=OutputPaths)
+
+    def __post_init__(self) -> None:
+        self.ems.validate_against(self.battery, self.initial_soc)
 
 
 def _read_config_doc(path: Path) -> dict:
@@ -266,7 +275,11 @@ def load_config(path: Path, strategy_override: Optional[str] = None,
 
 
 def load_profiles(config: RunConfig) -> tuple[PowerSeries, PowerSeries]:
-    """Ingest, scale and align the PV and load profiles onto the tick grid."""
+    """Ingest, scale and align the PV and load profiles onto the tick grid.
+
+    A tick so much finer than the profiles' step that the grid cannot be
+    allocated is a ``ConfigError``.
+    """
     pv = load_power_csv(config.pv_path, expected_unit=config.pv_unit)
     load = load_power_csv(config.load_path, expected_unit=config.load_unit)
     if config.load_scale_w != 1.0:
@@ -274,9 +287,16 @@ def load_profiles(config: RunConfig) -> tuple[PowerSeries, PowerSeries]:
 
     tick = config.ems.ramp.tick_s
     gap = max(3600.0, pv.step_s, load.step_s)
-    if pv.step_s != tick:
-        pv = resample(pv, tick, ResamplePolicy(ResampleMethod.HOLD, gap))
-    return align(pv, load, ResamplePolicy(config.load_resample, gap))
+    span = pv.step_s * (len(pv) - 1)
+    try:
+        if span / tick < sys.maxsize:  # else past numpy's largest array
+            if pv.step_s != tick:
+                pv = resample(pv, tick, ResamplePolicy(ResampleMethod.HOLD, gap))
+            return align(pv, load, ResamplePolicy(config.load_resample, gap))
+    except MemoryError:
+        pass
+    raise ConfigError(f"ramp.tick_s ({tick:g} s) is too fine for the profiles: "
+                      f"{span:g} s of them take more ticks than can be allocated")
 
 
 @contextmanager
@@ -593,6 +613,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = load_config(args.config)
             for_date = Date.fromisoformat(args.date) if args.date else None
             forecast_check(config, for_date)
+    except ConfigError as exc:
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
+        return 1
     except (CliError, ProfileError, ForecastError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -132,13 +132,18 @@ class EmsConfig:
         if not -24.0 < self.utc_offset_h < 24.0:
             raise ValueError(f"utc_offset_h must be in (-24, 24), got {self.utc_offset_h}")
 
-    def validate_against(self, params: BatteryParams) -> None:
+    def validate_against(self, params: BatteryParams, initial_soc: float) -> None:
+        """Check the values that must fit the battery ``params``: the SOC
+        target, the night-charge power and the run's ``initial_soc``."""
         if not params.soc_min < self.soc_target < params.soc_max:
             raise ValueError(f"soc_target {self.soc_target} outside the battery "
                              f"window [{params.soc_min}, {params.soc_max}]")
         if self.night_charge_power_w > params.power_nominal_w:
             raise ValueError(f"night_charge_power_w {self.night_charge_power_w} "
                              f"exceeds battery nominal {params.power_nominal_w}")
+        if not params.soc_min <= initial_soc <= params.soc_max:
+            raise ValueError(f"initial_soc {initial_soc} outside the battery "
+                             f"window [{params.soc_min}, {params.soc_max}]")
 
 
 class ForecastSource(Protocol):
@@ -329,10 +334,7 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
     if abs(pv.step_s - cfg.ramp.tick_s) > 1e-9:
         raise ValueError(f"profiles sampled at {pv.step_s} s but the control "
                          f"tick is {cfg.ramp.tick_s} s")
-    cfg.validate_against(params)
-    if not params.soc_min <= initial_soc <= params.soc_max:
-        raise ValueError(f"initial_soc {initial_soc} outside the battery "
-                         f"window [{params.soc_min}, {params.soc_max}]")
+    cfg.validate_against(params, initial_soc)
     if policy is None:
         policy = ChargeDecisionPolicy()
 

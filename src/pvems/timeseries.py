@@ -8,6 +8,7 @@ simulation.  Everything here is a pure function over immutable series.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import logging
 import math
@@ -115,10 +116,16 @@ def _parse_timestamp(text: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-_INGEST_BLOCK_ROWS = 8_192  # largest block of rows that load_power_csv reads at a time
+_INGEST_BLOCK_BYTES = 1 << 20  # bytes of whole lines load_power_csv checks at a time
+
+# The bytes of a power cell on load_power_csv's grid path.
+_NUMERIC_BYTES = b"0123456789.eE+-"
+_NUMERIC = np.zeros(256, dtype=bool)
+_NUMERIC[np.frombuffer(_NUMERIC_BYTES, np.uint8)] = True
+_LAST_UTC = datetime.max.replace(tzinfo=timezone.utc)
 
 
-def _parses(parse, text: str) -> bool:
+def _parses(parse, text) -> bool:
     try:
         parse(text)
     except ValueError:
@@ -142,11 +149,15 @@ def load_power_csv(
     second column), which lets wide trace CSVs round-trip through this
     loader.
 
-    The file is read in blocks of raw lines.  Once the first two rows
-    fix the step, each block's leading run of canonical lines on the
-    grid (see ``_grid_prefix``) is accepted at once; ``csv`` parses the
-    rest for the per-row checks below, so values, messages and line
-    numbers (counted in csv records) are those of reading row by row.
+    The header and the rows that fix the step are read with ``csv``.
+    The rest of the file is read in blocks of whole lines of about
+    ``_INGEST_BLOCK_BYTES`` bytes, and each block's leading run of
+    canonical lines on the grid (see ``_canonical_rows``) is accepted on
+    arrays.  From the first line that is not canonical, ``csv`` reads
+    the rest of the block for the per-row checks below, so values,
+    messages and line numbers (counted in csv records) are those of
+    reading row by row.  Logs ``read <name> rows <n> csv <k>`` at INFO,
+    ``k`` being the rows that ``csv`` read.
     """
     if expected_unit not in ("W", "kW"):
         raise ProfileError(f"expected_unit must be 'W' or 'kW', got {expected_unit!r}")
@@ -156,12 +167,12 @@ def load_power_csv(
     if not path.exists():
         raise ProfileError(f"profile file not found: {path}")
 
-    chunks: list[np.ndarray] = []  # accepted powers, in file order, unscaled
-    power_idx = 1
-    first = prev = step = step_td = None
-    with path.open(newline="", encoding="utf-8") as fh:
+    rows = _Rows(path)
+    with path.open("rb") as fh:
+        src = _Lines(fh)
+        text = src.text_lines()
         try:
-            header = next(csv.reader(fh), None)
+            header = next(csv.reader(text), None)
         except csv.Error as exc:
             raise ProfileError(f"{path}: line 1: {exc}") from None
         if header is None:
@@ -171,142 +182,251 @@ def load_power_csv(
             if column is not None:
                 if column not in header:
                     raise ProfileError(f"{path}: column {column!r} not in header {header}")
-                power_idx = header.index(column)
-            lineno, rows = 1, []
+                rows.power_idx = header.index(column)
+            rows.lineno, first = 1, []
         elif column is not None:
             raise ProfileError(f"{path}: column selection requires a header row")
         else:
-            lineno, rows = 0, [header]  # the first record is data
+            first = [header]  # the first record is data
+        rows.check(itertools.chain(first, csv.reader(text)), until_step=True)
+        text.close()
 
-        for lines in _line_blocks(fh):
-            accepted = 0
-            if step is not None:
-                accepted, values = _grid_prefix(lines, prev, step_td, power_idx)
-                if accepted:
-                    chunks.append(values)
-                    prev += accepted * step_td
-                    lineno += accepted
-            powers = []
-            try:
-                for row in itertools.chain(rows, _csv_rows(lines[accepted:], fh)):
-                    lineno += 1
-                    if not row or all(not cell.strip() for cell in row):
-                        continue
-                    if len(row) <= power_idx:
-                        raise ProfileError(f"{path}: line {lineno}: expected at least "
-                                           f"{power_idx + 1} columns, got {len(row)}")
-                    try:
-                        ts = _parse_timestamp(row[0])
-                    except ValueError as exc:
-                        raise ProfileError(f"{path}: line {lineno}: bad timestamp "
-                                           f"{row[0]!r}: {exc}") from None
-                    try:
-                        p = float(row[power_idx])
-                    except ValueError:
-                        raise ProfileError(f"{path}: line {lineno}: bad power value "
-                                           f"{row[power_idx]!r}") from None
-                    if not math.isfinite(p):
-                        raise ProfileError(f"{path}: line {lineno}: non-finite power value")
-                    if prev is None:
-                        first = ts
-                    else:
-                        dt = (ts - prev).total_seconds()
-                        if step is None:
-                            step, step_td = dt, ts - prev
-                        if dt <= 0:
-                            raise ProfileError(f"{path}: line {lineno}: timestamps "
-                                               "not strictly increasing")
-                        if abs(dt - step) > 1e-6:
-                            raise ProfileError(f"{path}: line {lineno}: irregular step "
-                                               f"({dt} s, expected {step} s)")
-                    prev = ts
-                    powers.append(p)
-            except csv.Error as exc:  # the faults of the rows before it come first
-                raise ProfileError(f"{path}: line {lineno + 1}: {exc}") from None
-            chunks.append(np.array(powers))
-            rows = []
-            del lines  # released before the next block is read
+        while block := src.block(_INGEST_BLOCK_BYTES):
+            end, values = _canonical_rows(block, rows.prev, rows.step_td, rows.power_idx)
+            if end:
+                rows.accept(values)
+            if end < len(block):
+                lines = io.StringIO(block[end:].decode("utf-8"), newline="").readlines()
+                more = src.text_lines()
+                rows.check(_csv_rows(lines, more))
+                more.close()
 
-    if first is None:
+    if rows.first is None:
         raise ProfileError(f"{path}: empty file")
-    if step is None:
+    if rows.step is None:
         raise ProfileError(f"{path}: need at least two rows to infer the sampling step")
-    values = np.concatenate(chunks)
-    return PowerSeries(first, step, values * scale if scale != 1.0 else values)
+    values = np.concatenate(rows.chunks)
+    log.info("read %s rows %d csv %d", path.name, len(values), rows.csv_rows)
+    return PowerSeries(rows.first, rows.step, values * scale if scale != 1.0 else values)
 
 
-def _line_blocks(fh):
-    """Lists of raw lines of ``fh``: 2 lines (those that fix the step on a
-    plain file), then twice as many up to ``_INGEST_BLOCK_ROWS``.  Only
-    the first list can be empty."""
-    size, lines = 2, list(itertools.islice(fh, 2))
-    while True:
-        yield lines
-        size = min(2 * size, _INGEST_BLOCK_ROWS)
-        if not (lines := list(itertools.islice(fh, size))):
-            return
+class _Lines:
+    """A binary file read in whole lines: byte blocks for the grid path,
+    and text lines for ``csv``."""
+
+    def __init__(self, fh) -> None:
+        self.fh, self.rest = fh, b""
+
+    def block(self, size: int) -> bytes:
+        """The next whole lines: ``size`` bytes or more, cut after the last
+        LF, or, with none, after the last CR that cannot start a CRLF, and
+        read on, twice as much at a time, until there is such a cut or
+        the file ends.  Empty at the end of the file."""
+        data = self.rest + (more := self.fh.read(size))
+        while more:
+            cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, len(data) - 1) + 1
+            if cut:
+                break
+            data += (more := self.fh.read(len(data)))
+        else:
+            cut = len(data)
+        self.rest = data[cut:]
+        return data[:cut]
+
+    def text_lines(self):
+        """The next lines as UTF-8 text, split as a text-mode file with
+        ``newline=""`` splits them; lines read but not taken go back to
+        the file when the generator is closed."""
+        while block := self.block(1):
+            lines = io.StringIO(block.decode("utf-8"), newline="").readlines()
+            taken = 0
+            try:
+                for line in lines:
+                    taken += 1
+                    yield line
+            finally:
+                self.rest = "".join(lines[taken:]).encode("utf-8") + self.rest
 
 
-def _csv_rows(lines: list[str], fh):
+class _Rows:
+    """The per-row checks of ``load_power_csv`` and the powers of the rows
+    that pass them, in file order and unscaled."""
+
+    def __init__(self, path: Path) -> None:
+        self.path, self.power_idx, self.lineno = path, 1, 0
+        self.first = self.prev = self.step = self.step_td = None
+        self.chunks: list[np.ndarray] = []
+        self.csv_rows = 0
+
+    def accept(self, values: np.ndarray) -> None:
+        """Take ``values`` as the powers of the next grid rows, one line each."""
+        self.chunks.append(values)
+        self.prev += len(values) * self.step_td
+        self.lineno += len(values)
+
+    def check(self, records, until_step: bool = False) -> None:
+        """Check each csv record of ``records`` as a row; with ``until_step``,
+        stop after the row that fixes the step."""
+        path, idx, powers = self.path, self.power_idx, []
+        try:
+            for row in records:
+                self.lineno += 1
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) <= idx:
+                    raise ProfileError(f"{path}: line {self.lineno}: expected at least "
+                                       f"{idx + 1} columns, got {len(row)}")
+                try:
+                    ts = _parse_timestamp(row[0])
+                except ValueError as exc:
+                    raise ProfileError(f"{path}: line {self.lineno}: bad timestamp "
+                                       f"{row[0]!r}: {exc}") from None
+                try:
+                    p = float(row[idx])
+                except ValueError:
+                    raise ProfileError(f"{path}: line {self.lineno}: bad power value "
+                                       f"{row[idx]!r}") from None
+                if not math.isfinite(p):
+                    raise ProfileError(f"{path}: line {self.lineno}: non-finite power value")
+                if self.prev is None:
+                    self.first = ts
+                else:
+                    dt = (ts - self.prev).total_seconds()
+                    if self.step is None:
+                        self.step, self.step_td = dt, ts - self.prev
+                    if dt <= 0:
+                        raise ProfileError(f"{path}: line {self.lineno}: timestamps "
+                                           "not strictly increasing")
+                    if abs(dt - self.step) > 1e-6:
+                        raise ProfileError(f"{path}: line {self.lineno}: irregular step "
+                                           f"({dt} s, expected {self.step} s)")
+                self.prev = ts
+                powers.append(p)
+                if until_step and self.step is not None:
+                    break
+        except csv.Error as exc:  # the faults of the rows before it come first
+            raise ProfileError(f"{path}: line {self.lineno + 1}: {exc}") from None
+        self.chunks.append(np.array(powers))
+        self.csv_rows += len(powers)
+
+
+def _csv_rows(lines: list[str], more):
     """The csv records that start on ``lines``.  A record that goes on
-    past them (a quoted line break) reads its rest from ``fh``, the
-    source of ``lines``, so it is one record, as in one reader over the
+    past them (a quoted line break) reads its rest from ``more``, the
+    lines that follow, so it is one record, as in one reader over the
     whole file."""
-    reader = csv.reader(itertools.chain(lines, fh))
+    reader = csv.reader(itertools.chain(lines, more))
     while reader.line_num < len(lines):
         yield next(reader)
 
 
-def _grid_prefix(lines: list[str], prev: datetime, step: timedelta,
-                 power_idx: int) -> tuple[int, Union[np.ndarray, None]]:
-    """How many leading raw ``lines`` continue the grid after ``prev``, and their powers.
+def _canonical_rows(block: bytes, prev: datetime, step: timedelta,
+                    power_idx: int) -> tuple[int, Union[np.ndarray, None]]:
+    """How many leading bytes of ``block`` are canonical lines that continue
+    the grid after ``prev``, and their powers.
 
-    A line qualifies when it is exactly ``format_utc_grid``'s text for
-    the next grid point, then ``,``, then cells, then a line end, and
-    its ``power_idx`` cell gives a finite ``float``.  ``csv`` gives such
-    a line's fields by splitting it at its commas unless it holds a
-    quote, a NUL (refused before Python 3.11) or a field longer than
-    ``csv.field_size_limit()``; so a line with a quote or a NUL, or
-    longer than the limit, does not qualify, and every other one passes
-    the per-row checks of ``load_power_csv`` with the same value
-    (``float`` ignores the line end left on a last cell).  The prefix
-    also ends where the number of cells changes, so that one split of
-    the joined lines gives each line's cells.  A block whose first line
-    is off the grid is rejected after formatting one timestamp.
+    ``block`` starts at a line start.  A line is canonical when
+
+    - it ends in LF or CRLF and holds no other CR, no NUL, no quote and
+      no byte above ASCII, so a text-mode file ends it at its LF and
+      ``csv`` splits it at its commas alone;
+    - it is no longer than ``csv.field_size_limit()`` and has as many
+      commas as the block's first line;
+    - it starts with ``format_utc``'s text of the next grid point (within
+      datetime's years) and a comma;
+    - its ``power_idx`` cell is made of ``[0-9.eE+-]`` and gives a finite
+      float.
+
+    Such a line passes the per-row checks of ``load_power_csv`` with the
+    same value: numpy's cast of bytes to float64 is Python's correctly
+    rounded ``float``.  Stamps and power cells are gathered from
+    fixed-stride ``S<len>`` views of ``block``, one fancy index per
+    length (stamps are 20 bytes, or 27 with a fraction of a second), and
+    the stamps of a length compared as one byte string.
     """
-    n = len(lines)
+    if power_idx == 0:
+        return 0, None
+    a = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(a == 10)
+    ends = ends[:(_LAST_UTC - prev) // step]  # the grid stays within datetime's years
+    if len(ends):  # stop at the first line with a NUL, a quote, a CR or non-ASCII
+        body = a[:ends[-1]]
+        odd = np.flatnonzero((body.view(np.int8) < 1) | (body == 34) | (body == 13))
+        odd = odd[(a[odd] != 13) | (a[odd + 1] != 10)]  # but a CR before the LF
+        ends = ends[:np.searchsorted(ends, odd[0])] if len(odd) else ends
+    if len(ends) == 0:
+        return 0, None
+    commas = np.flatnonzero(a[:ends[-1]] == 44)
+    counts = np.diff(np.searchsorted(commas, ends), prepend=0)
+    width = int(counts[0])
+    if width < power_idx:
+        return 0, None
+    n = _leading(counts == width)
+    ends, cells = ends[:n], commas[:n * width].reshape(n, width)
+    starts = np.empty(n, np.intp)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    lo = cells[:, power_idx - 1] + 1
+    hi = cells[:, power_idx] if power_idx < width else ends - (a[ends - 1] == 13)
+    want = _utc_grid_lines(prev, step, 1, n + 1).replace(b"\n", b",")
+    commas_want = np.flatnonzero(np.frombuffer(want, np.uint8) == 44)
+    at = np.empty(n, np.intp)  # where each stamp starts in ``want``
+    at[0], at[1:] = 0, commas_want[:-1] + 1
+    stamp_sizes = commas_want - at
+    n = _leading((cells[:, 0] - starts == stamp_sizes) & (hi > lo)
+                 & (ends - starts <= csv.field_size_limit()))
+    first_off = n  # each stamp and its comma against the grid's
+    for size, rows in _by_size(stamp_sizes[:n]):
+        got = _windows(block, size + 1)[starts[rows]]
+        expected = _windows(want, size + 1)[at[rows]]
+        if got.tobytes() != expected.tobytes():
+            first_off = min(first_off, int(rows[np.argmax(got != expected)]))
+    n = first_off
+    lo, sizes = lo[:n], (hi - lo)[:n]
+    values = np.empty(n)
+    for size, rows in _by_size(sizes):
+        texts = _windows(block, size)[lo[rows]]
+        if texts.tobytes().translate(None, _NUMERIC_BYTES):  # a byte outside them
+            numeric = _NUMERIC[texts.view(np.uint8).reshape(-1, size)].all(axis=1)
+            values[rows[~numeric]] = np.nan
+            rows, texts = rows[numeric], texts[numeric]
+        values[rows] = _floats(texts)
+    n = _leading(np.isfinite(values))
+    return (int(ends[n - 1]) + 1, values[:n]) if n else (0, None)
+
+
+def _floats(texts: np.ndarray) -> np.ndarray:
+    """``float`` of each text of ``texts`` (an ``S<len>`` array), NaN where
+    ``float`` refuses it.  Each run of equal texts is cast once, as
+    ``write_grid_csv`` formats each run of equal floats once."""
+    head = np.empty(len(texts), dtype=bool)
+    head[:1] = True
+    np.not_equal(texts[1:], texts[:-1], out=head[1:])
+    runs = texts[head]
     try:
-        prev + n * step  # the grid must stay within datetime's years
-    except OverflowError:
-        return 0, None
-    if not lines[0].startswith(format_utc_grid(prev, step, 1, 2)[0] + ","):
-        return 0, None
-    # the last line of a file may lack a line end
-    ends = [n if lines[-1].endswith(("\n", "\r")) else n - 1]
-    text = ",".join(lines)
-    if '"' in text or "\0" in text:
-        ends.append(next(k for k, line in enumerate(lines) if '"' in line or "\0" in line))
-    limit = csv.field_size_limit()
-    if max(map(len, lines)) > limit:
-        ends.append(next(k for k, line in enumerate(lines) if len(line) > limit))
-    commas = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, n)
-    ends.extend(np.flatnonzero(commas != commas[0])[:1].tolist())
-    n, width = min(ends), int(commas[0]) + 1
-    if width <= power_idx:
-        return 0, None
-    cells = text.split(",", n * width)
-    stamps = cells[0:n * width:width]
-    expected = format_utc_grid(prev, step, 1, n + 1)
-    if stamps != expected:
-        n = next(k for k, (a, b) in enumerate(zip(stamps, expected)) if a != b)
-    try:
-        powers = np.array(list(map(float, cells[power_idx:n * width:width])))
-    except ValueError:  # a bad power cell: the per-row checks report it
-        return 0, None
-    finite = np.isfinite(powers)
-    if not finite.all():
-        n = int(finite.argmin())
-    return n, powers[:n]
+        values = runs.astype(np.float64)
+    except ValueError:  # a spelling that float refuses, such as "1e" or "1.2.3"
+        values = np.array([float(t) if _parses(float, t) else math.nan
+                           for t in runs.tolist()])
+    return values[np.cumsum(head) - 1]
+
+
+def _windows(data: bytes, size: int) -> np.ndarray:
+    """Every ``size``-byte window of ``data``, as a read-only ``S<size>``
+    view whose item ``i`` starts at byte ``i``."""
+    return np.ndarray(len(data) - size + 1, f"S{size}", data, 0, (1,))
+
+
+def _by_size(sizes: np.ndarray):
+    """``(size, rows)`` for each distinct value of ``sizes``, ``rows`` its
+    indices in increasing order."""
+    order = np.argsort(sizes, kind="stable")
+    distinct, heads = np.unique(sizes[order], return_index=True)
+    return zip(distinct.tolist(), np.split(order, heads[1:]))
+
+
+def _leading(ok: np.ndarray) -> int:
+    """The number of leading ``True`` values of ``ok``."""
+    return len(ok) if ok.all() else int(ok.argmin())
 
 
 def resample(series: PowerSeries, target_step_s: float,

@@ -434,9 +434,6 @@ class TestErrorsWithoutTraceback:
         assert_one_line_error(capsys, f"error: {bad}: {message}")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.xfail(strict=True, raises=MemoryError,
-                       reason="a tick far finer than the profiles' step is "
-                              "resampled onto a grid too large to allocate")
     def test_tick_far_finer_than_the_profiles(self, day_config, tmp_path, capsys):
         # the smooth day on a 1e-12 s grid takes 614 PiB, beyond any
         # address space, so the allocation fails at once; a tick of
@@ -449,6 +446,38 @@ class TestErrorsWithoutTraceback:
                      "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert_one_line_error(capsys, "tick.json", "tick_s")
+
+    # each must fit the battery (soc_min 0.2, soc_max 0.7, 5 kW), and is
+    # checked as the config is read, before any profile is
+    @pytest.mark.parametrize("change, message", [
+        ({"initial_soc": 0.1}, "initial_soc 0.1 outside the battery window [0.2, 0.7]"),
+        ({"ems": {"soc_target": 0.8}}, "soc_target 0.8 outside the battery window"),
+        ({"ems": {"night_charge_power_w": 6000}},
+         "night_charge_power_w 6000.0 exceeds battery nominal 5000.0"),
+    ], ids=["initial_soc", "soc_target", "night_charge_power_w"])
+    @pytest.mark.parametrize("command", ["simulate", "compare", "forecast-check",
+                                         "ramp-analyze"])
+    def test_value_that_does_not_fit_the_battery(self, corpus, day_config,
+                                                 tmp_path, capsys, monkeypatch,
+                                                 change, message, command):
+        def never(*args, **kwargs):
+            raise AssertionError("a profile was read")
+
+        monkeypatch.setattr(cli, "load_power_csv", never)
+        doc = json.loads(day_config.read_text())
+        for section, values in change.items():
+            doc[section] = ({**doc[section], **values}
+                            if isinstance(values, dict) else values)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        args = {"simulate": ["--out-dir", str(tmp_path / "o")],
+                "compare": ["--out-dir", str(tmp_path / "o")],
+                "forecast-check": ["--date", "2018-01-02"],
+                "ramp-analyze": ["--pv", str(corpus[0]["pv_smooth_day"]),
+                                 "--out-dir", str(tmp_path / "o")]}[command]
+        assert main([command, "--config", str(bad), *args]) == 1
+        assert_one_line_error(capsys, f"error: {bad}: {message}")
+        assert not (tmp_path / "o").exists()
 
     # a finite PV profile whose window sum overflows names the profile
     # and leaves the previous outputs

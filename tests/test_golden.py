@@ -9,9 +9,12 @@ and say why.
 
 import hashlib
 import json
+import logging
+from unittest import mock
 
 import pytest
 
+from pvems import timeseries
 from pvems.cli import main
 
 WEEK_DIGESTS = {
@@ -72,3 +75,23 @@ class TestGoldenDigests:
                      "--out-dir", str(tmp_path)]) == 0
         got = {name: sha256(tmp_path / name) for name in SMOOTH_DAY_DIGESTS}
         assert got == SMOOTH_DAY_DIGESTS
+
+
+class TestSeedWeekIngest:
+    @pytest.mark.parametrize("name", ["pv_week.csv", "load_week.csv"])
+    def test_grid_path_loads_what_csv_loads(self, fixtures_dir, caplog, name):
+        # the seed week's profiles, read on the grid path and by csv alone
+        # (the grid path accepting no line): the same start, step and
+        # value bits; on the grid path only the two rows that fix the
+        # step are read by csv
+        path = fixtures_dir / name
+        with caplog.at_level(logging.INFO, logger="pvems.timeseries"):
+            fast = timeseries.load_power_csv(path)
+            with mock.patch.object(timeseries, "_canonical_rows",
+                                   return_value=(0, None)):
+                slow = timeseries.load_power_csv(path)
+        assert (fast.start, fast.step_s) == (slow.start, slow.step_s)
+        assert fast.values.tobytes() == slow.values.tobytes()
+        n = len(fast)
+        assert caplog.messages == [f"read {name} rows {n} csv 2",
+                                   f"read {name} rows {n} csv {n}"]

@@ -1,6 +1,7 @@
 """Tests for profile ingestion, resampling and alignment."""
 
 import csv
+import logging
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from unittest import mock
@@ -523,22 +524,25 @@ def load_outcome(path, **kwargs):
 
 
 def load_row_by_row(path, **kwargs):
-    """The per-row reference: the grid check never accepts a row."""
-    with mock.patch.object(timeseries, "_grid_prefix", return_value=(0, None)):
+    """The per-row reference: the grid path never accepts a line."""
+    with mock.patch.object(timeseries, "_canonical_rows", return_value=(0, None)):
         return load_outcome(path, **kwargs)
 
 
 # Row kinds of the differential test.  Most rows continue the grid in the
 # canonical spelling; the others are the spellings and faults that the
-# block check must hand to the per-row code, and the lines that csv
-# splits otherwise than at their commas.  Faults are rarer than the
-# other spellings, so that many files load.
+# grid path must hand to the per-row code, and the lines that csv or a
+# text-mode file splits otherwise than at their commas and LFs.  Faults
+# are rarer than the other spellings, so that many files load.
 ROW_KINDS = st.sampled_from(
     ["canonical"] * 40
     + ["blank", "whitespace", "epoch", "offset", "jitter", "underscore"] * 2
     + ["quoted_power", "quote_after", "nul_after", "spanning"] * 2
+    + ["non_ascii", "fraction", "underscore_1_0", "space_power", "subnormal",
+       "negative_zero", "digits_40"] * 2
     + ["duplicate", "decreasing", "irregular", "short", "inf", "nan",
-       "bad_power", "bad_stamp", "long_line", "long_field", "split_row"])
+       "bad_power", "bad_stamp", "long_line", "long_field", "split_row",
+       "bom", "cr_inside", "infinity", "overflow", "quarter_second"])
 # A trace CSV's header, whose named columns load_power_csv can select.
 WIDE_HEADER = ("timestamp,p_pv,p_load,p_batt_cmd,p_batt_actual,p_grid,soc,"
                "mode,rr,rr_violated")
@@ -590,14 +594,26 @@ def profile_csv(draw):
             stamp = format_utc(t + step / 2)
         elif kind == "bad_stamp":
             stamp = "2018-13-01T00:00:00Z"
+        elif kind == "fraction":  # the same instant with its microseconds spelt
+            stamp = t.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+        elif kind == "quarter_second":  # its first 19 characters on the grid
+            stamp = format_utc(t + timedelta(milliseconds=250))
+        elif kind == "bom":
+            stamp = "\ufeff" + stamp
         power = {"inf": "inf", "nan": "nan", "underscore": "1_000",
-                 "bad_power": "12 W", "quoted_power": '"5"'}.get(kind, power)
+                 "bad_power": "12 W", "quoted_power": '"5"',
+                 "underscore_1_0": "1_0", "space_power": " 1.5",
+                 "infinity": "infinity", "overflow": "1e400",
+                 "subnormal": "5e-324", "negative_zero": "-0.0",
+                 "digits_40": "1234567890" * 3 + ".123456789"}.get(kind, power)
         # cells after the power cell: csv reads a quote inside an unquoted
-        # field and a NUL as text, a quoted line break as part of a field,
-        # and refuses a field longer than its limit
+        # field, a NUL and non-ASCII text as text, a quoted line break as
+        # part of a field, and refuses a field longer than its limit; a
+        # text-mode file ends a line at a CR
         after = {"quote_after": 'a"b', "nul_after": "x\0y",
                  "spanning": '"two\nlines"', "long_line": "9" * (limit - 9),
-                 "long_field": "9" * (limit + 1)}.get(kind)
+                 "long_field": "9" * (limit + 1), "non_ascii": "k\u00e9 \u20ac",
+                 "cr_inside": "a\rb"}.get(kind)
         if kind == "short":
             lines.append(stamp)
         elif kind == "split_row":
@@ -619,8 +635,10 @@ def profile_csv(draw):
     ends = (draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
                           min_size=len(lines), max_size=len(lines)))
             if newline == "mixed" else [newline] * len(lines))
-    block_rows = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 8_192]))
-    return "".join(map(str.__add__, lines, ends)), kwargs, block_rows
+    # byte blocks that cut lines anywhere, then blocks of many lines
+    block_bytes = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 30, 47, 64, 100,
+                                        8_192]))
+    return "".join(map(str.__add__, lines, ends)), kwargs, block_bytes
 
 
 def grid_lines(n, cells=lambda k: f"{k}.5", start=0):
@@ -629,10 +647,10 @@ def grid_lines(n, cells=lambda k: f"{k}.5", start=0):
             for k in range(start, start + n)]
 
 
-def pinned(lines, kwargs=None, block_rows=8_192, ends="\n"):
+def pinned(lines, kwargs=None, block_bytes=8_192, ends="\n"):
     """A ``profile_csv`` case from ``lines`` and one line end per line."""
     ends = ends if isinstance(ends, list) else [ends] * len(lines)
-    return "".join(map(str.__add__, lines, ends)), kwargs or {}, block_rows
+    return "".join(map(str.__add__, lines, ends)), kwargs or {}, block_bytes
 
 
 LIMIT = csv.field_size_limit()
@@ -642,8 +660,8 @@ SECOND = timedelta(seconds=1)
 class TestBlockIngest:
     """Block-wise grid checks load exactly what the per-row checks load."""
 
-    # header + blocks of 2, 4, 8, ... lines: line 7 (the 6th after the
-    # header) ends the second block
+    # CR-only and mixed line ends: a block is cut after its last LF, or
+    # after the last CR that cannot start a CRLF
     @example(case=pinned(["timestamp,power"] + grid_lines(20), ends="\r"))
     @example(case=pinned(["timestamp,power"] + grid_lines(20),
                          ends=["\r", "\n", "\r\n"] * 7))
@@ -669,27 +687,33 @@ class TestBlockIngest:
                                     if k == 9 else "5")))
     @example(case=pinned(grid_lines(12, lambda k: "5," + "9" * (LIMIT - 9)
                                     if k == 9 else "5")))
+    # a power cell of numeric bytes that float refuses
+    @example(case=pinned(grid_lines(12, lambda k: "1.2.3" if k == 7 else "5")))
+    # a CR inside the first line after the step-fixing rows: a text-mode
+    # file ends the line there, so the cell after it is a row of its own
+    @example(case=pinned(grid_lines(2) + grid_lines(1, lambda k: "5,a\rb", start=2)
+                         + grid_lines(3, start=3)))
     @example(case=pinned([WIDE_HEADER] + grid_lines(
         40, lambda k: ",".join(str(float(k + c)) for c in range(9))),
         {"column": "p_grid"}, 8))
     @given(profile_csv())
     @settings(max_examples=400, deadline=None)
     def test_matches_row_by_row(self, tmp_path_factory, case):
-        text, kwargs, block_rows = case
+        text, kwargs, block_bytes = case
         path = tmp_path_factory.mktemp("ingest") / "profile.csv"
         path.write_bytes(text.encode())
-        with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", block_rows):
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_BYTES", block_bytes):
             assert load_outcome(path, **kwargs) == load_row_by_row(path, **kwargs)
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 8, 8_192])
+    @pytest.mark.parametrize("block_bytes", [1, 2, 3, 4, 8, 8_192])
     def test_quoted_line_break_is_one_record_at_any_block_size(self, tmp_path,
-                                                               block_rows):
+                                                               block_bytes):
         # a note cell with a quoted line break on every third row: each
-        # record holds one power, wherever the blocks of lines end
+        # record holds one power, wherever the blocks of bytes end
         rows = grid_lines(30, lambda k: f'{k}.5,"line\nbreak"' if k % 3 == 0
                           else f"{k}.5,plain")
         path = make_csv(tmp_path, "timestamp,power,note\n" + "\n".join(rows) + "\n")
-        with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", block_rows):
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_BYTES", block_bytes):
             s = load_power_csv(path)
         assert list(s.values) == [k + 0.5 for k in range(30)]
 
@@ -697,15 +721,16 @@ class TestBlockIngest:
                                         17, 21, 22, 23])
     @pytest.mark.parametrize("fault", ["none", "blank", "irregular", "nan"])
     def test_rows_around_block_boundaries(self, tmp_path, n_rows, fault):
-        # blocks of 2, 4, 8, 8, ... rows end after rows 2, 6, 14, 22, ...;
-        # the fault sits on the last row
+        # rows of 25 or 26 bytes in blocks of 100 bytes (cut after their
+        # last LF): blocks end inside rows and between them; the fault
+        # sits on the last row
         rows = [f"{format_utc(T0 + timedelta(seconds=2 * k))},{k}.5"
                 for k in range(n_rows)]
         rows[-1] = {"none": rows[-1], "blank": "",
                     "irregular": f"{format_utc(T0 + timedelta(seconds=2 * n_rows))},1",
                     "nan": rows[-1].split(",")[0] + ",nan"}[fault]
         path = make_csv(tmp_path, "timestamp,power\n" + "\n".join(rows) + "\n")
-        with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", 8):
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_BYTES", 100):
             assert load_outcome(path) == load_row_by_row(path)
 
     def test_jittered_quarter_hours_still_load(self, tmp_path):
@@ -717,13 +742,13 @@ class TestBlockIngest:
         assert s.step_s == 900.0 and list(s.values) == [0, 1, 2, 3, 4, 5]
         assert load_outcome(path) == load_row_by_row(path)
 
-    @pytest.mark.parametrize("block_rows", [2, 3, 8_192])
-    def test_oversized_field_is_a_profile_error(self, tmp_path, block_rows):
+    @pytest.mark.parametrize("block_bytes", [2, 3, 8_192])
+    def test_oversized_field_is_a_profile_error(self, tmp_path, block_bytes):
         rows = ["timestamp,power", "2018-01-01T00:00:00Z,1",
                 "2018-01-01T00:00:02Z,2", "2018-01-01T00:00:04Z,3",
                 "2018-01-01T00:00:06Z," + "9" * 200_000]
         path = make_csv(tmp_path, "\n".join(rows) + "\n")
-        with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", block_rows):
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_BYTES", block_bytes):
             with pytest.raises(ProfileError, match=r"line 5: field larger than "
                                                    r"field limit"):
                 load_power_csv(path)
@@ -733,16 +758,16 @@ class TestBlockIngest:
             with pytest.raises(ProfileError, match="line 3: bad power value"):
                 load_power_csv(path)
 
-    @pytest.mark.parametrize("block_rows", [2, 4, 8_192])
+    @pytest.mark.parametrize("block_bytes", [2, 4, 8_192])
     def test_fault_in_the_rows_before_a_csv_error_comes_first(self, tmp_path,
-                                                             block_rows):
-        # blocks of 2, 4, ...: the oversized field on line 5 stops the
-        # second block after line 4, whose bad power must be reported
+                                                             block_bytes):
+        # the oversized field on line 5 stops the csv records of whichever
+        # block holds line 4, whose bad power must be reported
         rows = ["timestamp,power", "2018-01-01T00:00:00Z,1",
                 "2018-01-01T00:00:02Z,2", "2018-01-01T00:00:04Z,x",
                 "2018-01-01T00:00:06Z," + "9" * 200_000]
         path = make_csv(tmp_path, "\n".join(rows) + "\n")
-        with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", block_rows):
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_BYTES", block_bytes):
             with pytest.raises(ProfileError, match="line 4: bad power value"):
                 load_power_csv(path)
 
@@ -761,45 +786,51 @@ class TestBlockIngest:
         assert f"line 3: bad timestamp '{stamp}'" in load_outcome(path)[1]
         assert load_outcome(path) == load_row_by_row(path)
 
-    def _checks(self, path, block_rows):
-        """Results of every grid check made while loading ``path``."""
-        real, seen = timeseries._grid_prefix, []
+    @pytest.mark.parametrize("block_bytes", [4, 8_192])
+    def test_text_that_is_not_utf8_is_refused(self, tmp_path, block_bytes):
+        # an extra cell that is not UTF-8 on a line otherwise on the grid
+        rows = grid_lines(6, lambda k: f"{k}.5,x")
+        text = ("\n".join(rows) + "\n").encode().replace(b"4.5,x", b"4.5,\xff")
+        path = tmp_path / "profile.csv"
+        path.write_bytes(text)
+        for load in (load_outcome, load_row_by_row):
+            with mock.patch.object(timeseries, "_INGEST_BLOCK_BYTES", block_bytes):
+                with pytest.raises(UnicodeDecodeError):
+                    load(path)
 
-        def spy(rows, *args):
-            n, values = real(rows, *args)
-            seen.append((len(rows), n))
-            return n, values
+    def _csv_count(self, path, block_bytes, caplog):
+        """The rows that csv read while loading ``path``, from the INFO log."""
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_BYTES", block_bytes), \
+                caplog.at_level(logging.INFO, logger="pvems.timeseries"):
+            caplog.clear()
+            s = load_power_csv(path)
+        (message,) = caplog.messages
+        assert message.startswith(f"read {path.name} rows {len(s)} csv ")
+        return int(message.split()[-1])
 
-        with mock.patch.object(timeseries, "_INGEST_BLOCK_ROWS", block_rows), \
-                mock.patch.object(timeseries, "_grid_prefix", spy):
-            load_power_csv(path)
-        return seen
-
-    def test_canonical_file_is_accepted_a_block_at_a_time(self, tmp_path):
+    def test_canonical_file_is_accepted_a_block_at_a_time(self, tmp_path, caplog):
         s = PowerSeries(T0, 2.0, np.arange(100, dtype=float))
         write_power_csv(s, tmp_path / "pv.csv")
-        # header + 100 rows in blocks of 2, 4, 8, then 16: rows 1-2 fix the
-        # step, and every later block is accepted whole by one check
-        assert self._checks(tmp_path / "pv.csv", 16) == \
-            [(4, 4), (8, 8)] + [(16, 16)] * 5 + [(6, 6)]
+        # the two rows that fix the step are read by csv, every later
+        # line on the grid path, whatever the size of the blocks
+        for block_bytes in (1, 64, 1_000, 8_192):
+            assert self._csv_count(tmp_path / "pv.csv", block_bytes, caplog) == 2
 
-    def test_other_spelling_costs_one_rejected_check_per_block(self, tmp_path):
+    def test_other_spelling_is_read_by_csv(self, tmp_path, caplog):
         rows = "".join(f"{(T0 + timedelta(seconds=2 * k)).isoformat()},{k}\n"
                        for k in range(100))
         path = make_csv(tmp_path, rows)
         assert "+00:00" in rows.splitlines()[0]
-        real, formatted = timeseries.format_utc_grid, []
+        assert self._csv_count(path, 256, caplog) == 100
+        assert load_outcome(path) == load_row_by_row(path)
 
-        def spy(start, step, lo, hi):
-            formatted.append(hi - lo)
-            return real(start, step, lo, hi)
-
-        with mock.patch.object(timeseries, "format_utc_grid", spy):
-            checks = self._checks(path, 16)
-        # 100 rows in blocks of 2, 4, 8, 16, 16, 16, 16, 16, 6: one check
-        # per block after the step-fixing one
-        assert len(checks) == 8 and all(n == 0 for _, n in checks)
-        assert formatted == [1] * 8  # only the first row of each block
+    def test_rows_after_a_fault_return_to_the_grid_path(self, tmp_path, caplog):
+        # an epoch stamp on row 50: csv reads it and the rest of its
+        # 256-byte block, then the next block is on the grid path again
+        rows = grid_lines(100)
+        rows[50] = f"{int((T0 + timedelta(seconds=100)).timestamp())},50.5"
+        path = make_csv(tmp_path, "\n".join(rows) + "\n")
+        assert 3 <= self._csv_count(path, 256, caplog) <= 2 + 256 // 20
         assert load_outcome(path) == load_row_by_row(path)
 
 
