@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import os
+import resource
 import shutil
 import sys
 import tempfile
@@ -139,7 +140,13 @@ def _read_config_doc(path: Path) -> dict:
     return doc
 
 
-_type_hints = functools.cache(typing.get_type_hints)
+@functools.cache
+def _type_hints(cls: type) -> dict:
+    """``typing.get_type_hints(cls)``.  A class of this module resolves its
+    annotations against this module's globals: run by ``runpy`` (as in
+    ``python -m cProfile -m pvems.cli``) they are not those of
+    ``sys.modules["__main__"]``, where its ``__module__`` points."""
+    return typing.get_type_hints(cls, globals() if cls.__module__ == __name__ else None)
 
 # The JSON type of a field's value by its annotation; paths, clock
 # times, enum members and literals are written as strings.
@@ -330,10 +337,18 @@ def _output_set(paths: Sequence[Path]) -> Iterator[list[Path]]:
 
 @contextmanager
 def _stage(name: str) -> Iterator[None]:
-    """Log ``stage <name> <seconds>`` (INFO, shown with ``-v``) after the block."""
+    """Log ``stage <name> <seconds> maxrss <MB>`` (INFO, shown with ``-v``)
+    after the block: its wall time and the process's peak RSS so far."""
     t0 = perf_counter()
     yield
-    log.info("stage %s %.6f", name, perf_counter() - t0)
+    log.info("stage %s %.6f maxrss %.1f", name, perf_counter() - t0, _maxrss_mb())
+
+
+def _maxrss_mb() -> float:
+    """The process's RSS high-water mark in MiB (``ru_maxrss`` counts KiB,
+    or bytes on macOS)."""
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 def _prepass(pv: PowerSeries, config: RunConfig) -> PrePass:
@@ -494,8 +509,9 @@ def compare_strategies(config: RunConfig, strategies: list[StrategyKind],
     """Run each strategy on identical inputs; emit a side-by-side table.
 
     The SOC-independent pre-pass is computed once and shared by every
-    strategy's ``simulate`` call.  ``compare.csv`` is staged first, as
-    ``run_simulation``'s outputs are.
+    strategy's ``simulate`` call; a strategy's trace is dropped once its
+    KPIs are computed, so one trace is held at a time.  ``compare.csv``
+    is staged first, as ``run_simulation``'s outputs are.
     """
     table_path = out_dir / "compare.csv"
     names = [s.value for s in strategies]
@@ -514,6 +530,7 @@ def compare_strategies(config: RunConfig, strategies: list[StrategyKind],
                                  policy=policy, initial_soc=config.initial_soc, pre=pre)
             with _stage(f"accounting.{strat.value}"):
                 reports[strat.value] = _kpis(trace, config)
+            del trace  # before the next strategy's trace is built
         with _stage("write.compare_csv"):
             write_compare_csv(reports, names, table_tmp)
 

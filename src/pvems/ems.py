@@ -102,6 +102,7 @@ _FIRST_GUESS, _MAX_GUESS, _MAX_STRETCH = 256, 65_536, 1_024
 
 _US = timedelta(microseconds=1)
 _DAY_US = 86_400 * 1_000_000
+_PREPASS_BLOCK = 65_536  # ticks whose ramp rate and clock prepass builds at a time
 
 
 @dataclass(frozen=True)
@@ -279,32 +280,48 @@ def prepass(pv: PowerSeries, cfg: EmsConfig) -> PrePass:
         raise OverflowError(f"the sum of a {ramp.window_s:g} s window of PV "
                             f"power overflows ({exc})") from None
     log.info("prepass windows %d resummed %d", max(n - n_window + 1, 0), resummed)
+    violated = violations(pv.values, n_window, ramp, ramp.tick_s)
 
+    # Every full-length column below is an output; the work runs in
+    # blocks of ticks, or in local days, so nothing else is full length.
     rr = np.zeros(n)
     with np.errstate(over="ignore"):  # refused below
-        rr[n_window:] = ramp_rate(mean[n_window:], mean[n_window - 1:-1], ramp,
+        for lo in range(n_window, n, _PREPASS_BLOCK):
+            hi = min(lo + _PREPASS_BLOCK, n)
+            rr[lo:hi] = ramp_rate(mean[lo:hi], mean[lo - 1:hi - 1], ramp,
                                   ramp.tick_minutes)
     if not np.isfinite(rr).all():
         raise OverflowError(f"the ramp rate of the {ramp.window_s:g} s window "
                             "mean of PV power overflows")
-    violated = violations(pv.values, n_window, ramp, ramp.tick_s)
 
     local0 = pv.start.replace(tzinfo=None) + timedelta(hours=cfg.utc_offset_h)
     first_date = local0.date()
-    t_us = ((local0 - datetime.combine(first_date, time())) // _US
-            + np.arange(n, dtype=np.int64) * (timedelta(seconds=ramp.tick_s) // _US))
-    day, clock_us = np.divmod(t_us, _DAY_US)
+    t0_us = (local0 - datetime.combine(first_date, time())) // _US
+    step_us = timedelta(seconds=ramp.tick_s) // _US
     start = cfg.charge_start_time
     start_us = (((start.hour * 60 + start.minute) * 60 + start.second)
                 * 1_000_000 + start.microsecond)
+    day = np.empty(n, dtype=np.int64)
+    after_start = np.empty(n, dtype=bool)
+    for lo in range(0, n, _PREPASS_BLOCK):
+        hi = min(lo + _PREPASS_BLOCK, n)
+        clock_us = np.arange(lo, hi, dtype=np.int64)
+        clock_us *= step_us
+        clock_us += t0_us
+        np.divmod(clock_us, _DAY_US, out=(day[lo:hi], clock_us))
+        np.greater_equal(clock_us, start_us, out=after_start[lo:hi])
 
-    ticks = np.arange(n)
-    above = mean > cfg.pv_day_threshold * ramp.nameplate_w
-    last_above = np.maximum.accumulate(np.where(above, ticks, -1))
-    day_first_tick = np.searchsorted(day, day, side="left")
+    # Local days are runs of ticks: a tick's day has started once any
+    # tick of the day so far had its window mean above the threshold.
+    threshold = cfg.pv_day_threshold * ramp.nameplate_w
+    day_started = np.empty(n, dtype=bool)
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(day, day[lo], side="right"))
+        np.logical_or.accumulate(mean[lo:hi] > threshold, out=day_started[lo:hi])
+        lo = hi
     return PrePass(window_mean=mean, rr=rr, violated=violated, day=day,
-                   after_start=clock_us >= start_us,
-                   day_started=last_above >= day_first_tick,
+                   after_start=after_start, day_started=day_started,
                    first_date=first_date, pv=pv, settings=_prepass_settings(cfg))
 
 
@@ -354,12 +371,13 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
     # every tick that ``advance_run`` accepts.
     ramp = (pre.violated if cfg.strategy.has_ramp_control
             else np.zeros(n, dtype=bool))
-    scm_cmd = np.where(surplus > 0, np.minimum(surplus, nominal),
-                       np.where(surplus < 0, -np.minimum(-surplus, nominal), 0.0))
-    day_cmd = np.where(ramp, pv_values - pre.window_mean, scm_cmd)
-    day_mode = np.where(ramp, _RAMP, np.where(scm_cmd == 0.0, _IDLE, _SCM)
-                        ).astype(np.uint8)
-    del scm_cmd
+    day_cmd = np.minimum(surplus, nominal)
+    np.maximum(day_cmd, -nominal, out=day_cmd)
+    day_cmd += 0.0  # the SCM command of a zero surplus of either sign is +0.0
+    day_mode = np.full(n, _SCM, dtype=np.uint8)
+    day_mode[day_cmd == 0.0] = _IDLE
+    np.subtract(pv_values, pre.window_mean, out=day_cmd, where=ramp)
+    day_mode[ramp] = _RAMP
     # Night charge candidates, until the SOC target ends the day's segment.
     if cfg.strategy.has_forecast_charging:
         decisions = _resolve_decisions(forecast_source, policy, pre)
@@ -401,13 +419,16 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
     log.info("dispatch %s runs %d taper %d scalar %d", cfg.strategy.value,
              run_ticks, taper_ticks, n - run_ticks - taper_ticks)
 
-    actual = ticks.actual
+    columns = dict(p_batt_cmd=ticks.cmd, p_batt_actual=ticks.actual,
+                   soc=ticks.soc, mode=ticks.mode)
+    del ticks, surplus, night  # before the grid column is built
     with np.errstate(over="ignore"):  # ``accumulate`` refuses an infinite grid
-        grid = load_values + actual + params.standby_power_w - pv_values
+        grid = np.add(load_values, columns["p_batt_actual"])
+        grid += params.standby_power_w
+        grid -= pv_values
     return Trace(start=pv.start, step_s=cfg.ramp.tick_s, p_pv=pv_values,
-                 p_load=load_values, p_batt_cmd=ticks.cmd, p_batt_actual=actual,
-                 p_grid=grid, soc=ticks.soc, mode=ticks.mode, rr_pct_per_min=pre.rr,
-                 rr_violated=pre.violated)
+                 p_load=load_values, p_grid=grid, rr_pct_per_min=pre.rr,
+                 rr_violated=pre.violated, **columns)
 
 
 class _Dispatch:
@@ -428,9 +449,11 @@ class _Dispatch:
         self.surplus, self.ramp, self.day_cmd = surplus, ramp, day_cmd
         self.day_mode, self.night, self.day = day_mode, night, day
         self.any_night = bool(night.any())
-        n = len(surplus)
-        self.cmd, self.actual, self.soc = np.empty(n), np.empty(n), np.empty(n)
-        self.mode = np.empty(n, dtype=np.uint8)
+        # The command and mode columns are filled in place of the day's:
+        # each path reads a tick's day command and mode before it writes
+        # the tick, and never reads a tick it has written.
+        self.cmd, self.mode = day_cmd, day_mode
+        self.actual, self.soc = np.empty(len(surplus)), np.empty(len(surplus))
 
     def run(self, start: int, end: int, soc: float,
             done_day: int) -> tuple[int, float]:

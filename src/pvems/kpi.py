@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ems import MODES, DispatchMode, Trace
-from .ramp import RampConfig, event_numbers, violations
+from .ramp import RampConfig, violations
 
 __all__ = [
     "EnergyTotals",
@@ -125,24 +125,10 @@ def accumulate(trace: Trace, tick_s: float,
     if len(trace) == 0:
         raise ValueError("cannot accumulate an empty trace")
     hours = tick_s / 3600.0
-    pv, load, grid = trace.p_pv, trace.p_load, trace.p_grid
-    batt = trace.p_batt_actual
-
     n_orig, n_ctl = _count_ramp_events(trace, tick_s, ramp_cfg)
-    with np.errstate(over="ignore"):  # refused below
-        pv_direct = np.minimum(np.maximum(pv, 0.0), np.maximum(load, 0.0))
-        pv_to_batt = np.minimum(np.maximum(batt, 0.0), np.maximum(pv - load, 0.0))
-        totals = EnergyTotals(
-            e_pv_generated=_sum(pv[pv > 0]) * hours,
-            e_pv_consumed=_sum(pv_direct + pv_to_batt) * hours,
-            e_load=_sum(load[load > 0]) * hours,
-            e_from_grid=_sum(grid[grid >= 0]) * hours,
-            e_to_grid=_sum(-grid[grid < 0]) * hours,
-            e_to_battery=_sum(batt[batt >= 0]) * hours,
-            e_from_battery=_sum(-batt[batt < 0]) * hours,
-            n_ramps_original=n_orig,
-            n_ramps_controlled=n_ctl,
-        )
+    sums = _energy_sums(trace)
+    totals = EnergyTotals(*((float(wh) + 0.0) * hours for wh in sums),
+                          n_ramps_original=n_orig, n_ramps_controlled=n_ctl)
     energies = [f.name for f in fields(totals) if f.name.startswith("e_")]
     overflowed = [name for name in energies + ["e_grid_total", "e_battery_total"]
                   if not math.isfinite(getattr(totals, name))]
@@ -151,41 +137,89 @@ def accumulate(trace: Trace, tick_s: float,
     return totals
 
 
-def _sum(x: np.ndarray) -> float:
-    """``0.0 + x[0] + x[1] + ...`` evaluated left to right, as a loop would.
+_SUM_BLOCK = 16_384  # ticks that accumulate sums at a time
 
-    ``np.add.accumulate`` adds sequentially (``np.sum`` adds pairwise
-    and rounds differently); the trailing ``+ 0.0`` turns an all-zero
-    sum of negative zeros into the loop's +0.0.
+
+def _energy_sums(trace: Trace) -> np.ndarray:
+    """The power sums of ``EnergyTotals``' seven energies, in its order.
+
+    Each is ``0.0 + x[0] + x[1] + ...`` over its ticks, evaluated left
+    to right as a loop would: ``np.add.accumulate`` adds sequentially
+    (``np.sum`` adds pairwise and rounds differently), one block of
+    ticks at a time, each block's first term taking the sum so far.  A
+    tick outside an energy's direction adds ``+0.0``, which changes no
+    sum except the sign of a zero one.
     """
-    return float(np.add.accumulate(x)[-1]) + 0.0 if x.size else 0.0
+    pv, load, grid = trace.p_pv, trace.p_load, trace.p_grid
+    batt = trace.p_batt_actual
+    n = len(pv)
+    terms = np.empty((7, min(n, _SUM_BLOCK)))
+    sums = np.zeros(7)
+    with np.errstate(over="ignore"):  # ``accumulate`` refuses an overflow
+        for lo in range(0, n, _SUM_BLOCK):
+            hi = min(lo + _SUM_BLOCK, n)
+            p, ld, g, b = pv[lo:hi], load[lo:hi], grid[lo:hi], batt[lo:hi]
+            block = terms[:, :hi - lo]
+            gen, used, e_load, from_grid, to_grid, to_batt, from_batt = block
+            # PV consumed: to the load directly, or into the battery
+            np.maximum(p, 0.0, out=used)
+            np.maximum(ld, 0.0, out=to_grid)
+            np.minimum(used, to_grid, out=used)
+            np.subtract(p, ld, out=to_grid)
+            np.maximum(to_grid, 0.0, out=to_grid)
+            np.maximum(b, 0.0, out=from_batt)
+            np.minimum(from_batt, to_grid, out=to_grid)
+            np.add(used, to_grid, out=used)
+            gen[:] = block[2:] = 0.0  # the other energies: +0.0 outside their direction
+            np.copyto(gen, p, where=p > 0)
+            np.copyto(e_load, ld, where=ld > 0)
+            np.copyto(from_grid, g, where=g >= 0)
+            np.negative(g, out=to_grid, where=g < 0)
+            np.copyto(to_batt, b, where=b >= 0)
+            np.negative(b, out=from_batt, where=b < 0)
+            block[:, 0] += sums
+            np.add.accumulate(block, axis=1, out=block)
+            sums = block[:, -1].copy()
+    return sums
 
 
 def _count_ramp_events(trace: Trace, tick_s: float,
                        ramp_cfg: Optional[RampConfig]) -> tuple[int, int]:
     """Group violating ticks into events and classify each as controlled.
 
-    An event is a maximal run of violating ticks (``event_numbers``).
-    A tick is neutralised when the ramp branch ran and either executed
-    its command in full, or the remainder that leaked to the grid kept
-    the compensated PV signal under the limit (``violations`` with
-    ``n = 1``); an event is controlled when all its ticks are.
+    An event is a maximal run of violating ticks.  A tick is
+    neutralised when the ramp branch ran and either executed its command
+    in full, or the remainder that leaked to the grid kept the
+    compensated PV signal under the limit (``violations`` with ``n = 1``
+    on the tick and the one before it; never for tick 0); an event is
+    controlled when all its ticks are.  Only the violating ticks and
+    their predecessors are read.
     """
-    violated = trace.rr_violated
-    ramp = trace.mode == MODES.index(DispatchMode.RAMP_CONTROL)
-    cmd, actual = trace.p_batt_cmd, trace.p_batt_actual
-
+    at = np.flatnonzero(trace.rr_violated)
+    if at.size == 0:
+        return 0, 0
+    ramp_mode = MODES.index(DispatchMode.RAMP_CONTROL)
+    ramp = trace.mode[at] == ramp_mode
+    cmd, actual = trace.p_batt_cmd[at], trace.p_batt_actual[at]
     tol = _FULL_EXECUTION_RTOL * np.maximum(1.0, np.abs(cmd))
     ok = ramp & (np.abs(cmd - actual) <= tol)
     if ramp_cfg is not None:
-        compensated = np.subtract(trace.p_pv, actual, out=trace.p_pv.copy(),
-                                  where=ramp)
-        leaked = violations(compensated, 1, ramp_cfg, tick_s)
-        ok[1:] |= ramp[1:] & ~leaked[1:]
+        later = at > 0  # tick 0 has no tick before it
+        pairs = np.empty((np.count_nonzero(later), 2))
+        for col, ticks in enumerate((at[later] - 1, at[later])):
+            compensated = pairs[:, col]  # the PV signal after the battery
+            np.take(trace.p_pv, ticks, out=compensated)
+            np.subtract(compensated, trace.p_batt_actual[ticks], out=compensated,
+                        where=trace.mode[ticks] == ramp_mode)
+        # the decision on each pair (tick i - 1, tick i) is the odd one
+        leaked = violations(pairs.reshape(-1), 1, ramp_cfg, tick_s)[1::2]
+        ok[later] |= ramp[later] & ~leaked
 
-    event = event_numbers(violated)
+    starts = np.ones(at.size, dtype=bool)  # a gap in the ticks starts an event
+    np.not_equal(np.diff(at), 1, out=starts[1:])
+    event = np.cumsum(starts)
     n_orig = int(event[-1])
-    n_failed = np.unique(event[violated & ~ok]).size
+    n_failed = np.unique(event[~ok]).size
     return n_orig, n_orig - n_failed
 
 

@@ -12,6 +12,7 @@ import io
 import itertools
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -156,8 +157,9 @@ def load_power_csv(
     arrays.  From the first line that is not canonical, ``csv`` reads
     the rest of the block for the per-row checks below, so values,
     messages and line numbers (counted in csv records) are those of
-    reading row by row.  Logs ``read <name> rows <n> csv <k>`` at INFO,
-    ``k`` being the rows that ``csv`` read.
+    reading row by row.  A row holding bytes that are not UTF-8 is
+    refused as ``line <n>: not UTF-8 text``.  Logs ``read <name> rows
+    <n> csv <k>`` at INFO, ``k`` being the rows that ``csv`` read.
     """
     if expected_unit not in ("W", "kW"):
         raise ProfileError(f"expected_unit must be 'W' or 'kW', got {expected_unit!r}")
@@ -177,6 +179,8 @@ def load_power_csv(
             raise ProfileError(f"{path}: line 1: {exc}") from None
         if header is None:
             raise ProfileError(f"{path}: empty file")
+        if _escaped(header):
+            raise ProfileError(f"{path}: line 1: not UTF-8 text")
         if (header and not _parses(_parse_timestamp, header[0])
                 and not (len(header) > 1 and _parses(float, header[1]))):
             if column is not None:
@@ -196,7 +200,7 @@ def load_power_csv(
             if end:
                 rows.accept(values)
             if end < len(block):
-                lines = io.StringIO(block[end:].decode("utf-8"), newline="").readlines()
+                lines = io.StringIO(_decode(block[end:]), newline="").readlines()
                 more = src.text_lines()
                 rows.check(_csv_rows(lines, more))
                 more.close()
@@ -208,6 +212,20 @@ def load_power_csv(
     values = np.concatenate(rows.chunks)
     log.info("read %s rows %d csv %d", path.name, len(values), rows.csv_rows)
     return PowerSeries(rows.first, rows.step, values * scale if scale != 1.0 else values)
+
+
+def _decode(data: bytes) -> str:
+    """``data`` as UTF-8 text; a byte that is not UTF-8 becomes a lone
+    surrogate (``surrogateescape``), which ``_escaped`` finds in its row."""
+    return data.decode("utf-8", "surrogateescape")
+
+
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _escaped(row: list[str]) -> bool:
+    """Whether a csv record decoded by ``_decode`` held bytes that are not UTF-8."""
+    return not all(map(str.isascii, row)) and any(map(_ESCAPED_BYTE.search, row))
 
 
 class _Lines:
@@ -238,14 +256,15 @@ class _Lines:
         ``newline=""`` splits them; lines read but not taken go back to
         the file when the generator is closed."""
         while block := self.block(1):
-            lines = io.StringIO(block.decode("utf-8"), newline="").readlines()
+            lines = io.StringIO(_decode(block), newline="").readlines()
             taken = 0
             try:
                 for line in lines:
                     taken += 1
                     yield line
             finally:
-                self.rest = "".join(lines[taken:]).encode("utf-8") + self.rest
+                rest = "".join(lines[taken:]).encode("utf-8", "surrogateescape")
+                self.rest = rest + self.rest
 
 
 class _Rows:
@@ -271,6 +290,8 @@ class _Rows:
         try:
             for row in records:
                 self.lineno += 1
+                if _escaped(row):
+                    raise ProfileError(f"{path}: line {self.lineno}: not UTF-8 text")
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) <= idx:
@@ -367,7 +388,7 @@ def _canonical_rows(block: bytes, prev: datetime, step: timedelta,
     starts[0], starts[1:] = 0, ends[:-1] + 1
     lo = cells[:, power_idx - 1] + 1
     hi = cells[:, power_idx] if power_idx < width else ends - (a[ends - 1] == 13)
-    want = _utc_grid_lines(prev, step, 1, n + 1).replace(b"\n", b",")
+    want = _utc_grid_lines(prev, step, 1, n + 1, b",")
     commas_want = np.flatnonzero(np.frombuffer(want, np.uint8) == 44)
     at = np.empty(n, np.intp)  # where each stamp starts in ``want``
     at[0], at[1:] = 0, commas_want[:-1] + 1
@@ -512,13 +533,13 @@ def format_utc(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
-_WHOLE_SECOND_ROW = np.frombuffer(b"0000-00-00T00:00:00Z\n", dtype=np.uint8)
-# The variable fields of a _WHOLE_SECOND_ROW, copied in whole items.
-_WHOLE_SECOND_FIELDS = np.dtype({"names": ["date", "hour", "minute", "second"],
-                                 "formats": ["S10", "S2", "S2", "S2"],
-                                 "offsets": [0, 11, 14, 17],
-                                 "itemsize": len(_WHOLE_SECOND_ROW)})
-_TWO_DIGITS = np.array([f"{i:02d}" for i in range(60)], dtype="S2")
+# A stamp, with ".000000" before the Z in a grid with fractions of a
+# second; its variable fields (format, offset) are copied in whole items.
+_STAMP = b"0000-00-00T00:00:00.000000Z"
+_FRACTION = slice(19, 26)  # the ".ffffff" of a _STAMP
+_STAMP_FIELDS = {"date": ("S10", 0), "hour": ("S2", 11), "minute": ("S2", 14),
+                 "second": ("S2", 17), "high": ("S2", 20), "low": ("S4", 22)}
+_TWO_DIGITS = np.array([f"{i:02d}" for i in range(100)], dtype="S2")
 _YEAR_1, _YEAR_10000 = np.datetime64("0001-01-01", "us"), np.datetime64("10000-01-01", "us")
 
 
@@ -529,48 +550,89 @@ def format_utc_grid(start: datetime, step: timedelta, lo: int,
     Rows whose microseconds are not zero keep their ``.ffffff`` part, as
     ``isoformat`` does.  ``start`` is converted to UTC once, which equals
     converting each row for any fixed-offset zone (series loaded from
-    CSV are UTC).  An increasing grid of whole seconds is written as
-    ASCII bytes from per-day date text and two-digit tables.
+    CSV are UTC).  An increasing grid within years 1-9999 is written as
+    ASCII bytes from per-day date text and digit tables.
     """
     return _utc_grid_lines(start, step, lo, hi).decode("ascii").split("\n")[:-1]
 
 
-def _utc_grid_lines(start: datetime, step: timedelta, lo: int, hi: int) -> bytes:
-    """``format_utc_grid``'s texts as ASCII, each ended by a line feed."""
+def _utc_grid_lines(start: datetime, step: timedelta, lo: int, hi: int,
+                    end: bytes = b"\n") -> bytes:
+    """``format_utc_grid``'s texts as ASCII, each followed by ``end``."""
+    return _utc_grid_stamps(start, step, lo, hi, end).tobytes().replace(b"\0", b"")
+
+
+def _utc_grid_stamps(start: datetime, step: timedelta, lo: int, hi: int,
+                     end: bytes = b"") -> np.ndarray:
+    """``format_utc_grid``'s texts, each followed by ``end``, as an ``S``
+    array whose NUL bytes are not text (see ``_join_cells``)."""
     origin = np.datetime64(start.astimezone(timezone.utc).replace(tzinfo=None), "us")
     step_us = step // timedelta(microseconds=1)
     stamps = origin + (np.arange(lo, hi, dtype=np.int64) * step_us).astype("m8[us]")
-    us = stamps.astype(np.int64)
-    whole = us % 1_000_000 == 0
-    if (len(stamps) and step_us > 0 and whole.all()
+    if (len(stamps) and step_us > 0
             and _YEAR_1 <= stamps[0] and stamps[-1] < _YEAR_10000):
-        return _format_whole_seconds(us // 1_000_000)
+        return _format_stamps(stamps.astype(np.int64), end)
     text = np.datetime_as_string(stamps, unit="us").tolist()
-    return "".join(t[:19] + "Z\n" if w else t + "Z\n"
-                   for t, w in zip(text, whole.tolist())).encode("ascii")
+    whole = (stamps.astype(np.int64) % 1_000_000 == 0).tolist()
+    return np.array([(t[:19] if w else t).encode("ascii") + b"Z" + end
+                     for t, w in zip(text, whole)], dtype="S")
 
 
-def _format_whole_seconds(seconds: np.ndarray) -> bytes:
-    """``YYYY-MM-DDTHH:MM:SSZ`` and a line feed for each of increasing epoch
-    seconds within years 1-9999, as ASCII."""
+def _format_stamps(us: np.ndarray, end: bytes) -> np.ndarray:
+    """``format_utc``'s text of each of increasing epoch microseconds within
+    years 1-9999, followed by ``end``: ``YYYY-MM-DDTHH:MM:SSZ``, or, when
+    some microseconds are not zero, with ``.ffffff`` before the ``Z``
+    where they are not and NUL bytes in its place where they are."""
+    seconds, micro = np.divmod(us, 1_000_000)
+    fraction = bool(micro.any())
     day, second = np.divmod(seconds, 86_400)
     new_day = np.empty(len(day), dtype=bool)
     new_day[0] = True
     np.not_equal(day[1:], day[:-1], out=new_day[1:])
     dates = np.datetime_as_string(day[new_day].astype("M8[D]")).astype("S10")
-    rows = np.empty((len(day), len(_WHOLE_SECOND_ROW)), dtype=np.uint8)
-    rows[:] = _WHOLE_SECOND_ROW
-    fields = rows.reshape(-1).view(_WHOLE_SECOND_FIELDS)
+    row = (_STAMP if fraction else _STAMP[:_FRACTION.start] + _STAMP[_FRACTION.stop:]) + end
+    names = list(_STAMP_FIELDS)[:6 if fraction else 4]
+    rows = np.empty((len(day), len(row)), dtype=np.uint8)
+    rows[:] = np.frombuffer(row, np.uint8)
+    fields = rows.reshape(-1).view(np.dtype({
+        "names": names, "formats": [_STAMP_FIELDS[k][0] for k in names],
+        "offsets": [_STAMP_FIELDS[k][1] for k in names], "itemsize": len(row)}))
     fields["date"] = dates[np.cumsum(new_day) - 1]
     hour, second = np.divmod(second, 3600)
     minute, second = np.divmod(second, 60)
     fields["hour"] = _TWO_DIGITS[hour]
     fields["minute"] = _TWO_DIGITS[minute]
     fields["second"] = _TWO_DIGITS[second]
-    return rows.tobytes()
+    if fraction:
+        high, low = np.divmod(micro, 10_000)
+        fields["high"] = _TWO_DIGITS[high]
+        fields["low"] = _DIGITS4[low]
+        rows[micro == 0, _FRACTION] = 0  # whole seconds have no fraction
+    return rows.view(f"S{len(row)}")[:, 0]
 
 
-_WRITE_BLOCK_ROWS = 16_384  # rows formatted at a time by write_grid_csv
+def _join_cells(cells: Sequence[np.ndarray], sep: bytes = b"",
+                end: bytes = b"") -> np.ndarray:
+    """Rows of text cells as one ``uint8`` array: row ``i`` is the ``i``-th
+    item of each ``S`` array of ``cells``, joined by ``sep`` and ended
+    by ``end``.  A cell's NUL bytes are dropped, so a text shorter than
+    its array's width, or with NULs in its middle, is laid out without
+    them; no cell text holds a NUL of its own.
+    """
+    ends = [sep] * (len(cells) - 1) + [end]
+    rows = np.empty((len(cells[0]), sum(c.dtype.itemsize + len(e)
+                                        for c, e in zip(cells, ends))), dtype=np.uint8)
+    at = 0
+    for cell, e in zip(cells, ends):
+        size = cell.dtype.itemsize
+        rows[:, at:at + size] = np.ascontiguousarray(cell).view(np.uint8).reshape(-1, size)
+        rows[:, at + size:at + size + len(e)] = np.frombuffer(e, np.uint8)
+        at += size + len(e)
+    text = rows != 0
+    return rows.reshape(-1) if text.all() else rows[text]
+
+
+_WRITE_BLOCK_ROWS = 8_192  # rows formatted at a time by write_grid_csv
 
 
 def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
@@ -582,16 +644,22 @@ def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
     A ``timestamp`` column as ``format_utc``, then ``columns`` as
     ``repr`` of their float64 values, or as ``labels[name][code]`` for a
     coded column.  Rows end in CRLF like the csv module's; no field can
-    hold a delimiter, quote or line break.  Columns are formatted
-    ``_WRITE_BLOCK_ROWS`` rows at a time, so memory stays bounded, and
-    each float is formatted once per run of equal cells (see
-    ``_float_texts``), on arrays by ``_format_floats``, which calls
-    ``repr`` only for the cells it cannot prove.  Texts stay ASCII bytes
-    from the formatters to the file.  Logs ``wrote <name> rows <n>
-    formatted <k> of <cells> float cells repr <r>`` at INFO.
+    hold a delimiter, quote or line break, and a label holding a NUL is
+    refused.  Columns are formatted ``_WRITE_BLOCK_ROWS`` rows at a
+    time, so memory stays bounded, and each float is formatted once per
+    run of equal cells (see ``_float_texts``), on arrays by
+    ``_format_floats``, which calls ``repr`` only for the cells it
+    cannot prove.  Texts stay fixed-width ASCII arrays from the
+    formatters to the file: a block's rows are laid out in one byte
+    array (``_join_cells``).  Logs ``wrote <name> rows <n> formatted
+    <k> of <cells> float cells repr <r>`` at INFO.
     """
-    tables = {name: np.array([text.encode() for text in table], dtype=object)
-              for name, table in (labels or {}).items()}
+    tables = {}
+    for name, table in (labels or {}).items():
+        texts = [text.encode() for text in table]
+        if any(b"\0" in text for text in texts):
+            raise ValueError(f"a label of column {name!r} holds a NUL")
+        tables[name] = np.array(texts, dtype="S")
     columns = {name: col if name in tables else np.asarray(col, dtype=np.float64)
                for name, col in columns.items()}
     path = Path(path)
@@ -603,19 +671,19 @@ def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
             fh.write((",".join(["timestamp", *columns]) + "\r\n").encode())
         for lo in range(0, n, _WRITE_BLOCK_ROWS):
             hi = min(lo + _WRITE_BLOCK_ROWS, n)
-            fields = [_utc_grid_lines(start, step, lo, hi).split(b"\n")[:-1]]
+            cells = [_utc_grid_stamps(start, step, lo, hi)]
             left = None  # the bits and texts of the last float column
             for name, col in columns.items():
                 if name in tables:
-                    fields.append(tables[name].take(col[lo:hi]).tolist())
+                    cells.append(tables[name].take(col[lo:hi]))
                     continue
                 bits = col[lo:hi].view(np.int64)
                 texts, k, r = _float_texts(bits, left)
                 formatted += k
                 reprs += r
-                fields.append(texts.tolist())
+                cells.append(texts)
                 left = bits, texts
-            fh.write(b"\r\n".join(map(b",".join, zip(*fields))) + b"\r\n")
+            fh.write(_join_cells(cells, b",", b"\r\n"))
     n_floats = n * sum(name not in tables for name in columns)
     log.info("wrote %s rows %d formatted %d of %d float cells repr %d",
              path.name, n, formatted, n_floats, reprs)
@@ -623,9 +691,9 @@ def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
 
 def _float_texts(bits: np.ndarray, left: Union[tuple[np.ndarray, np.ndarray], None]
                  ) -> tuple[np.ndarray, int, int]:
-    """``repr`` of each float64 whose bits are ``bits``, as an object
-    array of ASCII bytes, the number of cells formatted and the number
-    of ``repr`` calls made.
+    """``repr`` of each float64 whose bits are ``bits``, as an ``S`` array
+    of ASCII as wide as its longest text, the number of cells formatted
+    and the number of ``repr`` calls made.
 
     Only the first cell of each run of equal bits is formatted, and a
     run head whose bits equal the same row of ``left`` (the bits and
@@ -637,7 +705,7 @@ def _float_texts(bits: np.ndarray, left: Union[tuple[np.ndarray, np.ndarray], No
     head[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=head[1:])
     rows = np.flatnonzero(head)
-    texts = np.empty(len(rows), dtype=object)
+    texts = np.empty(len(rows), dtype="S24")
     fresh = np.ones(len(rows), dtype=bool)
     if left is not None:
         left_bits, left_texts = left
@@ -645,7 +713,9 @@ def _float_texts(bits: np.ndarray, left: Union[tuple[np.ndarray, np.ndarray], No
         texts[~fresh] = left_texts[rows[~fresh]]
     strings, reprs = _format_floats(bits[rows[fresh]].view(np.float64))
     texts[fresh] = strings
-    return texts.take(np.cumsum(head) - 1), len(strings), reprs
+    # as wide as the longest text, so that the rows carry less padding
+    width = texts.view(np.uint8).reshape(-1, 24).any(axis=0).sum()
+    return texts.astype(f"S{width}").take(np.cumsum(head) - 1), len(strings), reprs
 
 
 def _binade_tables() -> tuple[np.ndarray, np.ndarray]:

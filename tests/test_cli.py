@@ -6,8 +6,11 @@ import json
 import logging
 import os
 import re
+import runpy
 import subprocess
 import sys
+import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -687,7 +690,7 @@ class TestAtomicOutputs:
         assert [p.name for p in out_dir.iterdir()] == ["kpi.json"]
 
 
-STAGE = re.compile(r"^stage (\S+) (\d+\.\d{6})$")
+STAGE = re.compile(r"^stage (\S+) (\d+\.\d{6}) maxrss (\d+\.\d)$")
 DISPATCH = re.compile(r"^dispatch (\S+) runs (\d+) taper (\d+) scalar (\d+)$")
 WROTE = re.compile(r"^wrote (\S+) rows (\d+) formatted (\d+) of (\d+) float cells "
                    r"repr (\d+)$")
@@ -695,9 +698,9 @@ PREPASS = re.compile(r"^prepass windows (\d+) resummed (\d+)$")
 
 
 class TestStageLog:
-    """``-v`` logs one ``stage <name> <seconds>`` line per stage, one
-    ``prepass windows <m> resummed <k>`` line per pre-pass, one
-    ``dispatch <strategy> runs <ticks> taper <ticks> scalar <ticks>``
+    """``-v`` logs one ``stage <name> <seconds> maxrss <MB>`` line per
+    stage, one ``prepass windows <m> resummed <k>`` line per pre-pass,
+    one ``dispatch <strategy> runs <ticks> taper <ticks> scalar <ticks>``
     line per strategy and one ``wrote <name> rows <n> formatted <k> of
     <cells> float cells repr <r>`` line per grid CSV; nothing else changes."""
 
@@ -715,6 +718,9 @@ class TestStageLog:
         stages = [STAGE.match(m) for m in caplog.messages
                   if m.startswith("stage ")]
         assert all(stages), caplog.messages
+        # the process's peak RSS so far: a high-water mark never falls
+        maxrss = [float(m.group(3)) for m in stages]
+        assert 0 < maxrss[0] and maxrss == sorted(maxrss)
         dispatch = [DISPATCH.match(m) for m in caplog.messages
                     if m.startswith("dispatch ")]
         assert all(dispatch), caplog.messages
@@ -814,6 +820,21 @@ class TestCompare:
         rows = (out_dir / "compare.csv").read_text().splitlines()
         assert rows[0] == "kpi,SCM,SCM_RR,SCM_RR_WF"
 
+    def test_holds_one_trace_at_a_time(self, day_config, tmp_path, monkeypatch):
+        traces, real = [], cli.simulate
+
+        def tracked_simulate(*args, **kwargs):
+            # every earlier strategy's trace is gone before the next is built
+            assert [ref() for ref in traces] == [None] * len(traces)
+            trace = real(*args, **kwargs)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(cli, "simulate", tracked_simulate)
+        assert main(["compare", "--config", str(day_config),
+                     "--out-dir", str(tmp_path / "cmp")]) == 0
+        assert len(traces) == 3
+
     def test_three_strategies_table(self, day_config, tmp_path, capsys):
         out_dir = tmp_path / "cmp"
         code = main(["compare", "--config", str(day_config),
@@ -889,6 +910,23 @@ class TestForecastEndpointOverride:
         fc = ForecastConfig(mode="live", endpoint_base=None, region_id=7)
         with pytest.raises(CliError, match="endpoint"):
             fc.source()
+
+
+class TestRunAsMain:
+    def test_runs_under_a_foreign_main_module(self, day_config, tmp_path,
+                                              monkeypatch):
+        # as ``python -m cProfile -m pvems.cli``: runpy executes the module
+        # as ``__main__`` while sys.modules["__main__"] is the profiler's
+        monkeypatch.setitem(sys.modules, "__main__", types.ModuleType("__main__"))
+        monkeypatch.delitem(sys.modules, "pvems.cli")
+        out_dir = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["pvems", "simulate", "--config",
+                                          str(day_config), "--out-dir", str(out_dir)])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("pvems.cli", run_name="__main__")
+        assert exit_.value.code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == \
+            ["histogram.csv", "kpi.json", "trace.csv"]
 
 
 class TestImports:

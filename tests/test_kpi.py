@@ -2,14 +2,17 @@
 
 import math
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvems.battery import BatteryParams, advance
 from pvems.ems import DispatchMode, Trace
 from pvems.kpi import EnergyTotals, accumulate, compute_kpis
 from pvems.ramp import RampConfig
-from reference import Record, trace_of
+from reference import Record, reaches_limit, trace_of
 
 T0 = datetime(2018, 1, 1, tzinfo=timezone.utc)
 RCFG = RampConfig()
@@ -193,6 +196,43 @@ class TestRampEventCounting:
         t = accumulate_rows(trace, 2.0, RCFG)
         assert t.n_ramps_original == 2
         assert t.n_ramps_controlled == 2
+
+    # A 1000 W step per 60 s tick on 8000 W is exactly the 12.5 %/min limit.
+    LIMIT_CFG = RampConfig(nameplate_w=8_000.0, limit_pct_per_min=12.5,
+                           window_s=60.0, tick_s=60.0)
+
+    @given(st.lists(st.tuples(st.booleans(), st.booleans(),
+                              st.sampled_from([0.0, 500.0, 999.0, 1_000.0,
+                                               1_000.5, 2_000.0]),
+                              st.sampled_from([0.0, 1.0, -0.5, 1e-10])),
+                    min_size=1, max_size=30),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_per_tick_count(self, ticks, with_cfg):
+        # violated, ramp branch, PV and the part of the command not executed
+        cfg = self.LIMIT_CFG if with_cfg else None
+        rows = [rec(i=i, p_pv=pv, cmd=300.0 + short, actual=300.0,
+                    mode=DispatchMode.RAMP_CONTROL if ramp else DispatchMode.SCM,
+                    violated=violated)
+                for i, (violated, ramp, pv, short) in enumerate(ticks)]
+        compensated = [r.p_pv - r.p_batt_actual
+                       if r.mode is DispatchMode.RAMP_CONTROL else r.p_pv for r in rows]
+        events, failed = 0, set()
+        for i, r in enumerate(rows):
+            if not r.rr_violated:
+                continue
+            events += i == 0 or not rows[i - 1].rr_violated
+            ramp = r.mode is DispatchMode.RAMP_CONTROL
+            ok = ramp and (abs(r.p_batt_cmd - r.p_batt_actual)
+                           <= 1e-9 * max(1.0, abs(r.p_batt_cmd)))
+            if cfg is not None and i > 0 and ramp:
+                change = Fraction(compensated[i]) - Fraction(compensated[i - 1])
+                ok = ok or not reaches_limit(change, cfg, cfg.tick_s)
+            if not ok:
+                failed.add(events)
+        t = accumulate_rows(rows, 60.0, cfg)
+        assert (t.n_ramps_original, t.n_ramps_controlled) == (events,
+                                                              events - len(failed))
 
 
 class TestComputeKpis:

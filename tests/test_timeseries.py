@@ -795,8 +795,7 @@ class TestBlockIngest:
         path.write_bytes(text)
         for load in (load_outcome, load_row_by_row):
             with mock.patch.object(timeseries, "_INGEST_BLOCK_BYTES", block_bytes):
-                with pytest.raises(UnicodeDecodeError):
-                    load(path)
+                assert load(path) == ("error", f"{path}: line 5: not UTF-8 text")
 
     def _csv_count(self, path, block_bytes, caplog):
         """The rows that csv read while loading ``path``, from the INFO log."""
@@ -835,11 +834,16 @@ class TestBlockIngest:
 
 
 class TestFormatUtcGrid:
-    # the range keeps every row within datetime's years 1-9999
+    # the range keeps every row within datetime's years 1-9999; sub-second
+    # steps mix rows of whole seconds with rows that keep a fraction
     @given(st.datetimes(min_value=datetime(5, 1, 1), max_value=datetime(9950, 1, 1)),
            st.sampled_from([timedelta(seconds=2), timedelta(seconds=900),
                             timedelta(days=1, seconds=1), timedelta(days=400),
                             timedelta(milliseconds=500), timedelta(microseconds=1),
+                            timedelta(microseconds=250_000),
+                            timedelta(seconds=1, microseconds=500_000),
+                            timedelta(microseconds=999_999),
+                            timedelta(days=1, microseconds=10),
                             timedelta(seconds=-2)]),
            st.integers(-3, 3), st.integers(0, 40))
     @settings(max_examples=300, deadline=None)
