@@ -170,17 +170,20 @@ def advance_taper(params: BatteryParams, soc: float, charge: bool,
     eta, cap = params.eta_acdc, params.energy_capacity_wh
     lo, hi = params.soc_min, params.soc_max
     hours = dt_s / 3600.0
-    s, path = soc, [soc]
-    append = path.append
-    if charge:
-        for _ in range(len(demand_w)):
-            s += nominal * (hi - s) / band * eta * hours / cap
-            append(s)
-    else:
-        for _ in range(len(demand_w)):
-            s -= nominal * (s - lo) / band / eta * hours / cap
-            append(s)
-    path = np.array(path)
+    n = len(demand_w)
+
+    def recurrence(s):
+        yield s
+        if charge:
+            for _ in range(n):
+                s += nominal * (hi - s) / band * eta * hours / cap
+                yield s
+        else:
+            for _ in range(n):
+                s -= nominal * (s - lo) / band / eta * hours / cap
+                yield s
+
+    path = np.fromiter(recurrence(soc), np.float64, count=n + 1)
 
     # Past a tick whose room limit binds the recurrence can run away
     # geometrically (to inf, then NaN); such ticks are rejected, so their

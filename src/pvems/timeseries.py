@@ -8,6 +8,7 @@ simulation.  Everything here is a pure function over immutable series.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import logging
@@ -30,8 +31,6 @@ __all__ = [
     "resample",
     "align",
     "trapezoid_energy_wh",
-    "format_utc",
-    "format_utc_grid",
     "write_grid_csv",
     "write_power_csv",
 ]
@@ -353,17 +352,21 @@ def _canonical_rows(block: bytes, prev: datetime, step: timedelta,
       ``csv`` splits it at its commas alone;
     - it is no longer than ``csv.field_size_limit()`` and has as many
       commas as the block's first line;
-    - it starts with ``format_utc``'s text of the next grid point (within
-      datetime's years) and a comma;
+    - it starts with ``_utc_grid_stamps``' text of the next grid point
+      (within datetime's years) and a comma;
     - its ``power_idx`` cell is made of ``[0-9.eE+-]`` and gives a finite
       float.
 
     Such a line passes the per-row checks of ``load_power_csv`` with the
     same value: numpy's cast of bytes to float64 is Python's correctly
     rounded ``float``.  Stamps and power cells are gathered from
-    fixed-stride ``S<len>`` views of ``block``, one fancy index per
-    length (stamps are 20 bytes, or 27 with a fraction of a second), and
-    the stamps of a length compared as one byte string.
+    fixed-stride ``S<len>`` views of ``block``.  When the grid's stamps
+    all have one width, as on a grid of whole seconds, each line's stamp
+    and comma are compared with them as one fixed-width array.  Otherwise
+    (stamps are 20 bytes, or 27 with a fraction of a second) the stamps
+    are gathered one fancy index per length, and those of a length
+    compared as one byte string.  Power cells are gathered one fancy
+    index per length.
     """
     if power_idx == 0:
         return 0, None
@@ -388,20 +391,28 @@ def _canonical_rows(block: bytes, prev: datetime, step: timedelta,
     starts[0], starts[1:] = 0, ends[:-1] + 1
     lo = cells[:, power_idx - 1] + 1
     hi = cells[:, power_idx] if power_idx < width else ends - (a[ends - 1] == 13)
-    want = _utc_grid_lines(prev, step, 1, n + 1, b",")
-    commas_want = np.flatnonzero(np.frombuffer(want, np.uint8) == 44)
-    at = np.empty(n, np.intp)  # where each stamp starts in ``want``
-    at[0], at[1:] = 0, commas_want[:-1] + 1
-    stamp_sizes = commas_want - at
-    n = _leading((cells[:, 0] - starts == stamp_sizes) & (hi > lo)
-                 & (ends - starts <= csv.field_size_limit()))
-    first_off = n  # each stamp and its comma against the grid's
-    for size, rows in _by_size(stamp_sizes[:n]):
-        got = _windows(block, size + 1)[starts[rows]]
-        expected = _windows(want, size + 1)[at[rows]]
+    stamps = _utc_grid_stamps(prev, step, 1, n + 1, b",")
+    size = stamps.dtype.itemsize
+    fits = (hi > lo) & (ends - starts <= csv.field_size_limit())
+    if stamps.view(np.uint8)[size - 1::size].all():  # no text is padded: one width
+        n = _leading((cells[:, 0] - starts == size - 1) & fits)
+        got, expected = _windows(block, size)[starts[:n]], stamps[:n]
         if got.tobytes() != expected.tobytes():
-            first_off = min(first_off, int(rows[np.argmax(got != expected)]))
-    n = first_off
+            n = int(np.argmax(got != expected))
+    else:
+        want = stamps.tobytes().replace(b"\0", b"")
+        commas_want = np.flatnonzero(np.frombuffer(want, np.uint8) == 44)
+        at = np.empty(n, np.intp)  # where each stamp starts in ``want``
+        at[0], at[1:] = 0, commas_want[:-1] + 1
+        stamp_sizes = commas_want - at
+        n = _leading((cells[:, 0] - starts == stamp_sizes) & fits)
+        first_off = n  # each stamp and its comma against the grid's
+        for size, rows in _by_size(stamp_sizes[:n]):
+            got = _windows(block, size + 1)[starts[rows]]
+            expected = _windows(want, size + 1)[at[rows]]
+            if got.tobytes() != expected.tobytes():
+                first_off = min(first_off, int(rows[np.argmax(got != expected)]))
+        n = first_off
     lo, sizes = lo[:n], (hi - lo)[:n]
     values = np.empty(n)
     for size, rows in _by_size(sizes):
@@ -431,10 +442,12 @@ def _floats(texts: np.ndarray) -> np.ndarray:
     return values[np.cumsum(head) - 1]
 
 
-def _windows(data: bytes, size: int) -> np.ndarray:
-    """Every ``size``-byte window of ``data``, as a read-only ``S<size>``
-    view whose item ``i`` starts at byte ``i``."""
-    return np.ndarray(len(data) - size + 1, f"S{size}", data, 0, (1,))
+def _windows(data: Union[bytes, np.ndarray], size: int) -> np.ndarray:
+    """Every ``size``-byte window of ``data``, as an ``S<size>`` view whose
+    item ``i`` starts at byte ``i`` (none when ``data`` is shorter than
+    ``size``): read-only over ``bytes``, and over a ``uint8`` array
+    writable, each assignment copying whole items."""
+    return np.ndarray(max(len(data) - size + 1, 0), f"S{size}", data, 0, (1,))
 
 
 def _by_size(sizes: np.ndarray):
@@ -528,111 +541,148 @@ def trapezoid_energy_wh(series: PowerSeries) -> float:
     return float(np.trapezoid(series.values, dx=series.step_s)) / 3600.0
 
 
-def format_utc(dt: datetime) -> str:
-    """ISO-8601 with a Z suffix, seconds resolution when possible."""
-    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
-
-
-# A stamp, with ".000000" before the Z in a grid with fractions of a
-# second; its variable fields (format, offset) are copied in whole items.
-_STAMP = b"0000-00-00T00:00:00.000000Z"
-_FRACTION = slice(19, 26)  # the ".ffffff" of a _STAMP
-_STAMP_FIELDS = {"date": ("S10", 0), "hour": ("S2", 11), "minute": ("S2", 14),
-                 "second": ("S2", 17), "high": ("S2", 20), "low": ("S4", 22)}
+# A stamp's fields, with ".ffffff" before the Z in a grid with fractions
+# of a second; each is copied in whole items from a table of its texts.
+_STAMP_FIELDS = {"date": ("S10", 0), "hour": ("S4", 10), "mm_ss": ("S5", 14),
+                 "point": ("S1", 19), "high": ("S2", 20), "low": ("S4", 22)}
 _TWO_DIGITS = np.array([f"{i:02d}" for i in range(100)], dtype="S2")
-_YEAR_1, _YEAR_10000 = np.datetime64("0001-01-01", "us"), np.datetime64("10000-01-01", "us")
+_HOURS = np.array([f"T{i:02d}:".encode() for i in range(24)], dtype="S4")
 
 
-def format_utc_grid(start: datetime, step: timedelta, lo: int,
-                    hi: int) -> list[str]:
-    """``format_utc(start + k * step)`` for ``k`` in ``range(lo, hi)``, vectorised.
+@functools.cache
+def _mm_ss() -> np.ndarray:
+    """``b"%02d:%02d" % divmod(i, 60)`` for ``i`` in ``range(3600)``, as an
+    ``S5`` array."""
+    table = np.empty((60, 60, 5), dtype=np.uint8)
+    digits = _TWO_DIGITS[:60].view(np.uint8).reshape(60, 2)
+    table[:, :, :2] = digits[:, None]
+    table[:, :, 2] = ord(":")
+    table[:, :, 3:] = digits[None, :]
+    table.flags.writeable = False  # cached: shared by every caller
+    return table.reshape(3600, 5).view("S5")[:, 0]
 
-    Rows whose microseconds are not zero keep their ``.ffffff`` part, as
-    ``isoformat`` does.  ``start`` is converted to UTC once, which equals
-    converting each row for any fixed-offset zone (series loaded from
-    CSV are UTC).  An increasing grid within years 1-9999 is written as
-    ASCII bytes from per-day date text and digit tables.
-    """
-    return _utc_grid_lines(start, step, lo, hi).decode("ascii").split("\n")[:-1]
 
-
-def _utc_grid_lines(start: datetime, step: timedelta, lo: int, hi: int,
-                    end: bytes = b"\n") -> bytes:
-    """``format_utc_grid``'s texts as ASCII, each followed by ``end``."""
-    return _utc_grid_stamps(start, step, lo, hi, end).tobytes().replace(b"\0", b"")
+_YEAR_1, _YEAR_10000 = (int(np.datetime64(year, "us").astype(np.int64))
+                        for year in ("0001-01-01", "10000-01-01"))
+_HOUR_US = 3_600_000_000
+_TILE_ROWS = 36_000  # the most points of an hour that _hour_tile lays out: 0.1 s
+_HOUR_AT = _STAMP_FIELDS["mm_ss"][1]  # bytes of a stamp's date and "THH:"
 
 
 def _utc_grid_stamps(start: datetime, step: timedelta, lo: int, hi: int,
                      end: bytes = b"") -> np.ndarray:
-    """``format_utc_grid``'s texts, each followed by ``end``, as an ``S``
-    array whose NUL bytes are not text (see ``_join_cells``)."""
+    """The stamp of each grid point ``start + k * step``, ``k`` in
+    ``range(lo, hi)``, followed by ``end``, as an ``S`` array of ASCII
+    texts, each padded with NUL bytes to the array's width: ISO-8601 UTC
+    with a ``Z``, ``YYYY-MM-DDTHH:MM:SSZ``, with ``.ffffff`` before the
+    ``Z`` where the microseconds are not zero, as ``isoformat`` writes
+    them.  ``start`` is converted to UTC once, which equals converting
+    each row for any fixed-offset zone (series loaded from CSV are UTC).
+
+    An increasing grid within years 1-9999 is written from tables: each
+    hour's date and ``THH:`` followed by the hour's slab of a tile of
+    ``MM:SS`` texts when the step divides an hour into at most
+    ``_TILE_ROWS`` points (``_tiled_stamps``), else row by row from
+    per-day date texts and digit tables (``_format_stamps``)."""
     origin = np.datetime64(start.astimezone(timezone.utc).replace(tzinfo=None), "us")
     step_us = step // timedelta(microseconds=1)
-    stamps = origin + (np.arange(lo, hi, dtype=np.int64) * step_us).astype("m8[us]")
-    if (len(stamps) and step_us > 0
-            and _YEAR_1 <= stamps[0] and stamps[-1] < _YEAR_10000):
-        return _format_stamps(stamps.astype(np.int64), end)
-    text = np.datetime_as_string(stamps, unit="us").tolist()
-    whole = (stamps.astype(np.int64) % 1_000_000 == 0).tolist()
+    first = int(origin.astype(np.int64)) + lo * step_us
+    last = first + (hi - lo - 1) * step_us
+    if hi > lo and step_us > 0 and _YEAR_1 <= first and last < _YEAR_10000:
+        if _HOUR_US % step_us == 0 and _HOUR_US // step_us <= _TILE_ROWS:
+            return _tiled_stamps(first, hi - lo, step_us, end)
+        return _format_stamps(first + np.arange(hi - lo, dtype=np.int64) * step_us, end)
+    us = origin.astype(np.int64) + np.arange(lo, hi, dtype=np.int64) * step_us
+    text = np.datetime_as_string(us.astype("M8[us]"), unit="us").tolist()
+    whole = (us % 1_000_000 == 0).tolist()
     return np.array([(t[:19] if w else t).encode("ascii") + b"Z" + end
                      for t, w in zip(text, whole)], dtype="S")
 
 
+def _tiled_stamps(first: int, n: int, step_us: int, end: bytes) -> np.ndarray:
+    """``_format_stamps`` of ``first + k * step_us``, ``k`` in ``range(n)``,
+    for a step that divides an hour: each row is a row of ``_hour_tile``
+    with its hour's date and ``THH:`` written over its blank start.  The
+    tile's rows are copied as whole byte ranges in at most three slabs:
+    the first hour's rest, the whole hours as one broadcast, and the
+    last hour's start."""
+    tile = _hour_tile(step_us, first % step_us, end)
+    (per_hour, width), tile = tile.shape, tile.reshape(-1)
+    hour, offset = divmod(first, _HOUR_US)
+    k0 = offset // step_us  # the first row's place in its hour's tile
+    hours = hour + np.arange((k0 + n - 1) // per_hour + 1, dtype=np.int64)
+    heads = np.empty((len(hours), _HOUR_AT), dtype=np.uint8)
+    heads[:, :-1] = np.datetime_as_string(hours.astype("M8[h]")).astype("S13") \
+        .view(np.uint8).reshape(len(hours), -1)
+    heads[:, -1] = ord(":")
+    heads = heads.view(f"S{_HOUR_AT}")[:, 0]
+    rows = np.empty(n * width, dtype=np.uint8)
+    row_heads = rows.view(np.dtype({"names": ["head"], "formats": [f"S{_HOUR_AT}"],
+                                    "offsets": [0], "itemsize": width}))["head"]
+    head = min(n, per_hour - k0)
+    full, tail = divmod(n - head, per_hour)
+    # each slab: its first row, its first hour in ``heads``, its number of
+    # hours, and the tile rows t0:t1 that each of them gets
+    slabs = ((0, 0, 1, k0, k0 + head), (head, 1, full, 0, per_hour),
+             (head + full * per_hour, 1 + full, int(tail > 0), 0, tail))
+    for at, h, count, t0, t1 in slabs:
+        size = t1 - t0
+        rows[at * width:(at + count * size) * width].reshape(count, size * width)[:] = \
+            tile[t0 * width:t1 * width]
+        row_heads[at:at + count * size].reshape(count, size)[:] = heads[h:h + count, None]
+    return rows.view(f"S{width}")
+
+
+@functools.lru_cache(maxsize=4)
+def _hour_tile(step_us: int, phase: int, end: bytes) -> np.ndarray:
+    """``_format_stamps``' rows of the grid points ``phase + k * step_us``
+    within an hour, as the rows of a read-only ``uint8`` array whose
+    first ``_HOUR_AT`` bytes, the date and ``THH:``, are left blank."""
+    us = phase + np.arange(_HOUR_US // step_us, dtype=np.int64) * step_us
+    stamps = _format_stamps(us, end)
+    tile = stamps.view(np.uint8).reshape(len(us), -1).copy()
+    tile[:, :_HOUR_AT] = 0
+    tile.flags.writeable = False
+    return tile
+
+
 def _format_stamps(us: np.ndarray, end: bytes) -> np.ndarray:
-    """``format_utc``'s text of each of increasing epoch microseconds within
-    years 1-9999, followed by ``end``: ``YYYY-MM-DDTHH:MM:SSZ``, or, when
-    some microseconds are not zero, with ``.ffffff`` before the ``Z``
-    where they are not and NUL bytes in its place where they are."""
+    """``_utc_grid_stamps``' text of each of increasing epoch microseconds
+    within years 1-9999, followed by ``end``: ``YYYY-MM-DDTHH:MM:SSZ``,
+    or, when some microseconds are not zero, with ``.ffffff`` before the
+    ``Z`` where they are not, and NUL bytes after ``end`` where they are."""
     seconds, micro = np.divmod(us, 1_000_000)
     fraction = bool(micro.any())
     day, second = np.divmod(seconds, 86_400)
-    new_day = np.empty(len(day), dtype=bool)
-    new_day[0] = True
-    np.not_equal(day[1:], day[:-1], out=new_day[1:])
-    dates = np.datetime_as_string(day[new_day].astype("M8[D]")).astype("S10")
-    row = (_STAMP if fraction else _STAMP[:_FRACTION.start] + _STAMP[_FRACTION.stop:]) + end
-    names = list(_STAMP_FIELDS)[:6 if fraction else 4]
-    rows = np.empty((len(day), len(row)), dtype=np.uint8)
-    rows[:] = np.frombuffer(row, np.uint8)
+    hour, mm_ss = np.divmod(second, 3600)
+    new_day = np.empty(len(day) + 1, dtype=bool)
+    new_day[0] = new_day[-1] = True
+    np.not_equal(day[1:], day[:-1], out=new_day[1:-1])
+    heads = np.flatnonzero(new_day)
+    dates = np.datetime_as_string(day[heads[:-1]].astype("M8[D]")).astype("S10")
+    tail = b"Z" + end
+    names = list(_STAMP_FIELDS)[:6 if fraction else 3]
+    size = 27 + len(end) if fraction else 20 + len(end)
+    rows = np.empty((len(day), size), dtype=np.uint8)
     fields = rows.reshape(-1).view(np.dtype({
         "names": names, "formats": [_STAMP_FIELDS[k][0] for k in names],
-        "offsets": [_STAMP_FIELDS[k][1] for k in names], "itemsize": len(row)}))
-    fields["date"] = dates[np.cumsum(new_day) - 1]
-    hour, second = np.divmod(second, 3600)
-    minute, second = np.divmod(second, 60)
-    fields["hour"] = _TWO_DIGITS[hour]
-    fields["minute"] = _TWO_DIGITS[minute]
-    fields["second"] = _TWO_DIGITS[second]
+        "offsets": [_STAMP_FIELDS[k][1] for k in names], "itemsize": size}))
+    fields["date"] = np.repeat(dates, np.diff(heads))
+    fields["hour"] = _HOURS[hour]
+    fields["mm_ss"] = _mm_ss()[mm_ss]
+    rows[:, size - len(tail):] = np.frombuffer(tail, np.uint8)
     if fraction:
         high, low = np.divmod(micro, 10_000)
+        fields["point"] = b"."
         fields["high"] = _TWO_DIGITS[high]
         fields["low"] = _DIGITS4[low]
-        rows[micro == 0, _FRACTION] = 0  # whole seconds have no fraction
-    return rows.view(f"S{len(row)}")[:, 0]
+        whole_tail = tail + b"\0" * 7  # whole seconds have no fraction
+        rows[micro == 0, 19:] = np.frombuffer(whole_tail, np.uint8)
+    return rows.view(f"S{size}")[:, 0]
 
 
-def _join_cells(cells: Sequence[np.ndarray], sep: bytes = b"",
-                end: bytes = b"") -> np.ndarray:
-    """Rows of text cells as one ``uint8`` array: row ``i`` is the ``i``-th
-    item of each ``S`` array of ``cells``, joined by ``sep`` and ended
-    by ``end``.  A cell's NUL bytes are dropped, so a text shorter than
-    its array's width, or with NULs in its middle, is laid out without
-    them; no cell text holds a NUL of its own.
-    """
-    ends = [sep] * (len(cells) - 1) + [end]
-    rows = np.empty((len(cells[0]), sum(c.dtype.itemsize + len(e)
-                                        for c, e in zip(cells, ends))), dtype=np.uint8)
-    at = 0
-    for cell, e in zip(cells, ends):
-        size = cell.dtype.itemsize
-        rows[:, at:at + size] = np.ascontiguousarray(cell).view(np.uint8).reshape(-1, size)
-        rows[:, at + size:at + size + len(e)] = np.frombuffer(e, np.uint8)
-        at += size + len(e)
-    text = rows != 0
-    return rows.reshape(-1) if text.all() else rows[text]
-
-
-_WRITE_BLOCK_ROWS = 8_192  # rows formatted at a time by write_grid_csv
+_WRITE_BLOCK_ROWS = 8_192  # rows laid out at a time by write_grid_csv
+_FORMAT_BATCH = 4_096  # floats formatted at a time by _format_floats
 
 
 def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
@@ -641,81 +691,172 @@ def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
                    header: bool = True) -> None:
     """One CSV row per grid point ``start + k * step``: the grid-CSV format.
 
-    A ``timestamp`` column as ``format_utc``, then ``columns`` as
+    A ``timestamp`` column (see ``_utc_grid_stamps``), then ``columns`` as
     ``repr`` of their float64 values, or as ``labels[name][code]`` for a
     coded column.  Rows end in CRLF like the csv module's; no field can
     hold a delimiter, quote or line break, and a label holding a NUL is
-    refused.  Columns are formatted ``_WRITE_BLOCK_ROWS`` rows at a
-    time, so memory stays bounded, and each float is formatted once per
-    run of equal cells (see ``_float_texts``), on arrays by
-    ``_format_floats``, which calls ``repr`` only for the cells it
-    cannot prove.  Texts stay fixed-width ASCII arrays from the
-    formatters to the file: a block's rows are laid out in one byte
-    array (``_join_cells``).  Logs ``wrote <name> rows <n> formatted
-    <k> of <cells> float cells repr <r>`` at INFO.
+    refused.  Rows are laid out ``_WRITE_BLOCK_ROWS`` at a time, so
+    memory stays bounded (see ``_grid_rows``), and each float is
+    formatted once per run of equal cells, on arrays by
+    ``_format_floats``.  Logs ``wrote <name> rows <n> formatted <k> of
+    <cells> float cells exact <e>`` at INFO, ``e`` being the formatted
+    cells that took ``_format_floats``' exact integer path.
     """
     tables = {}
     for name, table in (labels or {}).items():
-        texts = [text.encode() for text in table]
+        texts = [b"," + text.encode() for text in table]
         if any(b"\0" in text for text in texts):
             raise ValueError(f"a label of column {name!r} holds a NUL")
-        tables[name] = np.array(texts, dtype="S")
+        texts = np.array(texts, dtype="S")
+        tables[name] = texts, _lengths(texts)
     columns = {name: col if name in tables else np.asarray(col, dtype=np.float64)
                for name, col in columns.items()}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = len(next(iter(columns.values())))
-    formatted = reprs = 0
+    formatted = exact = 0
     with path.open("wb") as fh:
         if header:
             fh.write((",".join(["timestamp", *columns]) + "\r\n").encode())
         for lo in range(0, n, _WRITE_BLOCK_ROWS):
             hi = min(lo + _WRITE_BLOCK_ROWS, n)
-            cells = [_utc_grid_stamps(start, step, lo, hi)]
-            left = None  # the bits and texts of the last float column
-            for name, col in columns.items():
-                if name in tables:
-                    cells.append(tables[name].take(col[lo:hi]))
-                    continue
-                bits = col[lo:hi].view(np.int64)
-                texts, k, r = _float_texts(bits, left)
-                formatted += k
-                reprs += r
-                cells.append(texts)
-                left = bits, texts
-            fh.write(_join_cells(cells, b",", b"\r\n"))
+            rows, k, e = _grid_rows(start, step, lo, hi, columns, tables)
+            formatted += k
+            exact += e
+            fh.write(rows)
     n_floats = n * sum(name not in tables for name in columns)
-    log.info("wrote %s rows %d formatted %d of %d float cells repr %d",
-             path.name, n, formatted, n_floats, reprs)
+    log.info("wrote %s rows %d formatted %d of %d float cells exact %d",
+             path.name, n, formatted, n_floats, exact)
 
 
-def _float_texts(bits: np.ndarray, left: Union[tuple[np.ndarray, np.ndarray], None]
-                 ) -> tuple[np.ndarray, int, int]:
-    """``repr`` of each float64 whose bits are ``bits``, as an ``S`` array
-    of ASCII as wide as its longest text, the number of cells formatted
-    and the number of ``repr`` calls made.
+def _grid_rows(start: datetime, step: timedelta, lo: int, hi: int,
+               columns: dict[str, np.ndarray],
+               tables: dict[str, tuple[np.ndarray, np.ndarray]]
+               ) -> tuple[np.ndarray, int, int]:
+    """Rows ``lo`` to ``hi`` of ``write_grid_csv``'s file as one ``uint8``
+    array, the number of float cells formatted and of those that took
+    the exact path.
+
+    Each cell is a text of a table (an ``S`` array and its texts'
+    lengths), the float and label texts with the comma before them.  The
+    row lengths give each cell its byte offset, and each column is copied
+    into place in one fancy assignment to a window view of the rows
+    (``_put``), column by column from the left.  A text is copied as a
+    window as wide as the column's longest, so the bytes after it land
+    in the cells after it, which are copied later.  The stamps and line
+    ends are copied last, at their own lengths, so a window may run over
+    the end of a row as long as it stops short of the next row's first
+    float or label cell.
+    """
+    stamps = _utc_grid_stamps(start, step, lo, hi)
+    stamp_lens = _lengths(stamps)
+    floats = [col[lo:hi].view(np.int64) for name, col in columns.items()
+              if name not in tables]
+    float_texts, float_cells, formatted, exact = _float_cells(floats)
+    float_cells = iter(float_cells)
+    # per column: its table's texts, the index of each run's text there,
+    # each run's length in rows (None: runs of one row), each cell's length
+    cells = []
+    for name, col in columns.items():
+        if name in tables:
+            texts, lens = tables[name]
+            codes = col[lo:hi]
+            cells.append((texts, codes, None, lens.take(codes)))
+        else:
+            cells.append((float_texts, *next(float_cells)))
+    length = stamp_lens.astype(np.int64) + 2
+    for *_, lens in cells:
+        length += lens
+    ends = np.cumsum(length)
+    room = 2 + int(stamp_lens.min())  # from a cell's end to the next row's first cell
+    rows = np.empty(int(ends[-1]) + room, dtype=np.uint8)
+    starts = ends - length
+    at = starts + stamp_lens
+    for texts, index, repeat, lens in cells:
+        _put(rows, at, texts, index if repeat is None else np.repeat(index, repeat),
+             lens, room)
+        at += lens
+    _put(rows, starts, stamps, None, stamp_lens, 0)
+    _windows(rows, 2)[at] = b"\r\n"
+    return rows[:ends[-1]], formatted, exact
+
+
+def _lengths(texts: np.ndarray) -> np.ndarray:
+    """The length of each text of an ``S`` array, in the least unsigned
+    integer type that holds its width."""
+    return np.char.str_len(texts).astype(np.min_scalar_type(texts.dtype.itemsize))
+
+
+def _put(rows: np.ndarray, at: np.ndarray, texts: np.ndarray,
+         index: Union[np.ndarray, None], lens: np.ndarray, room: int) -> None:
+    """Copy the first ``lens[i]`` bytes of ``texts[index[i]]`` (of
+    ``texts[i]`` without ``index``) to ``rows[at[i]]``, as windows as wide
+    as the longest when no window runs more than ``room`` bytes past its
+    text, else one length at a time."""
+    if not len(lens):
+        return
+    cells = texts if index is None else texts.take(index)
+    size = int(lens.max())
+    if size - int(lens.min()) <= room:
+        _windows(rows, size)[at] = _prefixes(cells, size)
+        return
+    for size in np.unique(lens).tolist():
+        some = np.flatnonzero(lens == size)
+        _windows(rows, size)[at[some]] = _prefixes(cells[some], size)
+
+
+def _prefixes(texts: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` bytes of each text of an ``S`` array, as a view."""
+    return np.ndarray(len(texts), f"S{size}", texts, 0, (texts.dtype.itemsize,))
+
+
+def _float_cells(columns: list[np.ndarray]
+                 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                            int, int]:
+    """The texts of the float64 columns whose bits are ``columns``, each
+    after a comma (``_format_floats``); per column the index of each run's
+    text there, each run's length in rows (None when each is one row)
+    and each cell's text length; the number of cells formatted, and of
+    those that took the exact path.
 
     Only the first cell of each run of equal bits is formatted, and a
-    run head whose bits equal the same row of ``left`` (the bits and
-    texts of the nearest float column to the left) takes that text.  Bits, not
-    ``==``: ``0.0`` equals ``-0.0`` and NaN equals nothing, but equal
-    bits always have equal ``repr``.
+    run head whose bits equal the same row of the column to its left
+    takes that cell's text.  Bits, not ``==``: ``0.0`` equals ``-0.0`` and
+    NaN equals nothing, but equal bits always have equal ``repr``.
     """
-    head = np.empty(len(bits), dtype=bool)
-    head[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=head[1:])
-    rows = np.flatnonzero(head)
-    texts = np.empty(len(rows), dtype="S24")
-    fresh = np.ones(len(rows), dtype=bool)
-    if left is not None:
-        left_bits, left_texts = left
-        np.not_equal(bits[rows], left_bits[rows], out=fresh)
-        texts[~fresh] = left_texts[rows[~fresh]]
-    strings, reprs = _format_floats(bits[rows[fresh]].view(np.float64))
-    texts[fresh] = strings
-    # as wide as the longest text, so that the rows carry less padding
-    width = texts.view(np.uint8).reshape(-1, 24).any(axis=0).sum()
-    return texts.astype(f"S{width}").take(np.cumsum(head) - 1), len(strings), reprs
+    n = len(columns[0]) if columns else 0
+    runs, values, left = [], [np.empty(0, np.int64)], None
+    for bits in columns:
+        head = np.empty(n, dtype=bool)
+        head[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=head[1:])
+        rows = np.flatnonzero(head)
+        fresh = np.not_equal(bits[rows], left[rows]) if left is not None \
+            else np.ones(len(rows), dtype=bool)
+        runs.append((rows, fresh))
+        values.append(bits[rows[fresh]])
+        left = bits
+    values = np.concatenate(values).view(np.float64)
+    texts, lens, exact = _format_floats(values, b",")
+    cells, k, left = [], 0, None
+    for rows, fresh in runs:
+        index = np.empty(len(rows), dtype=np.intp)  # of each run's text
+        count = int(np.count_nonzero(fresh))
+        index[fresh] = np.arange(k, k + count)
+        k += count
+        if left is not None:  # the text of the left column's run holding the row
+            left_rows, left_index = left
+            stale = rows[~fresh]
+            index[~fresh] = left_index[np.searchsorted(left_rows, stale, side="right") - 1]
+        left = rows, index
+        if len(rows) == n:  # every run is one row
+            cells.append((index, None, lens.take(index)))
+            continue
+        repeat = np.empty(len(rows), dtype=np.intp)  # the length of each run
+        np.subtract(rows[1:], rows[:-1], out=repeat[:-1])
+        repeat[-1] = n - rows[-1]
+        cells.append((index, repeat, np.repeat(lens.take(index), repeat)))
+    return texts, cells, len(values), exact
 
 
 def _binade_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -741,6 +882,7 @@ _POW10 = np.array([float(10 ** k) for k in range(21)])  # exact
 _SPLIT = 134_217_729.0  # 2**27 + 1
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)  # Veltkamp's split
 _POW10_LO = _POW10 - _POW10_HI
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
 
 
 def _digits4() -> np.ndarray:
@@ -753,45 +895,185 @@ def _digits4() -> np.ndarray:
 
 
 _DIGITS4 = _digits4()
-_DIGITS17 = np.dtype({"names": ["d0", "d1", "d2", "d3", "d4"],
-                      "formats": ["u1", "S4", "S4", "S4", "S4"],
-                      "offsets": [0, 1, 5, 9, 13], "itemsize": 17})
-_UNPROVEN = 0xFFFF  # sort key of the cells left to repr
+# A digit row of _format_batch: 16 zeros, a significand's 17 digits, and
+# 19 bytes that no text shows.
+_DIGITS = np.dtype({"names": ["d0", "d1", "d2", "d3", "d4"],
+                    "formats": ["u1", "S4", "S4", "S4", "S4"],
+                    "offsets": [16, 17, 21, 25, 29], "itemsize": 52})
+_MIN_EXPONENT = -324  # E of the least subnormal
 
 
-def _format_floats(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """``repr(v).encode()`` for each float ``v`` of ``values`` (an ``S24``
-    array) and the number of cells that were left to ``repr``.
+@functools.cache
+def _trailing_zeros4() -> np.ndarray:
+    """The trailing zeros of ``b"%04d" % i``, for ``i`` in ``range(10_000)``."""
+    zeros = (np.arange(10_000)[:, None] % np.array([10, 100, 1_000, 10_000])
+             == 0).sum(axis=1)
+    zeros.flags.writeable = False  # cached: shared by every caller
+    return zeros
+
+
+@functools.cache
+def _suffixes() -> tuple[np.ndarray, np.ndarray]:
+    """``b"e%+03d" % E`` for each ``E`` from ``_MIN_EXPONENT`` to 308, at
+    index ``E - _MIN_EXPONENT``, as an ``S5`` array, and their lengths."""
+    texts = np.array([f"e{e:+03d}".encode() for e in range(_MIN_EXPONENT, 309)],
+                     dtype="S5")
+    lens = _lengths(texts)
+    texts.flags.writeable = lens.flags.writeable = False  # cached: shared by every caller
+    return texts, lens
+
+
+def _format_floats(values: np.ndarray, lead: bytes = b""
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """``lead + repr(v).encode()`` for each float ``v`` of ``values``: an
+    ``S32`` array whose item ``i`` starts with text ``i``, followed by
+    bytes that are not cleared, the length of each text, and how many
+    cells took the exact integer path.
 
     ``repr`` writes the decimal with the fewest significant digits that
-    reads back as ``v`` and, of several, the one nearest ``v``.  It lays
-    it out positionally when ``E = floor(log10|v|)`` is in [-4, 15], that
-    is ``1e-4 <= |v| < 1e16``; those cells are decided here on arrays,
-    and every other cell (zeros, subnormals, inf, NaN, the exponent form)
-    and every cell the steps below leave unproven goes to ``repr``.
+    reads back as ``v`` and, of several, the one nearest ``v``, the one
+    with an even last digit at equal distance.  It lays it out
+    positionally when ``E = floor(log10|v|)`` is in [-4, 15], that is
+    ``1e-4 <= |v| < 1e16``, and as ``d.ddde+XX`` otherwise.  ``±inf`` and
+    NaN have fixed texts, and ``±0.0`` is laid out as the digits ``0``.
+    Every other cell is decided on arrays, ``_FORMAT_BATCH`` cells at a
+    time: in ``1e-4 <= |v| < 1e16`` by an exact product with a
+    double power of ten (``_near_digits``), except for the ties that
+    leaves open; all others (below ``1e-4``, subnormals among them, at
+    or above ``1e16``, and those ties) on the exact integer path
+    (``_exact_digits``).  Both give the 17 significant digits and ``E``,
+    which ``_format_batch`` lays out.  ``lead`` is at most 8 bytes.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    texts = np.empty(len(values), dtype="S32")
+    lens = np.empty(len(values), dtype=np.uint8)
+    batch = max(1, min(len(values), _FORMAT_BATCH))
+    rows = np.empty((batch + 1, len(lead) + 39), dtype=np.uint8)  # see _format_batch
+    digits = np.empty(batch, dtype=_DIGITS)
+    digits.view(np.uint8).reshape(batch, _DIGITS.itemsize)[:, :16] = ord("0")
+    at = np.empty(batch, dtype=np.int64)
+    exact = 0
+    for lo in range(0, len(values), batch):
+        m = min(batch, len(values) - lo)
+        exact += _format_batch(values[lo:lo + m], lead, rows[:m], digits[:m], at[:m],
+                               lens[lo:lo + m])
+        texts[lo:lo + m] = _windows(rows.reshape(-1), 32)[at[:m]]
+    return texts, lens, exact
+
+
+def _format_batch(values: np.ndarray, lead: bytes, rows: np.ndarray,
+                  digits: np.ndarray, at: np.ndarray, lens: np.ndarray) -> int:
+    """Lay out ``lead + repr(v)`` of each of ``values`` in a row of ``rows``
+    (followed by at least a row's bytes), with ``digits`` (rows of
+    ``_DIGITS`` whose first 16 bytes are zeros); set where each text
+    starts in ``rows`` and its length, and return how many cells took
+    the exact path.
+
+    The decimal point of every row is in one column, ``point``: the 16
+    columns before it get the 16 digits up to the last integer digit,
+    and the 20 after it the 20 digits after that, both copied from a row
+    of 16 zeros and the 17 significant digits (``_DIGITS``), at an offset
+    set by ``E`` (0 in the exponent form).  Below 1 the integer digit is
+    one of the zeros, and so are the zeros after the point.  The text
+    starts at ``lead`` and the sign, copied before the first integer
+    digit; it ends after the last significant digit, or after the first
+    decimal when that is a trailing zero, and in the exponent form with
+    the exponent from ``_suffixes`` after the last digit (over the point
+    when there is one digit).  The bytes around a text are not cleared.
+    """
+    m, width = rows.shape
+    point = len(lead) + 17
+    bits = values.view(np.uint64)
+    a = np.abs(values)
+    q = np.zeros(m, dtype=np.int64)  # 0.0: the digits 0, E = 0
+    e = np.zeros(m, dtype=np.int64)
+    near = np.flatnonzero((a >= 1e-4) & (a < 1e16))
+    q[near], e[near], proven = _near_digits(a[near])
+    rest = (a > 0) & (a < np.inf)
+    rest[near[proven]] = False
+    rest = np.flatnonzero(rest)
+    if len(rest):
+        q[rest], e[rest] = _exact_digits(a[rest].view(np.uint64))
+    raw = digits.view(np.uint8)
+    high = q // 100_000_000
+    low = q - high * 100_000_000
+    high4, low4 = high // 10_000, low // 10_000
+    first = high4 // 10_000
+    groups = [high4 - first * 10_000, high - high4 * 10_000, low4, low - low4 * 10_000]
+    digits["d0"] = first + ord("0")
+    for name, group in zip(("d1", "d2", "d3", "d4"), groups):
+        digits[name] = _DIGITS4[group]
+    trailing_zeros4 = _trailing_zeros4()
+    zeros = trailing_zeros4[groups[3]]
+    rare = np.flatnonzero(groups[3] == 0)  # the last four digits are zeros
+    if len(rare):
+        more = 4 * (first[rare] == 0)
+        for group in groups[:3]:
+            g = group[rare]
+            more = np.where(g != 0, trailing_zeros4[g], 4 + more)
+        zeros[rare] += more
+    n = np.maximum(17 - zeros, 1)  # significant digits
+    sign = (bits >> 63).astype(np.int64)
+    sci = (e < -4) | (e > 15)
+    e_point = np.where(sci, 0, e)  # E of the digit before the point
+    src = np.arange(0, m * _DIGITS.itemsize, _DIGITS.itemsize)
+    flat = rows.reshape(-1)
+    np.ndarray(m, "S16", flat, point - 16, (width,))[...] = \
+        _windows(raw, 16)[src + np.maximum(e_point + 1, 0)]
+    rows[:, point] = ord(".")
+    np.ndarray(m, "S20", flat, point + 1, (width,))[...] = _windows(raw, 20)[src + 17 + e_point]
+    integer_at = point - 1 - np.maximum(e_point, 0)
+    at[:] = integer_at - len(lead) - sign
+    dst = np.arange(0, m * width, width)
+    signs = np.array([b"\0" + lead, lead + b"-"], dtype=f"S{len(lead) + 1}")
+    _windows(flat, len(lead) + 1)[dst + integer_at - len(lead) - 1] = signs[sign]
+    lens[:] = point + 1 + np.maximum(n - e_point - 1, 1) - at
+    sci = np.flatnonzero(sci)
+    if len(sci):
+        n_sci = n[sci]
+        suffix_at = point + np.where(n_sci > 1, n_sci, 0)
+        suffix = e[sci] - _MIN_EXPONENT
+        suffix_texts, suffix_lens = _suffixes()
+        _windows(flat, 5)[dst[sci] + suffix_at] = suffix_texts[suffix]
+        lens[sci] = suffix_at + suffix_lens[suffix] - at[sci]
+    special = np.flatnonzero(~(a < np.inf))  # inf and NaN, laid out as 0.0 above
+    if len(special):
+        texts = np.array([lead + text for text in (b"nan", b"inf", b"-inf")])
+        kind = np.where(np.isnan(a[special]), 0, 1 + sign[special])
+        _windows(flat, texts.dtype.itemsize)[dst[special]] = texts[kind]
+        at[special] = 0
+        lens[special] = np.char.str_len(texts)[kind]
+    at += dst
+    return len(rest)
+
+
+def _near_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For doubles ``1e-4 <= a < 1e16``: the 17 significant digits of their
+    ``repr`` (trailing zeros included), its ``E`` and whether the digits
+    are proven; the ties below are not.
 
     1. ``E`` comes from the binary exponent: a binade holds at most one
        power of ten (``_NEXT_POW10``).  With ``j = 16 - E`` in [1, 20],
-       ``y = |v| * 10**j`` is in [1e16, 1e17), so a unit of ``y`` is the
+       ``y = a * 10**j`` is in [1e16, 1e17), so a unit of ``y`` is the
        17th significant digit.
     2. ``10**j`` is a double, so Dekker's TwoProduct gives ``y = p + err``
        exactly, ``p = fl(y)``.  ``p >= 1e16 > 2**53`` is an integer, so
        ``q = p + floor(err)`` is ``floor(y)`` and ``phi = err - floor(err)``
        is ``y - q`` in [0, 1), both exact.
-    3. A decimal reads back as ``v`` iff it lies in ``v``'s rounding
-       interval: up to ``h`` units above ``y`` (half an ulp of ``v``,
-       times ``10**j``) and ``h_lo`` below (``h / 2`` when ``v`` is a power
-       of two), ends included iff ``v``'s significand is even.  An ulp is
-       ``2**-53`` to ``2**-52`` of ``|v|``, so ``0.55 < h_lo <= h < 11.2``.
+    3. A decimal reads back as ``a`` iff it lies in ``a``'s rounding
+       interval: up to ``h`` units above ``y`` (half an ulp of ``a``,
+       times ``10**j``) and ``h_lo`` below (``h / 2`` when ``a`` is a power
+       of two), ends included iff ``a``'s significand is even.  An ulp is
+       ``2**-53`` to ``2**-52`` of ``a``, so ``0.55 < h_lo <= h < 11.2``.
        The ends are taken as included, which never decides: an end has
        as many decimals as bits below the point, at most ``j`` only for
-       ``|v| >= 2**52``.  There ``v`` is an integer, so ``y`` is a multiple
-       of 10 units (the nearest of step 5), and neither end (``v +- 1/2``,
-       or ``v +- 1`` with ``v`` even) is a multiple of 100 units.
+       ``a >= 2**52``.  There ``a`` is an integer, so ``y`` is a multiple
+       of 10 units (the nearest of step 5), and neither end (``a +- 1/2``,
+       or ``a +- 1`` with ``a`` even) is a multiple of 100 units.
     4. Decimals of at most 15 significant digits are multiples of 100
        units, of 16 digits multiples of 10 (one from a neighbouring
        decade that reads back puts the power of ten between it and
-       ``v``, a multiple of 100, in the interval too).  The interval,
+       ``a``, a multiple of 100, in the interval too).  The interval,
        under 22.4 units wide, holds at most one multiple of 100, and the
        multiples of ``g`` (100 or 10) in it nearest ``y`` can only be the
        ones next to ``y``: with ``rem = q mod g``, the one below is in iff
@@ -802,19 +1084,12 @@ def _format_floats(values: np.ndarray) -> tuple[np.ndarray, int]:
     5. So the shortest, then nearest, decimal is: the multiple of 100 if
        one is in; else the multiple of 10 in and nearer ``y`` (below iff
        ``rem < 5``); else the integer nearest ``y``, ``q + (phi > 0.5)``,
-       always in as ``h_lo > 0.5``.  Unproven, and left to ``repr``: two
-       multiples of 10 at equal distance (``phi == 0``, ``rem == 5``), ties
-       at 17 digits (``phi == 0.5``) and ``1e17`` units, the next decade
-       (no double in range rounds to a power of ten above it).
-    6. The digits, trailing zeros stripped, are laid out as ASCII from a
-       table of 4-digit texts, in groups of rows with the same decimal
-       point position, sign and digit count.
+       always in as ``h_lo > 0.5``.  Not proven here, and left to
+       ``_exact_digits``: two multiples of 10 at equal distance
+       (``phi == 0``, ``rem == 5``), ties at 17 digits (``phi == 0.5``) and
+       ``1e17`` units, the next decade (no double in range rounds to a
+       power of ten above it).
     """
-    values = np.asarray(values, dtype=np.float64)
-    texts = np.empty(len(values), dtype="S24")
-    a = np.abs(values)
-    cells = np.flatnonzero((a >= 1e-4) & (a < 1e16))
-    a = a[cells]
     bits = a.view(np.int64)
     biased = bits >> 52
     j = _SHIFT[biased] - (a >= _NEXT_POW10[biased])
@@ -830,8 +1105,8 @@ def _format_floats(values: np.ndarray) -> tuple[np.ndarray, int]:
     phi = err - floor
     h = t * _HALF_ULP[biased]
     h_lo = np.where(bits & ((1 << 52) - 1) == 0, 0.5 * h, h)
-    rem100 = q - q // 100 * 100
-    rem10 = rem100 - rem100 // 10 * 10
+    rem100 = q % 100
+    rem10 = rem100 % 10
     below100 = phi <= h_lo - rem100
     above100 = phi >= (100 - rem100) - h
     below10 = phi <= h_lo - rem10
@@ -841,57 +1116,107 @@ def _format_floats(values: np.ndarray) -> tuple[np.ndarray, int]:
     up10 = above10 & (~below10 | (rem10 >= 5))
     q += np.where(in100, 100 * above100 - rem100,
                   np.where(in10, 10 * up10 - rem10, phi > 0.5))
-    n_digits = 17 - in10  # significant digits
-    at15 = np.flatnonzero(in100)
-    if len(at15):
-        m, zeros = q[at15] // 100, np.zeros(len(at15), np.int64)
-        for k in (8, 4, 2, 1):
-            cut = m // 10 ** k
-            whole = cut * 10 ** k == m
-            m = np.where(whole, cut, m)
-            zeros += k * whole
-        n_digits[at15] = 15 - zeros
-    # sort key: decimal point position + 3 (``20 - j``), sign, digit count
-    key = ((40 - 2 * j + (values[cells] < 0)) * 18 + n_digits).astype(np.uint16)
-    key[((phi == 0.0) & (rem10 == 5) & below10 & above10)
-        | (~in10 & (phi == 0.5)) | (q >= 10 ** 17)] = _UNPROVEN
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    proven = np.searchsorted(key, _UNPROVEN)
-    order, key, q = order[:proven], key[:proven], q[order[:proven]]
-    high = q // 100_000_000
-    low = q - high * 100_000_000
-    high4, low4 = high // 10_000, low // 10_000
-    first = high4 // 10_000
-    ascii17 = np.empty((proven, 17), dtype=np.uint8)
-    groups = ascii17.reshape(-1).view(_DIGITS17)
-    groups["d0"] = first + ord("0")
-    groups["d1"] = _DIGITS4[high4 - first * 10_000]
-    groups["d2"] = _DIGITS4[high - high4 * 10_000]
-    groups["d3"] = _DIGITS4[low4]
-    groups["d4"] = _DIGITS4[low - low4 * 10_000]
-    out = np.zeros((proven, 24), dtype=np.uint8)
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])[:proven]
-    for b0, b1, k in zip(starts.tolist(), [*starts[1:].tolist(), proven],
-                         key[starts].tolist()):
-        point, minus, n = k // 36 - 3, k // 18 % 2, k % 18
-        rows, src = slice(b0, b1), ascii17[b0:b1]
-        dst = out[rows, minus:]
-        if minus:
-            out[rows, 0] = ord("-")
-        if point > 0:  # ddd.ddd or ddd.0
-            dst[:, :point] = src[:, :point]
-            dst[:, point] = ord(".")
-            dst[:, point + 1:max(n, point + 1) + 1] = src[:, point:max(n, point + 1)]
-        else:  # 0.00ddd
-            dst[:, :2 - point] = np.frombuffer(b"0.000", np.uint8)[:2 - point]
-            dst[:, 2 - point:2 - point + n] = src[:, :n]
-    texts[cells[order]] = out.view("S24")[:, 0]
-    rest = np.ones(len(values), dtype=bool)
-    rest[cells[order]] = False
-    rest = np.flatnonzero(rest)
-    texts[rest] = [repr(v).encode() for v in values[rest].tolist()]
-    return texts, len(rest)
+    tie = (((phi == 0.0) & (rem10 == 5) & below10 & above10)
+           | (~in10 & (phi == 0.5)) | (q >= 10 ** 17))
+    return q, 16 - j, ~tie
+
+
+# floor(log10(2**q)) for the least and the greatest binary exponent q of a
+# double's significand c (c * 2**q, c < 2**53)
+_K_MIN, _K_MAX = -324, 292
+_M32, _M63 = (1 << 32) - 1, (1 << 63) - 1
+
+
+@functools.cache
+def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
+    """For each ``k`` in [``_K_MIN``, ``_K_MAX``], at index ``k - _K_MIN``:
+    ``g = floor(10**-k * 2**-r) + 1``, the 126 leading bits of ``10**-k``
+    rounded up (``r = floor(log2(10**-k)) - 125``), as the 32-bit limbs of
+    its high and low 63 bits, high limb first; and ``r + 127``."""
+    limbs = np.empty((_K_MAX - _K_MIN + 1, 4), dtype=np.uint64)
+    shift = np.empty(_K_MAX - _K_MIN + 1, dtype=np.int64)
+    for i, k in enumerate(range(_K_MIN, _K_MAX + 1)):
+        if k <= 0:
+            power = 10 ** -k
+            r = power.bit_length() - 126
+            g = (power >> r if r >= 0 else power << -r) + 1
+        else:  # 10**k is not a power of two: floor(log2(10**-k)) = -bit_length
+            power = 10 ** k
+            r = -power.bit_length() - 125
+            g = (1 << -r) // power + 1
+        high, low = g >> 63, g & _M63
+        limbs[i] = high >> 32, high & _M32, low >> 32, low & _M32
+        shift[i] = r + 127
+    limbs.flags.writeable = shift.flags.writeable = False  # cached: shared by every caller
+    return limbs, shift
+
+
+def _exact_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 significant digits (trailing zeros included) and ``E`` of
+    ``repr`` of the positive finite doubles whose bits are ``bits``.
+
+    Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+    2020), in integers on ``uint64`` arrays.  With ``v = c * 2**q``, ``k``
+    is ``floor(log10(2**q))`` (of ``3/4 * 2**q`` when ``v`` is a power of
+    two above the least normal, whose gap below is half the gap above),
+    so the rounding interval is 1 to 10 units of ``10**k`` wide and holds
+    at most one multiple of 10 units.  ``vb``, ``vbl`` and ``vbr`` are
+    ``v`` and the interval's ends in quarter units, rounded to odd from
+    the product of ``4c * 2**h`` with ``g`` (``_pow10_table``), which
+    Giulietti proves exact enough to decide every comparison below.
+    The decimal is the multiple of 10 units in the interval if there is
+    one, else the integer in it, else the nearer of the two integers
+    about ``v``, the even one at equal distance, as ``repr`` picks.
+    Java's ``Double.toString`` keeps two digits at least; ``repr`` does
+    not, so the multiples of 10 are tried for every ``v``, subnormals
+    too, with no special case for the least subnormals.
+    """
+    limbs, shift = _pow10_table()
+    biased = (bits >> 52).astype(np.int64)
+    fraction = bits & np.uint64((1 << 52) - 1)
+    q = np.maximum(biased, 1) - 1075
+    c = fraction | (biased > 0).astype(np.uint64) << 52
+    power2 = (fraction == 0) & (biased > 1)
+    k = (q * 661_971_961_083 - power2 * 274_743_187_321) >> 41
+    i = k - _K_MIN
+    h = (q + shift[i]).astype(np.uint64)
+    cb = c << 2
+    vbl, vb, vbr = _round_to_odd(limbs[i], np.stack([cb - 2 + power2, cb, cb + 2]) << h)
+    odd = (c & 1).astype(np.int64)
+    s = vb >> 2
+    s10 = s // 10 * 10
+    low10 = vbl + odd <= s10 << 2
+    high10 = ((s10 + 10) << 2) + odd <= vbr
+    low1 = vbl + odd <= s << 2
+    high1 = ((s + 1) << 2) + odd <= vbr
+    nearer = vb - (s << 2) - 2
+    f = np.where(low10 != high10, s10 + 10 * high10,
+                 np.where(low1 != high1, s + high1,
+                          s + ((nearer > 0) | ((nearer == 0) & (s & 1 == 1)))))
+    n = np.searchsorted(_POW10_INT, f, side="right")
+    return f * _POW10_INT[17 - n], k + n - 1
+
+
+def _round_to_odd(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """``floor(g * cp / 2**127)``, its last bit set when the remainder is
+    not zero, as signed integers, for ``g`` (rows of ``_pow10_table``'s
+    limbs) and ``cp < 2**63``.  As Schubfach's ``rop``: the low 64 bits of
+    the low half's product are dropped."""
+    c0, c1 = cp & _M32, cp >> 32
+    low_high = _high_product(g[:, 2], g[:, 3], c0, c1)
+    high_high = _high_product(g[:, 0], g[:, 1], c0, c1)
+    high_low = ((g[:, 0] << 32) | g[:, 1]) * cp  # modulo 2**64
+    z = (high_low >> 1) + low_high
+    return ((high_high + (z >> 63)) | ((z & _M63) + _M63 >> 63)).astype(np.int64)
+
+
+def _high_product(a1: np.ndarray, a0: np.ndarray, b0: np.ndarray,
+                  b1: np.ndarray) -> np.ndarray:
+    """The high 64 bits of ``(a1 * 2**32 + a0) * (b1 * 2**32 + b0)``, from
+    32-bit limbs held in ``uint64``."""
+    cross0, cross1 = a0 * b1, a1 * b0
+    middle = (a0 * b0 >> 32) + (cross0 & _M32) + (cross1 & _M32)
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32)
 
 
 def write_power_csv(series: PowerSeries, path: Union[str, Path],

@@ -21,13 +21,17 @@ code, so a wrong edit there cannot pass a comparison with it.  ``step``
 keeps the order of float operations of ``battery.advance``, so the
 engine must match it bit for bit.  Records are plain rows
 (``Record``); ``trace_of`` gives their columns as a ``Trace``.
+
+It also states the stamps of the grid CSVs once more, one ``datetime``
+at a time (``format_utc``, ``format_utc_grid``), for the block writer
+and the block reader of ``pvems.timeseries``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from datetime import datetime, time, timedelta
+from datetime import datetime, time, timedelta, timezone
 from fractions import Fraction
 from math import fsum
 from typing import Optional
@@ -220,3 +224,13 @@ def simulate(pv, load, cfg, params, source, policy,
                               mode, rr, violated))
         timestamp = timestamp + tick
     return records
+
+
+def format_utc(dt: datetime) -> str:
+    """ISO-8601 with a Z suffix, seconds resolution when possible."""
+    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+def format_utc_grid(start: datetime, step: timedelta, lo: int, hi: int) -> list[str]:
+    """``format_utc(start + k * step)`` for ``k`` in ``range(lo, hi)``."""
+    return [format_utc(start + k * step) for k in range(lo, hi)]

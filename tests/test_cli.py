@@ -693,7 +693,7 @@ class TestAtomicOutputs:
 STAGE = re.compile(r"^stage (\S+) (\d+\.\d{6}) maxrss (\d+\.\d)$")
 DISPATCH = re.compile(r"^dispatch (\S+) runs (\d+) taper (\d+) scalar (\d+)$")
 WROTE = re.compile(r"^wrote (\S+) rows (\d+) formatted (\d+) of (\d+) float cells "
-                   r"repr (\d+)$")
+                   r"exact (\d+)$")
 PREPASS = re.compile(r"^prepass windows (\d+) resummed (\d+)$")
 
 
@@ -702,7 +702,7 @@ class TestStageLog:
     stage, one ``prepass windows <m> resummed <k>`` line per pre-pass,
     one ``dispatch <strategy> runs <ticks> taper <ticks> scalar <ticks>``
     line per strategy and one ``wrote <name> rows <n> formatted <k> of
-    <cells> float cells repr <r>`` line per grid CSV; nothing else changes."""
+    <cells> float cells exact <e>`` line per grid CSV; nothing else changes."""
 
     def run_twice(self, argv, out_dir, capsys, caplog):
         outputs = []
@@ -739,10 +739,10 @@ class TestStageLog:
                  if m.startswith("wrote ")]
         assert all(wrote), caplog.messages
         # a trace row has 7 float cells, at most all of them are
-        # formatted, and at most all of those by repr
+        # formatted, and at most all of those on the exact path
         wrote = [(m.group(1), *map(int, m.group(2, 3, 4, 5))) for m in wrote]
-        assert all(cells == 7 * rows and r <= k <= cells
-                   for _, rows, k, cells, r in wrote)
+        assert all(cells == 7 * rows and e <= k <= cells
+                   for _, rows, k, cells, e in wrote)
         return ([m.group(1) for m in stages], [m.group(1) for m in dispatch],
                 [(name, rows) for name, rows, *_ in wrote])
 
@@ -775,20 +775,20 @@ class TestStageLog:
             self, corpus, tmp_path, caplog):
         # 538 110 of 2 116 800 when this test was written: hold-resampled
         # load, nights of zero PV and unclamped commands repeat their
-        # text; a fall-back to one repr per cell would read all of them
+        # text; formatting every cell would read all of them
         paths, _ = corpus
         with caplog.at_level(logging.INFO, logger="pvems.timeseries"):
             assert main(["simulate", "--config", str(paths["config"]),
                          "--out-dir", str(tmp_path)]) == 0
         (line,) = [m for m in caplog.messages if m.startswith("wrote ")]
-        name, rows, formatted, cells, reprs = WROTE.match(line).groups()
+        name, rows, formatted, cells, exact = WROTE.match(line).groups()
         assert name == "trace.csv" and int(rows) == 302_400
         assert int(cells) == 7 * int(rows)
         assert int(formatted) <= int(cells) / 2
-        # 16 091 of the 538 110 go to repr: nearly all are below 1e-4,
-        # which repr writes in exponent form; a fall-back to repr for
-        # every cell would read 538 110
-        assert int(reprs) <= int(formatted) / 10
+        # about 16 000 of them take the exact path: the cells below
+        # 1e-4, which repr writes in exponent form; a fall-back to the
+        # exact path for every cell would read all of them
+        assert int(exact) <= int(formatted) / 10
 
     def test_seed_week_prepass_resums_no_window(self, corpus, tmp_path, caplog):
         # the week's window means all certify on arrays; a fall-back to

@@ -26,6 +26,14 @@ SMOOTH_DAY_DIGESTS = {
     "trace.csv": "b157e12288986f68cab49f9029d3981286364033e01a85a715ee21b4586ebf9c",
     "kpi.json": "7327694341245784255cdf0cf0f0acb91297cb28570190c117921d37853240bb",
 }
+# trace.csv of `simulate --strategy <name>` on the seed week, taken while
+# the writer still left every cell below 1e-4 to repr: SCM's derate-band
+# commands shrink below 1e-4 W, so these traces are full of cells in the
+# exponent form
+STRATEGY_TRACE_DIGESTS = {
+    "SCM": "bd860b305601b5636c98f1cabb8eabff9060a58a8f8e5b020b02f7550875140f",
+    "SCM_RR": "0b84741d459bc76574581235e667f883560e719a3fe0e47e6b52d0363a032a57",
+}
 FIXTURE_DIGESTS = {
     "pv_week.csv": "1a2b274833cfda93a835ea1735da6f862c49a72365c3c0280bd92c2a86072d8a",
     "load_week.csv": "868a809c6fc74e1fe9aa95687e289c68e29c9654f713b4964b5097d7210ac9b7",
@@ -69,6 +77,13 @@ class TestGoldenDigests:
                      "--out-dir", str(tmp_path)]) == 0
         got = {name: sha256(tmp_path / name) for name in WEEK_DIGESTS}
         assert got == WEEK_DIGESTS
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGY_TRACE_DIGESTS))
+    def test_week_trace_of_strategy(self, fixtures_dir, tmp_path, strategy):
+        config = str(fixtures_dir / "config_week.json")
+        assert main(["simulate", "--config", config, "--strategy", strategy,
+                     "--out-dir", str(tmp_path)]) == 0
+        assert sha256(tmp_path / "trace.csv") == STRATEGY_TRACE_DIGESTS[strategy]
 
     def test_smooth_day_simulate(self, smooth_day_config, tmp_path):
         assert main(["simulate", "--config", str(smooth_day_config),

@@ -29,7 +29,8 @@ from pvems.ems import (MODES, DispatchMode, EmsConfig, StrategyKind, Trace,
 from pvems.forecast import ChargeDecisionPolicy, ForecastDay
 from pvems.kpi import accumulate
 from pvems.ramp import RampConfig
-from pvems.timeseries import PowerSeries, format_utc
+from pvems.timeseries import PowerSeries
+from reference import format_utc
 from reference import prepass as reference_prepass
 from reference import reaches_limit
 from reference import simulate as reference_simulate

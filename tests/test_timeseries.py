@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from pvems import timeseries
 from pvems.timeseries import (PowerSeries, ProfileError, ResampleMethod,
-                              ResamplePolicy, align, format_utc,
-                              format_utc_grid, load_power_csv, resample,
+                              ResamplePolicy, align, load_power_csv, resample,
                               trapezoid_energy_wh, write_power_csv)
+from reference import format_utc, format_utc_grid
 
 T0 = datetime(2018, 1, 1, tzinfo=timezone.utc)
 HOLD = ResamplePolicy(ResampleMethod.HOLD)
@@ -396,6 +396,23 @@ class TestCsvRoundTrip:
                                    columns, labels)
         assert (out / "block.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
+    @pytest.mark.parametrize("block_rows", [3, 16_384])
+    def test_labels_of_very_different_lengths(self, tmp_path, block_rows):
+        # a label 60 bytes longer than another: copied as a window of the
+        # longest, the shorter would reach past the next row's stamp, so
+        # the column is copied one label length at a time
+        n = 40
+        labels = {"code": ("a", "b" * 61, "")}
+        columns = {"x": np.linspace(-2.0, 3.0, n), "code": np.arange(n) % 3,
+                   "y": np.arange(n) * 1e-5}
+        with mock.patch.object(timeseries, "_WRITE_BLOCK_ROWS", block_rows):
+            timeseries.write_grid_csv(tmp_path / "block.csv", T0, timedelta(seconds=2),
+                                      columns, labels=labels)
+        self.write_grid_row_by_row(tmp_path / "rows.csv", T0, timedelta(seconds=2),
+                                   columns, labels)
+        assert (tmp_path / "block.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
+
     def test_formats_each_run_once_and_reuses_the_left_column(self, tmp_path,
                                                               caplog):
         n = 1_000
@@ -410,11 +427,11 @@ class TestCsvRoundTrip:
                                       timedelta(seconds=2), columns)
         # cmd: 4 runs; actual: 1.0 at row 10 and 0.0 under -0.0 at row
         # 400, its other run heads sit on equal cmd cells; nan: 2 payloads.
-        # Of those 8, only 2.5 and 1.0 are formatted on arrays: zeros and
-        # NaNs go to repr
+        # Of those 8, none takes the exact path: 2.5 and 1.0 are proven
+        # on the array path, and zeros and NaNs have fixed texts
         assert caplog.messages == [
             f"wrote t.csv rows {n} formatted {4 + 2 + 2} of {3 * n} float cells "
-            f"repr {3 + 1 + 2}"]
+            f"exact 0"]
         self.write_grid_row_by_row(tmp_path / "rows.csv", T0,
                                    timedelta(seconds=2), columns, {})
         assert (tmp_path / "t.csv").read_bytes() == \
@@ -451,41 +468,101 @@ BOUNDARIES = signed(neighbours(st.one_of(
     st.integers(-20, 56).map(lambda k: 2.0 ** k))))
 
 
+# decimals of 1 to 17 significant digits, leading digit at 10**-330 ..
+# 10**308: the exponent form, subnormals and underflow to zero among them
+EXPONENT_FORM = signed(st.integers(1, 17).flatmap(
+    lambda n: st.tuples(st.integers(10 ** (n - 1), 10 ** n - 1),
+                        st.integers(-330, 308)).map(
+        lambda d: float(f"{d[0]}e{d[1] - n + 1}"))))
+# k + 1/4 and k + 3/4 for integers k in [1e15, 2**51), exact there (the
+# ulp is at most 1/4): 18 significant digits ending in 25 or 75, ties
+# between two 17-digit decimals that repr breaks towards the even one
+QUARTER_TIES = signed(st.integers(10 ** 15, 2 ** 51 - 1).flatmap(
+    lambda k: st.sampled_from([k + 0.25, k + 0.75])))
+
+
+def binade_edges():
+    """Every biased exponent's least and greatest significands and some
+    between, the neighbours of every power of ten a double reaches, and
+    every power of two, of both signs."""
+    exponents = np.arange(0, 2047, dtype=np.uint64) << np.uint64(52)
+    significands = np.array([0, 1, 2, 3, 1 << 51, (1 << 52) - 2, (1 << 52) - 1],
+                            dtype=np.uint64)
+    edges = (exponents[:, None] + significands).ravel().view(np.float64)
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = (powers_of_ten.view(np.int64)[:, None] + np.arange(-3, 4)).ravel()
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate([edges, near.view(np.float64), powers_of_two])
+    return np.concatenate([values, -values])
+
+
 class TestFormatFloats:
     """``_format_floats`` writes ``repr``'s bytes for every float64."""
 
     @staticmethod
-    def check(values):
+    def check(values, lead=b""):
+        """Check the texts and lengths against ``repr``; return how many
+        cells took the exact path."""
         values = np.array(values, dtype=np.float64)
-        texts, reprs = timeseries._format_floats(values)
-        assert texts.tolist() == [repr(v).encode() for v in values.tolist()]
-        return reprs
+        texts, lens, exact = timeseries._format_floats(values, lead)
+        assert texts.dtype == np.dtype("S32") and len(lens) == len(values)
+        assert [text[:k] for text, k in zip(texts.tolist(), lens.tolist())] == \
+            [lead + repr(v).encode() for v in values.tolist()]
+        return exact
 
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
     @settings(max_examples=300, deadline=None)
     def test_bit_patterns(self, patterns):
         self.check(np.array(patterns, dtype=np.uint64).view(np.float64))
 
+    @given(st.lists(st.integers(1, 2 ** 52 - 1), min_size=1, max_size=64),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_subnormals(self, patterns, negative):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert self.check(-values if negative else values) == len(values)
+
     @given(st.lists(DECIMALS, min_size=1, max_size=64))
     @settings(max_examples=300, deadline=None)
     def test_decimals(self, values):
         self.check(values)
+
+    @given(st.lists(EXPONENT_FORM, min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_exponent_form_decimals(self, values):
+        self.check(values, b",")
 
     @given(st.lists(BOUNDARIES, min_size=1, max_size=64))
     @settings(max_examples=300, deadline=None)
     def test_neighbours_of_powers_of_ten_and_two(self, values):
         self.check(values)
 
-    def test_special_values_go_to_repr(self):
+    @given(st.lists(QUARTER_TIES, min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_ties(self, values):
+        # the array path leaves every tie to the exact path
+        assert self.check(values) == len(values)
+
+    def test_pinned_ties(self):
+        ties = [1e15 + 0.25, 1e15 + 0.75, 2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75,
+                2.0 ** 51 - 0.25, 1234567890123456.25, 1999999999999999.75]
+        assert self.check(ties + [-v for v in ties]) == 2 * len(ties)
+        assert [repr(v) for v in ties[:2]] == ["1000000000000000.2",
+                                                "1000000000000000.8"]
+
+    def test_binade_edges(self):
+        self.check(binade_edges(), b",-")
+
+    def test_special_values_take_fixed_texts_or_the_exact_path(self):
         nans = np.array([0x7FF8000000000000, 0xFFF8000000000001],
                         dtype=np.uint64).view(np.float64)
-        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                   1.7976931348623157e308, -1.7976931348623157e308,
-                   np.inf, -np.inf, *nans]
+        fixed = [0.0, -0.0, np.inf, -np.inf, *nans]
+        exact = [5e-324, -5e-324, 2.2250738585072014e-308,
+                 1.7976931348623157e308, -1.7976931348623157e308]
         # mixed with in-range cells, under the suite's error::RuntimeWarning
-        assert self.check(special + [1.5, -2.5e-4]) == len(special)
+        assert self.check(fixed + exact + [1.5, -2.5e-4]) == len(exact)
 
-    def test_only_unproven_cells_go_to_repr(self):
+    def test_only_unproven_cells_take_the_exact_path(self):
         # positional texts of 1 to 17 digits, both ends of the range,
         # powers of two and of ten, and 2**53 and its neighbours
         proven = [1.5, 0.1, 1e-4, 9999999999999998.0, 1e15, 0.3, 2.0 ** 53,
@@ -500,6 +577,32 @@ class TestFormatFloats:
         powers = [2.0 ** k for k in range(-13, 54)]  # 1.2e-4 .. 9.0e15
         assert self.check(powers + [-v for v in powers]) == 0
         assert self.check([]) == 0
+
+    @pytest.mark.parametrize("batch", [1, 3, 4_096])
+    def test_batches(self, batch):
+        values = binade_edges()[::7]
+        with mock.patch.object(timeseries, "_FORMAT_BATCH", batch):
+            self.check(values, b",")
+
+    def test_exact_path_tables(self):
+        # k = floor(log10(2**q)), or of 3/4 * 2**q, from the integer
+        # formula, for every binary exponent q of a significand
+        def floor_log10(x):
+            k = len(str(x.numerator)) - len(str(x.denominator))
+            return k - (Fraction(10) ** k > x)
+        for q in range(-1074, 972):
+            for power2, scale in ((False, 1), (True, Fraction(3, 4))):
+                k = (q * 661_971_961_083 - power2 * 274_743_187_321) >> 41
+                assert k == floor_log10(scale * Fraction(2) ** q), (q, power2)
+        # g, the 126 leading bits of 10**-k rounded up, and r + 127
+        limbs, shift = timeseries._pow10_table()
+        assert len(limbs) == timeseries._K_MAX - timeseries._K_MIN + 1
+        for i, k in enumerate(range(timeseries._K_MIN, timeseries._K_MAX + 1)):
+            high1, high0, low1, low0 = (int(x) for x in limbs[i])
+            g = ((high1 << 32 | high0) << 63) | (low1 << 32 | low0)
+            r = int(shift[i]) - 127
+            assert 2 ** 125 < g <= 2 ** 126
+            assert Fraction(g - 1) <= Fraction(10) ** -k / Fraction(2) ** r < g
 
     def test_binade_tables(self):
         # each binade's exponent gives floor(log10) below its power of
@@ -833,7 +936,15 @@ class TestBlockIngest:
         assert load_outcome(path) == load_row_by_row(path)
 
 
+def grid_stamps(start, step, lo, hi):
+    """The stamps that the grid CSV codec writes and expects, as strings."""
+    return [text.decode("ascii")
+            for text in timeseries._utc_grid_stamps(start, step, lo, hi).tolist()]
+
+
 class TestFormatUtcGrid:
+    """The grid CSV codec's stamps are ``reference.format_utc``'s."""
+
     # the range keeps every row within datetime's years 1-9999; sub-second
     # steps mix rows of whole seconds with rows that keep a fraction
     @given(st.datetimes(min_value=datetime(5, 1, 1), max_value=datetime(9950, 1, 1)),
@@ -849,10 +960,85 @@ class TestFormatUtcGrid:
     @settings(max_examples=300, deadline=None)
     def test_matches_format_utc_per_row(self, start, step, lo, count):
         start = start.replace(tzinfo=timezone.utc)
-        assert format_utc_grid(start, step, lo, lo + count) == \
-            [format_utc(start + k * step) for k in range(lo, lo + count)]
+        assert grid_stamps(start, step, lo, lo + count) == \
+            format_utc_grid(start, step, lo, lo + count)
 
     def test_fixed_offset_start(self):
         start = datetime(2018, 1, 1, 1, tzinfo=timezone(timedelta(hours=1)))
-        assert format_utc_grid(start, timedelta(seconds=2), 0, 2) == \
+        assert grid_stamps(start, timedelta(seconds=2), 0, 2) == \
             ["2018-01-01T00:00:00Z", "2018-01-01T00:00:02Z"]
+
+    # steps whose hour of points is tiled (0.1 s to 2 s), and two that are
+    # formatted row by row: 50 ms has more points to the hour than a tile
+    # holds, and 7 s does not divide an hour
+    @pytest.mark.parametrize("step", [timedelta(milliseconds=100),
+                                      timedelta(milliseconds=500),
+                                      timedelta(seconds=1), timedelta(seconds=2),
+                                      timedelta(seconds=7),
+                                      timedelta(milliseconds=50)],
+                             ids=["0.1s", "0.5s", "1s", "2s", "7s", "0.05s"])
+    # on the hour, in mid-hour, off every step's phase, blocks that cross
+    # midnight into and out of a leap day and into a new year, and the
+    # last hours of year 9999
+    @pytest.mark.parametrize("start", [datetime(2018, 1, 1),
+                                       datetime(2018, 1, 1, 0, 17, 4),
+                                       datetime(2018, 1, 1, 0, 17, 3, 250_000),
+                                       datetime(2020, 2, 28, 23, 58, 1),
+                                       datetime(2020, 2, 29, 23, 50, 0, 300_000),
+                                       datetime(2019, 2, 28, 23, 59, 59),
+                                       datetime(2020, 12, 31, 23, 59, 30),
+                                       datetime(9999, 12, 31, 21, 0, 1)],
+                             ids=str)
+    def test_tiled_stamps_match_format_utc(self, start, step):
+        start = start.replace(tzinfo=timezone.utc)
+        n = min(9_000, (datetime.max.replace(tzinfo=timezone.utc) - start) // step + 1)
+        want = [text.encode() for text in format_utc_grid(start, step, 0, n)]
+        tiled = timeseries._HOUR_US % (step // timedelta(microseconds=1)) == 0 \
+            and step >= timedelta(milliseconds=100)
+        # whole grids, blocks that start and end inside an hour's tile,
+        # one row, and the rows up to the last stamp of year 9999
+        for lo, hi in ((0, n), (1, n - 1), (n // 3, n // 3 + 1), (n - 5, n)):
+            for end in (b"", b","):
+                with mock.patch.object(timeseries, "_tiled_stamps",
+                                       wraps=timeseries._tiled_stamps) as spy:
+                    texts = timeseries._utc_grid_stamps(start, step, lo, hi, end)
+                assert texts.tolist() == [text + end for text in want[lo:hi]]
+                assert spy.called == tiled
+
+    def test_tile_is_made_once_per_step_phase_and_end(self):
+        timeseries._hour_tile.cache_clear()
+        step = timedelta(seconds=2)
+        for lo in range(0, 20_000, 1_000):
+            timeseries._utc_grid_stamps(T0 + timedelta(seconds=1), step, lo, lo + 1_000)
+            timeseries._utc_grid_stamps(T0 + timedelta(seconds=3), step, lo, lo + 1_000)
+        info = timeseries._hour_tile.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        tile = timeseries._hour_tile(2_000_000, 1_000_000, b"")
+        assert tile.shape == (1_800, 20) and not tile.flags.writeable
+        assert bytes(tile[0]) == bytes(14) + b"00:01Z"
+        assert bytes(tile[-1]) == bytes(14) + b"59:59Z"
+
+
+class TestGridStampCheck:
+    """A line whose stamp is off the grid leaves the grid path at that
+    line, and the per-row checks refuse it with their own message."""
+
+    @pytest.mark.parametrize("step", [timedelta(seconds=2), timedelta(milliseconds=500)],
+                             ids=["2s", "0.5s"])
+    @pytest.mark.parametrize("row", [2, 1_000, 29_999])
+    @pytest.mark.parametrize("fault", ["second", "digit"])
+    def test_stamp_off_by_a_second_or_a_digit(self, tmp_path, step, row, fault):
+        stamps = format_utc_grid(T0, step, 0, 30_000)
+        stamp = stamps[row]
+        if fault == "second":
+            stamp = format_utc(T0 + row * step + SECOND)
+        else:  # the units of the day: the same clock a day later
+            stamp = stamp[:9] + "2" + stamp[10:]
+        lines = [f"{s},{k}.5" for k, s in enumerate(stamps)]
+        lines[row] = f"{stamp},{row}.5"
+        path = make_csv(tmp_path, "timestamp,power\n" + "\n".join(lines) + "\n")
+        dt = (SECOND + step if fault == "second" else timedelta(days=1) + step)
+        message = (f"{path}: line {row + 2}: irregular step "
+                   f"({dt.total_seconds()} s, expected {step.total_seconds()} s)")
+        assert load_outcome(path) == ("error", message)
+        assert load_outcome(path) == load_row_by_row(path)
