@@ -43,7 +43,7 @@ with tempfile.TemporaryDirectory() as tmp:
         cfg = EmsConfig(strategy=strategy, ramp=ramp_cfg)
         trace = simulate(pv, load, cfg, params, forecast_source=source,
                          initial_soc=params.soc_min)  # depleted start
-        totals = accumulate(trace, ramp_cfg.tick_s, ramp_cfg)
+        totals = accumulate(trace, ramp_cfg)
         reports[strategy.value] = compute_kpis(totals)
 
 names = list(reports)

@@ -360,14 +360,27 @@ def _prepass(pv: PowerSeries, config: RunConfig) -> PrePass:
         raise CliError(f"{config.pv_path}: {exc}") from None
 
 
+_BALANCE_BLOCK = 16_384  # ticks whose power balance _kpis checks at a time
+
+
 def _kpis(trace: Trace, config: RunConfig) -> KpiReport:
-    """The KPI report of a trace; an energy or a ratio that overflows is a
+    """The KPI report of a trace.  An energy or a ratio that overflows, or a
+    tick whose powers do not balance to 1e-6 W (powers so large that the
+    battery's and the standby's watts are lost in rounding), is a
     ``CliError`` that names the profiles."""
-    ramp = config.ems.ramp
+    profiles = f"{config.pv_path}, {config.load_path}"
     try:
-        return compute_kpis(accumulate(trace, ramp.tick_s, ramp))
+        report = compute_kpis(accumulate(trace, config.ems.ramp))
     except OverflowError as exc:
-        raise CliError(f"{config.pv_path}, {config.load_path}: {exc}") from None
+        raise CliError(f"{profiles}: {exc}") from None
+    for lo in range(0, len(trace), _BALANCE_BLOCK):
+        t = slice(lo, lo + _BALANCE_BLOCK)
+        off = abs(trace.p_pv[t] + trace.p_grid[t]
+                  - (trace.p_load[t] + trace.p_batt_actual[t] + config.battery.standby_power_w))
+        if off.max() > 1e-6:
+            raise CliError(f"{profiles}: powers too large to balance to 1e-6 W: tick "
+                           f"{lo + int(off.argmax())} is off by {float(off.max())!r} W")
+    return report
 
 
 def _resolve_forecast(config: RunConfig, strategies: list[StrategyKind]):

@@ -553,7 +553,7 @@ def _resolve_decisions(source: Optional[ForecastSource],
     with a logged warning.
     """
     decisions = np.zeros(int(pre.day[-1]) + 1, dtype=bool)
-    days = np.unique(pre.day[pre.after_start]).tolist()
+    days = np.flatnonzero(np.bincount(pre.day[pre.after_start])).tolist()
     if source is None:
         if days:
             log.warning("no forecast source configured; defaulting to no "

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +31,8 @@ __all__ = [
 KPI_NAMES = ("scr", "ssr", "grf", "bcr", "eg", "fgu", "tgu", "fbu", "tbu", "crr")
 
 _FULL_EXECUTION_RTOL = 1e-9
+_NOTES = ("bcr is charge energy over total battery throughput; the "
+          "discharge share is its complement (1 - bcr).",)
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,11 @@ class EnergyTotals:
         return self.e_to_battery + self.e_from_battery
 
 
+# EnergyTotals' energies and throughputs, as its attribute names
+_ENERGIES = ([f.name for f in fields(EnergyTotals) if f.name.startswith("e_")]
+             + ["e_grid_total", "e_battery_total"])
+
+
 @dataclass(frozen=True)
 class KpiReport:
     """The ten ratios (fractions; ``None`` marks an undefined value)."""
@@ -73,7 +80,6 @@ class KpiReport:
     totals: EnergyTotals
     undefined_reasons: dict[str, str] = field(default_factory=dict)
     crr_no_violations: bool = False
-    notes: tuple[str, ...] = ()
 
     def values_pct(self) -> dict[str, Optional[float]]:
         """All ten indicators in percent (``None`` where undefined)."""
@@ -89,49 +95,34 @@ class KpiReport:
             "kpis_pct": self.values_pct(),
             "undefined_reasons": dict(self.undefined_reasons),
             "flags": {"crr_no_violations": self.crr_no_violations},
-            "totals_wh": {
-                "pv_generated": t.e_pv_generated,
-                "pv_consumed": t.e_pv_consumed,
-                "load": t.e_load,
-                "from_grid": t.e_from_grid,
-                "to_grid": t.e_to_grid,
-                "grid_total": t.e_grid_total,
-                "to_battery": t.e_to_battery,
-                "from_battery": t.e_from_battery,
-                "battery_total": t.e_battery_total,
-            },
-            "ramps": {
-                "original": t.n_ramps_original,
-                "controlled": t.n_ramps_controlled,
-            },
-            "notes": list(self.notes),
+            "totals_wh": {name[2:]: getattr(t, name) for name in _ENERGIES},
+            "ramps": {"original": t.n_ramps_original, "controlled": t.n_ramps_controlled},
+            "notes": list(_NOTES),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def accumulate(trace: Trace, tick_s: float,
-               ramp_cfg: Optional[RampConfig] = None) -> EnergyTotals:
+def accumulate(trace: Trace, ramp_cfg: RampConfig) -> EnergyTotals:
     """Integrate a dispatch trace into directional energy totals.
 
-    PV counts as consumed when it reaches the load directly or charges
-    the battery; battery charging beyond the instantaneous PV surplus
-    (night charging) is grid energy, not consumed PV.  Ramp counts need
-    ``ramp_cfg`` to judge leaked remainders; without it only fully
-    executed commands count as controlled.  Raises ``OverflowError``
-    when an energy total, or the grid or battery throughput, overflows.
+    Each tick lasts ``trace.step_s``.  PV counts as consumed when it
+    reaches the load directly or charges the battery; battery charging
+    beyond the instantaneous PV surplus (night charging) is grid energy,
+    not consumed PV.  ``ramp_cfg``'s limit judges the remainders that
+    leaked to the grid (``_count_ramp_events``).  Raises
+    ``OverflowError`` when an energy total, or the grid or battery
+    throughput, overflows.
     """
     if len(trace) == 0:
         raise ValueError("cannot accumulate an empty trace")
-    hours = tick_s / 3600.0
-    n_orig, n_ctl = _count_ramp_events(trace, tick_s, ramp_cfg)
+    hours = trace.step_s / 3600.0
+    n_orig, n_ctl = _count_ramp_events(trace, ramp_cfg)
     sums = _energy_sums(trace)
     totals = EnergyTotals(*((float(wh) + 0.0) * hours for wh in sums),
                           n_ramps_original=n_orig, n_ramps_controlled=n_ctl)
-    energies = [f.name for f in fields(totals) if f.name.startswith("e_")]
-    overflowed = [name for name in energies + ["e_grid_total", "e_battery_total"]
-                  if not math.isfinite(getattr(totals, name))]
+    overflowed = [name for name in _ENERGIES if not math.isfinite(getattr(totals, name))]
     if overflowed:
         raise OverflowError(f"energy totals overflow: {', '.join(overflowed)}")
     return totals
@@ -183,8 +174,7 @@ def _energy_sums(trace: Trace) -> np.ndarray:
     return sums
 
 
-def _count_ramp_events(trace: Trace, tick_s: float,
-                       ramp_cfg: Optional[RampConfig]) -> tuple[int, int]:
+def _count_ramp_events(trace: Trace, ramp_cfg: RampConfig) -> tuple[int, int]:
     """Group violating ticks into events and classify each as controlled.
 
     An event is a maximal run of violating ticks.  A tick is
@@ -203,28 +193,26 @@ def _count_ramp_events(trace: Trace, tick_s: float,
     cmd, actual = trace.p_batt_cmd[at], trace.p_batt_actual[at]
     tol = _FULL_EXECUTION_RTOL * np.maximum(1.0, np.abs(cmd))
     ok = ramp & (np.abs(cmd - actual) <= tol)
-    if ramp_cfg is not None:
-        later = at > 0  # tick 0 has no tick before it
-        pairs = np.empty((np.count_nonzero(later), 2))
-        for col, ticks in enumerate((at[later] - 1, at[later])):
-            compensated = pairs[:, col]  # the PV signal after the battery
-            np.take(trace.p_pv, ticks, out=compensated)
-            np.subtract(compensated, trace.p_batt_actual[ticks], out=compensated,
-                        where=trace.mode[ticks] == ramp_mode)
-        # the decision on each pair (tick i - 1, tick i) is the odd one
-        leaked = violations(pairs.reshape(-1), 1, ramp_cfg, tick_s)[1::2]
-        ok[later] |= ramp[later] & ~leaked
+    later = at > 0  # tick 0 has no tick before it
+    pairs = np.empty((np.count_nonzero(later), 2))
+    for col, ticks in enumerate((at[later] - 1, at[later])):
+        compensated = pairs[:, col]  # the PV signal after the battery
+        np.take(trace.p_pv, ticks, out=compensated)
+        np.subtract(compensated, trace.p_batt_actual[ticks], out=compensated,
+                    where=trace.mode[ticks] == ramp_mode)
+    # the decision on each pair (tick i - 1, tick i) is the odd one
+    leaked = violations(pairs.reshape(-1), 1, ramp_cfg, trace.step_s)[1::2]
+    ok[later] |= ramp[later] & ~leaked
 
     starts = np.ones(at.size, dtype=bool)  # a gap in the ticks starts an event
     np.not_equal(np.diff(at), 1, out=starts[1:])
     event = np.cumsum(starts)
     n_orig = int(event[-1])
-    n_failed = np.unique(event[~ok]).size
+    n_failed = int(np.count_nonzero(np.bincount(event[~ok])))
     return n_orig, n_orig - n_failed
 
 
-def compute_kpis(totals: EnergyTotals,
-                 notes: Sequence[str] = ()) -> KpiReport:
+def compute_kpis(totals: EnergyTotals) -> KpiReport:
     """Evaluate the ten indicators from accumulated totals.
 
     Self-consumption (scr) shares generated PV; the grid and battery
@@ -260,13 +248,8 @@ def compute_kpis(totals: EnergyTotals,
     vacuous = totals.n_ramps_original == 0
     crr = 1.0 if vacuous else totals.n_ramps_controlled / totals.n_ramps_original
 
-    all_notes = tuple(notes) + (
-        "bcr is charge energy over total battery throughput; the "
-        "discharge share is its complement (1 - bcr).",
-    )
     return KpiReport(
         scr=scr, ssr=ssr, grf=grf, bcr=bcr, eg=eg, fgu=fgu, tgu=tgu,
         fbu=fbu, tbu=tbu, crr=crr, totals=totals,
         undefined_reasons=reasons, crr_no_violations=vacuous,
-        notes=all_notes,
     )

@@ -210,7 +210,11 @@ def load_power_csv(
         raise ProfileError(f"{path}: need at least two rows to infer the sampling step")
     values = np.concatenate(rows.chunks)
     log.info("read %s rows %d csv %d", path.name, len(values), rows.csv_rows)
-    return PowerSeries(rows.first, rows.step, values * scale if scale != 1.0 else values)
+    with np.errstate(over="ignore"):  # refused below, naming the file
+        watts = values * scale if scale != 1.0 else values
+    if not np.isfinite(watts).all():
+        raise ProfileError(f"{path}: {float(values[np.isinf(watts)][0])!r} kW overflows in W")
+    return PowerSeries(rows.first, rows.step, watts)
 
 
 def _decode(data: bytes) -> str:
@@ -360,13 +364,12 @@ def _canonical_rows(block: bytes, prev: datetime, step: timedelta,
     Such a line passes the per-row checks of ``load_power_csv`` with the
     same value: numpy's cast of bytes to float64 is Python's correctly
     rounded ``float``.  Stamps and power cells are gathered from
-    fixed-stride ``S<len>`` views of ``block``.  When the grid's stamps
-    all have one width, as on a grid of whole seconds, each line's stamp
-    and comma are compared with them as one fixed-width array.  Otherwise
-    (stamps are 20 bytes, or 27 with a fraction of a second) the stamps
-    are gathered one fancy index per length, and those of a length
-    compared as one byte string.  Power cells are gathered one fancy
-    index per length.
+    fixed-stride ``S<len>`` views of ``block``, one fancy index per
+    length.  A line's first comma must sit at the length of its grid
+    stamp, and the stamps of a length (20 bytes, or 27 with a fraction of
+    a second; one length on a grid of whole seconds) are compared with
+    the grid's as one byte string.  A run of power texts that numpy
+    refuses to cast is left to ``csv`` (``_floats``).
     """
     if power_idx == 0:
         return 0, None
@@ -391,28 +394,18 @@ def _canonical_rows(block: bytes, prev: datetime, step: timedelta,
     starts[0], starts[1:] = 0, ends[:-1] + 1
     lo = cells[:, power_idx - 1] + 1
     hi = cells[:, power_idx] if power_idx < width else ends - (a[ends - 1] == 13)
-    stamps = _utc_grid_stamps(prev, step, 1, n + 1, b",")
+    stamps = _utc_grid_stamps(prev, step, 1, n + 1)
     size = stamps.dtype.itemsize
-    fits = (hi > lo) & (ends - starts <= csv.field_size_limit())
     if stamps.view(np.uint8)[size - 1::size].all():  # no text is padded: one width
-        n = _leading((cells[:, 0] - starts == size - 1) & fits)
-        got, expected = _windows(block, size)[starts[:n]], stamps[:n]
-        if got.tobytes() != expected.tobytes():
-            n = int(np.argmax(got != expected))
+        lengths = np.full(n, size)
     else:
-        want = stamps.tobytes().replace(b"\0", b"")
-        commas_want = np.flatnonzero(np.frombuffer(want, np.uint8) == 44)
-        at = np.empty(n, np.intp)  # where each stamp starts in ``want``
-        at[0], at[1:] = 0, commas_want[:-1] + 1
-        stamp_sizes = commas_want - at
-        n = _leading((cells[:, 0] - starts == stamp_sizes) & fits)
-        first_off = n  # each stamp and its comma against the grid's
-        for size, rows in _by_size(stamp_sizes[:n]):
-            got = _windows(block, size + 1)[starts[rows]]
-            expected = _windows(want, size + 1)[at[rows]]
-            if got.tobytes() != expected.tobytes():
-                first_off = min(first_off, int(rows[np.argmax(got != expected)]))
-        n = first_off
+        lengths = _lengths(stamps)
+    fits = (hi > lo) & (ends - starts <= csv.field_size_limit())
+    n = _leading((cells[:, 0] - starts == lengths) & fits)  # each stamp ends at a comma
+    for size, rows in _by_size(lengths[:n]):
+        got, expected = _windows(block, size)[starts[rows]], _prefixes(stamps, size)[rows]
+        if got.tobytes() != expected.tobytes():
+            n = min(n, int(rows[np.argmax(got != expected)]))
     lo, sizes = lo[:n], (hi - lo)[:n]
     values = np.empty(n)
     for size, rows in _by_size(sizes):
@@ -427,8 +420,8 @@ def _canonical_rows(block: bytes, prev: datetime, step: timedelta,
 
 
 def _floats(texts: np.ndarray) -> np.ndarray:
-    """``float`` of each text of ``texts`` (an ``S<len>`` array), NaN where
-    ``float`` refuses it.  Each run of equal texts is cast once, as
+    """``float`` of each text of ``texts`` (an ``S<len>`` array), all NaN
+    when ``float`` refuses one.  Each run of equal texts is cast once, as
     ``write_grid_csv`` formats each run of equal floats once."""
     head = np.empty(len(texts), dtype=bool)
     head[:1] = True
@@ -437,8 +430,7 @@ def _floats(texts: np.ndarray) -> np.ndarray:
     try:
         values = runs.astype(np.float64)
     except ValueError:  # a spelling that float refuses, such as "1e" or "1.2.3"
-        values = np.array([float(t) if _parses(float, t) else math.nan
-                           for t in runs.tolist()])
+        return np.full(len(texts), math.nan)
     return values[np.cumsum(head) - 1]
 
 
@@ -451,11 +443,15 @@ def _windows(data: Union[bytes, np.ndarray], size: int) -> np.ndarray:
 
 
 def _by_size(sizes: np.ndarray):
-    """``(size, rows)`` for each distinct value of ``sizes``, ``rows`` its
-    indices in increasing order."""
+    """``(size, rows)`` for each distinct value of ``sizes``, in increasing
+    order, ``rows`` its indices in increasing order; unsorted if one."""
+    if not len(sizes):
+        return []
+    if sizes.min() == sizes.max():
+        return [(int(sizes[0]), np.arange(len(sizes)))]
     order = np.argsort(sizes, kind="stable")
-    distinct, heads = np.unique(sizes[order], return_index=True)
-    return zip(distinct.tolist(), np.split(order, heads[1:]))
+    heads = np.flatnonzero(np.diff(sizes[order])) + 1
+    return zip(sizes[order[np.insert(heads, 0, 0)]].tolist(), np.split(order, heads))
 
 
 def _leading(ok: np.ndarray) -> int:
@@ -543,70 +539,57 @@ def trapezoid_energy_wh(series: PowerSeries) -> float:
 
 # A stamp's fields, with ".ffffff" before the Z in a grid with fractions
 # of a second; each is copied in whole items from a table of its texts.
-_STAMP_FIELDS = {"date": ("S10", 0), "hour": ("S4", 10), "mm_ss": ("S5", 14),
-                 "point": ("S1", 19), "high": ("S2", 20), "low": ("S4", 22)}
+_STAMP_FIELDS = {"date": ("S10", 0), "hour": ("S4", 10), "minute": ("S3", 14),
+                 "second": ("S2", 17), "point": ("S1", 19), "high": ("S2", 20),
+                 "low": ("S4", 22)}
 _TWO_DIGITS = np.array([f"{i:02d}" for i in range(100)], dtype="S2")
 _HOURS = np.array([f"T{i:02d}:".encode() for i in range(24)], dtype="S4")
-
-
-@functools.cache
-def _mm_ss() -> np.ndarray:
-    """``b"%02d:%02d" % divmod(i, 60)`` for ``i`` in ``range(3600)``, as an
-    ``S5`` array."""
-    table = np.empty((60, 60, 5), dtype=np.uint8)
-    digits = _TWO_DIGITS[:60].view(np.uint8).reshape(60, 2)
-    table[:, :, :2] = digits[:, None]
-    table[:, :, 2] = ord(":")
-    table[:, :, 3:] = digits[None, :]
-    table.flags.writeable = False  # cached: shared by every caller
-    return table.reshape(3600, 5).view("S5")[:, 0]
+_MINUTES = np.array([f"{i:02d}:".encode() for i in range(60)], dtype="S3")
 
 
 _YEAR_1, _YEAR_10000 = (int(np.datetime64(year, "us").astype(np.int64))
                         for year in ("0001-01-01", "10000-01-01"))
 _HOUR_US = 3_600_000_000
 _TILE_ROWS = 36_000  # the most points of an hour that _hour_tile lays out: 0.1 s
-_HOUR_AT = _STAMP_FIELDS["mm_ss"][1]  # bytes of a stamp's date and "THH:"
+_HOUR_AT = _STAMP_FIELDS["minute"][1]  # bytes of a stamp's date and "THH:"
 
 
-def _utc_grid_stamps(start: datetime, step: timedelta, lo: int, hi: int,
-                     end: bytes = b"") -> np.ndarray:
+def _utc_grid_stamps(start: datetime, step: timedelta, lo: int, hi: int) -> np.ndarray:
     """The stamp of each grid point ``start + k * step``, ``k`` in
-    ``range(lo, hi)``, followed by ``end``, as an ``S`` array of ASCII
-    texts, each padded with NUL bytes to the array's width: ISO-8601 UTC
-    with a ``Z``, ``YYYY-MM-DDTHH:MM:SSZ``, with ``.ffffff`` before the
-    ``Z`` where the microseconds are not zero, as ``isoformat`` writes
-    them.  ``start`` is converted to UTC once, which equals converting
-    each row for any fixed-offset zone (series loaded from CSV are UTC).
+    ``range(lo, hi)``, as an ``S`` array of ASCII texts, each padded with
+    NUL bytes to the array's width: ISO-8601 UTC with a ``Z``,
+    ``YYYY-MM-DDTHH:MM:SSZ``, with ``.ffffff`` before the ``Z`` where the
+    microseconds are not zero, as ``isoformat`` writes them.  ``start`` is
+    converted to UTC once, which equals converting each row for any
+    fixed-offset zone (series loaded from CSV are UTC).
 
-    An increasing grid within years 1-9999 is written from tables: each
-    hour's date and ``THH:`` followed by the hour's slab of a tile of
-    ``MM:SS`` texts when the step divides an hour into at most
-    ``_TILE_ROWS`` points (``_tiled_stamps``), else row by row from
-    per-day date texts and digit tables (``_format_stamps``)."""
+    Stamps come from tables: each hour's date and ``THH:`` followed by
+    the hour's slab of a tile of ``MM:SS`` texts when the step divides an
+    hour into at most ``_TILE_ROWS`` points (``_tiled_stamps``), else row
+    by row (``_format_stamps``).  A step that is not positive, or a
+    grid leaving years 1-9999, which ``load_power_csv`` cannot read back,
+    raises ``ValueError``."""
+    if hi <= lo:
+        return np.empty(0, dtype="S20")
     origin = np.datetime64(start.astimezone(timezone.utc).replace(tzinfo=None), "us")
     step_us = step // timedelta(microseconds=1)
     first = int(origin.astype(np.int64)) + lo * step_us
-    last = first + (hi - lo - 1) * step_us
-    if hi > lo and step_us > 0 and _YEAR_1 <= first and last < _YEAR_10000:
-        if _HOUR_US % step_us == 0 and _HOUR_US // step_us <= _TILE_ROWS:
-            return _tiled_stamps(first, hi - lo, step_us, end)
-        return _format_stamps(first + np.arange(hi - lo, dtype=np.int64) * step_us, end)
-    us = origin.astype(np.int64) + np.arange(lo, hi, dtype=np.int64) * step_us
-    text = np.datetime_as_string(us.astype("M8[us]"), unit="us").tolist()
-    whole = (us % 1_000_000 == 0).tolist()
-    return np.array([(t[:19] if w else t).encode("ascii") + b"Z" + end
-                     for t, w in zip(text, whole)], dtype="S")
+    if step_us <= 0 or first < _YEAR_1 or first + (hi - lo - 1) * step_us >= _YEAR_10000:
+        raise ValueError(f"no stamps for {start.isoformat()} + k * {step}, k in [{lo}, {hi}): "
+                         "the step must be positive and the points within years 1-9999")
+    if _HOUR_US % step_us == 0 and _HOUR_US // step_us <= _TILE_ROWS:
+        return _tiled_stamps(first, hi - lo, step_us)
+    return _format_stamps(first + np.arange(hi - lo, dtype=np.int64) * step_us)
 
 
-def _tiled_stamps(first: int, n: int, step_us: int, end: bytes) -> np.ndarray:
+def _tiled_stamps(first: int, n: int, step_us: int) -> np.ndarray:
     """``_format_stamps`` of ``first + k * step_us``, ``k`` in ``range(n)``,
     for a step that divides an hour: each row is a row of ``_hour_tile``
     with its hour's date and ``THH:`` written over its blank start.  The
     tile's rows are copied as whole byte ranges in at most three slabs:
     the first hour's rest, the whole hours as one broadcast, and the
     last hour's start."""
-    tile = _hour_tile(step_us, first % step_us, end)
+    tile = _hour_tile(step_us, first % step_us)
     (per_hour, width), tile = tile.shape, tile.reshape(-1)
     hour, offset = divmod(first, _HOUR_US)
     k0 = offset // step_us  # the first row's place in its hour's tile
@@ -634,50 +617,49 @@ def _tiled_stamps(first: int, n: int, step_us: int, end: bytes) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _hour_tile(step_us: int, phase: int, end: bytes) -> np.ndarray:
+def _hour_tile(step_us: int, phase: int) -> np.ndarray:
     """``_format_stamps``' rows of the grid points ``phase + k * step_us``
     within an hour, as the rows of a read-only ``uint8`` array whose
     first ``_HOUR_AT`` bytes, the date and ``THH:``, are left blank."""
     us = phase + np.arange(_HOUR_US // step_us, dtype=np.int64) * step_us
-    stamps = _format_stamps(us, end)
-    tile = stamps.view(np.uint8).reshape(len(us), -1).copy()
+    tile = _format_stamps(us).view(np.uint8).reshape(len(us), -1).copy()
     tile[:, :_HOUR_AT] = 0
     tile.flags.writeable = False
     return tile
 
 
-def _format_stamps(us: np.ndarray, end: bytes) -> np.ndarray:
+def _format_stamps(us: np.ndarray) -> np.ndarray:
     """``_utc_grid_stamps``' text of each of increasing epoch microseconds
-    within years 1-9999, followed by ``end``: ``YYYY-MM-DDTHH:MM:SSZ``,
-    or, when some microseconds are not zero, with ``.ffffff`` before the
-    ``Z`` where they are not, and NUL bytes after ``end`` where they are."""
+    within years 1-9999: ``YYYY-MM-DDTHH:MM:SSZ``, or, when some
+    microseconds are not zero, with ``.ffffff`` before the ``Z`` where
+    they are not, and NUL bytes after the ``Z`` where they are."""
     seconds, micro = np.divmod(us, 1_000_000)
     fraction = bool(micro.any())
-    day, second = np.divmod(seconds, 86_400)
-    hour, mm_ss = np.divmod(second, 3600)
+    day, clock = np.divmod(seconds, 86_400)
+    hour, in_hour = np.divmod(clock, 3600)
+    minute, second = np.divmod(in_hour, 60)
     new_day = np.empty(len(day) + 1, dtype=bool)
     new_day[0] = new_day[-1] = True
     np.not_equal(day[1:], day[:-1], out=new_day[1:-1])
     heads = np.flatnonzero(new_day)
     dates = np.datetime_as_string(day[heads[:-1]].astype("M8[D]")).astype("S10")
-    tail = b"Z" + end
-    names = list(_STAMP_FIELDS)[:6 if fraction else 3]
-    size = 27 + len(end) if fraction else 20 + len(end)
+    names = list(_STAMP_FIELDS)[:7 if fraction else 4]
+    size = 27 if fraction else 20
     rows = np.empty((len(day), size), dtype=np.uint8)
     fields = rows.reshape(-1).view(np.dtype({
         "names": names, "formats": [_STAMP_FIELDS[k][0] for k in names],
         "offsets": [_STAMP_FIELDS[k][1] for k in names], "itemsize": size}))
     fields["date"] = np.repeat(dates, np.diff(heads))
     fields["hour"] = _HOURS[hour]
-    fields["mm_ss"] = _mm_ss()[mm_ss]
-    rows[:, size - len(tail):] = np.frombuffer(tail, np.uint8)
+    fields["minute"] = _MINUTES[minute]
+    fields["second"] = _TWO_DIGITS[second]
+    rows[:, -1] = ord("Z")
     if fraction:
         high, low = np.divmod(micro, 10_000)
         fields["point"] = b"."
         fields["high"] = _TWO_DIGITS[high]
         fields["low"] = _DIGITS4[low]
-        whole_tail = tail + b"\0" * 7  # whole seconds have no fraction
-        rows[micro == 0, 19:] = np.frombuffer(whole_tail, np.uint8)
+        rows[micro == 0, 19:] = np.frombuffer(b"Z" + bytes(7), np.uint8)  # no fraction
     return rows.view(f"S{size}")[:, 0]
 
 
@@ -693,11 +675,12 @@ def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
 
     A ``timestamp`` column (see ``_utc_grid_stamps``), then ``columns`` as
     ``repr`` of their float64 values, or as ``labels[name][code]`` for a
-    coded column.  Rows end in CRLF like the csv module's; no field can
-    hold a delimiter, quote or line break, and a label holding a NUL is
-    refused.  Rows are laid out ``_WRITE_BLOCK_ROWS`` at a time, so
-    memory stays bounded (see ``_grid_rows``), and each float is
-    formatted once per run of equal cells, on arrays by
+    coded column; a grid that ``_utc_grid_stamps`` refuses is refused
+    before the file is opened.  Rows end in CRLF like the csv module's;
+    no field can hold a delimiter, quote or line break, and a label
+    holding a NUL is refused.  Rows are laid out ``_WRITE_BLOCK_ROWS`` at
+    a time, so memory stays bounded (see ``_grid_rows``), and each float
+    is formatted once per run of equal cells, on arrays by
     ``_format_floats``.  Logs ``wrote <name> rows <n> formatted <k> of
     <cells> float cells exact <e>`` at INFO, ``e`` being the formatted
     cells that took ``_format_floats``' exact integer path.
@@ -711,9 +694,10 @@ def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
         tables[name] = texts, _lengths(texts)
     columns = {name: col if name in tables else np.asarray(col, dtype=np.float64)
                for name, col in columns.items()}
+    n = len(next(iter(columns.values())))
+    _utc_grid_stamps(start, step, max(n - 1, 0), n)  # the last point: refuses a bad grid
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    n = len(next(iter(columns.values())))
     formatted = exact = 0
     with path.open("wb") as fh:
         if header:
@@ -800,8 +784,7 @@ def _put(rows: np.ndarray, at: np.ndarray, texts: np.ndarray,
     if size - int(lens.min()) <= room:
         _windows(rows, size)[at] = _prefixes(cells, size)
         return
-    for size in np.unique(lens).tolist():
-        some = np.flatnonzero(lens == size)
+    for size, some in _by_size(lens):
         _windows(rows, size)[at[some]] = _prefixes(cells[some], size)
 
 

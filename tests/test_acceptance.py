@@ -47,7 +47,7 @@ def week_runs(week_profiles, cloudy_source):
         cfg = EmsConfig(strategy=strategy, ramp=RCFG)
         trace = simulate(pv, load, cfg, PARAMS, forecast_source=cloudy_source,
                          initial_soc=PARAMS.soc_min)
-        totals = accumulate(trace, RCFG.tick_s, RCFG)
+        totals = accumulate(trace, RCFG)
         runs[strategy] = (trace, totals, compute_kpis(totals))
     return runs
 
@@ -66,7 +66,7 @@ class TestCriterion01KpiIdentities:
     def test_identities_on_simulated_traces(self, week_runs, smooth_runs):
         reports = [r for _, _, r in week_runs.values()]
         for trace in smooth_runs.values():
-            reports.append(compute_kpis(accumulate(trace, RCFG.tick_s, RCFG)))
+            reports.append(compute_kpis(accumulate(trace, RCFG)))
         for report in reports:
             assert report.grf == pytest.approx(report.fgu + report.tgu, abs=1e-9)
             if report.grf and report.grf > 0:
@@ -131,7 +131,7 @@ class TestCriterion03StrategyCollapse:
         write_trace_csv(rr, tmp_path / "rr.csv")
         assert (tmp_path / "scm.csv").read_bytes() == (tmp_path / "rr.csv").read_bytes()
 
-        report = compute_kpis(accumulate(rr, RCFG.tick_s, RCFG))
+        report = compute_kpis(accumulate(rr, RCFG))
         assert report.crr_no_violations
         elapsed = time_mod.perf_counter() - t0
         ok(3, f"violation-free day: SCM == SCM_RR byte-for-byte, "
@@ -149,7 +149,7 @@ class TestCriterion04Saturation:
         trace = simulate(pv, load, cfg, unlimited, forecast_source=cloudy_source,
                          initial_soc=0.5)
         elapsed = time_mod.perf_counter() - t0
-        totals = accumulate(trace, RCFG.tick_s, RCFG)
+        totals = accumulate(trace, RCFG)
         assert totals.n_ramps_original >= 50
         assert totals.n_ramps_controlled == totals.n_ramps_original
         assert compute_kpis(totals).crr == 1.0

@@ -554,6 +554,10 @@ class TestOverflowingRuns:
                           "energy totals overflow: e_pv_generated, e_to_grid"),
         # a load of 5e-324 W: the PV over the load energy does
         "subnormal_load": ({"load": lambda n: np.full(n, 5e-324)}, "ssr overflows"),
+        # a PV of 1e20 W: no energy overflows, but the battery's and the
+        # standby's watts are lost in rounding the grid power
+        "huge_pv": ({"pv": lambda n: np.full(n, 1e20)},
+                    "powers too large to balance to 1e-6 W: tick 0 is off by"),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -938,3 +942,20 @@ class TestImports:
                              text=True, env={**os.environ, "PYTHONPATH": str(src)},
                              check=True)
         assert run.stdout == "False\n"
+
+    def test_week_runs_leave_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma, which a bare np.unique imports, takes some 15 ms to load
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys\n"
+                "from pvems.cli import main\n"
+                "fx, out = sys.argv[1:]\n"
+                "assert main(['--seed-fixtures', fx]) == 0\n"
+                "config = ['--config', fx + '/config_week.json', '--out-dir', out]\n"
+                "for command in (['simulate'], ['simulate', '--strategy', 'SCM'],\n"
+                "                ['compare']):\n"
+                "    assert main(command + config) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "fx"),
+                              str(tmp_path / "out")], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert run.stdout.splitlines()[-1] == "False"

@@ -26,9 +26,9 @@ def rec(i=0, p_pv=0.0, p_load=0.0, cmd=0.0, actual=0.0, grid=0.0, soc=0.35,
         mode=mode, rr_pct_per_min=rr, rr_violated=violated)
 
 
-def accumulate_rows(rows, tick_s, ramp_cfg=None):
+def accumulate_rows(rows, tick_s, ramp_cfg=RCFG):
     """``accumulate`` of the trace whose columns hold ``rows``."""
-    return accumulate(trace_of(rows, tick_s), tick_s, ramp_cfg)
+    return accumulate(trace_of(rows, tick_s), ramp_cfg)
 
 
 def totals(**kwargs):
@@ -49,7 +49,7 @@ class TestAccumulate:
         empty = Trace(start=T0, step_s=2.0,
                       **{name: [] for name in Trace.COLUMN_DTYPES})
         with pytest.raises(ValueError, match="empty"):
-            accumulate(empty, 2.0)
+            accumulate(empty, RCFG)
 
     def test_all_zero_trace(self):
         trace = [rec(i=i) for i in range(5)]
@@ -176,15 +176,6 @@ class TestRampEventCounting:
         t = accumulate_rows(trace, 60.0, cfg)
         assert (t.n_ramps_original, t.n_ramps_controlled) == (1, controlled)
 
-    def test_partial_without_cfg_counts_uncontrolled(self):
-        trace = [
-            rec(i=0, p_pv=1_000.0),
-            rec(i=1, p_pv=1_210.0, cmd=30.0, actual=10.0,
-                mode=DispatchMode.RAMP_CONTROL, rr=15.0, violated=True),
-        ]
-        t = accumulate_rows(trace, 2.0, ramp_cfg=None)
-        assert (t.n_ramps_original, t.n_ramps_controlled) == (1, 0)
-
     def test_violations_without_control_uncontrolled(self):
         trace = [rec(i=0, p_pv=1_000.0, rr=20.0, violated=True,
                      mode=DispatchMode.SCM)]
@@ -205,12 +196,11 @@ class TestRampEventCounting:
                               st.sampled_from([0.0, 500.0, 999.0, 1_000.0,
                                                1_000.5, 2_000.0]),
                               st.sampled_from([0.0, 1.0, -0.5, 1e-10])),
-                    min_size=1, max_size=30),
-           st.booleans())
+                    min_size=1, max_size=30))
     @settings(max_examples=300, deadline=None)
-    def test_matches_a_per_tick_count(self, ticks, with_cfg):
+    def test_matches_a_per_tick_count(self, ticks):
         # violated, ramp branch, PV and the part of the command not executed
-        cfg = self.LIMIT_CFG if with_cfg else None
+        cfg = self.LIMIT_CFG
         rows = [rec(i=i, p_pv=pv, cmd=300.0 + short, actual=300.0,
                     mode=DispatchMode.RAMP_CONTROL if ramp else DispatchMode.SCM,
                     violated=violated)
@@ -225,7 +215,7 @@ class TestRampEventCounting:
             ramp = r.mode is DispatchMode.RAMP_CONTROL
             ok = ramp and (abs(r.p_batt_cmd - r.p_batt_actual)
                            <= 1e-9 * max(1.0, abs(r.p_batt_cmd)))
-            if cfg is not None and i > 0 and ramp:
+            if i > 0 and ramp:
                 change = Fraction(compensated[i]) - Fraction(compensated[i - 1])
                 ok = ok or not reaches_limit(change, cfg, cfg.tick_s)
             if not ok:

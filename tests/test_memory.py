@@ -68,7 +68,7 @@ def test_prepass(horizon):
 def test_accumulate(horizon):
     _, cfg, trace = horizon
     totals, peak = peak_above_result(
-        lambda: accumulate(trace, cfg.ramp.tick_s, RampConfig()))
+        lambda: accumulate(trace, RampConfig()))
     assert totals.n_ramps_original > 0
     assert peak <= ACCUMULATE_MB
 

@@ -76,7 +76,7 @@ def reference_totals(records, tick_s, ramp_cfg):
             if ramp_mode:
                 ok = (abs(r.p_batt_cmd - r.p_batt_actual)
                       <= 1e-9 * max(1.0, abs(r.p_batt_cmd)))
-                if not ok and ramp_cfg is not None and prev_comp is not None:
+                if not ok and prev_comp is not None:
                     ok = not reaches_limit(Fraction(comp) - Fraction(prev_comp),
                                            ramp_cfg, tick_s)
             event_ok = (event_ok and ok) if in_event else ok
@@ -266,7 +266,7 @@ class TestEngineReference:
         assert [trace.start + i * trace.step for i in range(len(trace))] \
             == [r.timestamp for r in ref]
 
-        totals = accumulate(trace, cfg.ramp.tick_s, cfg.ramp)
+        totals = accumulate(trace, cfg.ramp)
         energies, n_orig, n_ctl = reference_totals(ref, cfg.ramp.tick_s, cfg.ramp)
         assert np.array_equal(bits([
             totals.e_pv_generated, totals.e_pv_consumed, totals.e_load,

@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 from pvems import timeseries
 from pvems.timeseries import (PowerSeries, ProfileError, ResampleMethod,
                               ResamplePolicy, align, load_power_csv, resample,
-                              trapezoid_energy_wh, write_power_csv)
+                              trapezoid_energy_wh, write_grid_csv,
+                              write_power_csv)
 from reference import format_utc, format_utc_grid
 
 T0 = datetime(2018, 1, 1, tzinfo=timezone.utc)
 HOLD = ResamplePolicy(ResampleMethod.HOLD)
 LINEAR = ResamplePolicy(ResampleMethod.LINEAR)
+# what write_grid_csv says of a grid whose stamps would not read back
+REFUSED_GRID = "the step must be positive and the points within years 1-9999"
 
 
 def make_csv(tmp_path, text, name="profile.csv"):
@@ -360,6 +363,46 @@ class TestCsvRoundTrip:
             write_power_csv(s, out / "block.csv", header=header)
         self.write_row_by_row(s, out / "rows.csv", header=header)
         assert (out / "block.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+    # the second point is 10000-01-01T00:00:00, which datetime cannot hold
+    @pytest.mark.parametrize("start, step", [
+        (datetime(9999, 12, 31, 23, 59, 58), timedelta(seconds=2)),
+        (datetime(2018, 1, 1), timedelta(0)),
+        (datetime(2018, 1, 1), timedelta(seconds=-2))],
+        ids=["past_9999", "zero_step", "negative_step"])
+    def test_grid_that_does_not_read_back_is_refused(self, tmp_path, start, step):
+        start = start.replace(tzinfo=timezone.utc)
+        with pytest.raises(ValueError, match=REFUSED_GRID):
+            write_grid_csv(tmp_path / "grid.csv", start, step, {"power": np.zeros(2)})
+        assert not (tmp_path / "grid.csv").exists()
+
+    # a step under half a microsecond is a zero timedelta
+    @pytest.mark.parametrize("start, step_s", [
+        (datetime(9999, 12, 31, 23, 59, 58), 2.0), (datetime(2018, 1, 1), 1e-7)],
+        ids=["past_9999", "zero_step"])
+    def test_series_that_does_not_read_back_is_refused(self, tmp_path, start, step_s):
+        s = PowerSeries(start.replace(tzinfo=timezone.utc), step_s, np.zeros(2))
+        with pytest.raises(ValueError, match=REFUSED_GRID):
+            write_power_csv(s, tmp_path / "pv.csv")
+        assert not (tmp_path / "pv.csv").exists()
+
+    @pytest.mark.parametrize("step_s", [2.0, 0.5, 7.0])
+    def test_last_hours_of_year_9999_round_trip(self, tmp_path, step_s):
+        end = datetime.max.replace(microsecond=0, tzinfo=timezone.utc)
+        n = int(3 * 3600 / step_s)
+        s = PowerSeries(end - timedelta(seconds=step_s * (n - 1)), step_s,
+                        np.arange(n, dtype=float))
+        write_power_csv(s, tmp_path / "pv.csv")
+        back = load_power_csv(tmp_path / "pv.csv")
+        assert (back.start, back.step_s, back.end) == (s.start, step_s, end)
+        assert np.array_equal(back.values, s.values)
+
+    def test_reader_and_writer_share_one_tile(self, tmp_path):
+        timeseries._hour_tile.cache_clear()
+        s = PowerSeries(T0 + timedelta(seconds=1), 2.0, np.arange(5_000, dtype=float))
+        write_power_csv(s, tmp_path / "pv.csv")
+        assert np.array_equal(load_power_csv(tmp_path / "pv.csv").values, s.values)
+        assert timeseries._hour_tile.cache_info().currsize == 1
 
     def test_runs_across_the_real_block_boundary(self, tmp_path):
         # runs of 0.0, -0.0 and one value over the 16 384-row boundary
@@ -926,6 +969,26 @@ class TestBlockIngest:
         assert self._csv_count(path, 256, caplog) == 100
         assert load_outcome(path) == load_row_by_row(path)
 
+    def test_power_text_that_numpy_refuses_hands_its_block_to_csv(self, tmp_path):
+        # every power cell has five bytes, so numpy's refusal of "1.2.3"
+        # sends csv back to the first line of that block, not further
+        rows = grid_lines(300, lambda k: "1.2.3" if k == 250 else f"{k % 90 + 10:.2f}")
+        path = make_csv(tmp_path, "\n".join(rows) + "\n")
+        read = []
+
+        def counted(lines, more, _csv_rows=timeseries._csv_rows):
+            for record in _csv_rows(lines, more):
+                read.append(record)
+                yield record
+
+        with mock.patch.object(timeseries, "_INGEST_BLOCK_BYTES", 1_000), \
+                mock.patch.object(timeseries, "_csv_rows", counted):
+            outcome = load_outcome(path)
+        assert outcome == ("error", f"{path}: line 251: bad power value '1.2.3'")
+        assert outcome == load_row_by_row(path)
+        line_bytes = len(rows[0]) + 1
+        assert read[-1][1] == "1.2.3" and len(read) <= 1_000 // line_bytes + 1
+
     def test_rows_after_a_fault_return_to_the_grid_path(self, tmp_path, caplog):
         # an epoch stamp on row 50: csv reads it and the rest of its
         # 256-byte block, then the next block is on the grid path again
@@ -954,8 +1017,7 @@ class TestFormatUtcGrid:
                             timedelta(microseconds=250_000),
                             timedelta(seconds=1, microseconds=500_000),
                             timedelta(microseconds=999_999),
-                            timedelta(days=1, microseconds=10),
-                            timedelta(seconds=-2)]),
+                            timedelta(days=1, microseconds=10)]),
            st.integers(-3, 3), st.integers(0, 40))
     @settings(max_examples=300, deadline=None)
     def test_matches_format_utc_per_row(self, start, step, lo, count):
@@ -998,14 +1060,13 @@ class TestFormatUtcGrid:
         # whole grids, blocks that start and end inside an hour's tile,
         # one row, and the rows up to the last stamp of year 9999
         for lo, hi in ((0, n), (1, n - 1), (n // 3, n // 3 + 1), (n - 5, n)):
-            for end in (b"", b","):
-                with mock.patch.object(timeseries, "_tiled_stamps",
-                                       wraps=timeseries._tiled_stamps) as spy:
-                    texts = timeseries._utc_grid_stamps(start, step, lo, hi, end)
-                assert texts.tolist() == [text + end for text in want[lo:hi]]
-                assert spy.called == tiled
+            with mock.patch.object(timeseries, "_tiled_stamps",
+                                   wraps=timeseries._tiled_stamps) as spy:
+                texts = timeseries._utc_grid_stamps(start, step, lo, hi)
+            assert texts.tolist() == want[lo:hi]
+            assert spy.called == tiled
 
-    def test_tile_is_made_once_per_step_phase_and_end(self):
+    def test_tile_is_made_once_per_step_and_phase(self):
         timeseries._hour_tile.cache_clear()
         step = timedelta(seconds=2)
         for lo in range(0, 20_000, 1_000):
@@ -1013,7 +1074,7 @@ class TestFormatUtcGrid:
             timeseries._utc_grid_stamps(T0 + timedelta(seconds=3), step, lo, lo + 1_000)
         info = timeseries._hour_tile.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        tile = timeseries._hour_tile(2_000_000, 1_000_000, b"")
+        tile = timeseries._hour_tile(2_000_000, 1_000_000)
         assert tile.shape == (1_800, 20) and not tile.flags.writeable
         assert bytes(tile[0]) == bytes(14) + b"00:01Z"
         assert bytes(tile[-1]) == bytes(14) + b"59:59Z"
