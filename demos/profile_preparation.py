@@ -11,8 +11,7 @@ import tempfile
 from pathlib import Path
 
 from pvems.fixtures import block_load, fluctuating_week_pv
-from pvems.timeseries import (ResampleMethod, ResamplePolicy, align,
-                              load_power_csv, trapezoid_energy_wh,
+from pvems.timeseries import (align, load_power_csv, trapezoid_energy_wh,
                               write_power_csv)
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -26,8 +25,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"pv:   {len(pv):7d} samples at {pv.step_s:5g} s from {pv.start}")
     print(f"load: {len(load):7d} samples at {load.step_s:5g} s from {load.start}")
 
-    policy = ResamplePolicy(ResampleMethod.HOLD, gap_limit_s=3600)
-    pv_a, load_a = align(pv, load, policy)
+    pv_a, load_a = align(pv, load)  # the load onto the PV's grid, by hold
     print(f"\naligned: {len(pv_a)} samples at {pv_a.step_s:g} s, "
           f"{pv_a.start} .. {pv_a.end}")
 

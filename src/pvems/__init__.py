@@ -16,9 +16,8 @@ from .forecast import (DEFAULT_CHARGE_IDS, ChargeDecisionPolicy, ForecastDay,
 from .kpi import EnergyTotals, KpiReport, accumulate, compute_kpis
 from .ramp import (RampConfig, RampHistogram, ramp_histogram, ramp_rate,
                    window_sweep)
-from .timeseries import (PowerSeries, ProfileError, ResampleMethod,
-                         ResamplePolicy, align, load_power_csv, resample,
-                         write_power_csv)
+from .timeseries import (PowerSeries, ProfileError, ResampleMethod, align,
+                         load_power_csv, resample, write_power_csv)
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,7 @@ __all__ = [
     "EnergyTotals", "KpiReport", "accumulate", "compute_kpis",
     "RampConfig", "RampHistogram", "ramp_histogram", "ramp_rate",
     "window_sweep",
-    "PowerSeries", "ProfileError", "ResampleMethod", "ResamplePolicy",
-    "align", "load_power_csv", "resample", "write_power_csv",
+    "PowerSeries", "ProfileError", "ResampleMethod", "align",
+    "load_power_csv", "resample", "write_power_csv",
     "__version__",
 ]

@@ -34,16 +34,17 @@ from pathlib import Path
 from time import perf_counter
 from typing import Iterator, Literal, Optional, Sequence
 
+import numpy as np
+
 from .battery import BatteryParams
 from .ems import (MODES, EmsConfig, PrePass, StrategyKind, Trace, prepass,
                   simulate)
 from .forecast import (ChargeDecisionPolicy, FixtureForecastSource,
                        ForecastError, LiveForecastSource, should_night_charge)
 from .kpi import KPI_NAMES, KpiReport, accumulate, compute_kpis
-from .ramp import RampConfig, ramp_histogram, window_sweep
-from .timeseries import (PowerSeries, ProfileError, ResampleMethod,
-                         ResamplePolicy, align, load_power_csv, resample,
-                         write_grid_csv)
+from .ramp import RampConfig, ramp_histogram, samples_per_minute, window_sweep
+from .timeseries import (PowerSeries, ProfileError, ResampleMethod, align,
+                         load_power_csv, resample, write_grid_csv)
 
 log = logging.getLogger(__name__)
 
@@ -58,8 +59,8 @@ class CliError(RuntimeError):
 
 
 class ConfigError(CliError):
-    """A config value that fails only once the profiles are read; the
-    CLI names the config file."""
+    """A config value that one command refuses, or that fails only once
+    the profiles are read; the CLI names the config file."""
 
 
 @dataclass
@@ -79,6 +80,8 @@ class ForecastConfig:
             raise ValueError(f"retries must be non-negative, got {self.retries}")
         if not self.timeout_s > 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
+        if self.mode == "fixture" and self.fixture_path is None:
+            raise ValueError("forecast.mode is 'fixture' but no fixture_path given")
 
     def policy(self) -> ChargeDecisionPolicy:
         return ChargeDecisionPolicy(charge_ids=self.charge_ids,
@@ -86,8 +89,6 @@ class ForecastConfig:
 
     def source(self):
         if self.mode == "fixture":
-            if self.fixture_path is None:
-                raise CliError("forecast.mode is 'fixture' but no fixture_path given")
             return FixtureForecastSource(self.fixture_path, self.region_id)
         endpoint = os.environ.get(ENDPOINT_ENV_VAR) or self.endpoint_base
         if not endpoint:
@@ -282,24 +283,31 @@ def load_config(path: Path, strategy_override: Optional[str] = None,
 
 
 def load_profiles(config: RunConfig) -> tuple[PowerSeries, PowerSeries]:
-    """Ingest, scale and align the PV and load profiles onto the tick grid.
+    """Ingest and scale the PV and load profiles and put both on the tick
+    grid: the PV by hold when its step differs from the tick, the load by
+    ``load_resample`` at the PV's ticks, whatever its own step.
 
-    A tick so much finer than the profiles' step that the grid cannot be
-    allocated is a ``ConfigError``.
+    A scale that overflows a load power is a ``CliError`` naming the load
+    profile.  A tick so much finer than the profiles' step that the grid
+    cannot be allocated is a ``ConfigError``.
     """
     pv = load_power_csv(config.pv_path, expected_unit=config.pv_unit)
     load = load_power_csv(config.load_path, expected_unit=config.load_unit)
     if config.load_scale_w != 1.0:
-        load = load.scaled(config.load_scale_w)
+        try:
+            with np.errstate(over="ignore"):  # an inf is refused, naming the file
+                load = load.scaled(config.load_scale_w)
+        except ProfileError:
+            raise CliError(f"{config.load_path}: load_scale_w {config.load_scale_w!r} "
+                           "overflows a power in W") from None
 
     tick = config.ems.ramp.tick_s
-    gap = max(3600.0, pv.step_s, load.step_s)
     span = pv.step_s * (len(pv) - 1)
     try:
         if span / tick < sys.maxsize:  # else past numpy's largest array
             if pv.step_s != tick:
-                pv = resample(pv, tick, ResamplePolicy(ResampleMethod.HOLD, gap))
-            return align(pv, load, ResamplePolicy(config.load_resample, gap))
+                pv = resample(pv, tick)
+            return align(pv, load, config.load_resample)
     except MemoryError:
         pass
     raise ConfigError(f"ramp.tick_s ({tick:g} s) is too fine for the profiles: "
@@ -464,10 +472,17 @@ def print_kpi_summary(report: KpiReport, strategy: str) -> None:
 def run_simulation(config: RunConfig) -> KpiReport:
     """Ingest, simulate, and write trace CSV, KPI JSON and ramp histogram.
 
-    The outputs are staged first (see ``_output_set``), so an unwritable
-    directory fails before any ingest or simulation work, and they are
-    moved into place only after all three are written.
+    A tick that does not divide a minute, which the histogram needs, is
+    refused first.  The outputs are staged next (see ``_output_set``), so
+    an unwritable directory fails before any ingest or simulation work,
+    and they are moved into place only after all three are written.
     """
+    tick = config.ems.ramp.tick_s
+    try:
+        samples_per_minute(tick)
+    except ValueError:
+        raise ConfigError(f"ramp.tick_s ({tick:g} s) must divide 60 s for the "
+                          "ramp histogram") from None
     paths = dataclasses.astuple(config.outputs)
     with _output_set(paths) as (trace_tmp, kpi_tmp, histogram_tmp):
         with _stage("ingest+align"):

@@ -34,6 +34,7 @@ __all__ = [
     "ramp_rate",
     "violations",
     "ramp_histogram",
+    "samples_per_minute",
     "window_sweep",
     "fsum_window_mean",
     "event_numbers",
@@ -108,13 +109,18 @@ class RampHistogram:
         }
 
 
+def samples_per_minute(step_s: float) -> int:
+    """The samples in a minute of a series of step ``step_s``; a step that
+    does not divide 60 s is a ``ValueError``."""
+    spm = 60.0 / step_s
+    if abs(spm - round(spm)) > 1e-9:
+        raise ValueError(f"series step ({step_s} s) must divide 60 s")
+    return int(round(spm))
+
+
 def ramp_histogram(series: PowerSeries, cfg: RampConfig) -> RampHistogram:
     """Bucket the 1-minute ramps of a power series by absolute magnitude."""
-    spm = 60.0 / series.step_s
-    if abs(spm - round(spm)) > 1e-9:
-        raise ValueError(f"series step ({series.step_s} s) must divide 60 s")
-    spm = int(round(spm))
-    marks = series.values[::spm]
+    marks = series.values[::samples_per_minute(series.step_s)]
     if len(marks) < 2:
         raise ValueError("series shorter than one minute")
     with np.errstate(over="ignore"):  # an inf ramp is above every bucket edge

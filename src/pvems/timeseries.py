@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "PowerSeries",
     "ResampleMethod",
-    "ResamplePolicy",
     "ProfileError",
     "load_power_csv",
     "resample",
@@ -45,18 +44,6 @@ class ProfileError(ValueError):
 class ResampleMethod(str, Enum):
     HOLD = "hold"      # zero-order hold
     LINEAR = "linear"  # linear interpolation
-
-
-@dataclass(frozen=True)
-class ResamplePolicy:
-    """How to fill a finer grid from coarser samples.
-
-    ``gap_limit_s`` bounds the source spacing we are willing to bridge;
-    resampling across larger gaps is refused rather than invented.
-    """
-
-    method: ResampleMethod = ResampleMethod.HOLD
-    gap_limit_s: float = 3600.0
 
 
 @dataclass(frozen=True)
@@ -133,21 +120,15 @@ def _parses(parse, text) -> bool:
     return True
 
 
-def load_power_csv(
-    path: Union[str, Path],
-    expected_unit: str = "W",
-    column: Union[str, None] = None,
-) -> PowerSeries:
+def load_power_csv(path: Union[str, Path], expected_unit: str = "W") -> PowerSeries:
     """Load a ``timestamp,power`` CSV into a validated PowerSeries.
 
     The header row is optional: the first row is one when its first
     cell is not a timestamp and its second cell, if any, not a number.
+    The power is each row's second cell.
     Timestamps are ISO-8601 UTC or integer epoch seconds and must be
     strictly increasing on a uniform grid.  ``expected_unit`` is ``"W"``
-    or ``"kW"``; kW inputs are converted to watts.  When the file has a
-    header, ``column`` selects a named power column (defaults to the
-    second column), which lets wide trace CSVs round-trip through this
-    loader.
+    or ``"kW"``; kW inputs are converted to watts.
 
     The header and the rows that fix the step are read with ``csv``.
     The rest of the file is read in blocks of whole lines of about
@@ -182,20 +163,14 @@ def load_power_csv(
             raise ProfileError(f"{path}: line 1: not UTF-8 text")
         if (header and not _parses(_parse_timestamp, header[0])
                 and not (len(header) > 1 and _parses(float, header[1]))):
-            if column is not None:
-                if column not in header:
-                    raise ProfileError(f"{path}: column {column!r} not in header {header}")
-                rows.power_idx = header.index(column)
             rows.lineno, first = 1, []
-        elif column is not None:
-            raise ProfileError(f"{path}: column selection requires a header row")
         else:
             first = [header]  # the first record is data
         rows.check(itertools.chain(first, csv.reader(text)), until_step=True)
         text.close()
 
         while block := src.block(_INGEST_BLOCK_BYTES):
-            end, values = _canonical_rows(block, rows.prev, rows.step_td, rows.power_idx)
+            end, values = _canonical_rows(block, rows.prev, rows.step_td)
             if end:
                 rows.accept(values)
             if end < len(block):
@@ -275,7 +250,7 @@ class _Rows:
     that pass them, in file order and unscaled."""
 
     def __init__(self, path: Path) -> None:
-        self.path, self.power_idx, self.lineno = path, 1, 0
+        self.path, self.lineno = path, 0
         self.first = self.prev = self.step = self.step_td = None
         self.chunks: list[np.ndarray] = []
         self.csv_rows = 0
@@ -289,7 +264,7 @@ class _Rows:
     def check(self, records, until_step: bool = False) -> None:
         """Check each csv record of ``records`` as a row; with ``until_step``,
         stop after the row that fixes the step."""
-        path, idx, powers = self.path, self.power_idx, []
+        path, powers = self.path, []
         try:
             for row in records:
                 self.lineno += 1
@@ -297,19 +272,19 @@ class _Rows:
                     raise ProfileError(f"{path}: line {self.lineno}: not UTF-8 text")
                 if not row or all(not cell.strip() for cell in row):
                     continue
-                if len(row) <= idx:
+                if len(row) < 2:
                     raise ProfileError(f"{path}: line {self.lineno}: expected at least "
-                                       f"{idx + 1} columns, got {len(row)}")
+                                       f"2 columns, got {len(row)}")
                 try:
                     ts = _parse_timestamp(row[0])
                 except ValueError as exc:
                     raise ProfileError(f"{path}: line {self.lineno}: bad timestamp "
                                        f"{row[0]!r}: {exc}") from None
                 try:
-                    p = float(row[idx])
+                    p = float(row[1])
                 except ValueError:
                     raise ProfileError(f"{path}: line {self.lineno}: bad power value "
-                                       f"{row[idx]!r}") from None
+                                       f"{row[1]!r}") from None
                 if not math.isfinite(p):
                     raise ProfileError(f"{path}: line {self.lineno}: non-finite power value")
                 if self.prev is None:
@@ -344,8 +319,8 @@ def _csv_rows(lines: list[str], more):
         yield next(reader)
 
 
-def _canonical_rows(block: bytes, prev: datetime, step: timedelta,
-                    power_idx: int) -> tuple[int, Union[np.ndarray, None]]:
+def _canonical_rows(block: bytes, prev: datetime,
+                    step: timedelta) -> tuple[int, Union[np.ndarray, None]]:
     """How many leading bytes of ``block`` are canonical lines that continue
     the grid after ``prev``, and their powers.
 
@@ -354,25 +329,21 @@ def _canonical_rows(block: bytes, prev: datetime, step: timedelta,
     - it ends in LF or CRLF and holds no other CR, no NUL, no quote and
       no byte above ASCII, so a text-mode file ends it at its LF and
       ``csv`` splits it at its commas alone;
-    - it is no longer than ``csv.field_size_limit()`` and has as many
-      commas as the block's first line;
+    - it is no longer than ``csv.field_size_limit()`` and has one comma;
     - it starts with ``_utc_grid_stamps``' text of the next grid point
-      (within datetime's years) and a comma;
-    - its ``power_idx`` cell is made of ``[0-9.eE+-]`` and gives a finite
-      float.
+      (within datetime's years) and that comma;
+    - its power cell, after the comma, is made of ``[0-9.eE+-]`` and
+      gives a finite float.
 
     Such a line passes the per-row checks of ``load_power_csv`` with the
     same value: numpy's cast of bytes to float64 is Python's correctly
     rounded ``float``.  Stamps and power cells are gathered from
     fixed-stride ``S<len>`` views of ``block``, one fancy index per
-    length.  A line's first comma must sit at the length of its grid
-    stamp, and the stamps of a length (20 bytes, or 27 with a fraction of
+    length.  A line's comma must sit at the length of its grid stamp, and the stamps of a length (20 bytes, or 27 with a fraction of
     a second; one length on a grid of whole seconds) are compared with
     the grid's as one byte string.  A run of power texts that numpy
     refuses to cast is left to ``csv`` (``_floats``).
     """
-    if power_idx == 0:
-        return 0, None
     a = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(a == 10)
     ends = ends[:(_LAST_UTC - prev) // step]  # the grid stays within datetime's years
@@ -384,16 +355,13 @@ def _canonical_rows(block: bytes, prev: datetime, step: timedelta,
     if len(ends) == 0:
         return 0, None
     commas = np.flatnonzero(a[:ends[-1]] == 44)
-    counts = np.diff(np.searchsorted(commas, ends), prepend=0)
-    width = int(counts[0])
-    if width < power_idx:
+    n = _leading(np.diff(np.searchsorted(commas, ends), prepend=0) == 1)
+    if n == 0:
         return 0, None
-    n = _leading(counts == width)
-    ends, cells = ends[:n], commas[:n * width].reshape(n, width)
+    ends, commas = ends[:n], commas[:n]
     starts = np.empty(n, np.intp)
     starts[0], starts[1:] = 0, ends[:-1] + 1
-    lo = cells[:, power_idx - 1] + 1
-    hi = cells[:, power_idx] if power_idx < width else ends - (a[ends - 1] == 13)
+    lo, hi = commas + 1, ends - (a[ends - 1] == 13)
     stamps = _utc_grid_stamps(prev, step, 1, n + 1)
     size = stamps.dtype.itemsize
     if stamps.view(np.uint8)[size - 1::size].all():  # no text is padded: one width
@@ -401,7 +369,7 @@ def _canonical_rows(block: bytes, prev: datetime, step: timedelta,
     else:
         lengths = _lengths(stamps)
     fits = (hi > lo) & (ends - starts <= csv.field_size_limit())
-    n = _leading((cells[:, 0] - starts == lengths) & fits)  # each stamp ends at a comma
+    n = _leading((commas - starts == lengths) & fits)  # each stamp ends at the comma
     for size, rows in _by_size(lengths[:n]):
         got, expected = _windows(block, size)[starts[rows]], _prefixes(stamps, size)[rows]
         if got.tobytes() != expected.tobytes():
@@ -460,29 +428,21 @@ def _leading(ok: np.ndarray) -> int:
 
 
 def resample(series: PowerSeries, target_step_s: float,
-             policy: ResamplePolicy = ResamplePolicy()) -> PowerSeries:
+             method: ResampleMethod = ResampleMethod.HOLD) -> PowerSeries:
     """Resample onto a grid of ``target_step_s`` covering the same span.
 
     ``hold`` repeats the most recent source sample; ``linear``
-    interpolates between neighbours.  Refuses to bridge source spacing
-    wider than the policy's gap limit.
+    interpolates between neighbours.
     """
     if target_step_s <= 0:
         raise ProfileError(f"target step must be positive, got {target_step_s}")
-    if policy.gap_limit_s < target_step_s:
-        raise ProfileError(f"gap_limit ({policy.gap_limit_s} s) must be >= "
-                           f"target step ({target_step_s} s)")
-    if len(series) > 1 and series.step_s > policy.gap_limit_s:
-        raise ProfileError(f"source spacing {series.step_s} s exceeds gap limit "
-                           f"{policy.gap_limit_s} s")
-
     if target_step_s == series.step_s:
         return series
 
     span = series.step_s * (len(series) - 1)
     n_out = int(math.floor(span / target_step_s + 1e-9)) + 1
     t_out = np.arange(n_out) * target_step_s
-    values = _sample_at(series, t_out, policy.method)
+    values = _sample_at(series, t_out, method)
     return PowerSeries(series.start, target_step_s, values)
 
 
@@ -497,37 +457,28 @@ def _sample_at(series: PowerSeries, t_rel: np.ndarray, method: ResampleMethod) -
 
 
 def align(a: PowerSeries, b: PowerSeries,
-          policy: ResamplePolicy = ResamplePolicy()) -> tuple[PowerSeries, PowerSeries]:
-    """Put two series onto one grid: the finer step, overlapping span only.
+          method: ResampleMethod = ResampleMethod.HOLD) -> tuple[PowerSeries, PowerSeries]:
+    """Put ``b`` onto ``a``'s grid over the span both cover.
 
-    The coarser series is resampled (hold by default); non-overlapping
-    ends are truncated.  Raises when the spans do not overlap.
+    ``a`` keeps its samples in that span, and ``b`` is sampled at them
+    (hold by default), whichever step is finer.  Raises when the spans
+    do not overlap.
     """
-    fine, coarse = (a, b) if a.step_s <= b.step_s else (b, a)
-    step = fine.step_s
-
+    step = a.step_s
     t0 = max(a.start_epoch, b.start_epoch)
     t1 = min(a.end.timestamp(), b.end.timestamp())
     if t0 > t1 + 1e-9:
         raise ProfileError("series do not overlap in time")
 
-    # Snap the common window onto the finer series' grid.
-    k0 = int(math.ceil((t0 - fine.start_epoch) / step - 1e-9))
-    k1 = int(math.floor((t1 - fine.start_epoch) / step + 1e-9))
+    # Snap the common window onto a's grid.
+    k0 = int(math.ceil((t0 - a.start_epoch) / step - 1e-9))
+    k1 = int(math.floor((t1 - a.start_epoch) / step + 1e-9))
     if k1 < k0:
         raise ProfileError("series do not overlap in time")
-    start = fine.start + timedelta(seconds=k0 * step)
-    n = k1 - k0 + 1
-
-    fine_out = PowerSeries(start, step, fine.values[k0:k1 + 1])
-
-    if len(coarse) > 1 and coarse.step_s > policy.gap_limit_s:
-        raise ProfileError(f"source spacing {coarse.step_s} s exceeds gap limit "
-                           f"{policy.gap_limit_s} s")
-    t_rel = start.timestamp() - coarse.start_epoch + np.arange(n) * step
-    coarse_out = PowerSeries(start, step, _sample_at(coarse, t_rel, policy.method))
-
-    return (fine_out, coarse_out) if a.step_s <= b.step_s else (coarse_out, fine_out)
+    start = a.start + timedelta(seconds=k0 * step)
+    t_rel = start.timestamp() - b.start_epoch + np.arange(k1 - k0 + 1) * step
+    return (PowerSeries(start, step, a.values[k0:k1 + 1]),
+            PowerSeries(start, step, _sample_at(b, t_rel, method)))
 
 
 def trapezoid_energy_wh(series: PowerSeries) -> float:
@@ -579,6 +530,8 @@ def _utc_grid_stamps(start: datetime, step: timedelta, lo: int, hi: int) -> np.n
                          "the step must be positive and the points within years 1-9999")
     if _HOUR_US % step_us == 0 and _HOUR_US // step_us <= _TILE_ROWS:
         return _tiled_stamps(first, hi - lo, step_us)
+    if hi - lo == 1:  # one point needs no step, which may not fit in int64
+        return _format_stamps(np.array([first]))
     return _format_stamps(first + np.arange(hi - lo, dtype=np.int64) * step_us)
 
 
@@ -669,8 +622,7 @@ _FORMAT_BATCH = 4_096  # floats formatted at a time by _format_floats
 
 def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
                    columns: dict[str, np.ndarray],
-                   labels: Union[dict[str, Sequence[str]], None] = None,
-                   header: bool = True) -> None:
+                   labels: Union[dict[str, Sequence[str]], None] = None) -> None:
     """One CSV row per grid point ``start + k * step``: the grid-CSV format.
 
     A ``timestamp`` column (see ``_utc_grid_stamps``), then ``columns`` as
@@ -700,8 +652,7 @@ def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
     path.parent.mkdir(parents=True, exist_ok=True)
     formatted = exact = 0
     with path.open("wb") as fh:
-        if header:
-            fh.write((",".join(["timestamp", *columns]) + "\r\n").encode())
+        fh.write((",".join(["timestamp", *columns]) + "\r\n").encode())
         for lo in range(0, n, _WRITE_BLOCK_ROWS):
             hi = min(lo + _WRITE_BLOCK_ROWS, n)
             rows, k, e = _grid_rows(start, step, lo, hi, columns, tables)
@@ -1202,8 +1153,7 @@ def _high_product(a1: np.ndarray, a0: np.ndarray, b0: np.ndarray,
     return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32)
 
 
-def write_power_csv(series: PowerSeries, path: Union[str, Path],
-                    header: bool = True) -> None:
+def write_power_csv(series: PowerSeries, path: Union[str, Path]) -> None:
     """Write ``timestamp,power`` rows that load_power_csv reads back losslessly."""
     write_grid_csv(path, series.start, timedelta(seconds=series.step_s),
-                   {"power": series.values}, header=header)
+                   {"power": series.values})

@@ -43,6 +43,24 @@ def day_config(corpus):
     return path
 
 
+def changed_config(day_config, tmp_path, change, name="changed.json"):
+    """The day config with each ``change`` section merged in (or set, for
+    a value that is not a dict), written to ``tmp_path / name``."""
+    doc = json.loads(day_config.read_text())
+    for section, values in change.items():
+        doc[section] = ({**doc[section], **values}
+                        if isinstance(values, dict) else values)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def trace_column(path, name):
+    """The float column ``name`` of a trace CSV."""
+    return np.loadtxt(path, delimiter=",", skiprows=1,
+                      usecols=cli.TRACE_COLUMNS.index(name))
+
+
 class TestSeedFixtures:
     def test_writes_corpus(self, tmp_path, capsys):
         assert main(["--seed-fixtures", str(tmp_path / "fx")]) == 0
@@ -101,13 +119,37 @@ class TestSimulate:
         out_dir = tmp_path / "out"
         assert main(["simulate", "--config", str(day_config),
                      "--out-dir", str(out_dir)]) == 0
-        pv_col = load_power_csv(out_dir / "trace.csv", column="p_pv")
+        pv_col = load_power_csv(out_dir / "trace.csv")  # the second column, p_pv
         cfg = json.loads(day_config.read_text())
         original = load_power_csv(cfg["pv_path"])
         assert pv_col.step_s == original.step_s
         assert np.array_equal(pv_col.values, original.values[:len(pv_col)])
-        grid_col = load_power_csv(out_dir / "trace.csv", column="p_grid")
-        assert len(grid_col) == len(pv_col)
+
+    def test_load_finer_than_the_tick_is_held_at_the_ticks(self, corpus, day_config,
+                                                           tmp_path):
+        # a 2 s load on 4 s ticks: refused before ("profiles sampled at
+        # 2.0 s but the control tick is 4.0 s")
+        paths, _ = corpus
+        config = changed_config(day_config, tmp_path, {
+            "load_path": str(paths["pv_smooth_day"]),
+            "ramp": {"tick_s": 4.0, "window_s": 20.0}})
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(config),
+                     "--out-dir", str(out_dir)]) == 0
+        p_load = trace_column(out_dir / "trace.csv", "p_load")
+        load = load_power_csv(paths["pv_smooth_day"]).values
+        assert np.array_equal(p_load, load[::2][:len(p_load)])
+        assert len(p_load) == len(load) // 2
+
+    def test_load_scale_scales_p_load(self, day_config, tmp_path):
+        half = changed_config(day_config, tmp_path, {"load_scale_w": 0.5})
+        for config, out in ((day_config, "one"), (half, "half")):
+            assert main(["simulate", "--config", str(config),
+                         "--out-dir", str(tmp_path / out)]) == 0
+        p_load = trace_column(tmp_path / "one" / "trace.csv", "p_load")
+        assert p_load.any()
+        assert np.array_equal(trace_column(tmp_path / "half" / "trace.csv", "p_load"),
+                              0.5 * p_load)
 
     def test_integer_config_powers_print_as_floats(self, day_config, tmp_path):
         # Every power column is float64, so a power given as a JSON integer
@@ -418,6 +460,13 @@ class TestErrorsWithoutTraceback:
         # "bad clock time '25:00', expected HH:MM", naming no key
         ({"ems": {"charge_start_time": "25:00"}}, [],
          "ems.charge_start_time must be a clock time HH:MM, got '25:00'"),
+        # "series step (7.0 s) must divide 60 s" after dispatch and
+        # accounting, naming neither the config nor the key
+        ({"ramp": {"tick_s": 7, "window_s": 28}}, [],
+         "ramp.tick_s (7 s) must divide 60 s for the ramp histogram"),
+        # exit 0 (with the flag, no forecast is read)
+        ({"forecast": {"fixture_path": None}}, ["--strategy", "SCM"],
+         "forecast.mode is 'fixture' but no fixture_path given"),
     ], ids=repr)
     def test_bad_value_fails_before_ingest(self, day_config, tmp_path, capsys,
                                            monkeypatch, change, flags, message):
@@ -435,6 +484,27 @@ class TestErrorsWithoutTraceback:
                      "--out-dir", str(tmp_path / "o"), *flags])
         assert code == 1
         assert_one_line_error(capsys, f"error: {bad}: {message}")
+        assert not (tmp_path / "o").exists()
+
+    # refusals that no other test reaches
+    @pytest.mark.parametrize("change, argv, message", [
+        ({"pv_path": None}, ["simulate"], "pv_path and load_path are required"),
+        ({"load_path": None}, ["compare"], "pv_path and load_path are required"),
+        ({}, ["compare", "--strategies", ","], "no strategies requested"),
+        ({"forecast": None}, ["forecast-check", "--date", "2018-01-02"],
+         "config has no forecast section"),
+        ({"ems": {"night_charge_power_w": 0}}, ["simulate"],
+         "night_charge_power_w must be positive"),
+        ({"ems": {"soc_target": 1.5}}, ["simulate"], "soc_target must be in (0, 1), got 1.5"),
+        ({"ramp": {"limit_pct_per_min": 0}}, ["simulate"],
+         "limit_pct_per_min must be positive"),
+    ], ids=repr)
+    def test_refusal_is_one_line(self, day_config, tmp_path, capsys, change, argv,
+                                 message):
+        bad = changed_config(day_config, tmp_path, change, "bad.json")
+        out = [] if argv[0] == "forecast-check" else ["--out-dir", str(tmp_path / "o")]
+        assert main([argv[0], "--config", str(bad), *argv[1:], *out]) == 1
+        assert_one_line_error(capsys, message)
         assert not (tmp_path / "o").exists()
 
     def test_tick_far_finer_than_the_profiles(self, day_config, tmp_path, capsys):
@@ -591,6 +661,17 @@ class TestOverflowingRuns:
         assert_one_line_error(capsys, f"{case}_", message)
         assert {p.name: p.read_text() for p in out_dir.iterdir()} \
             == {name: f"previous {name}\n" for name in outputs}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_load_scale_that_overflows(self, day_config, tmp_path, capsys, command):
+        # a RuntimeWarning, then "non-finite power value at sample 0",
+        # naming no file
+        config = changed_config(day_config, tmp_path, {"load_scale_w": 1e306})
+        assert main([command, "--config", str(config),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        assert_one_line_error(capsys, "load_smooth_day.csv: load_scale_w 1e+306 "
+                                      "overflows a power in W")
 
 
 class TestCsvErrorsWithoutTraceback:
@@ -759,7 +840,7 @@ class TestStageLog:
                          "accounting.SCM_RR_WF", "write.trace_csv",
                          "write.kpi_json", "write.histogram_csv"]
         assert dispatch == ["SCM_RR_WF"]
-        n_ticks = len(load_power_csv(out_dir / "trace.csv", column="p_pv"))
+        n_ticks = len(load_power_csv(out_dir / "trace.csv"))
         assert wrote == [("trace.csv", n_ticks)]
 
     def test_compare(self, day_config, tmp_path, capsys, caplog):
@@ -859,6 +940,17 @@ class TestCompare:
                          "--out-dir", str(tmp_path / "cmp")]) == 0
         assert any("forecast" in m and "ignored" in m
                    for m in caplog.messages) == ignored
+
+    # a tick that does not divide a minute (compare writes no histogram),
+    # and one of two hours (refused before: "gap_limit (3600.0 s) must be
+    # >= target step (7200.0 s)")
+    @pytest.mark.parametrize("tick_s", [7.0, 7200.0])
+    def test_coarse_and_odd_ticks(self, day_config, tmp_path, tick_s):
+        config = changed_config(day_config, tmp_path,
+                                {"ramp": {"tick_s": tick_s, "window_s": 4 * tick_s}})
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        assert len((out_dir / "compare.csv").read_text().splitlines()) == 1 + 10 + 2
 
     def test_single_strategy(self, day_config, tmp_path):
         out_dir = tmp_path / "cmp1"

@@ -12,15 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvems import timeseries
-from pvems.timeseries import (PowerSeries, ProfileError, ResampleMethod,
-                              ResamplePolicy, align, load_power_csv, resample,
-                              trapezoid_energy_wh, write_grid_csv,
-                              write_power_csv)
+from pvems.timeseries import (PowerSeries, ProfileError, ResampleMethod, align,
+                              load_power_csv, resample, trapezoid_energy_wh,
+                              write_grid_csv, write_power_csv)
 from reference import format_utc, format_utc_grid
 
 T0 = datetime(2018, 1, 1, tzinfo=timezone.utc)
-HOLD = ResamplePolicy(ResampleMethod.HOLD)
-LINEAR = ResamplePolicy(ResampleMethod.LINEAR)
+HOLD, LINEAR = ResampleMethod.HOLD, ResampleMethod.LINEAR
 # what write_grid_csv says of a grid whose stamps would not read back
 REFUSED_GRID = "the step must be positive and the points within years 1-9999"
 
@@ -111,20 +109,19 @@ class TestLoadPowerCsv:
         with pytest.raises(ProfileError, match=f"line 1: bad timestamp '{stamp}'"):
             load_power_csv(path)
 
-    @pytest.mark.parametrize("header, column", [
-        ("timestamp,power", None),
-        ("timestamp,other,power", "power"),
-        ("timestamp", None),
-        ("timestamp,p_pv,p_load,p_batt_cmd,p_batt_actual,p_grid,soc,mode,rr,"
-         "rr_violated", "p_load"),
+    # whatever the header names, the power is the second column
+    @pytest.mark.parametrize("header", [
+        "timestamp,power", "timestamp,other,power", "timestamp",
+        "timestamp,p_pv,p_load,p_batt_cmd,p_batt_actual,p_grid,soc,mode,rr,"
+        "rr_violated",
     ])
-    def test_header_rows(self, tmp_path, header, column):
+    def test_header_rows(self, tmp_path, header):
         n_cols = max(2, header.count(",") + 1)
-        cells = ",".join(["5"] * (n_cols - 1))
+        cells = ",".join(str(5 + c) for c in range(n_cols - 1))
         path = make_csv(tmp_path, f"{header}\n"
                                   f"2018-01-01T00:00:00Z,{cells}\n"
                                   f"2018-01-01T00:00:02Z,{cells}\n")
-        s = load_power_csv(path, column=column)
+        s = load_power_csv(path)
         assert s.start == T0 and list(s.values) == [5.0, 5.0]
 
     def test_empty_file(self, tmp_path):
@@ -172,10 +169,6 @@ class TestLoadPowerCsv:
         with pytest.raises(ProfileError, match="expected_unit"):
             load_power_csv(path, expected_unit="MW")
 
-    def test_named_column(self, tmp_path):
-        path = make_csv(tmp_path, "timestamp,a,b\n0,1,10\n2,2,20\n")
-        assert list(load_power_csv(path, column="b").values) == [10.0, 20.0]
-
 
 class TestResample:
     def test_constant_hold(self):
@@ -200,22 +193,19 @@ class TestResample:
         out = resample(s, 2.0, HOLD)
         assert np.array_equal(out.values[::5], s.values)
 
-    def test_gap_limit_refused(self):
+    def test_steps_over_an_hour(self):
+        # a 2 h source onto 2 s ticks, and onto a 2 h target from 2 s
         s = PowerSeries(T0, 7200.0, np.array([1.0, 2.0]))
-        with pytest.raises(ProfileError, match="gap"):
-            resample(s, 2.0, ResamplePolicy(ResampleMethod.HOLD, gap_limit_s=3600.0))
-
-    def test_gap_limit_below_target(self):
-        s = PowerSeries(T0, 900.0, np.array([1.0, 2.0]))
-        with pytest.raises(ProfileError, match="gap_limit"):
-            resample(s, 60.0, ResamplePolicy(ResampleMethod.HOLD, gap_limit_s=30.0))
+        assert list(resample(s, 2.0).values) == [1.0] * 3600 + [2.0]
+        fine = PowerSeries(T0, 2.0, np.arange(3601, dtype=float))
+        assert list(resample(fine, 7200.0).values) == [0.0, 3600.0]
 
     @given(st.floats(min_value=-1e4, max_value=1e4),
            st.sampled_from([ResampleMethod.HOLD, ResampleMethod.LINEAR]))
     @settings(max_examples=25, deadline=None)
     def test_constant_invariance(self, level, method):
         s = PowerSeries(T0, 900.0, np.full(5, level))
-        out = resample(s, 100.0, ResamplePolicy(method))
+        out = resample(s, 100.0, method)
         assert np.allclose(out.values, level, atol=1e-9)
 
     def test_linear_energy_preserved_on_refinement(self):
@@ -265,6 +255,20 @@ class TestAlign:
         assert a1.start == a2.start and b1.start == b2.start
         assert np.array_equal(a1.values, a2.values)
         assert np.array_equal(b1.values, b2.values)
+
+    def test_second_series_goes_onto_the_first_ones_grid(self):
+        # a 2 s load onto 4 s PV ticks: the load held at each tick
+        pv = PowerSeries(T0, 4.0, np.arange(5, dtype=float))
+        load = PowerSeries(T0, 2.0, np.arange(100, 110, dtype=float))
+        pv_a, load_a = align(pv, load)
+        assert pv_a.step_s == load_a.step_s == 4.0
+        assert np.array_equal(pv_a.values, pv.values)
+        assert np.array_equal(load_a.values, load.values[::2][:5])
+        # with the load first, the PV goes onto the load's 2 s grid
+        load_b, pv_b = align(load, pv)
+        assert load_b.step_s == pv_b.step_s == 2.0
+        assert np.array_equal(load_b.values, load.values[:9])
+        assert np.array_equal(pv_b.values, np.repeat(pv.values, 2)[:9])
 
     def test_offset_coarse_grid(self):
         # coarse series whose start is not on the fine grid
@@ -334,12 +338,11 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.values, s.values)
 
     @staticmethod
-    def write_row_by_row(series, path, header=True):
+    def write_row_by_row(series, path):
         """The per-row reference of ``write_power_csv``."""
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            if header:
-                writer.writerow(["timestamp", "power"])
+            writer.writerow(["timestamp", "power"])
             ts, delta = series.start, timedelta(seconds=series.step_s)
             for value in series.values:
                 writer.writerow([format_utc(ts), repr(float(value))])
@@ -351,17 +354,16 @@ class TestCsvRoundTrip:
                      st.floats(1e-6, 86_400.0)),
            st.one_of(st.lists(FINITE, min_size=1, max_size=60),
                      runs(FINITE)),
-           st.booleans(),
            BLOCK_ROWS)
     @settings(max_examples=300, deadline=None)
     def test_matches_row_by_row_writer(self, tmp_path_factory, start, step_s,
-                                       values, header, block_rows):
+                                       values, block_rows):
         s = PowerSeries(start.replace(tzinfo=timezone.utc), step_s,
                         np.array(values))
         out = tmp_path_factory.mktemp("write")
         with mock.patch.object(timeseries, "_WRITE_BLOCK_ROWS", block_rows):
-            write_power_csv(s, out / "block.csv", header=header)
-        self.write_row_by_row(s, out / "rows.csv", header=header)
+            write_power_csv(s, out / "block.csv")
+        self.write_row_by_row(s, out / "rows.csv")
         assert (out / "block.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
     # the second point is 10000-01-01T00:00:00, which datetime cannot hold
@@ -376,15 +378,24 @@ class TestCsvRoundTrip:
             write_grid_csv(tmp_path / "grid.csv", start, step, {"power": np.zeros(2)})
         assert not (tmp_path / "grid.csv").exists()
 
-    # a step under half a microsecond is a zero timedelta
+    # a step under half a microsecond is a zero timedelta; one of 1e13 s
+    # is over 2**63 us
     @pytest.mark.parametrize("start, step_s", [
-        (datetime(9999, 12, 31, 23, 59, 58), 2.0), (datetime(2018, 1, 1), 1e-7)],
-        ids=["past_9999", "zero_step"])
+        (datetime(9999, 12, 31, 23, 59, 58), 2.0), (datetime(2018, 1, 1), 1e-7),
+        (datetime(2018, 1, 1), 1e13)],
+        ids=["past_9999", "zero_step", "huge_step"])
     def test_series_that_does_not_read_back_is_refused(self, tmp_path, start, step_s):
         s = PowerSeries(start.replace(tzinfo=timezone.utc), step_s, np.zeros(2))
         with pytest.raises(ValueError, match=REFUSED_GRID):
             write_power_csv(s, tmp_path / "pv.csv")
         assert not (tmp_path / "pv.csv").exists()
+
+    def test_one_point_needs_no_step(self, tmp_path):
+        # OverflowError before: the stamps were the point times a step
+        # of 1e19 us, over int64
+        write_power_csv(PowerSeries(T0, 1e13, np.array([1.0])), tmp_path / "one.csv")
+        assert (tmp_path / "one.csv").read_bytes() == \
+            b"timestamp,power\r\n2018-01-01T00:00:00Z,1.0\r\n"
 
     @pytest.mark.parametrize("step_s", [2.0, 0.5, 7.0])
     def test_last_hours_of_year_9999_round_trip(self, tmp_path, step_s):
@@ -689,7 +700,7 @@ ROW_KINDS = st.sampled_from(
     + ["duplicate", "decreasing", "irregular", "short", "inf", "nan",
        "bad_power", "bad_stamp", "long_line", "long_field", "split_row",
        "bom", "cr_inside", "infinity", "overflow", "quarter_second"])
-# A trace CSV's header, whose named columns load_power_csv can select.
+# A trace CSV's header: load_power_csv reads its second column, p_pv.
 WIDE_HEADER = ("timestamp,p_pv,p_load,p_batt_cmd,p_batt_actual,p_grid,soc,"
                "mode,rr,rr_violated")
 
@@ -702,19 +713,13 @@ def profile_csv(draw):
                                  timedelta(milliseconds=500)]))
     start = T0 + timedelta(seconds=draw(st.integers(0, 86_400)),
                            microseconds=draw(st.sampled_from([0, 0, 250_000])))
-    header = draw(st.sampled_from(["none", "plain", "column", "wide"]))
+    header = draw(st.sampled_from(["none", "plain", "wide"]))
     kwargs = {"expected_unit": draw(st.sampled_from(["W", "kW"]))}
     lines = []
     if header == "plain":
         lines.append("timestamp,power")
-    elif header == "column":
-        lines.append("timestamp,other,power")
-        kwargs["column"] = "power"
     elif header == "wide":
         lines.append(WIDE_HEADER)
-        names = WIDE_HEADER.split(",")
-        kwargs["column"] = draw(st.sampled_from(names[1:]))
-        power_idx = names.index(kwargs["column"])
     limit = csv.field_size_limit()
     t = start
     for kind in draw(st.lists(ROW_KINDS, min_size=2, max_size=40)):
@@ -767,11 +772,8 @@ def profile_csv(draw):
             # split at every comma of both lines, they would look like
             # two grid rows
             lines += [f"{stamp},{power},{format_utc(t + step)}", "7"]
-        elif header == "column":
-            lines.append(f"{stamp},x,{power}" + ("" if after is None else f",{after}"))
         elif header == "wide":
-            cells = ["1.5"] * 9
-            cells[power_idx - 1] = power
+            cells = [power] + ["1.5"] * 8
             lines.append(",".join([stamp, *cells] + ([] if after is None else [after])))
         else:
             lines.append(f"{stamp},{power}" + ("" if after is None else f",{after}"))
@@ -822,11 +824,10 @@ class TestBlockIngest:
     @example(case=pinned(grid_lines(8, lambda k: f"{k},n") + grid_lines(1, start=8)
                          + grid_lines(1, lambda k: f"{format_utc(T0 + 2 * k * SECOND)},5",
                                       start=9) + grid_lines(5, lambda k: f"{k},n", start=10)))
-    # the power column missing from a block's only line
-    @example(case=pinned(["timestamp,other,power"] + grid_lines(3, lambda k: f"x,{k}")
-                         + grid_lines(1, lambda k: "x", start=3)
-                         + grid_lines(2, lambda k: f"x,{k}", start=4),
-                         {"column": "power"}, 1))
+    # the power cell missing from a block's only line
+    @example(case=pinned(["timestamp,power,other"] + grid_lines(3, lambda k: f"{k},x")
+                         + [format_utc(T0 + 6 * SECOND)]
+                         + grid_lines(2, lambda k: f"{k},x", start=4), block_bytes=1))
     @example(case=pinned(grid_lines(12, lambda k: "0" * LIMIT + "5"
                                     if k == 9 else "5")))
     @example(case=pinned(grid_lines(12, lambda k: "5," + "9" * (LIMIT + 1)
@@ -840,8 +841,7 @@ class TestBlockIngest:
     @example(case=pinned(grid_lines(2) + grid_lines(1, lambda k: "5,a\rb", start=2)
                          + grid_lines(3, start=3)))
     @example(case=pinned([WIDE_HEADER] + grid_lines(
-        40, lambda k: ",".join(str(float(k + c)) for c in range(9))),
-        {"column": "p_grid"}, 8))
+        40, lambda k: ",".join(str(float(k + c)) for c in range(9))), block_bytes=8))
     @given(profile_csv())
     @settings(max_examples=400, deadline=None)
     def test_matches_row_by_row(self, tmp_path_factory, case):
