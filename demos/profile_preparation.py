@@ -11,8 +11,7 @@ import tempfile
 from pathlib import Path
 
 from pvems.fixtures import block_load, fluctuating_week_pv
-from pvems.timeseries import (align, load_power_csv, trapezoid_energy_wh,
-                              write_power_csv)
+from pvems.timeseries import align, load_power_csv, write_power_csv
 
 with tempfile.TemporaryDirectory() as tmp:
     pv_path = Path(tmp) / "pv_2s.csv"
@@ -29,8 +28,10 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"\naligned: {len(pv_a)} samples at {pv_a.step_s:g} s, "
           f"{pv_a.start} .. {pv_a.end}")
 
-    # hold keeps the load's interval energy intact
-    e_before = trapezoid_energy_wh(load)
-    e_after = trapezoid_energy_wh(load_a)
+    # hold keeps the load's interval energy intact: power times step,
+    # summed as the KPI accounting sums ticks.  The aligned ticks cover
+    # the load's intervals up to its last sample, which starts none
+    e_before = load.values[:-1].sum() * load.step_s / 3600.0
+    e_after = load_a.values.sum() * load_a.step_s / 3600.0
     print(f"load energy before/after resampling: "
           f"{e_before / 1e3:.2f} / {e_after / 1e3:.2f} kWh")

@@ -61,6 +61,9 @@ class RampConfig:
             raise ValueError("limit_pct_per_min must be positive")
         if self.tick_s <= 0:
             raise ValueError("tick_s must be positive")
+        if not self.tick_s * 1e6 < 2 ** 63:  # ems.prepass's int64 clock
+            raise ValueError(f"ramp.tick_s ({self.tick_s:g} s) must be below "
+                             "2**63 microseconds")
         n = self.window_s / self.tick_s
         if not 0.5 <= n < inf or abs(n - round(n)) > 1e-9:
             raise ValueError(f"window_s ({self.window_s}) must be a positive "

@@ -29,7 +29,6 @@ __all__ = [
     "load_power_csv",
     "resample",
     "align",
-    "trapezoid_energy_wh",
     "write_grid_csv",
     "write_power_csv",
 ]
@@ -481,13 +480,6 @@ def align(a: PowerSeries, b: PowerSeries,
             PowerSeries(start, step, _sample_at(b, t_rel, method)))
 
 
-def trapezoid_energy_wh(series: PowerSeries) -> float:
-    """Trapezoidal integral of the series in watt-hours."""
-    if len(series) < 2:
-        return 0.0
-    return float(np.trapezoid(series.values, dx=series.step_s)) / 3600.0
-
-
 # A stamp's fields, with ".ffffff" before the Z in a grid with fractions
 # of a second; each is copied in whole items from a table of its texts.
 _STAMP_FIELDS = {"date": ("S10", 0), "hour": ("S4", 10), "minute": ("S3", 14),
@@ -634,8 +626,7 @@ def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
     a time, so memory stays bounded (see ``_grid_rows``), and each float
     is formatted once per run of equal cells, on arrays by
     ``_format_floats``.  Logs ``wrote <name> rows <n> formatted <k> of
-    <cells> float cells exact <e>`` at INFO, ``e`` being the formatted
-    cells that took ``_format_floats``' exact integer path.
+    <cells> float cells`` at INFO.
     """
     tables = {}
     for name, table in (labels or {}).items():
@@ -650,27 +641,25 @@ def write_grid_csv(path: Union[str, Path], start: datetime, step: timedelta,
     _utc_grid_stamps(start, step, max(n - 1, 0), n)  # the last point: refuses a bad grid
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    formatted = exact = 0
+    formatted = 0
     with path.open("wb") as fh:
         fh.write((",".join(["timestamp", *columns]) + "\r\n").encode())
         for lo in range(0, n, _WRITE_BLOCK_ROWS):
             hi = min(lo + _WRITE_BLOCK_ROWS, n)
-            rows, k, e = _grid_rows(start, step, lo, hi, columns, tables)
+            rows, k = _grid_rows(start, step, lo, hi, columns, tables)
             formatted += k
-            exact += e
             fh.write(rows)
     n_floats = n * sum(name not in tables for name in columns)
-    log.info("wrote %s rows %d formatted %d of %d float cells exact %d",
-             path.name, n, formatted, n_floats, exact)
+    log.info("wrote %s rows %d formatted %d of %d float cells",
+             path.name, n, formatted, n_floats)
 
 
 def _grid_rows(start: datetime, step: timedelta, lo: int, hi: int,
                columns: dict[str, np.ndarray],
                tables: dict[str, tuple[np.ndarray, np.ndarray]]
-               ) -> tuple[np.ndarray, int, int]:
+               ) -> tuple[np.ndarray, int]:
     """Rows ``lo`` to ``hi`` of ``write_grid_csv``'s file as one ``uint8``
-    array, the number of float cells formatted and of those that took
-    the exact path.
+    array, and the number of float cells formatted.
 
     Each cell is a text of a table (an ``S`` array and its texts'
     lengths), the float and label texts with the comma before them.  The
@@ -687,7 +676,7 @@ def _grid_rows(start: datetime, step: timedelta, lo: int, hi: int,
     stamp_lens = _lengths(stamps)
     floats = [col[lo:hi].view(np.int64) for name, col in columns.items()
               if name not in tables]
-    float_texts, float_cells, formatted, exact = _float_cells(floats)
+    float_texts, float_cells, formatted = _float_cells(floats)
     float_cells = iter(float_cells)
     # per column: its table's texts, the index of each run's text there,
     # each run's length in rows (None: runs of one row), each cell's length
@@ -713,7 +702,7 @@ def _grid_rows(start: datetime, step: timedelta, lo: int, hi: int,
         at += lens
     _put(rows, starts, stamps, None, stamp_lens, 0)
     _windows(rows, 2)[at] = b"\r\n"
-    return rows[:ends[-1]], formatted, exact
+    return rows[:ends[-1]], formatted
 
 
 def _lengths(texts: np.ndarray) -> np.ndarray:
@@ -745,13 +734,11 @@ def _prefixes(texts: np.ndarray, size: int) -> np.ndarray:
 
 
 def _float_cells(columns: list[np.ndarray]
-                 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-                            int, int]:
+                 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
     """The texts of the float64 columns whose bits are ``columns``, each
     after a comma (``_format_floats``); per column the index of each run's
     text there, each run's length in rows (None when each is one row)
-    and each cell's text length; the number of cells formatted, and of
-    those that took the exact path.
+    and each cell's text length; and the number of cells formatted.
 
     Only the first cell of each run of equal bits is formatted, and a
     run head whose bits equal the same row of the column to its left
@@ -771,7 +758,7 @@ def _float_cells(columns: list[np.ndarray]
         values.append(bits[rows[fresh]])
         left = bits
     values = np.concatenate(values).view(np.float64)
-    texts, lens, exact = _format_floats(values, b",")
+    texts, lens = _format_floats(values, b",")
     cells, k, left = [], 0, None
     for rows, fresh in runs:
         index = np.empty(len(rows), dtype=np.intp)  # of each run's text
@@ -790,33 +777,7 @@ def _float_cells(columns: list[np.ndarray]
         np.subtract(rows[1:], rows[:-1], out=repeat[:-1])
         repeat[-1] = n - rows[-1]
         cells.append((index, repeat, np.repeat(lens.take(index), repeat)))
-    return texts, cells, len(values), exact
-
-
-def _binade_tables() -> tuple[np.ndarray, np.ndarray]:
-    """For each biased exponent ``b`` of the binades that meet [1e-4, 1e16):
-    ``16 - floor(log10(2**(b - 1023)))`` and the least double at or above
-    the power of ten inside the binade (``inf`` when there is none)."""
-    shift, threshold = np.zeros(2048, np.int64), np.full(2048, np.inf)
-    for b in range(1009, 1077):
-        e = b - 1023
-        # exact: 2**e and 5**-e are never powers of ten
-        dec = len(str(2 ** e)) - 1 if e >= 0 else len(str(5 ** -e)) - 1 + e
-        shift[b] = 16 - dec
-        # 1e-3 .. 1e-1 (and 1e-4) round up, so ``a >= t`` is ``a >= 10**k``
-        t = float(f"1e{dec + 1}")
-        if t < 2.0 ** (e + 1):
-            threshold[b] = t
-    return shift, threshold
-
-
-_SHIFT, _NEXT_POW10 = _binade_tables()
-_HALF_ULP = np.ldexp(1.0, np.arange(2048) - 1076)  # of a float with biased exponent b
-_POW10 = np.array([float(10 ** k) for k in range(21)])  # exact
-_SPLIT = 134_217_729.0  # 2**27 + 1
-_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)  # Veltkamp's split
-_POW10_LO = _POW10 - _POW10_HI
-_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+    return texts, cells, len(values)
 
 
 def _digits4() -> np.ndarray:
@@ -858,11 +819,10 @@ def _suffixes() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _format_floats(values: np.ndarray, lead: bytes = b""
-                   ) -> tuple[np.ndarray, np.ndarray, int]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """``lead + repr(v).encode()`` for each float ``v`` of ``values``: an
     ``S32`` array whose item ``i`` starts with text ``i``, followed by
-    bytes that are not cleared, the length of each text, and how many
-    cells took the exact integer path.
+    bytes that are not cleared, and the length of each text.
 
     ``repr`` writes the decimal with the fewest significant digits that
     reads back as ``v`` and, of several, the one nearest ``v``, the one
@@ -871,12 +831,9 @@ def _format_floats(values: np.ndarray, lead: bytes = b""
     ``1e-4 <= |v| < 1e16``, and as ``d.ddde+XX`` otherwise.  ``±inf`` and
     NaN have fixed texts, and ``±0.0`` is laid out as the digits ``0``.
     Every other cell is decided on arrays, ``_FORMAT_BATCH`` cells at a
-    time: in ``1e-4 <= |v| < 1e16`` by an exact product with a
-    double power of ten (``_near_digits``), except for the ties that
-    leaves open; all others (below ``1e-4``, subnormals among them, at
-    or above ``1e16``, and those ties) on the exact integer path
-    (``_exact_digits``).  Both give the 17 significant digits and ``E``,
-    which ``_format_batch`` lays out.  ``lead`` is at most 8 bytes.
+    time, in integers by ``_exact_digits``, which gives the 17 significant
+    digits and ``E`` that ``_format_batch`` lays out.  ``lead`` is at most
+    8 bytes.
     """
     values = np.asarray(values, dtype=np.float64)
     texts = np.empty(len(values), dtype="S32")
@@ -886,22 +843,20 @@ def _format_floats(values: np.ndarray, lead: bytes = b""
     digits = np.empty(batch, dtype=_DIGITS)
     digits.view(np.uint8).reshape(batch, _DIGITS.itemsize)[:, :16] = ord("0")
     at = np.empty(batch, dtype=np.int64)
-    exact = 0
     for lo in range(0, len(values), batch):
         m = min(batch, len(values) - lo)
-        exact += _format_batch(values[lo:lo + m], lead, rows[:m], digits[:m], at[:m],
-                               lens[lo:lo + m])
+        _format_batch(values[lo:lo + m], lead, rows[:m], digits[:m], at[:m],
+                      lens[lo:lo + m])
         texts[lo:lo + m] = _windows(rows.reshape(-1), 32)[at[:m]]
-    return texts, lens, exact
+    return texts, lens
 
 
 def _format_batch(values: np.ndarray, lead: bytes, rows: np.ndarray,
-                  digits: np.ndarray, at: np.ndarray, lens: np.ndarray) -> int:
+                  digits: np.ndarray, at: np.ndarray, lens: np.ndarray) -> None:
     """Lay out ``lead + repr(v)`` of each of ``values`` in a row of ``rows``
     (followed by at least a row's bytes), with ``digits`` (rows of
     ``_DIGITS`` whose first 16 bytes are zeros); set where each text
-    starts in ``rows`` and its length, and return how many cells took
-    the exact path.
+    starts in ``rows`` and its length.
 
     The decimal point of every row is in one column, ``point``: the 16
     columns before it get the 16 digits up to the last integer digit,
@@ -921,11 +876,7 @@ def _format_batch(values: np.ndarray, lead: bytes, rows: np.ndarray,
     a = np.abs(values)
     q = np.zeros(m, dtype=np.int64)  # 0.0: the digits 0, E = 0
     e = np.zeros(m, dtype=np.int64)
-    near = np.flatnonzero((a >= 1e-4) & (a < 1e16))
-    q[near], e[near], proven = _near_digits(a[near])
-    rest = (a > 0) & (a < np.inf)
-    rest[near[proven]] = False
-    rest = np.flatnonzero(rest)
+    rest = np.flatnonzero((a > 0) & (a < np.inf))  # not 0.0, inf or NaN
     if len(rest):
         q[rest], e[rest] = _exact_digits(a[rest].view(np.uint64))
     raw = digits.view(np.uint8)
@@ -978,87 +929,13 @@ def _format_batch(values: np.ndarray, lead: bytes, rows: np.ndarray,
         at[special] = 0
         lens[special] = np.char.str_len(texts)[kind]
     at += dst
-    return len(rest)
-
-
-def _near_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For doubles ``1e-4 <= a < 1e16``: the 17 significant digits of their
-    ``repr`` (trailing zeros included), its ``E`` and whether the digits
-    are proven; the ties below are not.
-
-    1. ``E`` comes from the binary exponent: a binade holds at most one
-       power of ten (``_NEXT_POW10``).  With ``j = 16 - E`` in [1, 20],
-       ``y = a * 10**j`` is in [1e16, 1e17), so a unit of ``y`` is the
-       17th significant digit.
-    2. ``10**j`` is a double, so Dekker's TwoProduct gives ``y = p + err``
-       exactly, ``p = fl(y)``.  ``p >= 1e16 > 2**53`` is an integer, so
-       ``q = p + floor(err)`` is ``floor(y)`` and ``phi = err - floor(err)``
-       is ``y - q`` in [0, 1), both exact.
-    3. A decimal reads back as ``a`` iff it lies in ``a``'s rounding
-       interval: up to ``h`` units above ``y`` (half an ulp of ``a``,
-       times ``10**j``) and ``h_lo`` below (``h / 2`` when ``a`` is a power
-       of two), ends included iff ``a``'s significand is even.  An ulp is
-       ``2**-53`` to ``2**-52`` of ``a``, so ``0.55 < h_lo <= h < 11.2``.
-       The ends are taken as included, which never decides: an end has
-       as many decimals as bits below the point, at most ``j`` only for
-       ``a >= 2**52``.  There ``a`` is an integer, so ``y`` is a multiple
-       of 10 units (the nearest of step 5), and neither end (``a +- 1/2``,
-       or ``a +- 1`` with ``a`` even) is a multiple of 100 units.
-    4. Decimals of at most 15 significant digits are multiples of 100
-       units, of 16 digits multiples of 10 (one from a neighbouring
-       decade that reads back puts the power of ten between it and
-       ``a``, a multiple of 100, in the interval too).  The interval,
-       under 22.4 units wide, holds at most one multiple of 100, and the
-       multiples of ``g`` (100 or 10) in it nearest ``y`` can only be the
-       ones next to ``y``: with ``rem = q mod g``, the one below is in iff
-       ``phi <= h_lo - rem`` and the one above iff ``phi >= g - rem - h``.
-       The right sides are exact: ``h`` is ``5**j < 2**47`` times a power
-       of two, below 16, so it and ``rem`` or ``g - rem`` (below 128) fit
-       in 51 bits.
-    5. So the shortest, then nearest, decimal is: the multiple of 100 if
-       one is in; else the multiple of 10 in and nearer ``y`` (below iff
-       ``rem < 5``); else the integer nearest ``y``, ``q + (phi > 0.5)``,
-       always in as ``h_lo > 0.5``.  Not proven here, and left to
-       ``_exact_digits``: two multiples of 10 at equal distance
-       (``phi == 0``, ``rem == 5``), ties at 17 digits (``phi == 0.5``) and
-       ``1e17`` units, the next decade (no double in range rounds to a
-       power of ten above it).
-    """
-    bits = a.view(np.int64)
-    biased = bits >> 52
-    j = _SHIFT[biased] - (a >= _NEXT_POW10[biased])
-    t = _POW10[j]
-    p = a * t
-    a_hi = a * _SPLIT  # Dekker's TwoProduct: a * t == p + err
-    a_hi -= a_hi - a
-    a_lo = a - a_hi
-    t_hi, t_lo = _POW10_HI[j], _POW10_LO[j]
-    err = ((a_hi * t_hi - p) + a_hi * t_lo + a_lo * t_hi) + a_lo * t_lo
-    floor = np.floor(err)
-    q = p.astype(np.int64) + floor.astype(np.int64)
-    phi = err - floor
-    h = t * _HALF_ULP[biased]
-    h_lo = np.where(bits & ((1 << 52) - 1) == 0, 0.5 * h, h)
-    rem100 = q % 100
-    rem10 = rem100 % 10
-    below100 = phi <= h_lo - rem100
-    above100 = phi >= (100 - rem100) - h
-    below10 = phi <= h_lo - rem10
-    above10 = phi >= (10 - rem10) - h
-    in100 = below100 | above100
-    in10 = below10 | above10
-    up10 = above10 & (~below10 | (rem10 >= 5))
-    q += np.where(in100, 100 * above100 - rem100,
-                  np.where(in10, 10 * up10 - rem10, phi > 0.5))
-    tie = (((phi == 0.0) & (rem10 == 5) & below10 & above10)
-           | (~in10 & (phi == 0.5)) | (q >= 10 ** 17))
-    return q, 16 - j, ~tie
 
 
 # floor(log10(2**q)) for the least and the greatest binary exponent q of a
 # double's significand c (c * 2**q, c < 2**53)
 _K_MIN, _K_MAX = -324, 292
 _M32, _M63 = (1 << 32) - 1, (1 << 63) - 1
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
 
 
 @functools.cache
@@ -1097,7 +974,8 @@ def _exact_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     at most one multiple of 10 units.  ``vb``, ``vbl`` and ``vbr`` are
     ``v`` and the interval's ends in quarter units, rounded to odd from
     the product of ``4c * 2**h`` with ``g`` (``_pow10_table``), which
-    Giulietti proves exact enough to decide every comparison below.
+    Giulietti proves exact enough to decide every comparison below
+    (``_round_to_odd``).
     The decimal is the multiple of 10 units in the interval if there is
     one, else the integer in it, else the nearer of the two integers
     about ``v``, the even one at equal distance, as ``repr`` picks.
@@ -1114,8 +992,7 @@ def _exact_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = (q * 661_971_961_083 - power2 * 274_743_187_321) >> 41
     i = k - _K_MIN
     h = (q + shift[i]).astype(np.uint64)
-    cb = c << 2
-    vbl, vb, vbr = _round_to_odd(limbs[i], np.stack([cb - 2 + power2, cb, cb + 2]) << h)
+    vbl, vb, vbr = _round_to_odd(limbs.take(i, axis=0), c << 2, power2, h)
     odd = (c & 1).astype(np.int64)
     s = vb >> 2
     s10 = s // 10 * 10
@@ -1131,17 +1008,44 @@ def _exact_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f * _POW10_INT[17 - n], k + n - 1
 
 
-def _round_to_odd(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """``floor(g * cp / 2**127)``, its last bit set when the remainder is
-    not zero, as signed integers, for ``g`` (rows of ``_pow10_table``'s
-    limbs) and ``cp < 2**63``.  As Schubfach's ``rop``: the low 64 bits of
-    the low half's product are dropped."""
+def _round_to_odd(g: np.ndarray, cb: np.ndarray, power2: np.ndarray,
+                  h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schubfach's ``rop`` of ``g`` (rows of ``_pow10_table``'s limbs) with
+    each of ``(cb - 2 + power2) << h``, ``cb << h`` and ``(cb + 2) << h``,
+    all below ``2**63``: ``floor(g * cp / 2**127)``, its last bit set when
+    the remainder is not zero, as signed integers, where the low 64 bits
+    of the product with ``g``'s low 63 bits are dropped.
+
+    Only the products of ``cb << h`` with ``g``'s low and high 63 bits,
+    ``g0`` and ``g1``, are formed.  The outer ``cp`` differ from it by
+    ``2**s`` (``s`` is ``h + 1`` above and ``h + 1 - power2`` below), so
+    ``g0 << s`` and ``g1 << s`` are added to or taken from those 128-bit
+    products with their carries, as Ryū's ``mulShiftAll64`` shares one
+    product.
+    """
+    cp = cb << h
     c0, c1 = cp & _M32, cp >> 32
-    low_high = _high_product(g[:, 2], g[:, 3], c0, c1)
-    high_high = _high_product(g[:, 0], g[:, 1], c0, c1)
-    high_low = ((g[:, 0] << 32) | g[:, 1]) * cp  # modulo 2**64
-    z = (high_low >> 1) + low_high
-    return ((high_high + (z >> 63)) | ((z & _M63) + _M63 >> 63)).astype(np.int64)
+    g0 = (g[:, 2] << 32) | g[:, 3]  # the low and the high 63 bits of g
+    g1 = (g[:, 0] << 32) | g[:, 1]
+    x0, x1 = g0 * cp, _high_product(g[:, 2], g[:, 3], c0, c1)  # low and high 64 bits
+    y0, y1 = g1 * cp, _high_product(g[:, 0], g[:, 1], c0, c1)
+    s = h + np.uint64(1)
+    r = np.uint64(64) - s
+    x0s, y0s = x0 + (g0 << s), y0 + (g1 << s)  # modulo 2**64: less on a carry
+    vbr = _rop(x1 + (g0 >> r) + (x0s < x0), y0s, y1 + (g1 >> r) + (y0s < y0))
+    s -= power2
+    r = np.uint64(64) - s
+    x0s, y0s = g0 << s, g1 << s
+    vbl = _rop(x1 - (g0 >> r) - (x0 < x0s), y0 - y0s, y1 - (g1 >> r) - (y0 < y0s))
+    return vbl, _rop(x1, y0, y1), vbr
+
+
+def _rop(x1: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """``rop``'s result from the high 64 bits ``x1`` of the product with
+    ``g``'s low 63 bits and the 128-bit product ``y1 * 2**64 + y0`` with
+    its high 63 bits."""
+    z = (y0 >> 1) + x1
+    return ((y1 + (z >> 63)) | ((z & _M63) + _M63 >> 63)).astype(np.int64)
 
 
 def _high_product(a1: np.ndarray, a0: np.ndarray, b0: np.ndarray,

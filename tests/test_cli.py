@@ -464,6 +464,16 @@ class TestErrorsWithoutTraceback:
         # accounting, naming neither the config nor the key
         ({"ramp": {"tick_s": 7, "window_s": 28}}, [],
          "ramp.tick_s (7 s) must divide 60 s for the ramp histogram"),
+        # ems.prepass's clock overflowed, and the error named the PV
+        # file: "Python int too large to convert to C long",
+        # "days=1157407407; must have magnitude <= 999999999" and
+        # "Python int too large to convert to C int"
+        ({"ramp": {"tick_s": 1e13, "window_s": 1e13}}, [],
+         "ramp.tick_s (1e+13 s) must be below 2**63 microseconds"),
+        ({"ramp": {"tick_s": 1e14, "window_s": 1e14}}, [],
+         "ramp.tick_s (1e+14 s) must be below 2**63 microseconds"),
+        ({"ramp": {"tick_s": 1e300, "window_s": 1e300}}, [],
+         "ramp.tick_s (1e+300 s) must be below 2**63 microseconds"),
         # exit 0 (with the flag, no forecast is read)
         ({"forecast": {"fixture_path": None}}, ["--strategy", "SCM"],
          "forecast.mode is 'fixture' but no fixture_path given"),
@@ -777,8 +787,7 @@ class TestAtomicOutputs:
 
 STAGE = re.compile(r"^stage (\S+) (\d+\.\d{6}) maxrss (\d+\.\d)$")
 DISPATCH = re.compile(r"^dispatch (\S+) runs (\d+) taper (\d+) scalar (\d+)$")
-WROTE = re.compile(r"^wrote (\S+) rows (\d+) formatted (\d+) of (\d+) float cells "
-                   r"exact (\d+)$")
+WROTE = re.compile(r"^wrote (\S+) rows (\d+) formatted (\d+) of (\d+) float cells$")
 PREPASS = re.compile(r"^prepass windows (\d+) resummed (\d+)$")
 
 
@@ -787,7 +796,7 @@ class TestStageLog:
     stage, one ``prepass windows <m> resummed <k>`` line per pre-pass,
     one ``dispatch <strategy> runs <ticks> taper <ticks> scalar <ticks>``
     line per strategy and one ``wrote <name> rows <n> formatted <k> of
-    <cells> float cells exact <e>`` line per grid CSV; nothing else changes."""
+    <cells> float cells`` line per grid CSV; nothing else changes."""
 
     def run_twice(self, argv, out_dir, capsys, caplog):
         outputs = []
@@ -823,11 +832,9 @@ class TestStageLog:
         wrote = [WROTE.match(m) for m in caplog.messages
                  if m.startswith("wrote ")]
         assert all(wrote), caplog.messages
-        # a trace row has 7 float cells, at most all of them are
-        # formatted, and at most all of those on the exact path
-        wrote = [(m.group(1), *map(int, m.group(2, 3, 4, 5))) for m in wrote]
-        assert all(cells == 7 * rows and e <= k <= cells
-                   for _, rows, k, cells, e in wrote)
+        # a trace row has 7 float cells, and at most all of them are formatted
+        wrote = [(m.group(1), *map(int, m.group(2, 3, 4))) for m in wrote]
+        assert all(cells == 7 * rows and k <= cells for _, rows, k, cells in wrote)
         return ([m.group(1) for m in stages], [m.group(1) for m in dispatch],
                 [(name, rows) for name, rows, *_ in wrote])
 
@@ -866,14 +873,10 @@ class TestStageLog:
             assert main(["simulate", "--config", str(paths["config"]),
                          "--out-dir", str(tmp_path)]) == 0
         (line,) = [m for m in caplog.messages if m.startswith("wrote ")]
-        name, rows, formatted, cells, exact = WROTE.match(line).groups()
+        name, rows, formatted, cells = WROTE.match(line).groups()
         assert name == "trace.csv" and int(rows) == 302_400
         assert int(cells) == 7 * int(rows)
         assert int(formatted) <= int(cells) / 2
-        # about 16 000 of them take the exact path: the cells below
-        # 1e-4, which repr writes in exponent form; a fall-back to the
-        # exact path for every cell would read all of them
-        assert int(exact) <= int(formatted) / 10
 
     def test_seed_week_prepass_resums_no_window(self, corpus, tmp_path, caplog):
         # the week's window means all certify on arrays; a fall-back to
@@ -942,9 +945,10 @@ class TestCompare:
                    for m in caplog.messages) == ignored
 
     # a tick that does not divide a minute (compare writes no histogram),
-    # and one of two hours (refused before: "gap_limit (3600.0 s) must be
-    # >= target step (7200.0 s)")
-    @pytest.mark.parametrize("tick_s", [7.0, 7200.0])
+    # one of two hours (refused before: "gap_limit (3600.0 s) must be
+    # >= target step (7200.0 s)"), and ticks of a day and longer, up to
+    # the longest the pre-pass clock holds
+    @pytest.mark.parametrize("tick_s", [7.0, 7200.0, 86400.0, 1e7, 9.223372036854e12])
     def test_coarse_and_odd_ticks(self, day_config, tmp_path, tick_s):
         config = changed_config(day_config, tmp_path,
                                 {"ramp": {"tick_s": tick_s, "window_s": 4 * tick_s}})

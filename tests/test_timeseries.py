@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from pvems import timeseries
 from pvems.timeseries import (PowerSeries, ProfileError, ResampleMethod, align,
-                              load_power_csv, resample, trapezoid_energy_wh,
-                              write_grid_csv, write_power_csv)
+                              load_power_csv, resample, write_grid_csv,
+                              write_power_csv)
 from reference import format_utc, format_utc_grid
 
 T0 = datetime(2018, 1, 1, tzinfo=timezone.utc)
@@ -212,8 +212,8 @@ class TestResample:
         rng = np.random.default_rng(7)
         s = PowerSeries(T0, 900.0, rng.uniform(0, 6000, 96))
         out = resample(s, 90.0, LINEAR)
-        e_src = trapezoid_energy_wh(s)
-        e_out = trapezoid_energy_wh(out)
+        e_src = np.trapezoid(s.values, dx=s.step_s)
+        e_out = np.trapezoid(out.values, dx=out.step_s)
         assert abs(e_out - e_src) / e_src < 1e-3
 
 
@@ -480,12 +480,9 @@ class TestCsvRoundTrip:
             timeseries.write_grid_csv(tmp_path / "t.csv", T0,
                                       timedelta(seconds=2), columns)
         # cmd: 4 runs; actual: 1.0 at row 10 and 0.0 under -0.0 at row
-        # 400, its other run heads sit on equal cmd cells; nan: 2 payloads.
-        # Of those 8, none takes the exact path: 2.5 and 1.0 are proven
-        # on the array path, and zeros and NaNs have fixed texts
+        # 400, its other run heads sit on equal cmd cells; nan: 2 payloads
         assert caplog.messages == [
-            f"wrote t.csv rows {n} formatted {4 + 2 + 2} of {3 * n} float cells "
-            f"exact 0"]
+            f"wrote t.csv rows {n} formatted {4 + 2 + 2} of {3 * n} float cells"]
         self.write_grid_row_by_row(tmp_path / "rows.csv", T0,
                                    timedelta(seconds=2), columns, {})
         assert (tmp_path / "t.csv").read_bytes() == \
@@ -555,14 +552,12 @@ class TestFormatFloats:
 
     @staticmethod
     def check(values, lead=b""):
-        """Check the texts and lengths against ``repr``; return how many
-        cells took the exact path."""
+        """Check the texts and lengths against ``repr``."""
         values = np.array(values, dtype=np.float64)
-        texts, lens, exact = timeseries._format_floats(values, lead)
+        texts, lens = timeseries._format_floats(values, lead)
         assert texts.dtype == np.dtype("S32") and len(lens) == len(values)
         assert [text[:k] for text, k in zip(texts.tolist(), lens.tolist())] == \
             [lead + repr(v).encode() for v in values.tolist()]
-        return exact
 
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
     @settings(max_examples=300, deadline=None)
@@ -574,7 +569,7 @@ class TestFormatFloats:
     @settings(max_examples=200, deadline=None)
     def test_subnormals(self, patterns, negative):
         values = np.array(patterns, dtype=np.uint64).view(np.float64)
-        assert self.check(-values if negative else values) == len(values)
+        self.check(-values if negative else values)
 
     @given(st.lists(DECIMALS, min_size=1, max_size=64))
     @settings(max_examples=300, deadline=None)
@@ -594,49 +589,97 @@ class TestFormatFloats:
     @given(st.lists(QUARTER_TIES, min_size=1, max_size=64))
     @settings(max_examples=100, deadline=None)
     def test_ties(self, values):
-        # the array path leaves every tie to the exact path
-        assert self.check(values) == len(values)
+        self.check(values)
 
     def test_pinned_ties(self):
         ties = [1e15 + 0.25, 1e15 + 0.75, 2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75,
                 2.0 ** 51 - 0.25, 1234567890123456.25, 1999999999999999.75]
-        assert self.check(ties + [-v for v in ties]) == 2 * len(ties)
+        self.check(ties + [-v for v in ties])
         assert [repr(v) for v in ties[:2]] == ["1000000000000000.2",
                                                 "1000000000000000.8"]
 
     def test_binade_edges(self):
         self.check(binade_edges(), b",-")
 
-    def test_special_values_take_fixed_texts_or_the_exact_path(self):
+    def test_special_values_and_extremes(self):
         nans = np.array([0x7FF8000000000000, 0xFFF8000000000001],
                         dtype=np.uint64).view(np.float64)
         fixed = [0.0, -0.0, np.inf, -np.inf, *nans]
-        exact = [5e-324, -5e-324, 2.2250738585072014e-308,
-                 1.7976931348623157e308, -1.7976931348623157e308]
+        extremes = [5e-324, -5e-324, 2.2250738585072014e-308,
+                    1.7976931348623157e308, -1.7976931348623157e308]
         # mixed with in-range cells, under the suite's error::RuntimeWarning
-        assert self.check(fixed + exact + [1.5, -2.5e-4]) == len(exact)
+        self.check(fixed + extremes + [1.5, -2.5e-4])
 
-    def test_only_unproven_cells_take_the_exact_path(self):
+    def test_positional_texts_and_the_ends_of_their_range(self):
         # positional texts of 1 to 17 digits, both ends of the range,
         # powers of two and of ten, and 2**53 and its neighbours
-        proven = [1.5, 0.1, 1e-4, 9999999999999998.0, 1e15, 0.3, 2.0 ** 53,
-                  2.0 ** 53 + 2, 2.0 ** -13, 123456789.12345679, -0.00012345,
-                  1 / 3, 6740.0, 9007199254740993e-16]
-        assert self.check(proven) == 0
+        positional = [1.5, 0.1, 1e-4, 9999999999999998.0, 1e15, 0.3, 2.0 ** 53,
+                      2.0 ** 53 + 2, 2.0 ** -13, 123456789.12345679, -0.00012345,
+                      1 / 3, 6740.0, 9007199254740993e-16]
+        self.check(positional)
         # 1e15 + 0.25 is 10000000000000002.5 units of its 17th digit: a tie
-        assert self.check([1e15 + 0.25, 1e-5, 1e16]) == 3
+        self.check([1e15 + 0.25, 1e-5, 1e16])
 
     def test_powers_of_two_and_empty_input(self):
         # the rounding interval of a power of two is narrower below
         powers = [2.0 ** k for k in range(-13, 54)]  # 1.2e-4 .. 9.0e15
-        assert self.check(powers + [-v for v in powers]) == 0
-        assert self.check([]) == 0
+        self.check(powers + [-v for v in powers])
+        self.check([])
 
     @pytest.mark.parametrize("batch", [1, 3, 4_096])
     def test_batches(self, batch):
         values = binade_edges()[::7]
         with mock.patch.object(timeseries, "_FORMAT_BATCH", batch):
             self.check(values, b",")
+
+    @staticmethod
+    def check_round_to_odd(g, cb, power2, h):
+        """Check ``_round_to_odd`` against Schubfach's ``rop`` on Python
+        integers."""
+        M63 = 2 ** 63 - 1
+
+        def rop(g, cp):
+            x1 = (g & M63) * cp >> 64
+            y = (g >> 63) * cp
+            z = ((y & (2 ** 64 - 1)) >> 1) + x1
+            return (y >> 64) + (z >> 63) | ((z & M63) + M63) >> 63
+
+        outs = timeseries._round_to_odd(g, cb, power2, h)
+        for row, c, p, shift, *got in zip(g.tolist(), cb.tolist(), power2.tolist(),
+                                          h.tolist(), *(o.tolist() for o in outs)):
+            g_int = ((row[0] << 32 | row[1]) << 63) | (row[2] << 32 | row[3])
+            assert got == [rop(g_int, (c - 2 + p) << shift), rop(g_int, c << shift),
+                           rop(g_int, (c + 2) << shift)]
+
+    def check_formatting_round_to_odd(self, values):
+        """Check each ``_round_to_odd`` that formatting ``values`` makes."""
+        with mock.patch.object(timeseries, "_round_to_odd",
+                               side_effect=timeseries._round_to_odd) as spy:
+            timeseries._format_floats(values)
+        assert spy.call_args_list
+        for call in spy.call_args_list:
+            self.check_round_to_odd(*call.args)
+
+    def test_round_to_odd_carries_and_borrows(self):
+        # halves of g at 2**32 +- 1 times cp = 2**32 lie 2**32 from 2**64,
+        # so the products of the outer cp cross it
+        halves = [0, 2 ** 32 - 1, 2 ** 32 + 1]
+        rows = [(g1 >> 32, g1 & 0xFFFF_FFFF, g0 >> 32, g0 & 0xFFFF_FFFF)
+                for g1 in halves for g0 in halves for _ in range(2)]
+        n = len(rows)
+        self.check_round_to_odd(np.array(rows, dtype=np.uint64),
+                                np.full(n, 2 ** 30, dtype=np.uint64),
+                                np.arange(n) % 2 == 1, np.full(n, 2, dtype=np.uint64))
+
+    def test_round_to_odd_on_binade_edges(self):
+        self.check_formatting_round_to_odd(binade_edges())
+
+    # the finite positive doubles: _exact_digits takes no other
+    @given(st.lists(st.integers(1, 0x7FEF_FFFF_FFFF_FFFF), min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_round_to_odd_on_bit_patterns(self, patterns):
+        self.check_formatting_round_to_odd(
+            np.array(patterns, dtype=np.uint64).view(np.float64))
 
     def test_exact_path_tables(self):
         # k = floor(log10(2**q)), or of 3/4 * 2**q, from the integer
@@ -658,18 +701,6 @@ class TestFormatFloats:
             assert 2 ** 125 < g <= 2 ** 126
             assert Fraction(g - 1) <= Fraction(10) ** -k / Fraction(2) ** r < g
 
-    def test_binade_tables(self):
-        # each binade's exponent gives floor(log10) below its power of
-        # ten, and the threshold is the least double at or above it
-        for b in range(1009, 1077):
-            low = Fraction(2) ** (b - 1023)
-            dec = 16 - int(timeseries._SHIFT[b])
-            assert Fraction(10) ** dec <= low < Fraction(10) ** (dec + 1)
-            t = timeseries._NEXT_POW10[b]
-            if t == np.inf:
-                assert 2 * low <= Fraction(10) ** (dec + 1)
-            else:
-                assert Fraction(np.nextafter(t, 0)) < Fraction(10) ** (dec + 1) <= Fraction(t)
 
 def load_outcome(path, **kwargs):
     """What a load gives: the series' start, step and value bytes, or the error."""
