@@ -128,8 +128,9 @@ def advance_run(params: BatteryParams, soc: float, ac_command_w: np.ndarray,
     charge = cmd > 0
     # stored Wh (charge) or minus the drawn Wh (discharge); a zero
     # command adds -0.0, which leaves every SOC, -0.0 included, alone
-    signed_wh = np.where(charge, cmd * params.eta_acdc,
-                         np.where(cmd < 0, cmd / params.eta_acdc, -0.0)) * hours
+    with np.errstate(over="ignore"):  # such a command is not free
+        signed_wh = np.where(charge, cmd * params.eta_acdc,
+                             np.where(cmd < 0, cmd / params.eta_acdc, -0.0)) * hours
     path = np.empty(len(cmd) + 1)
     path[0] = soc
     path[1:] = signed_wh / params.energy_capacity_wh

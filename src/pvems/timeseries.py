@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import logging
 import math
 import re
@@ -102,7 +101,9 @@ def _parse_timestamp(text: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-_INGEST_BLOCK_BYTES = 1 << 20  # bytes of whole lines load_power_csv checks at a time
+# bytes of whole lines that load_power_csv checks at a time, and of the
+# times that _sample_at holds at a time
+_INGEST_BLOCK_BYTES = 1 << 20
 
 # The bytes of a power cell on load_power_csv's grid path.
 _NUMERIC_BYTES = b"0123456789.eE+-"
@@ -129,16 +130,17 @@ def load_power_csv(path: Union[str, Path], expected_unit: str = "W") -> PowerSer
     strictly increasing on a uniform grid.  ``expected_unit`` is ``"W"``
     or ``"kW"``; kW inputs are converted to watts.
 
-    The header and the rows that fix the step are read with ``csv``.
-    The rest of the file is read in blocks of whole lines of about
-    ``_INGEST_BLOCK_BYTES`` bytes, and each block's leading run of
-    canonical lines on the grid (see ``_canonical_rows``) is accepted on
-    arrays.  From the first line that is not canonical, ``csv`` reads
-    the rest of the block for the per-row checks below, so values,
-    messages and line numbers (counted in csv records) are those of
-    reading row by row.  A row holding bytes that are not UTF-8 is
-    refused as ``line <n>: not UTF-8 text``.  Logs ``read <name> rows
-    <n> csv <k>`` at INFO, ``k`` being the rows that ``csv`` read.
+    The file is read once, by ``_Reader`` with one ``csv`` reader.
+    ``csv`` reads the header and the rows that fix the step.  The rest is
+    read in blocks of whole lines of about ``_INGEST_BLOCK_BYTES`` bytes:
+    each block's leading run of canonical lines on the grid (see
+    ``_canonical_rows``) is accepted on arrays, and its other lines are
+    pending: ``csv`` reads every record that starts on them for the
+    per-row checks below, so values, messages and line numbers (counted
+    in csv records) are those of reading row by row.  A row holding
+    bytes that are not UTF-8 is refused as ``line <n>: not UTF-8 text``.
+    Logs ``read <name> rows <n> csv <k>`` at INFO, ``k`` being the rows
+    that ``csv`` read.
     """
     if expected_unit not in ("W", "kW"):
         raise ProfileError(f"expected_unit must be 'W' or 'kW', got {expected_unit!r}")
@@ -148,41 +150,9 @@ def load_power_csv(path: Union[str, Path], expected_unit: str = "W") -> PowerSer
     if not path.exists():
         raise ProfileError(f"profile file not found: {path}")
 
-    rows = _Rows(path)
     with path.open("rb") as fh:
-        src = _Lines(fh)
-        text = src.text_lines()
-        try:
-            header = next(csv.reader(text), None)
-        except csv.Error as exc:
-            raise ProfileError(f"{path}: line 1: {exc}") from None
-        if header is None:
-            raise ProfileError(f"{path}: empty file")
-        if _escaped(header):
-            raise ProfileError(f"{path}: line 1: not UTF-8 text")
-        if (header and not _parses(_parse_timestamp, header[0])
-                and not (len(header) > 1 and _parses(float, header[1]))):
-            rows.lineno, first = 1, []
-        else:
-            first = [header]  # the first record is data
-        rows.check(itertools.chain(first, csv.reader(text)), until_step=True)
-        text.close()
-
-        while block := src.block(_INGEST_BLOCK_BYTES):
-            end, values = _canonical_rows(block, rows.prev, rows.step_td)
-            if end:
-                rows.accept(values)
-            if end < len(block):
-                lines = io.StringIO(_decode(block[end:]), newline="").readlines()
-                more = src.text_lines()
-                rows.check(_csv_rows(lines, more))
-                more.close()
-
-    if rows.first is None:
-        raise ProfileError(f"{path}: empty file")
-    if rows.step is None:
-        raise ProfileError(f"{path}: need at least two rows to infer the sampling step")
-    values = np.concatenate(rows.chunks)
+        rows = _Reader(path, fh)
+        values = rows.read()
     log.info("read %s rows %d csv %d", path.name, len(values), rows.csv_rows)
     with np.errstate(over="ignore"):  # refused below, naming the file
         watts = values * scale if scale != 1.0 else values
@@ -198,6 +168,9 @@ def _decode(data: bytes) -> str:
 
 
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# A line as a text-mode file with newline="" ends it: a CR ends one only
+# when the byte after it is known and is not an LF.
+_LINE = re.compile(rb"[^\r\n]*(?:\n|\r\n|\r(?=[^\n]))")
 
 
 def _escaped(row: list[str]) -> bool:
@@ -205,14 +178,42 @@ def _escaped(row: list[str]) -> bool:
     return not all(map(str.isascii, row)) and any(map(_ESCAPED_BYTE.search, row))
 
 
-class _Lines:
-    """A binary file read in whole lines: byte blocks for the grid path,
-    and text lines for ``csv``."""
+class _Reader:
+    """A profile file read front to back, and the per-row checks of
+    ``load_power_csv``: the file cursor, the line number (in csv
+    records), the grid so far and the unscaled powers of the rows that
+    pass, in one array grown a block ahead.  ``read`` gives the file its
+    only ``csv`` reader, which takes the pending lines, then lines from
+    the cursor one at a time, so it never takes a line that a block needs.
+    """
 
-    def __init__(self, fh) -> None:
-        self.fh, self.rest = fh, b""
+    def __init__(self, path: Path, fh) -> None:
+        self.path, self.fh, self.rest = path, fh, b""
+        self.pending: list[str] = []
+        self.lineno = self.n = self.csv_rows = 0
+        self.first = self.prev = self.step = self.step_td = None
+        self.values = np.empty(0)
 
-    def block(self, size: int) -> bytes:
+    def read(self) -> np.ndarray:
+        """The powers of every row of the file, unscaled."""
+        records = csv.reader(self._lines())
+        self._check(records)
+        while block := self._block(_INGEST_BLOCK_BYTES):
+            end, values = _canonical_rows(block, self.prev, self.step_td)
+            if end:
+                self._append(values)
+                self.prev += len(values) * self.step_td
+                self.lineno += len(values)
+            if end < len(block):
+                self._check(records, block[end:])
+        if self.first is None:
+            raise ProfileError(f"{self.path}: empty file")
+        if self.step is None:
+            raise ProfileError(f"{self.path}: need at least two rows to infer the sampling step")
+        self.values.resize(self.n, refcheck=False)
+        return self.values
+
+    def _block(self, size: int) -> bytes:
         """The next whole lines: ``size`` bytes or more, cut after the last
         LF, or, with none, after the last CR that cannot start a CRLF, and
         read on, twice as much at a time, until there is such a cut or
@@ -228,94 +229,83 @@ class _Lines:
         self.rest = data[cut:]
         return data[:cut]
 
-    def text_lines(self):
-        """The next lines as UTF-8 text, split as a text-mode file with
-        ``newline=""`` splits them; lines read but not taken go back to
-        the file when the generator is closed."""
-        while block := self.block(1):
-            lines = io.StringIO(_decode(block), newline="").readlines()
-            taken = 0
-            try:
-                for line in lines:
-                    taken += 1
-                    yield line
-            finally:
-                rest = "".join(lines[taken:]).encode("utf-8", "surrogateescape")
-                self.rest = rest + self.rest
+    def _lines(self):
+        """``csv``'s lines: the pending ones, then the cursor's one at a
+        time, as text."""
+        while True:
+            if self.pending:
+                lines, self.pending = self.pending, []
+                yield from lines
+                continue
+            while not (line := _LINE.match(self.rest)) and (
+                    more := self.fh.read(len(self.rest) + 1)):
+                self.rest += more
+            if not (end := line.end() if line else len(self.rest)):
+                return
+            line, self.rest = self.rest[:end], self.rest[end:]
+            yield _decode(line)
 
+    def _append(self, values: np.ndarray) -> None:
+        """Put ``values`` after the powers so far."""
+        n, k = self.n, len(values)
+        if n + k > len(self.values):  # room for one more block as long
+            self.values.resize(n + 2 * k, refcheck=False)
+        self.values[n:n + k] = values
+        self.n = n + k
 
-class _Rows:
-    """The per-row checks of ``load_power_csv`` and the powers of the rows
-    that pass them, in file order and unscaled."""
-
-    def __init__(self, path: Path) -> None:
-        self.path, self.lineno = path, 0
-        self.first = self.prev = self.step = self.step_td = None
-        self.chunks: list[np.ndarray] = []
-        self.csv_rows = 0
-
-    def accept(self, values: np.ndarray) -> None:
-        """Take ``values`` as the powers of the next grid rows, one line each."""
-        self.chunks.append(values)
-        self.prev += len(values) * self.step_td
-        self.lineno += len(values)
-
-    def check(self, records, until_step: bool = False) -> None:
-        """Check each csv record of ``records`` as a row; with ``until_step``,
-        stop after the row that fixes the step."""
+    def _check(self, records, tail: bytes = b"") -> None:
+        """Check ``records`` as rows: with ``tail`` (the whole lines after a
+        block's grid rows), those that start on its lines; without, those
+        up to the row that fixes the step, the first being the header if
+        it looks like one."""
+        self.pending = io.StringIO(_decode(tail), newline="").readlines()
+        until = records.line_num + len(self.pending) if tail else math.inf
         path, powers = self.path, []
         try:
             for row in records:
                 self.lineno += 1
                 if _escaped(row):
                     raise ProfileError(f"{path}: line {self.lineno}: not UTF-8 text")
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) < 2:
-                    raise ProfileError(f"{path}: line {self.lineno}: expected at least "
-                                       f"2 columns, got {len(row)}")
-                try:
-                    ts = _parse_timestamp(row[0])
-                except ValueError as exc:
-                    raise ProfileError(f"{path}: line {self.lineno}: bad timestamp "
-                                       f"{row[0]!r}: {exc}") from None
-                try:
-                    p = float(row[1])
-                except ValueError:
-                    raise ProfileError(f"{path}: line {self.lineno}: bad power value "
-                                       f"{row[1]!r}") from None
-                if not math.isfinite(p):
-                    raise ProfileError(f"{path}: line {self.lineno}: non-finite power value")
-                if self.prev is None:
-                    self.first = ts
-                else:
-                    dt = (ts - self.prev).total_seconds()
-                    if self.step is None:
-                        self.step, self.step_td = dt, ts - self.prev
-                    if dt <= 0:
-                        raise ProfileError(f"{path}: line {self.lineno}: timestamps "
-                                           "not strictly increasing")
-                    if abs(dt - self.step) > 1e-6:
-                        raise ProfileError(f"{path}: line {self.lineno}: irregular step "
-                                           f"({dt} s, expected {self.step} s)")
-                self.prev = ts
-                powers.append(p)
-                if until_step and self.step is not None:
+                if any(map(str.strip, row)) and not (
+                        self.lineno == 1 and not _parses(_parse_timestamp, row[0])
+                        and not (len(row) > 1 and _parses(float, row[1]))):
+                    if len(row) < 2:
+                        raise ProfileError(f"{path}: line {self.lineno}: expected at "
+                                           f"least 2 columns, got {len(row)}")
+                    try:
+                        ts = _parse_timestamp(row[0])
+                    except ValueError as exc:
+                        raise ProfileError(f"{path}: line {self.lineno}: bad timestamp "
+                                           f"{row[0]!r}: {exc}") from None
+                    try:
+                        p = float(row[1])
+                    except ValueError:
+                        raise ProfileError(f"{path}: line {self.lineno}: bad power value "
+                                           f"{row[1]!r}") from None
+                    if not math.isfinite(p):
+                        raise ProfileError(f"{path}: line {self.lineno}: non-finite "
+                                           "power value")
+                    if self.prev is None:
+                        self.first = ts
+                    else:
+                        dt = (ts - self.prev).total_seconds()
+                        if self.step is None:  # the last row csv reads before the blocks
+                            self.step, self.step_td = dt, ts - self.prev
+                            until = records.line_num
+                        if dt <= 0:
+                            raise ProfileError(f"{path}: line {self.lineno}: timestamps "
+                                               "not strictly increasing")
+                        if abs(dt - self.step) > 1e-6:
+                            raise ProfileError(f"{path}: line {self.lineno}: irregular "
+                                               f"step ({dt} s, expected {self.step} s)")
+                    self.prev = ts
+                    powers.append(p)
+                if records.line_num >= until:
                     break
         except csv.Error as exc:  # the faults of the rows before it come first
             raise ProfileError(f"{path}: line {self.lineno + 1}: {exc}") from None
-        self.chunks.append(np.array(powers))
+        self._append(np.array(powers))
         self.csv_rows += len(powers)
-
-
-def _csv_rows(lines: list[str], more):
-    """The csv records that start on ``lines``.  A record that goes on
-    past them (a quoted line break) reads its rest from ``more``, the
-    lines that follow, so it is one record, as in one reader over the
-    whole file."""
-    reader = csv.reader(itertools.chain(lines, more))
-    while reader.line_num < len(lines):
-        yield next(reader)
 
 
 def _canonical_rows(block: bytes, prev: datetime,
@@ -440,19 +430,28 @@ def resample(series: PowerSeries, target_step_s: float,
 
     span = series.step_s * (len(series) - 1)
     n_out = int(math.floor(span / target_step_s + 1e-9)) + 1
-    t_out = np.arange(n_out) * target_step_s
-    values = _sample_at(series, t_out, method)
+    values = _sample_at(series, 0.0, target_step_s, n_out, method)
     return PowerSeries(series.start, target_step_s, values)
 
 
-def _sample_at(series: PowerSeries, t_rel: np.ndarray, method: ResampleMethod) -> np.ndarray:
-    """Evaluate the series at times relative to its own start (seconds)."""
-    if method is ResampleMethod.HOLD:
-        idx = np.floor(t_rel / series.step_s + 1e-9).astype(int)
-        idx = np.clip(idx, 0, len(series) - 1)
-        return series.values[idx]
-    t_src = np.arange(len(series)) * series.step_s
-    return np.interp(t_rel, t_src, series.values)
+def _sample_at(series: PowerSeries, t0: float, step: float, n: int,
+               method: ResampleMethod) -> np.ndarray:
+    """Evaluate the series at the ``n`` times ``t0 + i * step`` seconds
+    after its own start; a hold takes about 1 MiB of times at a time."""
+    if method is ResampleMethod.LINEAR:
+        t_src = np.arange(len(series)) * series.step_s
+        return np.interp(t0 + np.arange(n) * step, t_src, series.values)
+    out = np.empty(n)
+    rows = _INGEST_BLOCK_BYTES // out.itemsize
+    for lo in range(0, n, rows):
+        t_rel = out[lo:lo + rows]  # each block's times, then its samples
+        np.multiply(np.arange(lo, lo + len(t_rel)), step, out=t_rel)
+        t_rel += t0
+        t_rel /= series.step_s
+        t_rel += 1e-9
+        idx = np.floor(t_rel, out=t_rel).astype(int)
+        np.take(series.values, idx, mode="clip", out=t_rel)
+    return out
 
 
 def align(a: PowerSeries, b: PowerSeries,
@@ -475,9 +474,9 @@ def align(a: PowerSeries, b: PowerSeries,
     if k1 < k0:
         raise ProfileError("series do not overlap in time")
     start = a.start + timedelta(seconds=k0 * step)
-    t_rel = start.timestamp() - b.start_epoch + np.arange(k1 - k0 + 1) * step
+    t0 = start.timestamp() - b.start_epoch
     return (PowerSeries(start, step, a.values[k0:k1 + 1]),
-            PowerSeries(start, step, _sample_at(b, t_rel, method)))
+            PowerSeries(start, step, _sample_at(b, t0, step, k1 - k0 + 1, method)))
 
 
 # A stamp's fields, with ".ffffff" before the Z in a grid with fractions

@@ -8,8 +8,9 @@ full-length column exceeds them on the week (a float column of the week
 is 2.4 MB, a bool column 0.3 MB), and by four times that on four weeks.
 The bound of the whole trace writer was set just above what the seed
 week measured with the writer that left cells below 1e-4 to ``repr``.
-The reader's bounds were set just above what it measured, on each
-horizon, when it formatted each block's expected stamps row by row.
+The reader and ``align`` keep one bound for both horizons, set just
+above what they measure once they fill one values array and sample a
+block at a time.
 """
 
 import tracemalloc
@@ -29,10 +30,10 @@ PREPASS_MB = 0.85  # seed week: 0.75
 ACCUMULATE_MB = 1.05  # 0.94
 WRITE_GRID_CSV_MB = 1.65  # 1.50
 WRITE_TRACE_CSV_MB = 5.1  # 4.93 (four weeks 4.97) with repr; 4.29 now
-# by days: the per-block transients on the week (8.39 row by row; 6.35
-# with the hour's tile), and on four weeks the chunks that are joined at
-# the end (10.90 both ways)
-LOAD_POWER_CSV_MB = {7: 8.5, 28: 11.0}
+# 6.99 (four weeks 7.15) with one values array; the list of chunks
+# joined at the end took 6.66 and 10.90
+LOAD_POWER_CSV_MB = 7.6
+ALIGN_MB = 2.4  # 2.16 both sampling a block at a time; 4.84 and 19.35 at once
 
 
 def peak_above_result(call):
@@ -56,6 +57,15 @@ def horizon(request):
     cfg = EmsConfig(strategy=StrategyKind.SCM_RR)
     trace = simulate(pv, load, cfg, BatteryParams())
     return pv, cfg, trace
+
+
+def test_align(horizon):
+    # the 2 s PV keeps its samples, and the 15 min load is held at them
+    pv, _, trace = horizon
+    load = block_load(days=round(len(pv) * pv.step_s / 86_400))
+    (_, held), peak = peak_above_result(lambda: align(pv, load))
+    assert held.values.tobytes() == trace.p_load.tobytes()
+    assert peak <= ALIGN_MB
 
 
 def test_prepass(horizon):
@@ -104,4 +114,4 @@ def test_load_power_csv(horizon, tmp_path):
     write_power_csv(pv, path)
     series, peak = peak_above_result(lambda: load_power_csv(path))
     assert series.values.tobytes() == pv.values.tobytes()
-    assert peak <= LOAD_POWER_CSV_MB[round(len(pv) * pv.step_s / 86_400)]
+    assert peak <= LOAD_POWER_CSV_MB

@@ -873,6 +873,16 @@ class TestBlockIngest:
                          + grid_lines(3, start=3)))
     @example(case=pinned([WIDE_HEADER] + grid_lines(
         40, lambda k: ",".join(str(float(k + c)) for c in range(9))), block_bytes=8))
+    # a quoted line break in the row that fixes the step, which csv reads
+    # a line at a time before the first block
+    @example(case=pinned(["timestamp,power,note"] + grid_lines(1, lambda k: "0.5,x")
+                         + grid_lines(1, lambda k: '1.5,"two', start=1) + ['lines"']
+                         + grid_lines(8, lambda k: f"{k}.5,y", start=2)))
+    # a quoted power cell whose line break falls on a 1-byte block's cut:
+    # csv reads its second line from the file, and the next block starts
+    # on the canonical line after it
+    @example(case=pinned(grid_lines(4) + grid_lines(1, lambda k: '"5', start=4) + ['"']
+                         + grid_lines(6, start=5), block_bytes=1))
     @given(profile_csv())
     @settings(max_examples=400, deadline=None)
     def test_matches_row_by_row(self, tmp_path_factory, case):
@@ -1007,13 +1017,12 @@ class TestBlockIngest:
         path = make_csv(tmp_path, "\n".join(rows) + "\n")
         read = []
 
-        def counted(lines, more, _csv_rows=timeseries._csv_rows):
-            for record in _csv_rows(lines, more):
-                read.append(record)
-                yield record
+        def counted(row, _escaped=timeseries._escaped):  # once per csv record
+            read.append(row)
+            return _escaped(row)
 
         with mock.patch.object(timeseries, "_INGEST_BLOCK_BYTES", 1_000), \
-                mock.patch.object(timeseries, "_csv_rows", counted):
+                mock.patch.object(timeseries, "_escaped", counted):
             outcome = load_outcome(path)
         assert outcome == ("error", f"{path}: line 251: bad power value '1.2.3'")
         assert outcome == load_row_by_row(path)
