@@ -102,7 +102,7 @@ _FIRST_GUESS, _MAX_GUESS, _MAX_STRETCH = 256, 65_536, 1_024
 
 _US = timedelta(microseconds=1)
 _DAY_US = 86_400 * 1_000_000
-_PREPASS_BLOCK = 65_536  # ticks whose ramp rate and clock prepass builds at a time
+_PREPASS_BLOCK = 8_192  # ticks that prepass fills at a time, as write_grid_csv's rows
 
 
 @dataclass(frozen=True)
@@ -268,32 +268,14 @@ def prepass(pv: PowerSeries, cfg: EmsConfig) -> PrePass:
     test on the exact window means, so a tick whose exact ramp equals
     the limit is flagged even where its ``rr``, rounded, is just below
     it.  The strategy is not read, so one pre-pass serves every
-    strategy run on the same series and settings.  Raises
-    ``OverflowError`` when the sum of a window or a ramp rate overflows.
+    strategy run on the same series and settings.  The output columns
+    are filled in one walk over blocks of ``_PREPASS_BLOCK`` ticks, each
+    reading the window's tail of samples, the mean and the day before it.
+    Raises ``OverflowError`` when the sum of a window or, after the
+    walk, a ramp rate overflows.
     """
     ramp = cfg.ramp
-    n = len(pv)
-    n_window = ramp.window_samples
-    try:
-        mean, resummed = fsum_window_mean(pv.values, n_window)
-    except OverflowError as exc:
-        raise OverflowError(f"the sum of a {ramp.window_s:g} s window of PV "
-                            f"power overflows ({exc})") from None
-    log.info("prepass windows %d resummed %d", max(n - n_window + 1, 0), resummed)
-    violated = violations(pv.values, n_window, ramp, ramp.tick_s)
-
-    # Every full-length column below is an output; the work runs in
-    # blocks of ticks, or in local days, so nothing else is full length.
-    rr = np.zeros(n)
-    with np.errstate(over="ignore"):  # refused below
-        for lo in range(n_window, n, _PREPASS_BLOCK):
-            hi = min(lo + _PREPASS_BLOCK, n)
-            rr[lo:hi] = ramp_rate(mean[lo:hi], mean[lo - 1:hi - 1], ramp,
-                                  ramp.tick_minutes)
-    if not np.isfinite(rr).all():
-        raise OverflowError(f"the ramp rate of the {ramp.window_s:g} s window "
-                            "mean of PV power overflows")
-
+    x, n, n_window = pv.values, len(pv), ramp.window_samples
     local0 = pv.start.replace(tzinfo=None) + timedelta(hours=cfg.utc_offset_h)
     first_date = local0.date()
     t0_us = (local0 - datetime.combine(first_date, time())) // _US
@@ -301,25 +283,48 @@ def prepass(pv: PowerSeries, cfg: EmsConfig) -> PrePass:
     start = cfg.charge_start_time
     start_us = (((start.hour * 60 + start.minute) * 60 + start.second)
                 * 1_000_000 + start.microsecond)
+    threshold = cfg.pv_day_threshold * ramp.nameplate_w
+
+    mean, rr = np.empty(n), np.zeros(n)
+    violated, after_start, day_started = (np.empty(n, dtype=bool) for _ in range(3))
     day = np.empty(n, dtype=np.int64)
-    after_start = np.empty(n, dtype=bool)
+    resummed, rr_finite = 0, True
     for lo in range(0, n, _PREPASS_BLOCK):
         hi = min(lo + _PREPASS_BLOCK, n)
+        first = max(lo - n_window + 1, 0)  # where the block's windows start
+        try:
+            block_mean, k = fsum_window_mean(x[first:hi], n_window)
+        except OverflowError as exc:
+            raise OverflowError(f"the sum of a {ramp.window_s:g} s window of PV "
+                                f"power overflows ({exc})") from None
+        mean[lo:hi] = block_mean[lo - first:]
+        resummed += k
+        tail = max(lo - n_window, 0)  # and where its ramps reach back to
+        violated[lo:hi] = violations(x[tail:hi], n_window, ramp,
+                                     ramp.tick_s)[lo - tail:]
+        ramps = slice(max(lo, n_window), hi)  # ticks after a full window
+        with np.errstate(over="ignore"):  # refused after the walk
+            rr[ramps] = ramp_rate(mean[ramps], mean[ramps.start - 1:hi - 1], ramp,
+                                  ramp.tick_minutes)
+        rr_finite &= bool(np.isfinite(rr[ramps]).all())
         clock_us = np.arange(lo, hi, dtype=np.int64)
         clock_us *= step_us
         clock_us += t0_us
         np.divmod(clock_us, _DAY_US, out=(day[lo:hi], clock_us))
         np.greater_equal(clock_us, start_us, out=after_start[lo:hi])
-
-    # Local days are runs of ticks: a tick's day has started once any
-    # tick of the day so far had its window mean above the threshold.
-    threshold = cfg.pv_day_threshold * ramp.nameplate_w
-    day_started = np.empty(n, dtype=bool)
-    lo = 0
-    while lo < n:
-        hi = int(np.searchsorted(day, day[lo], side="right"))
-        np.logical_or.accumulate(mean[lo:hi] > threshold, out=day_started[lo:hi])
-        lo = hi
+        # A tick's local day has started once a tick of it so far had its
+        # window mean above the threshold: then the running maximum of
+        # 2 * day + above, from the tick before the block on, is odd.
+        key = day[lo:hi] * 2
+        key += mean[lo:hi] > threshold
+        if lo:
+            key[0] = max(key[0], 2 * day[lo - 1] + day_started[lo - 1])
+        np.maximum.accumulate(key, out=key)
+        day_started[lo:hi] = key & 1
+    log.info("prepass windows %d resummed %d", max(n - n_window + 1, 0), resummed)
+    if not rr_finite:
+        raise OverflowError(f"the ramp rate of the {ramp.window_s:g} s window "
+                            "mean of PV power overflows")
     return PrePass(window_mean=mean, rr=rr, violated=violated, day=day,
                    after_start=after_start, day_started=day_started,
                    first_date=first_date, pv=pv, settings=_prepass_settings(cfg))
@@ -348,7 +353,7 @@ def simulate(pv: PowerSeries, load: PowerSeries, cfg: EmsConfig,
         raise ValueError("pv and load profiles are not aligned "
                          f"(start {pv.start}/{load.start}, step {pv.step_s}/"
                          f"{load.step_s}, len {len(pv)}/{len(load)})")
-    if abs(pv.step_s - cfg.ramp.tick_s) > 1e-9:
+    if pv.step_s != cfg.ramp.tick_s:
         raise ValueError(f"profiles sampled at {pv.step_s} s but the control "
                          f"tick is {cfg.ramp.tick_s} s")
     cfg.validate_against(params, initial_soc)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .ems import MODES, DispatchMode, Trace
-from .ramp import RampConfig, violations
+from .ramp import RampConfig, events_of, violations
 
 __all__ = [
     "EnergyTotals",
@@ -204,9 +204,7 @@ def _count_ramp_events(trace: Trace, ramp_cfg: RampConfig) -> tuple[int, int]:
     leaked = violations(pairs.reshape(-1), 1, ramp_cfg, trace.step_s)[1::2]
     ok[later] |= ramp[later] & ~leaked
 
-    starts = np.ones(at.size, dtype=bool)  # a gap in the ticks starts an event
-    np.not_equal(np.diff(at), 1, out=starts[1:])
-    event = np.cumsum(starts)
+    event = events_of(at)
     n_orig = int(event[-1])
     n_failed = int(np.count_nonzero(np.bincount(event[~ok])))
     return n_orig, n_orig - n_failed

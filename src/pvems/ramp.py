@@ -9,8 +9,8 @@ consecutive samples of the window-averaged signal (normalised to %/min).
 
 One exact rule, ``violations``, decides every ramp-limit flag: the
 dispatch loop's detector, each window of the sweep and the leaked-ramp
-test of the KPI accounting; ``event_numbers`` groups the flags into
-events.
+test of the KPI accounting; ``events_of`` groups the flagged ticks
+into events for both the sweep and the accounting.
 
 The dispatch loop's window average is exact: ``fsum_window_mean`` gives
 the bits of ``fsum(window) / n`` for every window.  It sums all windows
@@ -37,7 +37,7 @@ __all__ = [
     "samples_per_minute",
     "window_sweep",
     "fsum_window_mean",
-    "event_numbers",
+    "events_of",
 ]
 
 
@@ -198,18 +198,14 @@ def violations(values: np.ndarray, n: int, cfg: RampConfig,
     return out
 
 
-_WINDOW_BLOCK = 16_384  # windows that fsum_window_mean sums at a time
-
-
 def fsum_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """Trailing mean over ``n`` samples, and how many windows went through ``fsum``.
 
     Each output has the bits of ``fsum(window) / n``; the first
     ``n - 1`` outputs are NaN, and a window that ``fsum`` refuses
-    raises its error.  The windows are summed on arrays,
-    ``_WINDOW_BLOCK`` at a time (``n - 1`` samples of overlap), by a
-    cascade of error-free TwoSum steps (Ogita, Rump and Oishi,
-    *Accurate Sum and Dot Product*, 2005): the head ``s`` and the
+    raises its error.  Every window of ``values`` is summed at once, on
+    arrays, by a cascade of error-free TwoSum steps (Ogita, Rump and
+    Oishi, *Accurate Sum and Dot Product*, 2005): the head ``s`` and the
     rounding errors ``e`` sum exactly to the window's sum ``S``.  When
     the float sum of ``e`` is exact, ``fl(s + sum(e))`` is ``S`` rounded
     to nearest even, as in ``fsum``, ties included.  It is exact when
@@ -219,6 +215,8 @@ def fsum_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     and no addition rounds.  Each error is at most ``2**-53`` of a head
     of at most ``n`` samples, so the test passes whenever the window's
     largest nonzero sample is below ``2**52 / n**2`` times its smallest.
+    The arrays are a few times the size of ``values``: ``prepass`` hands
+    it one block of ticks and the ``n - 1`` samples before it at a time.
 
     ``fsum`` itself sums the other windows: those that the test does not
     prove, those with a sample that is not finite or large enough to
@@ -239,43 +237,33 @@ def fsum_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     big = _sum_bound(n)
     odd = ~((x < big) & (x > -big))
     neg_zero = (x == 0.0) & np.signbit(x)
-    odd_in = _windows_holding(odd, n) if odd.any() else None
-    neg_zero_in = _windows_holding(neg_zero, n) if neg_zero.any() else None
+    y = np.where(odd, 0.0, x) if odd.any() else x  # what the cascade sums
 
-    k = min(m, _WINDOW_BLOCK)
-    buffers = np.empty((7, k))
-    resummed: list[int] = []
-    for start in range(0, m, k):
-        stop = min(start + k, m)
-        w = stop - start
-        block = x[start:stop + n - 1]
-        if odd_in is not None and odd_in[start:stop].any():
-            block = np.where(odd[start:stop + n - 1], 0.0, block)
-        s, s2, t, bb, e, a, q = buffers[:, :w]
-        ulp = np.spacing(np.abs(block))
-        ulp[block == 0.0] = np.inf
-        s[:] = block[:w]
-        q[:] = ulp[:w]
-        e.fill(0.0)
-        a.fill(0.0)
-        for j in range(1, n):
-            b = block[j:j + w]
-            _two_sum(s, b, s2, bb, t)  # s2 + t == s + b exactly
-            np.add(e, t, out=e)
-            np.abs(t, out=t)
-            np.add(a, t, out=a)
-            np.minimum(q, ulp[j:j + w], out=q)
-            s, s2 = s2, s
-        r = np.add(s, e, out=s2)  # S rounded once where e summed exactly
-        np.multiply(q, 2.0 ** 52, out=q)
-        sure = a <= q
-        if odd_in is not None:
-            sure &= ~odd_in[start:stop]
-        if neg_zero_in is not None:
-            sure &= ~(neg_zero_in[start:stop] & (r == 0.0))
-        np.divide(r, n, out=out[n - 1 + start:n - 1 + stop])
-        if not sure.all():
-            resummed += (start + np.flatnonzero(~sure)).tolist()
+    s, s2, t, bb, e, a, q = np.empty((7, m))
+    ulp = np.abs(y)
+    np.spacing(ulp, out=ulp)
+    ulp[y == 0.0] = np.inf
+    s[:] = y[:m]
+    q[:] = ulp[:m]
+    e.fill(0.0)
+    a.fill(0.0)
+    for j in range(1, n):
+        b = y[j:j + m]
+        _two_sum(s, b, s2, bb, t)  # s2 + t == s + b exactly
+        np.add(e, t, out=e)
+        np.abs(t, out=t)
+        np.add(a, t, out=a)
+        np.minimum(q, ulp[j:j + m], out=q)
+        s, s2 = s2, s
+    r = np.add(s, e, out=s2)  # S rounded once where e summed exactly
+    np.multiply(q, 2.0 ** 52, out=q)
+    sure = a <= q
+    if y is not x:
+        sure &= ~_windows_holding(odd, n)
+    if neg_zero.any():
+        sure &= ~(_windows_holding(neg_zero, n) & (r == 0.0))
+    np.divide(r, n, out=out[n - 1:])
+    resummed = np.flatnonzero(~sure).tolist()
     for i in resummed:
         out[n - 1 + i] = fsum(x[i:i + n].tolist()) / n
     return out, len(resummed)
@@ -304,11 +292,12 @@ def _windows_holding(flags: np.ndarray, n: int) -> np.ndarray:
     return counts[n:] > counts[:-n]
 
 
-def event_numbers(flags: np.ndarray) -> np.ndarray:
-    """Per sample, the number of the event (a maximal run of True flags)
-    it is in or follows, from 1; 0 before the first event."""
-    starts = np.array(flags, dtype=bool)
-    starts[1:] &= ~starts[:-1]
+def events_of(ticks: np.ndarray) -> np.ndarray:
+    """The event of each violating tick, numbered from 1: ``ticks`` are
+    the sorted indices of the violating ticks, and an event is a maximal
+    run of consecutive ones."""
+    starts = np.ones(len(ticks), dtype=bool)  # a gap in the ticks starts an event
+    np.not_equal(np.diff(ticks), 1, out=starts[1:])
     return np.cumsum(starts)
 
 
@@ -338,6 +327,6 @@ def window_sweep(series: PowerSeries, cfg: RampConfig,
             except OverflowError as exc:
                 raise OverflowError(f"the sum of a {w:g} s window of PV power "
                                     f"overflows ({exc})") from None
-        events = event_numbers(violations(x, n, cfg, series.step_s))
-        results.append((w, int(events[-1])))
+        events = events_of(np.flatnonzero(violations(x, n, cfg, series.step_s)))
+        results.append((w, int(events.max(initial=0))))
     return results

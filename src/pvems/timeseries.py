@@ -64,7 +64,7 @@ class PowerSeries:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise ProfileError("a series needs at least one sample")
-        if not np.all(np.isfinite(vals)):
+        if not (math.isfinite(vals.min()) and math.isfinite(vals.max())):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise ProfileError(f"non-finite power value at sample {bad}")
         vals.flags.writeable = False
@@ -77,10 +77,6 @@ class PowerSeries:
     def end(self) -> datetime:
         """Timestamp of the last sample."""
         return self.start + timedelta(seconds=self.step_s * (len(self.values) - 1))
-
-    @property
-    def start_epoch(self) -> float:
-        return self.start.timestamp()
 
     def scaled(self, factor: float) -> "PowerSeries":
         return PowerSeries(self.start, self.step_s, self.values * factor)
@@ -144,7 +140,6 @@ def load_power_csv(path: Union[str, Path], expected_unit: str = "W") -> PowerSer
     """
     if expected_unit not in ("W", "kW"):
         raise ProfileError(f"expected_unit must be 'W' or 'kW', got {expected_unit!r}")
-    scale = 1000.0 if expected_unit == "kW" else 1.0
 
     path = Path(path)
     if not path.exists():
@@ -154,11 +149,13 @@ def load_power_csv(path: Union[str, Path], expected_unit: str = "W") -> PowerSer
         rows = _Reader(path, fh)
         values = rows.read()
     log.info("read %s rows %d csv %d", path.name, len(values), rows.csv_rows)
-    with np.errstate(over="ignore"):  # refused below, naming the file
-        watts = values * scale if scale != 1.0 else values
-    if not np.isfinite(watts).all():
-        raise ProfileError(f"{path}: {float(values[np.isinf(watts)][0])!r} kW overflows in W")
-    return PowerSeries(rows.first, rows.step, watts)
+    if expected_unit == "kW":
+        if math.isinf(1000.0 * max(float(values.max()), -float(values.min()))):
+            with np.errstate(over="ignore"):  # only to name the first one
+                kw = float(values[np.isinf(values * 1000.0)][0])
+            raise ProfileError(f"{path}: {kw!r} kW overflows in W")
+        values *= 1000.0
+    return PowerSeries(rows.first, rows.step, values)
 
 
 def _decode(data: bytes) -> str:
@@ -430,14 +427,15 @@ def resample(series: PowerSeries, target_step_s: float,
 
     span = series.step_s * (len(series) - 1)
     n_out = int(math.floor(span / target_step_s + 1e-9)) + 1
-    values = _sample_at(series, 0.0, target_step_s, n_out, method)
+    values = _sample_at(series, series.start, target_step_s, n_out, method)
     return PowerSeries(series.start, target_step_s, values)
 
 
-def _sample_at(series: PowerSeries, t0: float, step: float, n: int,
+def _sample_at(series: PowerSeries, start: datetime, step: float, n: int,
                method: ResampleMethod) -> np.ndarray:
-    """Evaluate the series at the ``n`` times ``t0 + i * step`` seconds
-    after its own start; a hold takes about 1 MiB of times at a time."""
+    """Evaluate the series at the ``n`` times ``start + i * step`` seconds;
+    a hold takes about 1 MiB of times at a time."""
+    t0 = (start - series.start).total_seconds()  # exact: whole microseconds
     if method is ResampleMethod.LINEAR:
         t_src = np.arange(len(series)) * series.step_s
         return np.interp(t0 + np.arange(n) * step, t_src, series.values)
@@ -459,24 +457,21 @@ def align(a: PowerSeries, b: PowerSeries,
     """Put ``b`` onto ``a``'s grid over the span both cover.
 
     ``a`` keeps its samples in that span, and ``b`` is sampled at them
-    (hold by default), whichever step is finer.  Raises when the spans
-    do not overlap.
+    (hold by default), whichever step is finer.  The span and the
+    offset of ``a``'s grid from ``b``'s start are exact time
+    differences (whole microseconds, as ``datetime`` keeps them), not
+    differences of epoch floats.  Raises when the spans do not overlap.
     """
     step = a.step_s
-    t0 = max(a.start_epoch, b.start_epoch)
-    t1 = min(a.end.timestamp(), b.end.timestamp())
-    if t0 > t1 + 1e-9:
-        raise ProfileError("series do not overlap in time")
-
+    t0, t1 = max(a.start, b.start), min(a.end, b.end)
     # Snap the common window onto a's grid.
-    k0 = int(math.ceil((t0 - a.start_epoch) / step - 1e-9))
-    k1 = int(math.floor((t1 - a.start_epoch) / step + 1e-9))
-    if k1 < k0:
+    k0 = int(math.ceil((t0 - a.start).total_seconds() / step - 1e-9))
+    k1 = int(math.floor((t1 - a.start).total_seconds() / step + 1e-9))
+    if t0 > t1 or k1 < k0:
         raise ProfileError("series do not overlap in time")
     start = a.start + timedelta(seconds=k0 * step)
-    t0 = start.timestamp() - b.start_epoch
     return (PowerSeries(start, step, a.values[k0:k1 + 1]),
-            PowerSeries(start, step, _sample_at(b, t0, step, k1 - k0 + 1, method)))
+            PowerSeries(start, step, _sample_at(b, start, step, k1 - k0 + 1, method)))
 
 
 # A stamp's fields, with ".ffffff" before the Z in a grid with fractions

@@ -181,6 +181,14 @@ class TestSimulateBasics:
         with pytest.raises(ValueError, match="tick"):
             simulate(pv, load, EmsConfig(ramp=RCFG), PARAMS)
 
+    def test_tick_is_matched_exactly(self):
+        # as load_profiles decides whether to resample: a step 1e-10 s off
+        # the tick is another grid
+        step = RCFG.tick_s + 1e-10
+        pv = series(np.zeros(100), step=step)
+        with pytest.raises(ValueError, match="control tick"):
+            simulate(pv, pv, EmsConfig(ramp=RCFG), PARAMS)
+
     def test_initial_soc_outside_window_rejected(self):
         pv = series(np.zeros(10))
         with pytest.raises(ValueError, match="initial_soc"):

@@ -10,7 +10,13 @@ The bound of the whole trace writer was set just above what the seed
 week measured with the writer that left cells below 1e-4 to ``repr``.
 The reader and ``align`` keep one bound for both horizons, set just
 above what they measure once they fill one values array and sample a
-block at a time.
+block at a time; the reader scales a kW profile in place, within the
+same bound.  The pre-pass allocates its outputs first and fills them in
+one walk over blocks of ticks, so its bound covers the block transient
+while every output is held (0.82 MB on both horizons).  Before that walk
+the same measure read 0.75 and 0.28 MB, while ``violations`` alone took
+3.0 and 12.1 MB: it ran first, on the whole series, and the outputs
+allocated after it returned were larger than its transient.
 """
 
 import tracemalloc
@@ -23,17 +29,20 @@ from pvems.ems import MODES, EmsConfig, StrategyKind, prepass, simulate
 from pvems.fixtures import block_load, fluctuating_week_pv
 from pvems.kpi import accumulate
 from pvems.ramp import RampConfig
-from pvems.timeseries import align, load_power_csv, write_grid_csv, write_power_csv
+from pvems.timeseries import (PowerSeries, align, load_power_csv, write_grid_csv,
+                              write_power_csv)
 
 MB = 1e6
-PREPASS_MB = 0.85  # seed week: 0.75
+PREPASS_MB = 0.85  # 0.82 on both horizons
 ACCUMULATE_MB = 1.05  # 0.94
 WRITE_GRID_CSV_MB = 1.65  # 1.50
 WRITE_TRACE_CSV_MB = 5.1  # 4.93 (four weeks 4.97) with repr; 4.29 now
 # 6.99 (four weeks 7.15) with one values array; the list of chunks
-# joined at the end took 6.66 and 10.90
+# joined at the end took 6.66 and 10.90.  A kW profile: 7.48 (7.53)
+# scaled in place; 7.48 (10.89) with a scaled copy
 LOAD_POWER_CSV_MB = 7.6
 ALIGN_MB = 2.4  # 2.16 both sampling a block at a time; 4.84 and 19.35 at once
+POWER_SERIES_MB = 0.05  # 0.001 checked from min and max; 0.30 and 1.21 with isfinite
 
 
 def peak_above_result(call):
@@ -107,11 +116,22 @@ def test_write_trace_csv(horizon, tmp_path):
 
 
 def test_load_power_csv(horizon, tmp_path):
-    # the PV profile as a grid CSV of 2 s rows: every line after the
-    # first two is read on the grid path
+    # the PV profile as a grid CSV of 2 s rows, in W and in kW: every
+    # line after the first two is read on the grid path
     pv, _, _ = horizon
-    path = tmp_path / "pv.csv"
-    write_power_csv(pv, path)
-    series, peak = peak_above_result(lambda: load_power_csv(path))
-    assert series.values.tobytes() == pv.values.tobytes()
-    assert peak <= LOAD_POWER_CSV_MB
+    kw = PowerSeries(pv.start, pv.step_s, pv.values / 1000.0)
+    for series, unit, watts in ((pv, "W", pv.values), (kw, "kW", kw.values * 1000.0)):
+        path = tmp_path / f"pv_{unit}.csv"
+        write_power_csv(series, path)
+        loaded, peak = peak_above_result(lambda: load_power_csv(path, unit))
+        assert loaded.values.tobytes() == watts.tobytes()
+        assert peak <= LOAD_POWER_CSV_MB, unit
+
+
+def test_power_series(horizon):
+    # the finiteness check of a new series
+    pv, _, _ = horizon
+    column = pv.values.copy()
+    series, peak = peak_above_result(lambda: PowerSeries(pv.start, pv.step_s, column))
+    assert series.values is column
+    assert peak <= POWER_SERIES_MB

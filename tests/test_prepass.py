@@ -16,6 +16,7 @@ is bit for bit.
 import csv
 from datetime import datetime, time, timedelta, timezone
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from pvems.ems import (MODES, DispatchMode, EmsConfig, StrategyKind, Trace,
                        prepass, simulate)
 from pvems.forecast import ChargeDecisionPolicy, ForecastDay
 from pvems.kpi import accumulate
-from pvems.ramp import RampConfig
+from pvems.ramp import RampConfig, fsum_window_mean
 from pvems.timeseries import PowerSeries
 from reference import format_utc
 from reference import prepass as reference_prepass
@@ -176,27 +177,69 @@ class _CodeSource:
 # ---------------------------------------------------------------- tests
 
 class TestPrepassReference:
+    # The pre-pass walks the ticks in blocks, each reading the window
+    # tail, the last mean and the day before it: besides its own block
+    # size, run it with tiny ones, so that block edges fall everywhere.
+    BLOCKS = (ems._PREPASS_BLOCK, 1, 3, 7)
+
+    def check(self, pv, cfg):
+        """``prepass`` at each block size against the scalar reference,
+        column by column."""
+        ref = reference_prepass(pv, cfg)
+        means = [np.nan if row[0] is None else row[0] for row in ref]
+        for block in self.BLOCKS:
+            with mock.patch.object(ems, "_PREPASS_BLOCK", block):
+                pre = prepass(pv, cfg)
+            assert np.array_equal(np.isnan(pre.window_mean), np.isnan(means))
+            defined = ~np.isnan(pre.window_mean)
+            assert np.array_equal(bits(pre.window_mean)[defined],
+                                  bits(means)[defined])
+            assert np.array_equal(bits(pre.rr), bits([row[1] for row in ref]))
+            assert pre.violated.tolist() == [row[2] for row in ref]
+            assert [pre.first_date + timedelta(days=d) for d in pre.day.tolist()] \
+                == [row[3] for row in ref]
+            assert pre.after_start.tolist() == [row[4] for row in ref]
+            assert pre.day_started.tolist() == [row[5] for row in ref]
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_matches_scalar_reference(self, data):
         cfg, start = data.draw(ems_setups())
         values = data.draw(profiles(cfg.ramp))
-        pv = PowerSeries(start, cfg.ramp.tick_s, np.array(values))
-        pre = prepass(pv, cfg)
-        ref = reference_prepass(pv, cfg)
+        self.check(PowerSeries(start, cfg.ramp.tick_s, np.array(values)), cfg)
 
-        means = [np.nan if row[0] is None else row[0] for row in ref]
-        assert np.array_equal(np.isnan(pre.window_mean), np.isnan(means))
-        defined = ~np.isnan(pre.window_mean)
-        assert np.array_equal(bits(pre.window_mean)[defined],
-                              bits(means)[defined])
-        assert np.array_equal(bits(pre.rr), bits([row[1] for row in ref]))
-        assert pre.violated.tolist() == [row[2] for row in ref]
-        assert [pre.first_date + timedelta(days=d) for d in pre.day.tolist()] \
-            == [row[3] for row in ref]
-        assert pre.after_start.tolist() == [row[4] for row in ref]
-        assert pre.day_started.tolist() == [row[5] for row in ref]
+    @pytest.mark.parametrize("values, n_window", [
+        # near-ties whose rounding errors do not sum exactly
+        ([5.0] * 5 + [1.0, 2.0 ** -53, 2.0 ** -106] + [5.0] * 5, 3),
+        ([0.0] * 5 + [1.0, 2.0 ** -53, 2.0 ** -106] + [0.0] * 5, 5),
+        # windows of -0.0, and of samples that cancel to zero
+        ([1.0] * 4 + [-0.0] * 6 + [2.0, -2.0, -0.0, 1.0], 3),
+    ])
+    def test_resummed_windows_across_block_edges(self, caplog, values, n_window):
+        ramp = RampConfig(nameplate_w=NAMEPLATE_W, window_s=2.0 * n_window,
+                          tick_s=2.0)
+        cfg = EmsConfig(ramp=ramp, pv_day_threshold=0.0)
+        pv = PowerSeries(T0 + timedelta(hours=23, minutes=59, seconds=50), 2.0,
+                         np.array(values))
+        with caplog.at_level("INFO", logger="pvems.ems"):
+            self.check(pv, cfg)
+        # each block size sums the same windows with fsum as one pass does
+        _, resummed = fsum_window_mean(pv.values, n_window)
+        assert resummed > 0
+        line = f"prepass windows {len(values) - n_window + 1} resummed {resummed}"
+        assert caplog.messages == [line] * len(self.BLOCKS)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_window_overflow_is_reported_before_a_ramp_overflow(self, block):
+        # a ramp rate overflows in the first block, a window sum in a later one
+        cfg = EmsConfig(ramp=RampConfig(nameplate_w=1.0, window_s=4.0, tick_s=2.0))
+        values = [1e305, 1e305, -1e305, -1e305] + [0.0] * 10 + [1e308, 1e308]
+        with mock.patch.object(ems, "_PREPASS_BLOCK", block):
+            with pytest.raises(OverflowError, match="the sum of a 4 s window"):
+                prepass(PowerSeries(T0, 2.0, np.array(values)), cfg)
+            with pytest.raises(OverflowError, match="the ramp rate of the 4 s window"):
+                prepass(PowerSeries(T0, 2.0, np.array(values[:-1])), cfg)
 
     def test_threshold_lattice_really_hits_the_limit(self):
         # guard for the "threshold" profiles: some ticks land exactly on

@@ -10,15 +10,13 @@ import struct
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import fsum
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvems import ramp
-from pvems.ramp import (RampConfig, event_numbers, fsum_window_mean,
+from pvems.ramp import (RampConfig, events_of, fsum_window_mean,
                         ramp_histogram, ramp_rate, violations, window_sweep)
 from pvems.timeseries import PowerSeries
 from reference import ma_command
@@ -312,9 +310,9 @@ class TestSmoothingProperty:
 class TestHelpers:
     def test_count_events(self):
         flags = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=bool)
-        assert event_numbers(flags).tolist() == [0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
-        assert event_numbers(np.array([], dtype=bool)).size == 0
-        assert event_numbers(np.array([True])).tolist() == [1]
+        assert events_of(np.flatnonzero(flags)).tolist() == [1, 1, 2, 3, 3, 3]
+        assert events_of(np.flatnonzero(np.array([], dtype=bool))).size == 0
+        assert events_of(np.flatnonzero(np.array([True]))).tolist() == [1]
 
 
 def fsum_oracle(values, n):
@@ -341,7 +339,7 @@ SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.1, 3.0, 2.0 ** -53, 2.0 ** -106, 2.0 ** 53,
 
 @st.composite
 def window_case(draw):
-    """Values, a window length and a block size (windows per block)."""
+    """Values and a window length."""
     n = draw(st.sampled_from([1, 2, 3, 10, 300]))
     elements = [st.sampled_from(SPECIAL), st.floats(-1e4, 1e4),
                 st.integers(-2 ** 64, 2 ** 64).map(float),
@@ -351,11 +349,11 @@ def window_case(draw):
         elements.append(st.sampled_from([math.inf, -math.inf, math.nan]))
     size = draw(st.one_of(st.integers(0, n + 1), st.integers(n, n + 40)))
     values = draw(st.lists(st.one_of(elements), min_size=size, max_size=size))
-    return values, n, draw(st.sampled_from([1, 2, 3, 7, 16_384]))
+    return values, n
 
 
-def pinned_windows(values, n, block=2):
-    return values, n, block
+def pinned_windows(values, n):
+    return values, n
 
 
 def hex_floats(text):
@@ -364,7 +362,8 @@ def hex_floats(text):
 
 class TestExactWindowMean:
     """``fsum_window_mean`` gives the bits of a plain ``fsum`` loop, or
-    raises its error, at any block size."""
+    raises its error.  Its inputs are ``prepass``'s blocks, whose edges
+    ``test_prepass.py`` covers."""
 
     @example(case=pinned_windows([-0.0] * 12, 1))
     @example(case=pinned_windows([-0.0] * 12, 10))
@@ -407,10 +406,9 @@ class TestExactWindowMean:
     @given(case=window_case())
     @settings(max_examples=300, deadline=None)
     def test_matches_fsum_bits(self, case):
-        values, n, block = case
-        with mock.patch.object(ramp, "_WINDOW_BLOCK", block):
-            got = outcome(lambda v, k: fsum_window_mean(np.array(v, dtype=float), k)[0],
-                          values, n)
+        values, n = case
+        got = outcome(lambda v, k: fsum_window_mean(np.array(v, dtype=float), k)[0],
+                      values, n)
         assert got == outcome(fsum_oracle, values, n)
 
     def test_counts_the_windows_fsum_sums(self):

@@ -279,6 +279,49 @@ class TestAlign:
         assert len(pv_a) == len(load_a)
         assert load_a.values[0] == 10.0  # held from the 00:00:03 sample
 
+    def test_offsets_below_a_second_are_exact(self):
+        # a 2 s grid from 00:00:01.3 takes the 0.1 s samples at 1.3 s and
+        # 3.3 s; offsets between epoch floats held the ones before them
+        fine = PowerSeries(T0, 0.1, np.arange(400, dtype=float))
+        grid = PowerSeries(T0 + timedelta(seconds=1.3), 2.0, np.zeros(2))
+        _, held = align(grid, fine)
+        assert held.values.tolist() == [13.0, 33.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.tuples(st.integers(1, 9_000), st.integers(1, 9_000)),
+           offsets=st.tuples(st.integers(0, 100_000), st.integers(0, 100_000)),
+           sizes=st.tuples(st.integers(1, 60), st.integers(1, 60)))
+    def test_hold_matches_integer_microseconds(self, steps, offsets, sizes):
+        # steps in tenths of a second, starts in whole milliseconds: the
+        # grid's ticks and the samples held at them, in integer microseconds
+        (ta, tb), (oa, ob), (na, nb) = steps, offsets, sizes
+        a = PowerSeries(T0 + timedelta(milliseconds=oa), ta / 10,
+                        np.arange(na, dtype=float))
+        b = PowerSeries(T0 + timedelta(milliseconds=ob), tb / 10,
+                        np.arange(nb, dtype=float))
+        a_us, b_us, rel = ta * 100_000, tb * 100_000, (ob - oa) * 1_000
+        k0 = max(-(-rel // a_us), 0)
+        k1 = min((rel + (nb - 1) * b_us) // a_us, na - 1)
+        if k1 < k0:
+            with pytest.raises(ProfileError, match="overlap"):
+                align(a, b)
+            return
+        a_aligned, held = align(a, b)
+        ticks = range(k0, k1 + 1)
+        assert a_aligned.start == held.start == a.start + timedelta(
+            microseconds=k0 * a_us)
+        assert a_aligned.values.tolist() == list(ticks)
+        assert held.values.tolist() == [(k * a_us - rel) // b_us for k in ticks]
+
+    @pytest.mark.xfail(strict=True, reason="the hold's 1e-9 tolerance is "
+                       "relative to the source step: 3.6 us on an hourly series")
+    def test_tick_just_before_an_hourly_sample_holds_the_one_before(self):
+        hourly = PowerSeries(T0, 3_600.0, np.arange(3, dtype=float))
+        grid = PowerSeries(T0 + timedelta(hours=1, microseconds=-1), 2.0,
+                           np.zeros(3))
+        _, held = align(grid, hourly)
+        assert held.values[0] == 0.0
+
 
 FINITE = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324,
                                     1.7976931348623157e308,
