@@ -288,8 +288,10 @@ def load_profiles(config: RunConfig) -> tuple[PowerSeries, PowerSeries]:
     ``load_resample`` at the PV's ticks, whatever its own step.
 
     A scale that overflows a load power is a ``CliError`` naming the load
-    profile.  A tick so much finer than the profiles' step that the grid
-    cannot be allocated is a ``ConfigError``.
+    profile, and profiles with no tick where both are a ``CliError``
+    naming both.  A tick so much finer than the profiles' step that the
+    grid cannot be allocated, counted in whole microseconds as the grid
+    is, is a ``ConfigError``.
     """
     pv = load_power_csv(config.pv_path, expected_unit=config.pv_unit)
     load = load_power_csv(config.load_path, expected_unit=config.load_unit)
@@ -302,16 +304,19 @@ def load_profiles(config: RunConfig) -> tuple[PowerSeries, PowerSeries]:
                            "overflows a power in W") from None
 
     tick = config.ems.ramp.tick_s
-    span = pv.step_s * (len(pv) - 1)
-    try:
-        if span / tick < sys.maxsize:  # else past numpy's largest array
+    span, tick_step = pv.end - pv.start, timedelta(seconds=tick)
+    try:  # a tick that rounds to 0 us, or past numpy's largest array, is too fine
+        if tick_step and span // tick_step < sys.maxsize:
             if pv.step_s != tick:
                 pv = resample(pv, tick)
             return align(pv, load, config.load_resample)
     except MemoryError:
         pass
+    except ProfileError as exc:
+        raise CliError(f"{config.pv_path}, {config.load_path}: {exc}") from None
     raise ConfigError(f"ramp.tick_s ({tick:g} s) is too fine for the profiles: "
-                      f"{span:g} s of them take more ticks than can be allocated")
+                      f"{span.total_seconds():g} s of them take more ticks than can "
+                      "be allocated")
 
 
 @contextmanager
@@ -475,7 +480,8 @@ def run_simulation(config: RunConfig) -> KpiReport:
     A tick that does not divide a minute, which the histogram needs, is
     refused first.  The outputs are staged next (see ``_output_set``), so
     an unwritable directory fails before any ingest or simulation work,
-    and they are moved into place only after all three are written.
+    and they are moved into place only after all three are written.  A
+    PV shorter than the histogram's one minute is refused once aligned.
     """
     tick = config.ems.ramp.tick_s
     try:
@@ -487,6 +493,8 @@ def run_simulation(config: RunConfig) -> KpiReport:
     with _output_set(paths) as (trace_tmp, kpi_tmp, histogram_tmp):
         with _stage("ingest+align"):
             pv, load = load_profiles(config)
+        if len(pv) <= samples_per_minute(tick):  # ramp_histogram's rule
+            raise CliError(f"{config.pv_path}: series shorter than one minute")
         with _stage("prepass"):
             pre = _prepass(pv, config)
         strategy, ramp = config.ems.strategy, config.ems.ramp
@@ -512,17 +520,18 @@ def run_simulation(config: RunConfig) -> KpiReport:
 
 def run_ramp_analysis(pv_path: Path, cfg: RampConfig, windows_s: list[float],
                       out_dir: Path, pv_unit: str = "W") -> None:
-    """Write the ramp-bucket histogram and the window-sweep table."""
+    """Write the ramp-bucket histogram and the window-sweep table; a PV
+    they cannot be computed from is a ``CliError`` naming it."""
     if not windows_s:
         print(f"no windows given; defaulting to {{{cfg.window_s:g} s}}")
         windows_s = [cfg.window_s]
     pv = load_power_csv(pv_path, expected_unit=pv_unit)
     hist_path, sweep_path = out_dir / "histogram.csv", out_dir / "window_sweep.csv"
     with _output_set([hist_path, sweep_path]) as (hist_tmp, sweep_tmp):
-        write_histogram_csv(pv, cfg, hist_tmp)
         try:
+            write_histogram_csv(pv, cfg, hist_tmp)
             sweep = window_sweep(pv, cfg, windows_s)
-        except OverflowError as exc:
+        except (ValueError, OverflowError) as exc:
             raise CliError(f"{pv_path}: {exc}") from None
         write_window_sweep_csv(sweep, sweep_tmp)
 

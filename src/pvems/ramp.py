@@ -215,8 +215,9 @@ def fsum_window_mean(values: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     and no addition rounds.  Each error is at most ``2**-53`` of a head
     of at most ``n`` samples, so the test passes whenever the window's
     largest nonzero sample is below ``2**52 / n**2`` times its smallest.
-    The arrays are a few times the size of ``values``: ``prepass`` hands
-    it one block of ticks and the ``n - 1`` samples before it at a time.
+    The arrays are a few times the size of ``values``: ``prepass`` and
+    ``window_sweep`` hand it one block of ticks and the ``n - 1``
+    samples before it at a time.
 
     ``fsum`` itself sums the other windows: those that the test does not
     prove, those with a sample that is not finite or large enough to
@@ -301,6 +302,9 @@ def events_of(ticks: np.ndarray) -> np.ndarray:
     return np.cumsum(starts)
 
 
+_SWEEP_BLOCK = 8_192  # ticks whose ramps window_sweep judges at a time
+
+
 def window_sweep(series: PowerSeries, cfg: RampConfig,
                  windows_s: list[float]) -> list[tuple[float, int]]:
     """Controlled-ramp counts of the pure smoothing filter per window.
@@ -309,11 +313,14 @@ def window_sweep(series: PowerSeries, cfg: RampConfig,
     with no battery limits: ``violations`` flags the ramps of the window
     mean, and with unlimited execution every detected ramp event is
     neutralised, so the count equals the number of detected events.
-    Wider windows smooth harder and detect fewer.  Raises
-    ``OverflowError`` when the sum of a window overflows.
+    Wider windows smooth harder and detect fewer.  Each window walks the
+    series in blocks of ``_SWEEP_BLOCK`` ticks, each reading the
+    window's ``n``-sample tail before it, as ``ems.prepass`` does, and
+    keeps the events counted so far and whether the last tick violated.
+    Raises ``OverflowError`` when the sum of a window overflows.
     """
     x = series.values
-    peak = float(np.max(np.abs(x)))
+    peak = max(float(x.max()), -float(x.min()))
     results: list[tuple[float, int]] = []
     for w in windows_s:
         n = w / series.step_s
@@ -321,12 +328,19 @@ def window_sweep(series: PowerSeries, cfg: RampConfig,
             raise ValueError(f"window {w} s is not a multiple of the series "
                              f"step ({series.step_s} s)")
         n = int(round(n))
-        if peak >= _sum_bound(n):
-            try:
-                fsum_window_mean(x, n)
-            except OverflowError as exc:
-                raise OverflowError(f"the sum of a {w:g} s window of PV power "
-                                    f"overflows ({exc})") from None
-        events = events_of(np.flatnonzero(violations(x, n, cfg, series.step_s)))
-        results.append((w, int(events.max(initial=0))))
+        events, last = 0, False  # an event across a block edge is counted once
+        for lo in range(0, len(x), _SWEEP_BLOCK):
+            hi = min(lo + _SWEEP_BLOCK, len(x))
+            if peak >= _sum_bound(n):
+                try:
+                    fsum_window_mean(x[max(lo - n + 1, 0):hi], n)
+                except OverflowError as exc:
+                    raise OverflowError(f"the sum of a {w:g} s window of PV power "
+                                        f"overflows ({exc})") from None
+            tail = max(lo - n, 0)
+            flags = violations(x[tail:hi], n, cfg, series.step_s)[lo - tail:]
+            in_block = events_of(np.flatnonzero(flags)).max(initial=0)
+            events += int(in_block) - int(last and flags[0])
+            last = flags[-1]
+        results.append((w, events))
     return results

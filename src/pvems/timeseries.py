@@ -48,8 +48,8 @@ class ResampleMethod(str, Enum):
 class PowerSeries:
     """Uniformly sampled power signal in watts.
 
-    Sample ``i`` is taken at ``start + i * step_s``.  ``start`` is an
-    aware UTC datetime; values are finite floats.
+    Sample ``i`` is taken at ``start + i * step_s``, in whole microseconds.
+    ``start`` is an aware UTC datetime; values are finite floats.
     """
 
     start: datetime
@@ -76,7 +76,8 @@ class PowerSeries:
     @property
     def end(self) -> datetime:
         """Timestamp of the last sample."""
-        return self.start + timedelta(seconds=self.step_s * (len(self.values) - 1))
+        n = len(self.values) - 1  # one sample takes no step, whatever its step
+        return self.start + n * timedelta(seconds=self.step_s) if n else self.start
 
     def scaled(self, factor: float) -> "PowerSeries":
         return PowerSeries(self.start, self.step_s, self.values * factor)
@@ -98,7 +99,7 @@ def _parse_timestamp(text: str) -> datetime:
 
 
 # bytes of whole lines that load_power_csv checks at a time, and of the
-# times that _sample_at holds at a time
+# int64 times that _sample_at holds at a time
 _INGEST_BLOCK_BYTES = 1 << 20
 
 # The bytes of a power cell on load_power_csv's grid path.
@@ -106,6 +107,7 @@ _NUMERIC_BYTES = b"0123456789.eE+-"
 _NUMERIC = np.zeros(256, dtype=bool)
 _NUMERIC[np.frombuffer(_NUMERIC_BYTES, np.uint8)] = True
 _LAST_UTC = datetime.max.replace(tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
 
 
 def _parses(parse, text) -> bool:
@@ -122,9 +124,10 @@ def load_power_csv(path: Union[str, Path], expected_unit: str = "W") -> PowerSer
     The header row is optional: the first row is one when its first
     cell is not a timestamp and its second cell, if any, not a number.
     The power is each row's second cell.
-    Timestamps are ISO-8601 UTC or integer epoch seconds and must be
-    strictly increasing on a uniform grid.  ``expected_unit`` is ``"W"``
-    or ``"kW"``; kW inputs are converted to watts.
+    Timestamps are ISO-8601 UTC or integer epoch seconds on one grid: the
+    first two rows fix its step in whole microseconds, and a row off it by
+    any amount is refused.  ``expected_unit`` is ``"W"`` or ``"kW"``; kW
+    inputs are converted to watts.
 
     The file is read once, by ``_Reader`` with one ``csv`` reader.
     ``csv`` reads the header and the rows that fix the step.  The rest is
@@ -155,7 +158,7 @@ def load_power_csv(path: Union[str, Path], expected_unit: str = "W") -> PowerSer
                 kw = float(values[np.isinf(values * 1000.0)][0])
             raise ProfileError(f"{path}: {kw!r} kW overflows in W")
         values *= 1000.0
-    return PowerSeries(rows.first, rows.step, values)
+    return PowerSeries(rows.first, rows.step.total_seconds(), values)
 
 
 def _decode(data: bytes) -> str:
@@ -188,7 +191,7 @@ class _Reader:
         self.path, self.fh, self.rest = path, fh, b""
         self.pending: list[str] = []
         self.lineno = self.n = self.csv_rows = 0
-        self.first = self.prev = self.step = self.step_td = None
+        self.first = self.prev = self.step = None
         self.values = np.empty(0)
 
     def read(self) -> np.ndarray:
@@ -196,10 +199,10 @@ class _Reader:
         records = csv.reader(self._lines())
         self._check(records)
         while block := self._block(_INGEST_BLOCK_BYTES):
-            end, values = _canonical_rows(block, self.prev, self.step_td)
+            end, values = _canonical_rows(block, self.prev, self.step)
             if end:
                 self._append(values)
-                self.prev += len(values) * self.step_td
+                self.prev += len(values) * self.step
                 self.lineno += len(values)
             if end < len(block):
                 self._check(records, block[end:])
@@ -285,16 +288,16 @@ class _Reader:
                     if self.prev is None:
                         self.first = ts
                     else:
-                        dt = (ts - self.prev).total_seconds()
+                        dt = ts - self.prev
                         if self.step is None:  # the last row csv reads before the blocks
-                            self.step, self.step_td = dt, ts - self.prev
-                            until = records.line_num
-                        if dt <= 0:
+                            self.step, until = dt, records.line_num
+                        if dt <= timedelta(0):
                             raise ProfileError(f"{path}: line {self.lineno}: timestamps "
                                                "not strictly increasing")
-                        if abs(dt - self.step) > 1e-6:
-                            raise ProfileError(f"{path}: line {self.lineno}: irregular "
-                                               f"step ({dt} s, expected {self.step} s)")
+                        if dt != self.step:
+                            raise ProfileError(f"{path}: line {self.lineno}: irregular step ("
+                                               f"{dt.total_seconds()} s, expected "
+                                               f"{self.step.total_seconds()} s)")
                     self.prev = ts
                     powers.append(p)
                 if records.line_num >= until:
@@ -415,63 +418,60 @@ def _leading(ok: np.ndarray) -> int:
 
 def resample(series: PowerSeries, target_step_s: float,
              method: ResampleMethod = ResampleMethod.HOLD) -> PowerSeries:
-    """Resample onto a grid of ``target_step_s`` covering the same span.
-
-    ``hold`` repeats the most recent source sample; ``linear``
-    interpolates between neighbours.
-    """
-    if target_step_s <= 0:
-        raise ProfileError(f"target step must be positive, got {target_step_s}")
+    """Resample onto ``(end - start) // target + 1`` points ``target_step_s``
+    apart in whole microseconds: ``hold`` repeats the most recent source
+    sample, ``linear`` interpolates between neighbours."""
     if target_step_s == series.step_s:
         return series
-
-    span = series.step_s * (len(series) - 1)
-    n_out = int(math.floor(span / target_step_s + 1e-9)) + 1
-    values = _sample_at(series, series.start, target_step_s, n_out, method)
+    target = _grid_step(target_step_s)
+    values = _sample_at(series, series.start, target,
+                        (series.end - series.start) // target + 1, method)
     return PowerSeries(series.start, target_step_s, values)
 
 
-def _sample_at(series: PowerSeries, start: datetime, step: float, n: int,
+def _grid_step(step_s: float) -> timedelta:
+    """A grid's step in whole microseconds, from 1 to below 2**63 (int64)."""
+    if not 0 < step_s * 1e6 < 2 ** 63 or not (step := timedelta(seconds=step_s)):
+        raise ProfileError(f"step must be from 1 to 2**63 microseconds, got {step_s} s")
+    return step
+
+
+def _sample_at(series: PowerSeries, start: datetime, step: timedelta, n: int,
                method: ResampleMethod) -> np.ndarray:
-    """Evaluate the series at the ``n`` times ``start + i * step`` seconds;
-    a hold takes about 1 MiB of times at a time."""
-    t0 = (start - series.start).total_seconds()  # exact: whole microseconds
+    """The series at the ``n`` times ``start + k * step``: a hold takes sample
+    ``(start - series.start + k * step) // its step`` in int64 microseconds,
+    about 1 MiB at a time; ``linear`` interpolates at float seconds."""
     if method is ResampleMethod.LINEAR:
-        t_src = np.arange(len(series)) * series.step_s
-        return np.interp(t0 + np.arange(n) * step, t_src, series.values)
+        t = (start - series.start).total_seconds() + np.arange(n) * step.total_seconds()
+        return np.interp(t, np.arange(len(series)) * series.step_s, series.values)
+    t0, source = (start - series.start) // _US, _grid_step(series.step_s) // _US
     out = np.empty(n)
     rows = _INGEST_BLOCK_BYTES // out.itemsize
-    for lo in range(0, n, rows):
-        t_rel = out[lo:lo + rows]  # each block's times, then its samples
-        np.multiply(np.arange(lo, lo + len(t_rel)), step, out=t_rel)
-        t_rel += t0
-        t_rel /= series.step_s
-        t_rel += 1e-9
-        idx = np.floor(t_rel, out=t_rel).astype(int)
-        np.take(series.values, idx, mode="clip", out=t_rel)
+    for lo in range(0, n, rows):  # each block's times, then its samples
+        idx = np.arange(lo, min(lo + rows, n), dtype=np.int64)
+        idx *= step // _US
+        idx += t0
+        idx //= source
+        np.take(series.values, idx, mode="clip", out=out[lo:lo + len(idx)])
     return out
 
 
 def align(a: PowerSeries, b: PowerSeries,
           method: ResampleMethod = ResampleMethod.HOLD) -> tuple[PowerSeries, PowerSeries]:
-    """Put ``b`` onto ``a``'s grid over the span both cover.
-
-    ``a`` keeps its samples in that span, and ``b`` is sampled at them
-    (hold by default), whichever step is finer.  The span and the
-    offset of ``a``'s grid from ``b``'s start are exact time
-    differences (whole microseconds, as ``datetime`` keeps them), not
-    differences of epoch floats.  Raises when the spans do not overlap.
-    """
-    step = a.step_s
+    """Put ``b`` onto ``a``'s grid over the span both cover: ``a`` keeps
+    its points ``a.start + k * step`` in that span, snapped onto them in
+    whole microseconds, and ``b`` is sampled at them (hold by default),
+    whichever step is finer.  Raises, giving both spans, when no point
+    of ``a`` lies in the span."""
+    step = _grid_step(a.step_s)
     t0, t1 = max(a.start, b.start), min(a.end, b.end)
-    # Snap the common window onto a's grid.
-    k0 = int(math.ceil((t0 - a.start).total_seconds() / step - 1e-9))
-    k1 = int(math.floor((t1 - a.start).total_seconds() / step + 1e-9))
-    if t0 > t1 or k1 < k0:
-        raise ProfileError("series do not overlap in time")
-    start = a.start + timedelta(seconds=k0 * step)
-    return (PowerSeries(start, step, a.values[k0:k1 + 1]),
-            PowerSeries(start, step, _sample_at(b, start, step, k1 - k0 + 1, method)))
+    k0, k1 = -((a.start - t0) // step), (t1 - a.start) // step
+    if k1 < k0:
+        raise ProfileError(f"series do not overlap in time ({a.start} to {a.end}, "
+                           f"and {b.start} to {b.end})")
+    start = a.start + k0 * step
+    return (PowerSeries(start, a.step_s, a.values[k0:k1 + 1]),
+            PowerSeries(start, a.step_s, _sample_at(b, start, step, k1 - k0 + 1, method)))
 
 
 # A stamp's fields, with ".ffffff" before the Z in a grid with fractions
@@ -509,7 +509,7 @@ def _utc_grid_stamps(start: datetime, step: timedelta, lo: int, hi: int) -> np.n
     if hi <= lo:
         return np.empty(0, dtype="S20")
     origin = np.datetime64(start.astimezone(timezone.utc).replace(tzinfo=None), "us")
-    step_us = step // timedelta(microseconds=1)
+    step_us = step // _US
     first = int(origin.astype(np.int64)) + lo * step_us
     if step_us <= 0 or first < _YEAR_1 or first + (hi - lo - 1) * step_us >= _YEAR_10000:
         raise ValueError(f"no stamps for {start.isoformat()} + k * {step}, k in [{lo}, {hi}): "

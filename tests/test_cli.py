@@ -11,6 +11,7 @@ import subprocess
 import sys
 import types
 import weakref
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -599,6 +600,45 @@ class TestErrorsWithoutTraceback:
                               "overflows")
         assert [p.name for p in out_dir.iterdir()] == ["histogram.csv"]
         assert (out_dir / "histogram.csv").read_text() == "previous histogram.csv\n"
+
+
+    # a fault of a profile's grid is one line naming the profile, exit 1
+    # and the previous outputs left; before, each named no file, and
+    # simulate refused the short PV only after dispatch
+    @pytest.mark.parametrize("case, command", [
+        ("disjoint", "simulate"), ("disjoint", "compare"),
+        ("20 s", "simulate"), ("7 s", "ramp-analyze")])
+    def test_grid_fault_names_the_profile(self, corpus, day_config, tmp_path,
+                                          capsys, monkeypatch, case, command):
+        def never(*args, **kwargs):
+            raise AssertionError("dispatch reached")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        paths, _ = corpus
+        day = load_power_csv(paths["pv_smooth_day"])
+        start = day.start + timedelta(days=2) if case == "disjoint" else day.start
+        step, n = {"disjoint": (2.0, len(day)), "20 s": (2.0, 10),
+                   "7 s": (7.0, 600)}[case]
+        pv = tmp_path / "pv.csv"
+        write_power_csv(PowerSeries(start, step, day.values[:n]), pv)
+        load = paths["load_smooth_day"]
+        message = {
+            "disjoint": f"{pv}, {load}: series do not overlap in time (2018-01-03 "
+                        "00:00:00+00:00 to 2018-01-03 23:59:58+00:00, and 2018-01-01 "
+                        "00:00:00+00:00 to 2018-01-02 00:00:00+00:00)",
+            "20 s": f"{pv}: series shorter than one minute",
+            "7 s": f"{pv}: series step (7.0 s) must divide 60 s"}[case]
+        outputs = TestAtomicOutputs.OUTPUTS[command]
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for name in outputs:
+            (out_dir / name).write_text(f"previous {name}\n")
+        argv = (["--pv", str(pv)] if command == "ramp-analyze" else
+                ["--config", str(changed_config(day_config, tmp_path, {"pv_path": str(pv)}))])
+        assert main([command, *argv, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {p.name: p.read_text() for p in out_dir.iterdir()} \
+            == {name: f"previous {name}\n" for name in outputs}
 
 
 def write_huge_pv(corpus, tmp_path):

@@ -16,7 +16,8 @@ one walk over blocks of ticks, so its bound covers the block transient
 while every output is held (0.82 MB on both horizons).  Before that walk
 the same measure read 0.75 and 0.28 MB, while ``violations`` alone took
 3.0 and 12.1 MB: it ran first, on the whole series, and the outputs
-allocated after it returned were larger than its transient.
+allocated after it returned were larger than its transient.  The window
+sweep judges each window a block of ticks at a time and keeps a count.
 """
 
 import tracemalloc
@@ -28,7 +29,7 @@ from pvems.cli import write_trace_csv
 from pvems.ems import MODES, EmsConfig, StrategyKind, prepass, simulate
 from pvems.fixtures import block_load, fluctuating_week_pv
 from pvems.kpi import accumulate
-from pvems.ramp import RampConfig
+from pvems.ramp import RampConfig, window_sweep
 from pvems.timeseries import (PowerSeries, align, load_power_csv, write_grid_csv,
                               write_power_csv)
 
@@ -43,6 +44,8 @@ WRITE_TRACE_CSV_MB = 5.1  # 4.93 (four weeks 4.97) with repr; 4.29 now
 LOAD_POWER_CSV_MB = 7.6
 ALIGN_MB = 2.4  # 2.16 both sampling a block at a time; 4.84 and 19.35 at once
 POWER_SERIES_MB = 0.05  # 0.001 checked from min and max; 0.30 and 1.21 with isfinite
+# 0.26 on both horizons a block at a time; 4.64 and 18.58 on whole series
+WINDOW_SWEEP_MB = 0.3
 
 
 def peak_above_result(call):
@@ -75,6 +78,15 @@ def test_align(horizon):
     (_, held), peak = peak_above_result(lambda: align(pv, load))
     assert held.values.tobytes() == trace.p_load.tobytes()
     assert peak <= ALIGN_MB
+
+
+def test_window_sweep(horizon):
+    # ramp-analyze's sweep of the PV over its 20 s and 600 s windows
+    pv, _, _ = horizon
+    weeks = round(len(pv) * pv.step_s / (7 * 86_400))
+    sweep, peak = peak_above_result(lambda: window_sweep(pv, RampConfig(), [20.0, 600.0]))
+    assert sweep == [(20.0, 140 * weeks), (600.0, 70 * weeks)]
+    assert peak <= WINDOW_SWEEP_MB
 
 
 def test_prepass(horizon):

@@ -10,12 +10,14 @@ import struct
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import fsum
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pvems import ramp
 from pvems.ramp import (RampConfig, events_of, fsum_window_mean,
                         ramp_histogram, ramp_rate, violations, window_sweep)
 from pvems.timeseries import PowerSeries
@@ -273,13 +275,28 @@ class TestWindowSweep:
         with pytest.raises(ValueError, match="multiple"):
             window_sweep(s, CFG, [3.0])
 
-    def test_refuses_sums_that_overflow(self):
+    @pytest.mark.parametrize("block", [1, 3, 8_192])
+    def test_refuses_sums_that_overflow(self, block):
         # two-sample windows overflow; one-sample windows do not, and
-        # their one step of -2e308 is a ramp
-        s = PowerSeries(T0, 2.0, np.array([1e308, 1e308, -1e308, -1e308]))
-        with pytest.raises(OverflowError, match="the sum of a 4 s window"):
-            window_sweep(s, CFG, [4.0])
-        assert window_sweep(s, CFG, [2.0]) == [(2.0, 1)]
+        # their one step of -2e308 is a ramp; in the last block too
+        s = PowerSeries(T0, 2.0, np.array([0.0] * 7 + [1e308, 1e308, -1e308, -1e308]))
+        with mock.patch.object(ramp, "_SWEEP_BLOCK", block):
+            with pytest.raises(OverflowError, match="the sum of a 4 s window"):
+                window_sweep(s, CFG, [4.0])
+            assert window_sweep(s, CFG, [2.0]) == [(2.0, 2)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(levels=st.lists(st.tuples(st.sampled_from([0.0, 1_000.0, 5_000.0, 6_740.0]),
+                                     st.integers(1, 30)), min_size=1, max_size=20),
+           n=st.integers(1, 12), block=st.sampled_from([1, 2, 3, 7, 16]))
+    def test_counts_events_across_block_edges(self, levels, n, block):
+        # runs of levels: a ramp event of the window mean lasts up to n
+        # ticks, so events cross the edges of small blocks
+        values = np.array([v for v, k in levels for _ in range(k)])
+        whole = events_of(np.flatnonzero(violations(values, n, CFG, 2.0)))
+        with mock.patch.object(ramp, "_SWEEP_BLOCK", block):
+            out = window_sweep(PowerSeries(T0, 2.0, values), CFG, [2.0 * n])
+        assert out == [(2.0 * n, int(whole.max(initial=0)))]
 
 
 class TestSmoothingProperty:

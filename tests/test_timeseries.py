@@ -2,6 +2,7 @@
 
 import csv
 import logging
+import re
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from unittest import mock
@@ -45,6 +46,11 @@ class TestPowerSeries:
     def test_rejects_empty(self):
         with pytest.raises(ProfileError):
             PowerSeries(T0, 2.0, np.array([]))
+
+    def test_one_sample_ends_where_it_starts_whatever_its_step(self):
+        # a step of 1e13 s is over 2**63 us, yet no step is taken
+        s = PowerSeries(T0, 1e13, np.array([1.0]))
+        assert s.end == s.start == T0
 
     def test_values_are_immutable(self):
         s = PowerSeries(T0, 2.0, np.array([1.0, 2.0]))
@@ -208,6 +214,33 @@ class TestResample:
         out = resample(s, 100.0, method)
         assert np.allclose(out.values, level, atol=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.tuples(st.integers(1, 9_000), st.integers(1, 9_000)),
+           offset=st.integers(0, 100_000), size=st.integers(1, 60))
+    def test_hold_matches_integer_microseconds(self, steps, offset, size):
+        # steps in tenths of a second, starts in whole milliseconds: the
+        # points that fit in the span and the samples held at them, in
+        # integer microseconds
+        (ts, tt), n = steps, size
+        s = PowerSeries(T0 + timedelta(milliseconds=offset), ts / 10,
+                        np.arange(n, dtype=float))
+        s_us, t_us = ts * 100_000, tt * 100_000
+        out = resample(s, tt / 10)
+        assert out.start == s.start and out.step_s == tt / 10
+        points = range((n - 1) * s_us // t_us + 1)
+        assert out.values.tolist() == [k * t_us // s_us for k in points]
+
+    @pytest.mark.parametrize("step_s", [1e-7, 1e13, 1e300])
+    def test_step_off_the_int64_microsecond_clock_is_refused(self, step_s):
+        # a step that rounds to 0 us or reaches 2**63 us, as a target, and
+        # as the step of either series of align
+        s = PowerSeries(T0, 2.0, np.arange(3, dtype=float))
+        odd = PowerSeries(T0, step_s, np.array([1.0]))
+        for call in (lambda: resample(s, step_s), lambda: resample(s, -step_s),
+                     lambda: align(odd, s), lambda: align(s, odd)):
+            with pytest.raises(ProfileError, match="from 1 to 2\\*\\*63 microseconds"):
+                call()
+
     def test_linear_energy_preserved_on_refinement(self):
         rng = np.random.default_rng(7)
         s = PowerSeries(T0, 900.0, rng.uniform(0, 6000, 96))
@@ -313,8 +346,6 @@ class TestAlign:
         assert a_aligned.values.tolist() == list(ticks)
         assert held.values.tolist() == [(k * a_us - rel) // b_us for k in ticks]
 
-    @pytest.mark.xfail(strict=True, reason="the hold's 1e-9 tolerance is "
-                       "relative to the source step: 3.6 us on an hourly series")
     def test_tick_just_before_an_hourly_sample_holds_the_one_before(self):
         hourly = PowerSeries(T0, 3_600.0, np.arange(3, dtype=float))
         grid = PowerSeries(T0 + timedelta(hours=1, microseconds=-1), 2.0,
@@ -963,13 +994,20 @@ class TestBlockIngest:
         with mock.patch.object(timeseries, "_INGEST_BLOCK_BYTES", 100):
             assert load_outcome(path) == load_row_by_row(path)
 
-    def test_jittered_quarter_hours_still_load(self, tmp_path):
-        stamps = [T0 + timedelta(seconds=900 * k) for k in range(6)]
+    @pytest.mark.parametrize("step_s, late", [(2, "2.000001"), (900, "900.000001"),
+                                              (3_600, "3600.000001")])
+    def test_row_a_microsecond_late_is_refused_at_any_step(self, tmp_path, step_s,
+                                                           late):
+        # a step is whole microseconds and a row is on it or refused: the
+        # float steps' 1e-6 s slack took 1 us of jitter at 900 s and
+        # 3 600 s steps and refused it at 2 s
+        stamps = [T0 + timedelta(seconds=step_s * k) for k in range(6)]
         stamps[3] += timedelta(microseconds=1)
         path = make_csv(tmp_path, "".join(f"{format_utc(t)},{k}\n"
                                           for k, t in enumerate(stamps)))
-        s = load_power_csv(path)
-        assert s.step_s == 900.0 and list(s.values) == [0, 1, 2, 3, 4, 5]
+        with pytest.raises(ProfileError, match=re.escape(
+                f"line 4: irregular step ({late} s, expected {step_s}.0 s)")):
+            load_power_csv(path)
         assert load_outcome(path) == load_row_by_row(path)
 
     @pytest.mark.parametrize("block_bytes", [2, 3, 8_192])
