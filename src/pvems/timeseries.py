@@ -75,9 +75,14 @@ class PowerSeries:
 
     @property
     def end(self) -> datetime:
-        """Timestamp of the last sample."""
+        """Timestamp of the last sample; a ``ProfileError`` past datetime's
+        years."""
         n = len(self.values) - 1  # one sample takes no step, whatever its step
-        return self.start + n * timedelta(seconds=self.step_s) if n else self.start
+        try:
+            return self.start + n * timedelta(seconds=self.step_s) if n else self.start
+        except OverflowError:
+            raise ProfileError(f"series from {self.start} of {len(self.values)} samples "
+                               f"{self.step_s} s apart ends past year 9999") from None
 
     def scaled(self, factor: float) -> "PowerSeries":
         return PowerSeries(self.start, self.step_s, self.values * factor)
@@ -132,8 +137,9 @@ def load_power_csv(path: Union[str, Path], expected_unit: str = "W") -> PowerSer
     The file is read once, by ``_Reader`` with one ``csv`` reader.
     ``csv`` reads the header and the rows that fix the step.  The rest is
     read in blocks of whole lines of about ``_INGEST_BLOCK_BYTES`` bytes:
-    each block's leading run of canonical lines on the grid (see
-    ``_canonical_rows``) is accepted on arrays, and its other lines are
+    each block's leading run of canonical lines, each the next grid
+    stamp, a comma and a numeric power cell (see ``_canonical_rows``),
+    is accepted on arrays, and its other lines are
     pending: ``csv`` reads every record that starts on them for the
     per-row checks below, so values, messages and line numbers (counted
     in csv records) are those of reading row by row.  A row holding
@@ -313,52 +319,45 @@ def _canonical_rows(block: bytes, prev: datetime,
     """How many leading bytes of ``block`` are canonical lines that continue
     the grid after ``prev``, and their powers.
 
-    ``block`` starts at a line start.  A line is canonical when
+    ``block`` starts at a line start, and its lines are cut at its LFs.
+    A line is canonical when
 
-    - it ends in LF or CRLF and holds no other CR, no NUL, no quote and
-      no byte above ASCII, so a text-mode file ends it at its LF and
-      ``csv`` splits it at its commas alone;
-    - it is no longer than ``csv.field_size_limit()`` and has one comma;
     - it starts with ``_utc_grid_stamps``' text of the next grid point
-      (within datetime's years) and that comma;
-    - its power cell, after the comma, is made of ``[0-9.eE+-]`` and
-      gives a finite float.
+      (within datetime's years);
+    - a comma follows at the stamp's length;
+    - its power cell, from there to the line end, is made of
+      ``[0-9.eE+-]`` and gives a finite float;
+    - it ends in LF or CRLF;
+    - it is no longer than ``csv.field_size_limit()``.
 
-    Such a line passes the per-row checks of ``load_power_csv`` with the
-    same value: numpy's cast of bytes to float64 is Python's correctly
-    rounded ``float``.  Stamps and power cells are gathered from
-    fixed-stride ``S<len>`` views of ``block``, one fancy index per
-    length.  A line's comma must sit at the length of its grid stamp, and the stamps of a length (20 bytes, or 27 with a fraction of
-    a second; one length on a grid of whole seconds) are compared with
-    the grid's as one byte string.  A run of power texts that numpy
-    refuses to cast is left to ``csv`` (``_floats``).
+    Every byte of such a line is a stamp byte, that comma, a numeric
+    byte or its line end.  So it holds no NUL, quote, byte above ASCII,
+    other comma or CR but the one before its LF: a text-mode file ends
+    it at its LF, ``csv`` reads its two cells as their bytes (RFC 4180
+    section 2), and it passes the per-row checks of ``load_power_csv``
+    with the same value, numpy's cast of bytes to float64 being Python's
+    correctly rounded ``float``.  Stamps and power cells are gathered
+    from fixed-stride ``S<len>`` views of ``block``, one fancy index per
+    length, and the stamps of a length (20 bytes, or 27 with a fraction
+    of a second) are compared with the grid's as one byte string.  A
+    run of power texts that numpy refuses to cast is left to ``csv``
+    (``_floats``).
     """
     a = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(a == 10)
     ends = ends[:(_LAST_UTC - prev) // step]  # the grid stays within datetime's years
-    if len(ends):  # stop at the first line with a NUL, a quote, a CR or non-ASCII
-        body = a[:ends[-1]]
-        odd = np.flatnonzero((body.view(np.int8) < 1) | (body == 34) | (body == 13))
-        odd = odd[(a[odd] != 13) | (a[odd + 1] != 10)]  # but a CR before the LF
-        ends = ends[:np.searchsorted(ends, odd[0])] if len(odd) else ends
-    if len(ends) == 0:
-        return 0, None
-    commas = np.flatnonzero(a[:ends[-1]] == 44)
-    n = _leading(np.diff(np.searchsorted(commas, ends), prepend=0) == 1)
+    starts = np.empty(len(ends), np.intp)
+    starts[:1], starts[1:] = 0, ends[:-1] + 1
+    # room for the shortest stamp, its comma and a digit, so a block of
+    # short lines lays out no stamps for them
+    n = _leading((ends - starts > 21) & (ends - starts <= csv.field_size_limit()))
     if n == 0:
         return 0, None
-    ends, commas = ends[:n], commas[:n]
-    starts = np.empty(n, np.intp)
-    starts[0], starts[1:] = 0, ends[:-1] + 1
-    lo, hi = commas + 1, ends - (a[ends - 1] == 13)
+    ends, starts = ends[:n], starts[:n]
     stamps = _utc_grid_stamps(prev, step, 1, n + 1)
-    size = stamps.dtype.itemsize
-    if stamps.view(np.uint8)[size - 1::size].all():  # no text is padded: one width
-        lengths = np.full(n, size)
-    else:
-        lengths = _lengths(stamps)
-    fits = (hi > lo) & (ends - starts <= csv.field_size_limit())
-    n = _leading((commas - starts == lengths) & fits)  # each stamp ends at the comma
+    lengths = _lengths(stamps)
+    lo, hi = starts + lengths + 1, ends - (a[ends - 1] == 13)
+    n = _leading((hi > lo) & (a.take(lo - 1, mode="clip") == 44))  # the comma
     for size, rows in _by_size(lengths[:n]):
         got, expected = _windows(block, size)[starts[rows]], _prefixes(stamps, size)[rows]
         if got.tobytes() != expected.tobytes():
@@ -655,16 +654,17 @@ def _grid_rows(start: datetime, step: timedelta, lo: int, hi: int,
     """Rows ``lo`` to ``hi`` of ``write_grid_csv``'s file as one ``uint8``
     array, and the number of float cells formatted.
 
-    Each cell is a text of a table (an ``S`` array and its texts'
-    lengths), the float and label texts with the comma before them.  The
-    row lengths give each cell its byte offset, and each column is copied
-    into place in one fancy assignment to a window view of the rows
-    (``_put``), column by column from the left.  A text is copied as a
-    window as wide as the column's longest, so the bytes after it land
-    in the cells after it, which are copied later.  The stamps and line
-    ends are copied last, at their own lengths, so a window may run over
-    the end of a row as long as it stops short of the next row's first
-    float or label cell.
+    Each column is held as a table of texts (an ``S`` array), each row's
+    index into it and each cell's length: the float texts of
+    ``_float_cells`` or the column's label texts, each with the comma
+    before it.  The row lengths give each cell its byte offset, and each
+    column is copied into place in one fancy assignment to a window view
+    of the rows (``_put``), column by column from the left.  A text is
+    copied as a window as wide as the column's longest, so the bytes
+    after it land in the cells after it, which are copied later.  The
+    stamps and line ends are copied last, at their own lengths, so a
+    window may run over the end of a row as long as it stops short of
+    the next row's first float or label cell.
     """
     stamps = _utc_grid_stamps(start, step, lo, hi)
     stamp_lens = _lengths(stamps)
@@ -672,27 +672,24 @@ def _grid_rows(start: datetime, step: timedelta, lo: int, hi: int,
               if name not in tables]
     float_texts, float_cells, formatted = _float_cells(floats)
     float_cells = iter(float_cells)
-    # per column: its table's texts, the index of each run's text there,
-    # each run's length in rows (None: runs of one row), each cell's length
     cells = []
     for name, col in columns.items():
         if name in tables:
             texts, lens = tables[name]
             codes = col[lo:hi]
-            cells.append((texts, codes, None, lens.take(codes)))
+            cells.append((texts, codes, lens.take(codes)))
         else:
             cells.append((float_texts, *next(float_cells)))
     length = stamp_lens.astype(np.int64) + 2
-    for *_, lens in cells:
+    for _, _, lens in cells:
         length += lens
     ends = np.cumsum(length)
     room = 2 + int(stamp_lens.min())  # from a cell's end to the next row's first cell
     rows = np.empty(int(ends[-1]) + room, dtype=np.uint8)
     starts = ends - length
     at = starts + stamp_lens
-    for texts, index, repeat, lens in cells:
-        _put(rows, at, texts, index if repeat is None else np.repeat(index, repeat),
-             lens, room)
+    for texts, index, lens in cells:
+        _put(rows, at, texts, index, lens, room)
         at += lens
     _put(rows, starts, stamps, None, stamp_lens, 0)
     _windows(rows, 2)[at] = b"\r\n"
@@ -728,11 +725,10 @@ def _prefixes(texts: np.ndarray, size: int) -> np.ndarray:
 
 
 def _float_cells(columns: list[np.ndarray]
-                 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
+                 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], int]:
     """The texts of the float64 columns whose bits are ``columns``, each
-    after a comma (``_format_floats``); per column the index of each run's
-    text there, each run's length in rows (None when each is one row)
-    and each cell's text length; and the number of cells formatted.
+    after a comma (``_format_floats``); per column each row's index into
+    them and each cell's text length; and the number of cells formatted.
 
     Only the first cell of each run of equal bits is formatted, and a
     run head whose bits equal the same row of the column to its left
@@ -759,18 +755,12 @@ def _float_cells(columns: list[np.ndarray]
         count = int(np.count_nonzero(fresh))
         index[fresh] = np.arange(k, k + count)
         k += count
-        if left is not None:  # the text of the left column's run holding the row
-            left_rows, left_index = left
-            stale = rows[~fresh]
-            index[~fresh] = left_index[np.searchsorted(left_rows, stale, side="right") - 1]
-        left = rows, index
-        if len(rows) == n:  # every run is one row
-            cells.append((index, None, lens.take(index)))
-            continue
-        repeat = np.empty(len(rows), dtype=np.intp)  # the length of each run
-        np.subtract(rows[1:], rows[:-1], out=repeat[:-1])
-        repeat[-1] = n - rows[-1]
-        cells.append((index, repeat, np.repeat(lens.take(index), repeat)))
+        if left is not None:  # the left column's text of the same row
+            index[~fresh] = left[rows[~fresh]]
+        if len(rows) < n:  # each run's index on each of its rows
+            index = np.repeat(index, np.diff(rows, append=n))
+        cells.append((index, lens.take(index)))
+        left = index
     return texts, cells, len(values)
 
 

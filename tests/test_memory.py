@@ -38,10 +38,11 @@ PREPASS_MB = 0.85  # 0.82 on both horizons
 ACCUMULATE_MB = 1.05  # 0.94
 WRITE_GRID_CSV_MB = 1.65  # 1.50
 WRITE_TRACE_CSV_MB = 5.1  # 4.93 (four weeks 4.97) with repr; 4.29 now
-# 6.99 (four weeks 7.15) with one values array; the list of chunks
-# joined at the end took 6.66 and 10.90.  A kW profile: 7.48 (7.53)
-# scaled in place; 7.48 (10.89) with a scaled copy
-LOAD_POWER_CSV_MB = 7.6
+# 6.37 (four weeks 6.53), a kW profile 6.84 (6.90) scaled in place, with
+# the line rule of stamp, comma and power cell; 6.99 (7.15) and 7.48
+# (7.53) with the odd-byte scan and comma index before it.  The list of
+# chunks joined at the end took 6.66 and 10.90, a scaled copy 7.48 (10.89)
+LOAD_POWER_CSV_MB = 7.0
 ALIGN_MB = 2.4  # 2.16 both sampling a block at a time; 4.84 and 19.35 at once
 POWER_SERIES_MB = 0.05  # 0.001 checked from min and max; 0.30 and 1.21 with isfinite
 # 0.26 on both horizons a block at a time; 4.64 and 18.58 on whole series

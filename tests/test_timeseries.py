@@ -52,6 +52,19 @@ class TestPowerSeries:
         s = PowerSeries(T0, 1e13, np.array([1.0]))
         assert s.end == s.start == T0
 
+    @pytest.mark.parametrize("call", ["align_far_near", "align_near_far", "resample"])
+    def test_end_past_year_9999_is_a_profile_error_naming_the_series(self, call):
+        # 2e12 s after 2018 is past datetime's years: the error names the
+        # series, not a bare "date value out of range"
+        far = PowerSeries(T0, 1e12, np.arange(3.0))
+        near = PowerSeries(T0, 2.0, np.arange(3.0))
+        calls = {"align_far_near": lambda: align(far, near),
+                 "align_near_far": lambda: align(near, far),
+                 "resample": lambda: resample(far, 1e11)}
+        with pytest.raises(ProfileError, match=re.escape(
+                f"series from {T0} of 3 samples 1000000000000.0 s apart")):
+            calls[call]()
+
     def test_values_are_immutable(self):
         s = PowerSeries(T0, 2.0, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
@@ -908,6 +921,24 @@ def pinned(lines, kwargs=None, block_bytes=8_192, ends="\n"):
 
 LIMIT = csv.field_size_limit()
 SECOND = timedelta(seconds=1)
+# power cells whose one odd byte is inside the cell, with no cell after
+# it: a NUL, a quote, a bare CR on an LF line, a TAB, a non-ASCII byte
+# and a trailing comma
+ODD_POWER_CELLS = ["5\x007", '5"', "5\r7", "\t5", "5\u00e9", "5,"]
+
+
+def odd_line_examples(test):
+    """``test`` with an example per odd power cell, and one of a stamp
+    followed by ``;`` in place of its comma, on the eighth of 12 grid
+    rows, each at 1- and 8 192-byte blocks."""
+    semicolon = grid_lines(12)
+    semicolon[7] = semicolon[7].replace(",", ";")
+    for block_bytes in (1, 8_192):
+        for cell in ODD_POWER_CELLS:
+            lines = grid_lines(12, lambda k: cell if k == 7 else "5")
+            test = example(case=pinned(lines, block_bytes=block_bytes))(test)
+        test = example(case=pinned(semicolon, block_bytes=block_bytes))(test)
+    return test
 
 
 class TestBlockIngest:
@@ -957,6 +988,7 @@ class TestBlockIngest:
     # on the canonical line after it
     @example(case=pinned(grid_lines(4) + grid_lines(1, lambda k: '"5', start=4) + ['"']
                          + grid_lines(6, start=5), block_bytes=1))
+    @odd_line_examples
     @given(profile_csv())
     @settings(max_examples=400, deadline=None)
     def test_matches_row_by_row(self, tmp_path_factory, case):
